@@ -64,11 +64,9 @@ from .pipeline import (
     CheckFailure,
     LemmaCheck,
     Pipeline,
-    StrataRings,
     UnknownCheckError,
     VerificationReport,
     pushforward_boundary_to_total,
-    verify_all,
 )
 
 __version__ = "0.1.0"

@@ -9,25 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .pipeline import Pipeline, UnknownCheckError, VerificationReport
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one verification run."""
-
-    selected_checks: list[str] = field(default_factory=list)  # empty means all
-    max_degree: int = 10
-    output_format: str = "text"
-    fail_fast: bool = False
-
-    def validate(self) -> None:
-        if self.max_degree < 5:
-            raise ValueError("--max-degree must be at least 5")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,18 +54,6 @@ def _print_text_report(report: VerificationReport) -> None:
     print(f"{passed}/{len(report.checks)} checks passed; overall: {report.overall}")
 
 
-def run_verify(config: RunConfig) -> int:
-    config.validate()
-    pipeline = Pipeline(max_degree=config.max_degree)
-    ids = config.selected_checks or None
-    report = pipeline.run(ids=ids, fail_fast=config.fail_fast)
-    if config.output_format == "json":
-        print(report.to_json())
-    else:
-        _print_text_report(report)
-    return 0 if report.overall == "pass" else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -104,20 +75,20 @@ def main(argv: list[str] | None = None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    config = RunConfig(
-        selected_checks=args.check or [],
-        max_degree=args.max_degree,
-        output_format=args.format,
-        fail_fast=args.fail_fast,
-    )
     try:
-        return run_verify(config)
-    except UnknownCheckError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        # Pipeline() rejects a degree bound below 5 and run() an unknown
+        # check id, both with a ValueError.
+        report = Pipeline(max_degree=args.max_degree).run(
+            ids=args.check, fail_fast=args.fail_fast
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(report.to_json())
+    else:
+        _print_text_report(report)
+    return 0 if report.overall == "pass" else 1
 
 
 if __name__ == "__main__":

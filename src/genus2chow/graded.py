@@ -170,11 +170,9 @@ class KernelPiece:
     degree: int
     monomials: list[tuple]
     lattice: list[list[int]]          # basis of preimage lattice in ZZ^n
-    relation_lattice: list[list[int]]
     free_rank: int
     torsion_invariants: tuple[int, ...]
     generators: list[IntPolynomial]   # lifts of the quotient-group generators
-    generator_orders: list[int]       # 0 marks a free generator
     generated_by_candidates: bool | None = None
 
     def is_trivial(self) -> bool:
@@ -233,18 +231,16 @@ def multiplication_kernel(
     pieces = []
     for d in range(d_max + 1):
         monomials, rel_rows, kernel_basis = _kernel_lattice(spec, m, d)
-        free_rank, torsion, gens, orders = _quotient_group(
+        free_rank, torsion, gens, _ = _quotient_group(
             ring, monomials, kernel_basis, rel_rows
         )
         piece = KernelPiece(
             degree=d,
             monomials=monomials,
             lattice=kernel_basis,
-            relation_lattice=rel_rows,
             free_rank=free_rank,
             torsion_invariants=torsion,
             generators=gens,
-            generator_orders=orders,
         )
         if candidates:
             spanned = [list(r) for r in rel_rows]

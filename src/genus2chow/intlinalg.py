@@ -141,12 +141,6 @@ def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     return hermite_normal_form(rows, ncols).basis()
 
 
-def in_lattice(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    if not rows:
-        return not any(vector)
-    return hermite_normal_form(rows, len(vector)).contains(vector)
-
-
 def _solve_against(hf: HermiteForm, nrows: int, v: Sequence[int]) -> list[int] | None:
     residual = list(v)
     coeffs = [0] * nrows

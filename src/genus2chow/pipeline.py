@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bundles import (
     BundleClasses,
@@ -111,43 +111,16 @@ class VerificationReport:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        data = json.loads(text)
-        checks = [
-            _ParsedCheck(
-                id=c["id"],
-                anchor=c["anchor"],
-                statement="",
-                status=c["status"],
-                witness="",
-                elapsed_ms=c["elapsed_ms"],
-                digest=c["witness_digest"],
-            )
-            for c in data["checks"]
-        ]
-        return cls(max_degree=data["max_degree"], checks=checks)
-
     def __eq__(self, other):
-        return (
-            isinstance(other, VerificationReport)
-            and self.max_degree == other.max_degree
-            and self.records() == other.records()
-        )
+        """Reports are equal when their deterministic parts are: timings are
+        not compared."""
 
+        def key(report: VerificationReport) -> tuple:
+            return report.max_degree, [
+                (c.id, c.anchor, c.status, _digest(c.witness)) for c in report.checks
+            ]
 
-@dataclass
-class _ParsedCheck(LemmaCheck):
-    digest: str = ""
-
-    def record(self) -> dict:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "witness_digest": self.digest,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return isinstance(other, VerificationReport) and key(self) == key(other)
 
 
 @dataclass(frozen=True)
@@ -156,19 +129,8 @@ class CheckDef:
     anchor: str
     title: str
     deps: tuple[str, ...]
-    runner: str       # Pipeline method returning the witness text
-    stated: str       # Pipeline method rendering the stated identities
-
-
-@dataclass
-class StrataRings:
-    """The five ring presentations the verification produces."""
-
-    delta1: RingSpec
-    open_stratum: RingSpec
-    open_stratum_gm_quotient: RingSpec
-    m2bar: RingSpec
-    bielliptic: RingSpec
+    run: Callable[["Pipeline"], str]  # returns the witness text
+    stated: str                       # the stated result, as `explain` shows it
 
 
 def pushforward_boundary_to_total(p: IntPolynomial, target: Ring) -> IntPolynomial:
@@ -181,6 +143,148 @@ def pushforward_boundary_to_total(p: IntPolynomial, target: Ring) -> IntPolynomi
 
 
 _SEGRE_KEYS = {(0, 0): "1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1x2"}
+
+
+# The stated results, each written once.  A check parses these texts where it
+# verifies them and quotes them in its witness; `explain` renders them.
+
+_BG_EXCISION = ("-2*alpha1 + 2*t", "-alpha1*t + t^2")
+_BG_RELATIONS = ("2*gamma", "gamma^2 + beta1*gamma")
+
+_S6_TABLE = {
+    0: "1",
+    1: "t",
+    2: "t^2 - lambda1*t + 6*lambda2",
+    3: "t^3 - 3*lambda1*t^2 + (2*lambda1^2 + 16*lambda2)*t - 12*lambda1*lambda2",
+    4: "t^4 - 6*lambda1*t^3 + (11*lambda1^2 + 28*lambda2)*t^2"
+       " + (-6*lambda1^3 - 72*lambda1*lambda2)*t + 36*lambda1^2*lambda2 + 72*lambda2^2",
+}
+
+# Coefficients of each composite class in the degree-six basis, by index.
+_SIJ_EXPANSIONS = {
+    "s10": {3: "1", 1: "-60*lambda2", 0: "120*lambda1*lambda2"},
+    "s11": {4: "1", 2: "-36*lambda2", 1: "60*lambda1*lambda2"},
+    "s12": {5: "1", 3: "-18*lambda2", 2: "24*lambda1*lambda2"},
+    "s13": {6: "1", 4: "-6*lambda2", 3: "6*lambda1*lambda2"},
+    "s00": {2: "12", 1: "-60*lambda1", 0: "120*(lambda1^2 - lambda2)"},
+    "s01": {3: "9", 2: "-36*lambda1", 1: "60*(lambda1^2 - lambda2)"},
+    "s02'": {4: "3", 3: "-9*lambda1", 2: "12*(lambda1^2 - lambda2)"},
+}
+
+_DETERMINANT = "86400*(lambda1^2 - 4*lambda2)^3"
+
+_GROTHENDIECK_FACTORS = (
+    "(t^2 - 6*lambda1*t + 36*lambda2)*(t^2 - 6*lambda1*t + 5*lambda1^2 + 16*lambda2)"
+    "*(t^2 - 6*lambda1*t + 8*lambda1^2 + 4*lambda2)*(t - 3*lambda1)"
+)
+
+_SIJ_POLYNOMIALS = {
+    "s10": "t^3 - 3*lambda1*t^2 + (2*lambda1^2 - 44*lambda2)*t + 108*lambda1*lambda2",
+    "s00": "12*t^2 - 72*lambda1*t + 120*lambda1^2 - 48*lambda2",
+    "s02'": "3*t^4 - 27*lambda1*t^3 + (72*lambda1^2 + 72*lambda2)*t^2"
+            " - (48*lambda1^3 + 348*lambda1*lambda2)*t"
+            " + 288*lambda1^2*lambda2 + 144*lambda2^2",
+}
+
+# Rewritings against the twist class t - 2*lambda1; the last one refers to
+# the first two classes by name.
+_SIJ_REWRITES = {
+    "s10": "20*lambda1*lambda2 + (t^2 - lambda1*t - 44*lambda2)*(t - 2*lambda1)",
+    "s00": "24*lambda1^2 - 48*lambda2 + (12*t - 48*lambda1)*(t - 2*lambda1)",
+    "s02'": "-60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)*(t - 2*lambda1)"
+            " + (3*t - 6*lambda1)*s10 - (lambda1*t - 3*lambda1^2 + 3*lambda2)*s00",
+}
+
+_BOUNDARY_VARS = (("lambda1", 1), ("lambda2", 2), ("gamma", 1))
+_BOUNDARY_RELATIONS = (
+    "2*gamma",
+    "gamma^2 + lambda1*gamma",
+    "24*lambda1^2 - 48*lambda2",
+    "24*lambda1*lambda2",
+)
+_BOUNDARY_IMPLIED = "576*lambda2^2"
+
+_OPEN_VARS = (("lambda1", 1), ("lambda2", 2))
+_OPEN_RELATIONS = ("24*lambda1^2 - 48*lambda2", "20*lambda1*lambda2")
+_TWIST_KERNEL = (
+    "60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)",
+    "5*lambda1*lambda2*(12*t - 48*lambda1)"
+    " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)",
+)
+
+_KAPPA_QUADRIC = "c1omega^2 - c1omega*lambda1 + lambda2 - S1"
+_DELTA0 = "10*lambda1 - 2*delta1"
+
+_DEGREE3_KERNEL = ("gamma*lambda1^2", "gamma*lambda2", "gamma*(lambda1^2 + lambda2)")
+# Their boundary pushforwards, which stay nonzero mod 2 in the total ring.
+_BOUNDARY_CLASSES = (
+    "delta1*(delta1 + lambda1)*lambda1^2",
+    "delta1*(delta1 + lambda1)*lambda2",
+    "delta1*(delta1 + lambda1)*(lambda1^2 + lambda2)",
+)
+
+_IM5_IDENTITY = ("(6*lambda1^2 - 12*lambda2)*4*lambda2", "lambda2*(24*lambda1^2 - 48*lambda2)")
+
+_MAIN_VARS = (("lambda1", 1), ("lambda2", 2), ("delta1", 1))
+_MAIN_RELATIONS = (
+    "24*lambda1^2 - 48*lambda2",
+    "20*lambda1*lambda2 - 4*delta1*lambda2",
+    "delta1^3 + delta1^2*lambda1",
+    "2*delta1^2 + 2*delta1*lambda1",
+)
+
+_RELZERO = (
+    "9*alpha2^2 - 2*alpha1^2*alpha2",
+    "4*alpha1^2 + 6*alpha1*beta1 + 4*beta1^2 + 2*alpha2 - 8*beta2",
+    "2*alpha1^2*beta1 + alpha2*beta1 + 12*alpha1*beta2 + 4*beta1*beta2 + alpha2*gamma",
+    "4*alpha1^4 + 12*alpha1^3*beta1 + 8*alpha1^2*beta1^2 + 4*alpha1^2*alpha2"
+    " + 6*alpha1*alpha2*beta1 + 4*alpha2*beta1^2 + 20*alpha1^2*beta2"
+    " + 24*alpha1*beta1*beta2 + alpha1*alpha2*gamma + alpha2*beta1*gamma"
+    " + alpha2^2 - 8*alpha2*beta2 + 16*beta2^2",
+)
+
+_RELTRIP = (
+    "3*alpha2",
+    "alpha1*alpha2",
+    "4*alpha1*beta1 + 8*alpha1^2 - 6*alpha2",
+    "8*alpha1*beta2 + 4*alpha1^2*beta1 - 3*alpha2*beta1 + alpha2*gamma",
+    "9*alpha1^2 + 10*alpha1*beta1 + alpha1*gamma - 3*alpha2 + 12*beta2",
+    "alpha2*gamma - 10*alpha1^3 - 12*alpha1^2*beta1 - 5*alpha1*alpha2"
+    " - 6*alpha2*beta1 - 16*alpha1*beta2",
+)
+
+# Pullbacks of lambda1, lambda2 and delta1 to the test family, and the
+# inverse change of variables.
+_TAUTOLOGICAL = (
+    "-beta1 - 2*alpha1",
+    "alpha1^2 + alpha1*beta1 + beta2",
+    "-3*alpha1 - 2*beta1 + gamma",
+)
+_CHANGE_OF_VARIABLES = {
+    "alpha1": "-2*lambda1 + delta1 - gamma",
+    "beta1": "3*lambda1 - 2*delta1 + 2*gamma",
+}
+
+_TEST_FAMILY_VARS = (("gamma", 1), ("delta1", 1), ("lambda1", 1), ("lambda2", 2))
+_TEST_FAMILY_RELATIONS = (
+    "2*gamma",
+    "gamma^2 + lambda1*gamma",
+    "delta1^2 + delta1*gamma + 8*lambda1^2 - 12*lambda2",
+    "24*lambda1^2 - 48*lambda2",
+    "2*delta1^2 + 2*lambda1*delta1",
+    "20*lambda1*lambda2 - 4*delta1*lambda2",
+    "8*lambda1^3 - 8*lambda1*lambda2",
+)
+_MOD2_RELATIONS = ("gamma^2 + lambda1*gamma", "delta1^2 + delta1*gamma")
+
+
+def _ideal(relations: Sequence[str]) -> str:
+    return "(" + ", ".join(relations) + ")"
+
+
+def _presentation(variables: Sequence[tuple], relations: Sequence[str], base: str = "ZZ") -> str:
+    names = ", ".join(name for name, _ in variables)
+    return f"{base}[{names}] / {_ideal(relations)}"
 
 
 class Pipeline:
@@ -214,13 +318,14 @@ class Pipeline:
     @cached_property
     def alpha_ambient(self) -> RingSpec:
         """Product of the rank-2 classifying ring and the doubled-torus ring."""
-        ring = Ring(("alpha1", 1), ("alpha2", 2), ("beta1", 1), ("beta2", 2), ("gamma", 1))
-        gamma, beta1 = ring.var("gamma"), ring.var("beta1")
-        return RingSpec(ring, Ideal(ring, (2 * gamma, gamma * gamma + beta1 * gamma)))
+        return RingSpec.build(
+            (("alpha1", 1), ("alpha2", 2), ("beta1", 1), ("beta2", 2), ("gamma", 1)),
+            _BG_RELATIONS,
+        )
 
     @cached_property
     def delta1_vars_ring(self) -> Ring:
-        return Ring(("lambda1", 1), ("lambda2", 2), ("gamma", 1))
+        return Ring(*_BOUNDARY_VARS)
 
     @cached_property
     def groth_ring(self) -> Ring:
@@ -230,15 +335,15 @@ class Pipeline:
 
     @cached_property
     def open_ring(self) -> Ring:
-        return Ring(("lambda1", 1), ("lambda2", 2))
+        return Ring(*_OPEN_VARS)
 
     @cached_property
     def m2bar_vars_ring(self) -> Ring:
-        return Ring(("lambda1", 1), ("lambda2", 2), ("delta1", 1))
+        return Ring(*_MAIN_VARS)
 
     @cached_property
     def bielliptic_vars_ring(self) -> Ring:
-        return Ring(("gamma", 1), ("delta1", 1), ("lambda1", 1), ("lambda2", 2))
+        return Ring(*_TEST_FAMILY_VARS)
 
     # ------------------------------------------------------------------
     # derived data blocks
@@ -349,14 +454,7 @@ class Pipeline:
             ring, Ideal(ring, derived_gens), aliases={"beta1": "lambda1", "beta2": "lambda2"}
         )
         stated = RingSpec.build(
-            (("lambda1", 1), ("lambda2", 2), ("gamma", 1)),
-            (
-                "2*gamma",
-                "gamma^2 + lambda1*gamma",
-                "24*lambda1^2 - 48*lambda2",
-                "24*lambda1*lambda2",
-            ),
-            aliases={"beta1": "lambda1", "beta2": "lambda2"},
+            _BOUNDARY_VARS, _BOUNDARY_RELATIONS, aliases={"beta1": "lambda1", "beta2": "lambda2"}
         )
         return {
             "euler46": euler46,
@@ -380,21 +478,14 @@ class Pipeline:
         gm_spec = RingSpec(ring, Ideal(ring, gens))
         lam1 = ring.var("lambda1")
         t = ring.var("t")
-        k3 = ring.parse("60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)")
-        k4 = ring.parse(
-            "5*lambda1*lambda2*(12*t - 48*lambda1)"
-            " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)"
-        )
+        k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
         pieces = multiplication_kernel(
             gm_spec, t - 2 * lam1, self.max_degree, candidates=(k3, k4)
         )
         quotient_gens = tuple(
             g.substitute({"t": 2 * lam1}, target=ring).into(self.open_ring) for g in gens
         )
-        open_stated = RingSpec.build(
-            (("lambda1", 1), ("lambda2", 2)),
-            ("24*lambda1^2 - 48*lambda2", "20*lambda1*lambda2"),
-        )
+        open_stated = RingSpec.build(_OPEN_VARS, _OPEN_RELATIONS)
         return {
             "spec": gm_spec,
             "k3": k3,
@@ -426,7 +517,7 @@ class Pipeline:
         cb, sb, s0b, s1b = big.var("c1omega"), big.var("S"), big.var("S0"), big.var("S1")
         lam1b, lam2b = big.var("lambda1"), big.var("lambda2")
         d0, d1 = big.var("delta0"), big.var("delta1")
-        kappa_big = cb * cb - cb * lam1b + lam2b - s1b  # the derived quadric
+        kappa_big = big.parse(_KAPPA_QUADRIC)
         split = sb - s0b - s1b
         rewritten = RingSpec(big, Ideal(big, (kappa_big, split))).normal_form(cb * cb + sb)
         expected_rewrite = cb * lam1b - lam2b + 2 * s1b + s0b
@@ -468,7 +559,6 @@ class Pipeline:
     @cached_property
     def main_data(self) -> dict:
         ring = self.m2bar_vars_ring
-        lam1, lam2, d1 = ring.var("lambda1"), ring.var("lambda2"), ring.var("delta1")
         derived_delta1 = self.delta1_ring
         # The boundary presentation's first four generators are the two
         # involution-class relations and the two excision pushforwards; the
@@ -477,20 +567,9 @@ class Pipeline:
             pushforward_boundary_to_total(g, ring)
             for g in derived_delta1.relations.generators[:4]
         ]
-        six = [
-            ring.parse("24*lambda1^2 - 48*lambda2"),
-            ring.parse("20*lambda1*lambda2 - 4*delta1*lambda2"),
-        ] + pushed
+        six = [ring.parse(text) for text in _MAIN_RELATIONS[:2]] + pushed
         six_ideal = Ideal(ring, tuple(six))
-        stated = RingSpec.build(
-            (("lambda1", 1), ("lambda2", 2), ("delta1", 1)),
-            (
-                "24*lambda1^2 - 48*lambda2",
-                "20*lambda1*lambda2 - 4*delta1*lambda2",
-                "delta1^3 + delta1^2*lambda1",
-                "2*delta1^2 + 2*delta1*lambda1",
-            ),
-        )
+        stated = RingSpec.build(_MAIN_VARS, _MAIN_RELATIONS)
         return {"six": six, "six_ideal": six_ideal, "stated": stated}
 
     @cached_property
@@ -504,7 +583,6 @@ class Pipeline:
         amb = self.alpha_ambient
         ar = amb.ring
         alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
-        beta1, beta2, gamma = ar.var("beta1"), ar.var("beta2"), ar.var("gamma")
 
         euler_v31 = rep_euler_class(RepSpec.gl2_sym_twist(3, 1), amb)
         euler_pairs = rep_euler_class(
@@ -561,8 +639,7 @@ class Pipeline:
         reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]
 
         # Tautological classes and the inverse change of variables.
-        taut_lambda1 = -beta1 - 2 * alpha1
-        taut_lambda2 = alpha1 * alpha1 + alpha1 * beta1 + beta2
+        taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
         w_m2 = wn_chern(-2, self.bg)
         e2_wm2 = BundleClasses(
             c1=w_m2[0].into(ar), c2=w_m2[1].into(ar)
@@ -578,29 +655,15 @@ class Pipeline:
 
         lr = self.bielliptic_vars_ring
         gl, dl, l1, l2 = (lr.var(n) for n in ("gamma", "delta1", "lambda1", "lambda2"))
-        phi = {
-            "alpha1": -2 * l1 + dl - gl,
-            "beta1": 3 * l1 - 2 * dl + 2 * gl,
-            "gamma": gl,
-        }
+        phi = {name: lr.parse(text) for name, text in _CHANGE_OF_VARIABLES.items()}
+        phi["gamma"] = gl
         phi["beta2"] = l2 - phi["alpha1"] ** 2 - phi["alpha1"] * phi["beta1"]
         phi["alpha2"] = 2 * l1 * dl - 2 * l1 * gl - 8 * l2
 
         all_alpha_gens = list(amb.relations.generators) + relzero + reltrip
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
         derived_ideal = Ideal(lr, derived_gens)
-        stated = RingSpec.build(
-            (("gamma", 1), ("delta1", 1), ("lambda1", 1), ("lambda2", 2)),
-            (
-                "2*gamma",
-                "gamma^2 + lambda1*gamma",
-                "delta1^2 + delta1*gamma + 8*lambda1^2 - 12*lambda2",
-                "24*lambda1^2 - 48*lambda2",
-                "2*delta1^2 + 2*lambda1*delta1",
-                "20*lambda1*lambda2 - 4*delta1*lambda2",
-                "8*lambda1^3 - 8*lambda1*lambda2",
-            ),
-        )
+        stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
         return {
             "euler_v31": euler_v31,
             "euler_pairs": euler_pairs,
@@ -673,16 +736,6 @@ class Pipeline:
         rel6 = push(diag * w).substitute({"x": (-alpha1).into(work)}, target=work).into(ar)
         return self.alpha_ambient.normal_form(rel5), self.alpha_ambient.normal_form(rel6)
 
-    @cached_property
-    def strata_rings(self) -> StrataRings:
-        return StrataRings(
-            delta1=self.delta1_ring,
-            open_stratum=self.gm_data["open_stated"],
-            open_stratum_gm_quotient=self.gm_data["spec"],
-            m2bar=self.m2bar_ring,
-            bielliptic=self.bielliptic_data["stated"],
-        )
-
     # ------------------------------------------------------------------
     # checks
     # ------------------------------------------------------------------
@@ -691,7 +744,7 @@ class Pipeline:
         deriv = self.bg_derivation
         rel1, rel2 = deriv.excision_relations
         _require(
-            str(rel1) == "-2*alpha1 + 2*t" and str(rel2) == "-alpha1*t + t^2",
+            (str(rel1), str(rel2)) == _BG_EXCISION,
             f"excision relations came out as {rel1}; {rel2}",
         )
         return (
@@ -699,43 +752,24 @@ class Pipeline:
             f"degree-7 bundle relation {deriv.grothendieck_relation} lies in their ideal\n"
             f"substituted relations: {deriv.substituted_relations[0]},"
             f" {deriv.substituted_relations[1]}\n"
-            "final presentation equals (2*gamma, gamma^2 + beta1*gamma)"
+            f"final presentation equals {_ideal(_BG_RELATIONS)}"
         )
-
-    _S6_STATED = {
-        0: "1",
-        1: "t",
-        2: "t^2 - lambda1*t + 6*lambda2",
-        3: "t^3 - 3*lambda1*t^2 + (2*lambda1^2 + 16*lambda2)*t - 12*lambda1*lambda2",
-        4: "t^4 - 6*lambda1*t^3 + (11*lambda1^2 + 28*lambda2)*t^2"
-           " + (-6*lambda1^3 - 72*lambda1*lambda2)*t + 36*lambda1^2*lambda2 + 72*lambda2^2",
-    }
 
     def check_s6_table(self) -> str:
         table = self.s6["table"]
         lines = []
-        for j, text in self._S6_STATED.items():
+        for j, text in _S6_TABLE.items():
             stated = self.groth_ring.parse(text)
             _require(table[j] == stated, f"s6^{j} = {table[j]}, expected {stated}")
             lines.append(f"s6^{j} = {table[j]}")
         return "\n".join(lines)
-
-    _SIJ_STATED = {
-        "s10": {3: "1", 1: "-60*lambda2", 0: "120*lambda1*lambda2"},
-        "s11": {4: "1", 2: "-36*lambda2", 1: "60*lambda1*lambda2"},
-        "s12": {5: "1", 3: "-18*lambda2", 2: "24*lambda1*lambda2"},
-        "s13": {6: "1", 4: "-6*lambda2", 3: "6*lambda1*lambda2"},
-        "s00": {2: "12", 1: "-60*lambda1", 0: "120*(lambda1^2 - lambda2)"},
-        "s01": {3: "9", 2: "-36*lambda1", 1: "60*(lambda1^2 - lambda2)"},
-        "s02'": {4: "3", 3: "-9*lambda1", 2: "12*(lambda1^2 - lambda2)"},
-    }
 
     def check_sij_expansions(self) -> str:
         ring = self.groth_ring
         combos = self.s6["combos"]
         _require(self.s6["s02_evenness"], "halving failed: odd coefficient in the squared term")
         lines = []
-        for name, stated in self._SIJ_STATED.items():
+        for name, stated in _SIJ_EXPANSIONS.items():
             combo = combos[name]
             expected = [ring.zero()] * 7
             for j, text in stated.items():
@@ -752,7 +786,7 @@ class Pipeline:
         order = ["s10", "s11", "s12", "s13", "s00", "s01", "s02'"]
         rows = [list(self.s6["combos"][name].coeffs) for name in order]
         det = determinant_expansion(rows)
-        stated = ring.parse("86400*(lambda1^2 - 4*lambda2)^3")
+        stated = ring.parse(_DETERMINANT)
         _require(det == stated, f"determinant is {det}")
         return f"7x7 independence matrix determinant = {det}"
 
@@ -795,50 +829,27 @@ class Pipeline:
 
     def check_groth_factor(self) -> str:
         ring = self.groth_ring
-        stated = ring.parse(
-            "(t^2 - 6*lambda1*t + 36*lambda2)"
-            "*(t^2 - 6*lambda1*t + 5*lambda1^2 + 16*lambda2)"
-            "*(t^2 - 6*lambda1*t + 8*lambda1^2 + 4*lambda2)*(t - 3*lambda1)"
-        )
+        stated = ring.parse(_GROTHENDIECK_FACTORS)
         _require(
             self.grothendieck_relation == stated,
             f"root expansion gives {self.grothendieck_relation}",
         )
         return f"degree-7 relation factors as stated: {stated}"
 
-    _SIJ_POLY_STATED = {
-        "s10": "t^3 - 3*lambda1*t^2 + (2*lambda1^2 - 44*lambda2)*t + 108*lambda1*lambda2",
-        "s00": "12*t^2 - 72*lambda1*t + 120*lambda1^2 - 48*lambda2",
-        "s02'": "3*t^4 - 27*lambda1*t^3 + (72*lambda1^2 + 72*lambda2)*t^2"
-                " - (48*lambda1^3 + 348*lambda1*lambda2)*t"
-                " + 288*lambda1^2*lambda2 + 144*lambda2^2",
-    }
-
-    _SIJ_REWRITE_STATED = {
-        "s10": "20*lambda1*lambda2 + (t^2 - lambda1*t - 44*lambda2)*(t - 2*lambda1)",
-        "s00": "24*lambda1^2 - 48*lambda2 + (12*t - 48*lambda1)*(t - 2*lambda1)",
-    }
-
     def check_sij_rewrites(self) -> str:
         ring = self.groth_ring
         polys = self.s6["polys"]
         lines = []
-        for name, text in self._SIJ_POLY_STATED.items():
+        for name, text in _SIJ_POLYNOMIALS.items():
             stated = ring.parse(text)
             _require(polys[name] == stated, f"{name} = {polys[name]}, expected {stated}")
-        for name, text in self._SIJ_REWRITE_STATED.items():
-            stated = ring.parse(text)
+        named = ring.extend(("s10", 3), ("s00", 2))
+        for name, text in _SIJ_REWRITES.items():
+            stated = named.parse(text).substitute(
+                {"s10": polys["s10"], "s00": polys["s00"]}, target=ring
+            )
             _require(polys[name] == stated, f"{name} rewriting fails")
             lines.append(f"{name} = {text}")
-        s02_rewrite = ring.parse(
-            "-60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)*(t - 2*lambda1)"
-        ) + (ring.parse("3*t - 6*lambda1") * polys["s10"]
-             - ring.parse("lambda1*t - 3*lambda1^2 + 3*lambda2") * polys["s00"])
-        _require(polys["s02'"] == s02_rewrite, "halved squared-term rewriting fails")
-        lines.append(
-            "s02' = -60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)*(t - 2*lambda1)"
-            " + (3*t - 6*lambda1)*s10 - (lambda1*t - 3*lambda1^2 + 3*lambda2)*s00"
-        )
         return "\n".join(lines)
 
     def check_groth_membership(self) -> str:
@@ -870,8 +881,8 @@ class Pipeline:
             "derived boundary ideal differs from the stated presentation",
         )
         _require(
-            stated.contains(stated.parse("576*lambda2^2")),
-            "576*lambda2^2 is not implied by the stated relations",
+            stated.contains(stated.parse(_BOUNDARY_IMPLIED)),
+            f"{_BOUNDARY_IMPLIED} is not implied by the stated relations",
         )
         ring = stated.ring
         gi = ring.index("gamma")
@@ -886,9 +897,8 @@ class Pipeline:
         return (
             f"excision pushforwards: {data['push1']} and {data['push2']}\n"
             f"euler class: {data['euler46']}\n"
-            "derived ideal equals (2*gamma, gamma^2 + lambda1*gamma,"
-            " 24*lambda1^2 - 48*lambda2, 24*lambda1*lambda2);"
-            " 576*lambda2^2 is implied; all involution-class multiples die"
+            f"derived ideal equals {_ideal(_BOUNDARY_RELATIONS)};"
+            f" {_BOUNDARY_IMPLIED} is implied; all involution-class multiples die"
             " after inverting 2 (degrees 1..5)"
         )
 
@@ -936,8 +946,7 @@ class Pipeline:
                 f"kernel piece in degree {piece.degree} is not generated by the two classes",
             )
         return (
-            "twist quotient ring = ZZ[lambda1, lambda2]"
-            " / (24*lambda1^2 - 48*lambda2, 20*lambda1*lambda2)\n"
+            f"twist quotient ring = {_presentation(_OPEN_VARS, _OPEN_RELATIONS)}\n"
             f"kernel of multiplication by {t - 2 * lam1}: trivial below degree 3,"
             f" generated by\n  {k3}\n  {k4}\n"
             f"verified through degree {self.max_degree}"
@@ -946,7 +955,7 @@ class Pipeline:
     def check_kappa(self) -> str:
         data = self.grr_data
         ring = data["kappa_ring"]
-        stated = ring.parse("c1omega^2 - c1omega*lambda1 + lambda2 - S1")
+        stated = ring.parse(_KAPPA_QUADRIC)
         _require(data["kappa_class"] == stated, f"series quotient gives {data['kappa_class']}")
         return f"degree-2 series quotient = {stated}"
 
@@ -958,18 +967,18 @@ class Pipeline:
             f"quadric rewriting gives {data['rewritten']}",
         )
         _require(not data["leftover"], "unexpected monomials survived the pushforward")
-        stated = big.parse("10*lambda1 - 2*delta1")
+        stated = big.parse(_DELTA0)
         _require(
             data["delta0_solution"] == stated,
             f"linear assembly gives {data['delta0_solution']}",
         )
-        rel3_stated = big.parse("20*lambda1*lambda2 - 4*delta1*lambda2")
+        rel3_stated = big.parse(_MAIN_RELATIONS[1])
         _require(data["rel3"] == rel3_stated, f"doubled relation gives {data['rel3']}")
         return (
             f"pushforward assembly: 12*lambda1 = {data['pushed']}\n"
             f"so delta0 = {data['delta0_solution']};"
             f" doubling against lambda2 gives {rel3_stated} = 0\n"
-            "recorded relations: 24*lambda1^2 - 48*lambda2 = 0 (doubled pushforward"
+            f"recorded relations: {_MAIN_RELATIONS[0]} = 0 (doubled pushforward"
             " of the dualizing class against the singular locus, 2-torsion halved)"
             " and the doubled relation above"
         )
@@ -977,9 +986,9 @@ class Pipeline:
     def check_degree3_kernel(self) -> str:
         spec = self.delta1_ring
         ring = spec.ring
-        gamma, lam1, lam2 = ring.var("gamma"), ring.var("lambda1"), ring.var("lambda2")
+        gamma, lam1 = ring.var("gamma"), ring.var("lambda1")
         elements = enumerate_kernel_elements(spec, gamma - lam1, 3)
-        stated = [gamma * lam1 ** 2, gamma * lam2, gamma * (lam1 ** 2 + lam2)]
+        stated = [ring.parse(text) for text in _DEGREE3_KERNEL]
         stated_nf = {spec.normal_form(p) for p in stated}
         _require(
             len(elements) == 3 and set(elements) == stated_nf,
@@ -987,11 +996,7 @@ class Pipeline:
         )
         target = self.m2bar_vars_ring
         pushed = [pushforward_boundary_to_total(p, target) for p in stated]
-        expected = [
-            target.parse("delta1*(delta1 + lambda1)*lambda1^2"),
-            target.parse("delta1*(delta1 + lambda1)*lambda2"),
-            target.parse("delta1*(delta1 + lambda1)*(lambda1^2 + lambda2)"),
-        ]
+        expected = [target.parse(text) for text in _BOUNDARY_CLASSES]
         _require(pushed == expected, "boundary pushforwards differ from the stated classes")
         for p in stated:
             _require(
@@ -1008,13 +1013,12 @@ class Pipeline:
     def check_im5(self) -> str:
         spec = self.delta1_ring
         ring = spec.ring
-        cls = ring.parse("(6*lambda1^2 - 12*lambda2)*4*lambda2")
-        identity = ring.parse("lambda2*(24*lambda1^2 - 48*lambda2)")
+        cls, identity = (ring.parse(text) for text in _IM5_IDENTITY)
         _require(cls == identity, "rewriting into the doubled relation fails")
         _require(cls.weighted_degree() == 4, "the checked class must have degree 4")
         _require(spec.contains(cls), "the degree-5 image class does not vanish")
         return (
-            f"(6*lambda1^2 - 12*lambda2)*4*lambda2 = {identity} = 0"
+            f"{_IM5_IDENTITY[0]} = {identity} = 0"
             " in the boundary ring (degree 4)"
         )
 
@@ -1036,14 +1040,14 @@ class Pipeline:
         # the stated ideal, and the stated cubic and quadric relations sit in
         # the six-relation ideal.
         six_basis = RingSpec(ring, data["six_ideal"]).groebner
-        for text in ("delta1^3 + delta1^2*lambda1", "2*delta1^2 + 2*delta1*lambda1"):
+        for text in _MAIN_RELATIONS[2:]:
             _require(
                 six_basis.contains(ring.parse(text)),
                 f"{text} is not implied by the six relations",
             )
         for p in data["six"]:
             _require(stated.contains(p), f"pushed relation {p} is not in the stated ideal")
-        delta0 = ring.parse("10*lambda1 - 2*delta1")
+        delta0 = ring.parse(_DELTA0)
         _require(
             stated.contains(2 * delta0 * ring.var("lambda2")),
             "the self-node relation does not hold in the quotient",
@@ -1052,36 +1056,14 @@ class Pipeline:
         return (
             "the six localization relations\n"
             + "\n".join(lines)
-            + "\ngenerate exactly (24*lambda1^2 - 48*lambda2,"
-            " 20*lambda1*lambda2 - 4*delta1*lambda2,"
-            " delta1^3 + delta1^2*lambda1, 2*delta1^2 + 2*delta1*lambda1)"
+            + f"\ngenerate exactly {_ideal(_MAIN_RELATIONS)}"
         )
-
-    _RELZERO_STATED = (
-        "9*alpha2^2 - 2*alpha1^2*alpha2",
-        "4*alpha1^2 + 6*alpha1*beta1 + 4*beta1^2 + 2*alpha2 - 8*beta2",
-        "2*alpha1^2*beta1 + alpha2*beta1 + 12*alpha1*beta2 + 4*beta1*beta2 + alpha2*gamma",
-        "4*alpha1^4 + 12*alpha1^3*beta1 + 8*alpha1^2*beta1^2 + 4*alpha1^2*alpha2"
-        " + 6*alpha1*alpha2*beta1 + 4*alpha2*beta1^2 + 20*alpha1^2*beta2"
-        " + 24*alpha1*beta1*beta2 + alpha1*alpha2*gamma + alpha2*beta1*gamma"
-        " + alpha2^2 - 8*alpha2*beta2 + 16*beta2^2",
-    )
-
-    _RELTRIP_STATED = (
-        "3*alpha2",
-        "alpha1*alpha2",
-        "4*alpha1*beta1 + 8*alpha1^2 - 6*alpha2",
-        "8*alpha1*beta2 + 4*alpha1^2*beta1 - 3*alpha2*beta1 + alpha2*gamma",
-        "9*alpha1^2 + 10*alpha1*beta1 + alpha1*gamma - 3*alpha2 + 12*beta2",
-        "alpha2*gamma - 10*alpha1^3 - 12*alpha1^2*beta1 - 5*alpha1*alpha2"
-        " - 6*alpha2*beta1 - 16*alpha1*beta2",
-    )
 
     def check_bielliptic_euler(self) -> str:
         data = self.bielliptic_data
         amb = self.alpha_ambient
-        stated1 = amb.normal_form(amb.parse(self._RELZERO_STATED[0]))
-        stated2 = amb.normal_form(amb.parse(self._RELZERO_STATED[3]))
+        stated1 = amb.normal_form(amb.parse(_RELZERO[0]))
+        stated2 = amb.normal_form(amb.parse(_RELZERO[3]))
         _require(data["euler_v31"] == stated1, f"cubic euler class is {data['euler_v31']}")
         _require(data["euler_pairs"] == stated2, f"pair euler class is {data['euler_pairs']}")
         return (
@@ -1093,7 +1075,7 @@ class Pipeline:
         data = self.bielliptic_data
         amb = self.alpha_ambient
         lines = []
-        for derived, text in zip(data["relzero"], self._RELZERO_STATED):
+        for derived, text in zip(data["relzero"], _RELZERO):
             stated = amb.normal_form(amb.parse(text))
             _require(
                 amb.normal_form(derived) == stated,
@@ -1106,7 +1088,7 @@ class Pipeline:
         data = self.bielliptic_data
         amb = self.alpha_ambient
         lines = []
-        for derived, text in zip(data["reltrip"], self._RELTRIP_STATED):
+        for derived, text in zip(data["reltrip"], _RELTRIP):
             stated = amb.normal_form(amb.parse(text))
             _require(
                 amb.normal_form(derived) == stated,
@@ -1120,15 +1102,7 @@ class Pipeline:
         amb = self.alpha_ambient
         ar = amb.ring
         t1, t2, t3 = data["taut"]
-        _require(t1 == ar.parse("-beta1 - 2*alpha1"), f"first Hodge class is {t1}")
-        _require(
-            t2 == ar.parse("alpha1^2 + alpha1*beta1 + beta2"),
-            f"second Hodge class is {t2}",
-        )
-        _require(
-            t3 == ar.parse("-3*alpha1 - 2*beta1 + gamma"),
-            f"boundary class pullback is {t3}",
-        )
+        _require(t3 == ar.parse(_TAUTOLOGICAL[2]), f"boundary class pullback is {t3}")
         lr = self.bielliptic_vars_ring
         phi = data["phi"]
         _require(
@@ -1152,36 +1126,19 @@ class Pipeline:
             ideal_equal(data["derived_ideal"], stated.relations),
             "substituted relations do not generate the stated seven relations",
         )
-        _require(
-            stated.contains(stated.parse("8*lambda1^3 - 8*lambda1*lambda2")),
-            "the cubic relation is missing",
-        )
         return (
-            "change of variables: alpha1 = -2*lambda1 + delta1 - gamma,"
-            " beta1 = 3*lambda1 - 2*delta1 + 2*gamma,\n"
+            f"change of variables: alpha1 = {_CHANGE_OF_VARIABLES['alpha1']},"
+            f" beta1 = {_CHANGE_OF_VARIABLES['beta1']},\n"
             f"  beta2 = {phi['beta2']},\n  alpha2 = {phi['alpha2']}\n"
             "substituted ideal equals the stated seven relations"
         )
-
-    _MOD2_CLASSES = (
-        "delta1*(delta1 + lambda1)*lambda1^2",
-        "delta1*(delta1 + lambda1)*lambda2",
-        "delta1*(delta1 + lambda1)*(lambda1^2 + lambda2)",
-    )
 
     def check_bielliptic_mod2(self) -> str:
         data = self.bielliptic_data
         lr = self.bielliptic_vars_ring
         two = lr.const(2)
         mod2 = Ideal(lr, data["stated"].relations.generators + (two,))
-        mod2_stated = Ideal(
-            lr,
-            (
-                two,
-                lr.parse("gamma^2 + lambda1*gamma"),
-                lr.parse("delta1^2 + delta1*gamma"),
-            ),
-        )
+        mod2_stated = Ideal(lr, (two, *(lr.parse(text) for text in _MOD2_RELATIONS)))
         _require(
             ideal_equal(mod2, mod2_stated),
             "mod-2 reduction does not give the stated two-relation presentation",
@@ -1197,7 +1154,7 @@ class Pipeline:
         main_mod2 = RingSpec(main_ring, main.relations.plus(main_ring.const(2)))
         lines = []
         pieces: dict[int, object] = {}
-        for text in self._MOD2_CLASSES:
+        for text in _BOUNDARY_CLASSES:
             cls = lr.parse(text)
             downstairs = mod2_spec.normal_form(cls)
             _require(bool(downstairs), f"{text} vanishes mod 2 in the test-family ring")
@@ -1213,8 +1170,7 @@ class Pipeline:
             lines.append(f"  {text} != 0 (mod 2)")
         return (
             "mod 2 the test-family ring is"
-            " (Z/2)[gamma, delta1, lambda1, lambda2]"
-            " / (gamma^2 + lambda1*gamma, delta1^2 + delta1*gamma),\n"
+            f" {_presentation(_TEST_FAMILY_VARS, _MOD2_RELATIONS, base='(Z/2)')},\n"
             "the restriction from the total ring is defined, and\n"
             + "\n".join(lines)
         )
@@ -1241,183 +1197,100 @@ class Pipeline:
         )
 
     # ------------------------------------------------------------------
-    # stated witnesses for `explain`
-    # ------------------------------------------------------------------
-
-    def stated_bg(self) -> str:
-        return (
-            "excision relations 2*t - 2*alpha1 and t^2 - alpha1*t;\n"
-            "final presentation ZZ[beta1, beta2, gamma]"
-            " / (2*gamma, gamma^2 + beta1*gamma)"
-        )
-
-    def stated_s6(self) -> str:
-        return "\n".join(f"s6^{j} = {text}" for j, text in self._S6_STATED.items())
-
-    def stated_sij(self) -> str:
-        return "\n".join(
-            f"{name}: " + ", ".join(f"s6^{j} coeff {c}" for j, c in stated.items())
-            for name, stated in self._SIJ_STATED.items()
-        )
-
-    def stated_det(self) -> str:
-        return "86400*(lambda1^2 - 4*lambda2)^3"
-
-    def stated_cub(self) -> str:
-        return (
-            "the two factorizations of the squared-then-cubed pushforward agree"
-            " and the squared-term coefficients are even"
-        )
-
-    def stated_groth_factor(self) -> str:
-        return (
-            "(t^2 - 6*lambda1*t + 36*lambda2)*(t^2 - 6*lambda1*t + 5*lambda1^2 + 16*lambda2)"
-            "*(t^2 - 6*lambda1*t + 8*lambda1^2 + 4*lambda2)*(t - 3*lambda1)"
-        )
-
-    def stated_rewrites(self) -> str:
-        return "\n".join(self._SIJ_REWRITE_STATED.values())
-
-    def stated_membership(self) -> str:
-        return "p, s10, s11, s12, s13, s00, s01, s02' all lie in (s00, s10)"
-
-    def stated_adelta1(self) -> str:
-        return (
-            "ZZ[lambda1, lambda2, gamma] / (2*gamma, gamma^2 + lambda1*gamma,"
-            " 24*lambda1^2 - 48*lambda2, 24*lambda1*lambda2); 576*lambda2^2 implied"
-        )
-
-    def stated_thm45(self) -> str:
-        return (
-            "ZZ[lambda1, lambda2] / (24*lambda1^2 - 48*lambda2, 20*lambda1*lambda2);\n"
-            "kernel generated by 60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1) and\n"
-            "5*lambda1*lambda2*(12*t - 48*lambda1)"
-            " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)"
-        )
-
-    def stated_kappa(self) -> str:
-        return "c1omega^2 - c1omega*lambda1 + lambda2 - S1 = 0"
-
-    def stated_delta0(self) -> str:
-        return "delta0 = 10*lambda1 - 2*delta1; 20*lambda1*lambda2 - 4*delta1*lambda2 = 0"
-
-    def stated_degree3(self) -> str:
-        return (
-            "exactly gamma*lambda1^2, gamma*lambda2, gamma*(lambda1^2 + lambda2);"
-            " pushforwards delta1*(delta1 + lambda1)*{lambda1^2, lambda2,"
-            " lambda1^2 + lambda2}"
-        )
-
-    def stated_im5(self) -> str:
-        return "(6*lambda1^2 - 12*lambda2)*4*lambda2 = lambda2*(24*lambda1^2 - 48*lambda2) = 0"
-
-    def stated_main(self) -> str:
-        return (
-            "ZZ[lambda1, lambda2, delta1] / (24*lambda1^2 - 48*lambda2,"
-            " 20*lambda1*lambda2 - 4*delta1*lambda2,"
-            " delta1^3 + delta1^2*lambda1, 2*delta1^2 + 2*delta1*lambda1)"
-        )
-
-    def stated_bielliptic_euler(self) -> str:
-        return (
-            f"{self._RELZERO_STATED[0]} and\n{self._RELZERO_STATED[3]}"
-        )
-
-    def stated_relzero(self) -> str:
-        return "\n".join(f"{t} = 0" for t in self._RELZERO_STATED)
-
-    def stated_reltrip(self) -> str:
-        return "\n".join(f"{t} = 0" for t in self._RELTRIP_STATED)
-
-    def stated_bielliptic_ring(self) -> str:
-        return (
-            "ZZ[gamma, delta1, lambda1, lambda2] / (2*gamma, gamma^2 + lambda1*gamma,"
-            " delta1^2 + delta1*gamma + 8*lambda1^2 - 12*lambda2, 24*lambda1^2 - 48*lambda2,"
-            " 2*delta1^2 + 2*lambda1*delta1, 20*lambda1*lambda2 - 4*delta1*lambda2,"
-            " 8*lambda1^3 - 8*lambda1*lambda2)"
-        )
-
-    def stated_mod2(self) -> str:
-        return (
-            "(Z/2)[gamma, delta1, lambda1, lambda2]"
-            " / (gamma^2 + lambda1*gamma, delta1^2 + delta1*gamma);"
-            " the three boundary classes are nonzero"
-        )
-
-    def stated_oracle(self) -> str:
-        return "normal form vanishing == Smith-form membership, all rings, degrees <= 8"
-
-    # ------------------------------------------------------------------
     # registry and execution
     # ------------------------------------------------------------------
 
     CHECKS: tuple[CheckDef, ...] = (
         CheckDef("thm:bg", "classifying-space-presentation",
                  "Presentation of the swap-extended torus classifying ring",
-                 (), "check_bg", "stated_bg"),
+                 (), check_bg,
+                 f"excision relations {_BG_EXCISION[0]} and {_BG_EXCISION[1]};\n"
+                 f"final presentation ZZ[beta1, beta2, gamma] / {_ideal(_BG_RELATIONS)}"),
         CheckDef("s6-table", "pushforward-basis-table",
                  "Degree-six pushforward basis classes",
-                 (), "check_s6_table", "stated_s6"),
+                 (), check_s6_table,
+                 "\n".join(f"s6^{j} = {text}" for j, text in _S6_TABLE.items())),
         CheckDef("sij-expansions", "pushforward-class-expansions",
                  "Expansions of the seven composite pushforward classes",
-                 (), "check_sij_expansions", "stated_sij"),
+                 (), check_sij_expansions,
+                 "\n".join(
+                     f"{name}: " + ", ".join(f"s6^{j} coeff {c}" for j, c in stated.items())
+                     for name, stated in _SIJ_EXPANSIONS.items()
+                 )),
         CheckDef("det-7x7", "independence-determinant",
                  "Determinant of the 7x7 independence matrix",
-                 ("sij-expansions",), "check_det_7x7", "stated_det"),
+                 ("sij-expansions",), check_det_7x7, _DETERMINANT),
         CheckDef("cub-compat", "cubing-diagram-compatibility",
                  "Compatibility of the cubing and multiplication pushforwards",
-                 ("sij-expansions",), "check_cub_compat", "stated_cub"),
+                 ("sij-expansions",), check_cub_compat,
+                 "the two factorizations of the squared-then-cubed pushforward agree"
+                 " and the squared-term coefficients are even"),
         CheckDef("groth-factor", "bundle-relation-factorization",
                  "Factorization of the degree-7 bundle relation",
-                 (), "check_groth_factor", "stated_groth_factor"),
+                 (), check_groth_factor, _GROTHENDIECK_FACTORS),
         CheckDef("sij-rewrites", "relation-rewritings",
                  "Rewriting of the three quotient relations against the twist class",
-                 ("s6-table", "sij-expansions"), "check_sij_rewrites", "stated_rewrites"),
+                 ("s6-table", "sij-expansions"), check_sij_rewrites,
+                 "\n".join(f"{name} = {text}" for name, text in _SIJ_REWRITES.items())),
         CheckDef("groth-membership", "two-generator-membership",
                  "Membership of the bundle relation and all pushforward classes",
-                 ("groth-factor", "sij-rewrites"), "check_groth_membership",
-                 "stated_membership"),
+                 ("groth-factor", "sij-rewrites"), check_groth_membership,
+                 "p, s10, s11, s12, s13, s00, s01, s02' all lie in (s00, s10)"),
         CheckDef("adelta1", "boundary-stratum-ring",
                  "Presentation of the disconnecting-node boundary ring",
-                 ("thm:bg",), "check_adelta1", "stated_adelta1"),
+                 ("thm:bg",), check_adelta1,
+                 f"{_presentation(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)};"
+                 f" {_BOUNDARY_IMPLIED} implied"),
         CheckDef("thm:45", "open-stratum-ring",
                  "Presentation of the open stratum and its twist kernel",
-                 ("sij-rewrites",), "check_thm45", "stated_thm45"),
+                 ("sij-rewrites",), check_thm45,
+                 f"{_presentation(_OPEN_VARS, _OPEN_RELATIONS)};\n"
+                 f"kernel generated by {_TWIST_KERNEL[0]} and\n{_TWIST_KERNEL[1]}"),
         CheckDef("kappa", "dualizing-class-quadric",
                  "Quadric satisfied by the relative dualizing class",
-                 (), "check_kappa", "stated_kappa"),
+                 (), check_kappa, f"{_KAPPA_QUADRIC} = 0"),
         CheckDef("delta0", "self-node-class",
                  "Linear assembly of the self-node boundary class",
-                 ("kappa",), "check_delta0", "stated_delta0"),
+                 ("kappa",), check_delta0,
+                 f"delta0 = {_DELTA0}; {_MAIN_RELATIONS[1]} = 0"),
         CheckDef("degree3-kernel", "boundary-degree3-kernel",
                  "Enumeration of the degree-3 boundary kernel",
-                 ("adelta1",), "check_degree3_kernel", "stated_degree3"),
+                 ("adelta1",), check_degree3_kernel,
+                 f"exactly {', '.join(_DEGREE3_KERNEL)};"
+                 f" pushforwards {', '.join(_BOUNDARY_CLASSES)}"),
         CheckDef("im5", "degree5-image-vanishing",
                  "Vanishing of the degree-5 image class in the boundary ring",
-                 ("adelta1",), "check_im5", "stated_im5"),
+                 ("adelta1",), check_im5, " = ".join(_IM5_IDENTITY) + " = 0"),
         CheckDef("thm:main", "total-ring-presentation",
                  "The six localization relations present the total ring",
-                 ("adelta1", "delta0"), "check_main", "stated_main"),
+                 ("adelta1", "delta0"), check_main,
+                 _presentation(_MAIN_VARS, _MAIN_RELATIONS)),
         CheckDef("bielliptic-euler", "test-family-euler-classes",
                  "Euler classes of the test-family zero sections",
-                 ("thm:bg",), "check_bielliptic_euler", "stated_bielliptic_euler"),
+                 ("thm:bg",), check_bielliptic_euler,
+                 f"{_RELZERO[0]} and\n{_RELZERO[3]}"),
         CheckDef("relzero", "zero-section-relations",
                  "Zero-section relations of the test family",
-                 ("bielliptic-euler",), "check_relzero", "stated_relzero"),
+                 ("bielliptic-euler",), check_relzero,
+                 "\n".join(f"{text} = 0" for text in _RELZERO)),
         CheckDef("reltrip", "triple-root-relations",
                  "Triple-root relations of the test family",
-                 ("thm:bg",), "check_reltrip", "stated_reltrip"),
+                 ("thm:bg",), check_reltrip,
+                 "\n".join(f"{text} = 0" for text in _RELTRIP)),
         CheckDef("bielliptic-ring", "test-family-ring",
                  "Presentation of the test-family ring",
-                 ("relzero", "reltrip"), "check_bielliptic_ring",
-                 "stated_bielliptic_ring"),
+                 ("relzero", "reltrip"), check_bielliptic_ring,
+                 _presentation(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)),
         CheckDef("bielliptic-mod2", "mod-two-nonvanishing",
                  "Mod-2 presentation and nonvanishing of the three boundary classes",
-                 ("bielliptic-ring", "thm:main"), "check_bielliptic_mod2", "stated_mod2"),
+                 ("bielliptic-ring", "thm:main"), check_bielliptic_mod2,
+                 f"{_presentation(_TEST_FAMILY_VARS, _MOD2_RELATIONS, base='(Z/2)')};"
+                 " the three boundary classes are nonzero"),
         CheckDef("oracle-agreement", "engine-cross-check",
                  "Agreement of the Groebner and Smith-form engines",
                  ("adelta1", "thm:45", "thm:main", "bielliptic-ring"),
-                 "check_oracle_agreement", "stated_oracle"),
+                 check_oracle_agreement,
+                 "normal form vanishing == Smith-form membership, all rings, degrees <= 8"),
     )
 
     @classmethod
@@ -1435,7 +1308,7 @@ class Pipeline:
         cdef = self.check_def(check_id)
         start = time.perf_counter()
         try:
-            witness = getattr(self, cdef.runner)()
+            witness = cdef.run(self)
             status = "pass"
         except (CheckFailure, DerivationError) as exc:
             witness = str(exc)
@@ -1490,11 +1363,7 @@ class Pipeline:
             f"check:     {cdef.id}\n"
             f"anchor:    {cdef.anchor}\n"
             f"statement: {cdef.title}\n"
-            f"witness:\n{getattr(self, cdef.stated)()}\n"
+            f"witness:\n{cdef.stated}\n"
             f"dependency chain: {dep_text}"
         )
 
-
-def verify_all(max_degree: int = 10, fail_fast: bool = False) -> VerificationReport:
-    """Run every check in dependency order and collect the report."""
-    return Pipeline(max_degree=max_degree).run(fail_fast=fail_fast)

@@ -265,13 +265,6 @@ class IntPolynomial:
             return None
         return next(iter(seen))
 
-    def is_homogeneous(self) -> bool:
-        try:
-            self.weighted_degree()
-            return True
-        except InhomogeneousError:
-            return False
-
     def homogeneous_components(self) -> dict[int, "IntPolynomial"]:
         parts: dict[int, dict] = {}
         for exps, c in self._terms.items():
