@@ -2,10 +2,11 @@
 
 A degree-d piece of ZZ[x1..xk]/I is presented by the lattice of degree-d
 multiples of the relation generators inside the free module on the degree-d
-monomials; Smith normal form of that lattice yields the free rank, the
-torsion invariants and explicit coordinates.  This route is independent of
-the Groebner engine and doubles as its oracle: a class is zero in the graded
-piece exactly when its normal form vanishes.
+monomials; the Smith normal form of that lattice's Hermite basis yields the
+free rank, the torsion invariants and explicit coordinates.  Kernels of
+multiplication maps are quotients of lattices, read off the same way.  This
+route is independent of the Groebner engine and doubles as its oracle: a
+class is zero in the graded piece exactly when its normal form vanishes.
 """
 
 from __future__ import annotations
@@ -98,6 +99,18 @@ class GradedPieceGroup:
         return n
 
 
+def _smith_quotient(
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], intlinalg.Matrix, intlinalg.Matrix]:
+    """The diagonal (padded to length n), V and Vinv of ZZ^n / <rows>.
+
+    The Smith form is taken of the Hermite basis of the rows, which has full
+    row rank, so it sees at most n rows and its entries stay small.
+    """
+    snf = intlinalg.smith_normal_form(intlinalg.lattice_basis(rows, n), ncols=n)
+    return list(snf.diagonal) + [0] * (n - len(snf.diagonal)), snf.V, snf.Vinv
+
+
 def graded_piece(
     spec: RingSpec, d: int, extra: Iterable[IntPolynomial] = ()
 ) -> GradedPieceGroup:
@@ -105,14 +118,7 @@ def graded_piece(
     if d < 0:
         raise ValueError("degree must be >= 0")
     monomials, rows = relation_rows(spec, d, extra)
-    n = len(monomials)
-    if rows:
-        snf = intlinalg.smith_normal_form(rows, ncols=n)
-        diagonal = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
-        basis_change = snf.V
-    else:
-        diagonal = [0] * n
-        basis_change = intlinalg.identity(n)
+    diagonal, basis_change, _ = _smith_quotient(rows, len(monomials))
     return GradedPieceGroup(
         degree=d,
         monomial_basis=tuple(monomials),
@@ -143,8 +149,8 @@ def _kernel_lattice(
     spec: RingSpec, m: IntPolynomial, d: int
 ) -> tuple[list[tuple], list[list[int]], list[list[int]]]:
     """Monomial basis in degree d, rows of the degree-d relation lattice, and
-    a basis of the lattice of vectors whose product with m lies in the
-    relation lattice one degree up."""
+    the Hermite basis (as ``lattice_basis`` gives it) of the lattice of
+    vectors whose product with m lies in the relation lattice one degree up."""
     ring = spec.ring
     monomials, rel_rows = relation_rows(spec, d)
     n = len(monomials)
@@ -168,8 +174,6 @@ class KernelPiece:
     """The kernel of multiplication by a fixed class, in one degree."""
 
     degree: int
-    monomials: list[tuple]
-    lattice: list[list[int]]          # basis of preimage lattice in ZZ^n
     free_rank: int
     torsion_invariants: tuple[int, ...]
     generators: list[IntPolynomial]   # lifts of the quotient-group generators
@@ -186,21 +190,10 @@ def _quotient_group(
     sub_rows: list[list[int]],
 ) -> tuple[int, tuple[int, ...], list[IntPolynomial], list[int]]:
     """Structure of lattice / <sub_rows> with polynomial lifts of generators."""
-    if not lattice:
-        return 0, (), [], []
-    coeff_rows = []
-    for x in intlinalg.solve_left_many(lattice, sub_rows):
-        if x is None:
-            raise AssertionError("sublattice is not contained in the lattice")
-        coeff_rows.append(x)
-    s = len(lattice)
-    if coeff_rows:
-        snf = intlinalg.smith_normal_form(coeff_rows, ncols=s)
-        diagonal = list(snf.diagonal) + [0] * (s - len(snf.diagonal))
-        vinv = snf.Vinv
-    else:
-        diagonal = [0] * s
-        vinv = intlinalg.identity(s)
+    coeff_rows = intlinalg.solve_left_many(lattice, sub_rows)
+    if None in coeff_rows:
+        raise AssertionError("sublattice is not contained in the lattice")
+    diagonal, _, vinv = _smith_quotient(coeff_rows, len(lattice))
     generators = []
     orders = []
     for i, dval in enumerate(diagonal):
@@ -236,8 +229,6 @@ def multiplication_kernel(
         )
         piece = KernelPiece(
             degree=d,
-            monomials=monomials,
-            lattice=kernel_basis,
             free_rank=free_rank,
             torsion_invariants=torsion,
             generators=gens,
@@ -251,9 +242,9 @@ def multiplication_kernel(
                 for mult in ring.monomials_of_degree(d - e):
                     mono = IntPolynomial(ring, {mult: 1}, _trusted=True)
                     spanned.append(vector_of(monomials, mono * cand))
-            piece.generated_by_candidates = intlinalg.lattice_basis(
-                spanned, len(monomials)
-            ) == intlinalg.lattice_basis(kernel_basis, len(monomials))
+            piece.generated_by_candidates = (
+                intlinalg.lattice_basis(spanned, len(monomials)) == kernel_basis
+            )
         pieces.append(piece)
     return pieces
 
@@ -292,5 +283,7 @@ def enumerate_kernel_elements(
     if len(elements) != expected - 1:
         raise AssertionError("kernel classes did not reduce to distinct normal forms")
     return sorted(
-        elements, key=lambda p: ring.monomial_key(p.leading_term()[0]), reverse=True
+        elements,
+        key=lambda p: [(ring.monomial_key(e), c) for e, c in p.terms()],
+        reverse=True,
     )

@@ -80,9 +80,6 @@ class HermiteForm:
                 residual = [x - q * y for x, y in zip(residual, row)]
         return residual
 
-    def contains(self, vector: Sequence[int]) -> bool:
-        return not any(self.reduce(vector))
-
 
 def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
     m = len(A)
@@ -160,18 +157,11 @@ def _solve_against(hf: HermiteForm, nrows: int, v: Sequence[int]) -> list[int] |
     return x
 
 
-def solve_left(A: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
-    """An integer row vector x with x @ A = v, or None if none exists."""
-    if not A:
-        return [] if not any(v) else None
-    hf = hermite_normal_form(A)
-    return _solve_against(hf, len(A), v)
-
-
 def solve_left_many(
     A: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
 ) -> list[list[int] | None]:
-    """Like solve_left for several vectors, factoring A only once."""
+    """For each vector v, an integer row vector x with x @ A = v, or None if
+    none exists; A is factored only once."""
     if not A:
         return [[] if not any(v) else None for v in vectors]
     hf = hermite_normal_form(A)
@@ -212,9 +202,6 @@ class SmithNormalForm:
         for i, d in enumerate(self.diagonal):
             D[i][i] = d
         return D
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
 
     def verify(self, A: Sequence[Sequence[int]]) -> None:
         """Raise AssertionError unless all structural guarantees hold."""

@@ -74,3 +74,18 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert "kappa" in proc.stdout
+
+    def test_twist_kernel_at_degree_14_finishes(self):
+        # The degree-13 twist-kernel quotient has 108 redundant rows; only a
+        # Smith form of their Hermite basis finishes in bounded time.
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "genus2chow", "verify", "--check", "thm:45",
+             "--max-degree", "14"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0

@@ -1,9 +1,12 @@
 """Graded pieces as abelian groups, kernels of multiplication, enumeration."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from genus2chow import intlinalg as la
 from genus2chow.graded import (
     InfiniteKernelError,
+    _smith_quotient,
     enumerate_kernel_elements,
     graded_piece,
     membership_matches_normal_form,
@@ -11,6 +14,20 @@ from genus2chow.graded import (
 )
 from genus2chow.groebner import RingSpec
 
+
+def row_sets(max_dim=5, bound=20):
+    """An n and up to 6 rows of length n; with a flag set, the last row is a
+    combination of the others, so the set is rank-deficient."""
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                max_size=6,
+            ),
+            st.booleans(),
+        )
+    )
 
 
 @pytest.fixture
@@ -40,6 +57,28 @@ def open_spec():
         (("lambda1", 1), ("lambda2", 2)),
         ("24*lambda1^2 - 48*lambda2", "20*lambda1*lambda2"),
     )
+
+
+class TestSmithQuotient:
+    @settings(max_examples=80, deadline=None)
+    @given(row_sets())
+    @example((3, [], False))
+    def test_matches_smith_form_of_raw_rows(self, case):
+        n, rows, dependent = case
+        if dependent and len(rows) >= 2:
+            rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[1])]]
+        diagonal, V, Vinv = _smith_quotient(rows, n)
+        raw = la.smith_normal_form(rows, ncols=n).diagonal
+        raw = raw + [0] * (n - len(raw))
+        assert len(diagonal) == n
+        assert diagonal.count(0) == raw.count(0)
+        assert [d for d in diagonal if d >= 2] == [d for d in raw if d >= 2]
+        assert la.matmul(V, Vinv) == la.identity(n)
+        # V is a basis change of ZZ^n in which the rows lie in the lattice
+        # spanned by the diagonal.
+        for row in rows:
+            for x, d in zip(la.matvec_left(row, V), diagonal):
+                assert (x % d == 0) if d else x == 0
 
 
 class TestGradedPiece:

@@ -1,6 +1,9 @@
 """The end-to-end verification pipeline: reports, selection, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +69,28 @@ class TestFaultInjection:
         dependents.add("adelta1")
         walk("adelta1")
         assert failing <= dependents
+
+    def test_failure_witness_is_independent_of_hash_seed(self):
+        # The failing degree3-kernel witness lists the enumerated kernel
+        # classes, so their order must not depend on set iteration order.
+        code = (
+            "from genus2chow.pipeline import Pipeline\n"
+            "report = Pipeline(corruption='delta1-excision').run(ids=['degree3-kernel'])\n"
+            "(check,) = report.checks\n"
+            "print(check.status, check.record()['witness_digest'])\n"
+        )
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().startswith("fail ")
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
