@@ -21,9 +21,7 @@ from .groebner import (
     Ideal,
     RingSpec,
     StrongGroebnerBasis,
-    ideal_contains,
     ideal_equal,
-    normal_form,
     strong_groebner,
 )
 from .graded import (

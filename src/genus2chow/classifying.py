@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bundles import BundleClasses, srj_table, veronese_pushforward
-from .groebner import Ideal, RingSpec, ideal_contains, ideal_equal, strong_groebner
+from .groebner import Ideal, RingSpec, ideal_equal
 from .ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
@@ -41,20 +41,6 @@ def torus_ring() -> Ring:
     return Ring(("t1", 1), ("t2", 1))
 
 
-_BG_REDUCERS: dict[Ring, object] = {}
-
-
-def _bg_reducer(target: Ring):
-    """Groebner basis of (2*gamma, gamma^2 + beta1*gamma) inside any ring
-    containing beta1 and gamma."""
-    if target not in _BG_REDUCERS:
-        gamma, beta1 = target.var("gamma"), target.var("beta1")
-        _BG_REDUCERS[target] = strong_groebner(
-            Ideal(target, (2 * gamma, gamma * gamma + beta1 * gamma))
-        )
-    return _BG_REDUCERS[target]
-
-
 # -- transfer along the torus double cover ---------------------------------------
 
 
@@ -64,7 +50,7 @@ def bt_pullback(p: IntPolynomial, target: Ring) -> IntPolynomial:
     return p.substitute({"beta1": t1 + t2, "beta2": t1 * t2, "gamma": 0}, target=target)
 
 
-def bt_pushforward(p: IntPolynomial, target: Ring) -> IntPolynomial:
+def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
     """Pushforward from the torus, extended linearly over monomials by
 
         1        -> 2
@@ -72,14 +58,16 @@ def bt_pushforward(p: IntPolynomial, target: Ring) -> IntPolynomial:
         t1^a     -> beta1 push(t1^(a-1)) - beta2 push(t1^(a-2))
         t1^a t2^b -> beta2^min(a,b) push(t1^|a-b|),
 
-    reduced into the presentation (2*gamma, gamma^2 + beta1*gamma).
-    Variables other than t1, t2 pass through as scalars.
+    reduced into ``target``: a presentation whose relations are exactly
+    (2*gamma, gamma^2 + beta1*gamma), such as the classifying ring or its
+    product with the rank-2 classifying ring.  Variables other than t1, t2
+    pass through as scalars.
     """
-    source = p.ring
+    source, ring = p.ring, target.ring
     i1, i2 = source.index("t1"), source.index("t2")
-    beta1, beta2, gamma = target.var("beta1"), target.var("beta2"), target.var("gamma")
+    beta1, beta2, gamma = ring.var("beta1"), ring.var("beta2"), ring.var("gamma")
 
-    powers = [target.const(2), beta1 + gamma]
+    powers = [ring.const(2), beta1 + gamma]
 
     def push_power(a: int) -> IntPolynomial:
         while len(powers) <= a:
@@ -87,15 +75,15 @@ def bt_pushforward(p: IntPolynomial, target: Ring) -> IntPolynomial:
             powers.append(beta1 * powers[k - 1] - beta2 * powers[k - 2])
         return powers[a]
 
-    acc = target.zero()
+    acc = ring.zero()
     for exps, coeff in p.term_map().items():
         a, b = exps[i1], exps[i2]
-        rest = target.zero() + coeff
+        rest = ring.zero() + coeff
         for i, e in enumerate(exps):
             if e and i not in (i1, i2):
-                rest = rest * target.var(source.names[i]) ** e
+                rest = rest * ring.var(source.names[i]) ** e
         acc = acc + rest * beta2 ** min(a, b) * push_power(abs(a - b))
-    return _bg_reducer(target).normal_form(acc)
+    return target.normal_form(acc)
 
 
 # -- representations -----------------------------------------------------------
@@ -245,7 +233,7 @@ def rep_euler_class(rep: RepSpec, ambient: RingSpec) -> IntPolynomial:
 # -- Chern classes of the doubled weight representations ---------------------------
 
 
-def wn_chern(n: int, spec: RingSpec | None = None) -> tuple[IntPolynomial, IntPolynomial]:
+def wn_chern(n: int, spec: RingSpec) -> tuple[IntPolynomial, IntPolynomial]:
     """Chern classes (c1, c2) of the doubled weight-n representation:
     c1 = n beta1 + (n+1) gamma and c2 = n^2 beta2.
 
@@ -253,7 +241,6 @@ def wn_chern(n: int, spec: RingSpec | None = None) -> tuple[IntPolynomial, IntPo
     rule (c1 -> -c1, c2 -> c2) is applied to weight |n| and the result is
     reduced to its canonical normal form.
     """
-    spec = spec or bg_ringspec()
     ring = spec.ring
     beta1, beta2, gamma = ring.var("beta1"), ring.var("beta2"), ring.var("gamma")
     if n >= 0:
@@ -263,7 +250,7 @@ def wn_chern(n: int, spec: RingSpec | None = None) -> tuple[IntPolynomial, IntPo
 
 
 def wn_chern_from_tensor_identity(
-    n: int, spec: RingSpec | None = None
+    n: int, spec: RingSpec
 ) -> tuple[IntPolynomial, IntPolynomial]:
     """Rederive (c1(W_n), c2(W_n)) for n >= 2 from the splitting of
     W_(n-1) (x) W_1 into W_n plus a twist of W_(n-2), by comparing the
@@ -271,7 +258,6 @@ def wn_chern_from_tensor_identity(
     """
     if n < 2:
         raise ValueError("the tensor identity derivation needs n >= 2")
-    spec = spec or bg_ringspec()
     ring = spec.ring
     beta1, gamma = ring.var("beta1"), ring.var("gamma")
 
@@ -354,8 +340,8 @@ def bg_presentation() -> BgDerivation:
     if rel2 != t * t - alpha1 * t:
         raise DerivationError(f"second excision relation is {rel2}")
 
-    excision = Ideal(amb, (rel1, rel2))
-    if not ideal_contains(excision, groth):
+    excision = RingSpec(amb, Ideal(amb, (rel1, rel2)))
+    if not excision.contains(groth):
         raise DerivationError("bundle relation is not implied by the excision relations")
 
     target = bg_ring()
@@ -367,9 +353,9 @@ def bg_presentation() -> BgDerivation:
     }
     sub1 = rel1.substitute(rename, target=target)
     sub2 = rel2.substitute(rename, target=target)
-    derived = Ideal(target, (sub1, sub2))
+    derived = RingSpec(target, Ideal(target, (sub1, sub2)))
     stated = bg_ringspec()
-    if not ideal_equal(derived, stated.relations):
+    if not ideal_equal(derived, stated):
         raise DerivationError("derived presentation differs from the stated one")
     return BgDerivation(
         ringspec=stated,

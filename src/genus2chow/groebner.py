@@ -7,6 +7,11 @@ monomial and coefficient alike, by the leading term of some basis element;
 completion therefore processes gcd combinations alongside the classical
 s-polynomials.  Normal forms reduce every coefficient to its smallest
 nonnegative residue, which makes them unique and path-independent.
+
+A ``RingSpec`` (generators plus relation ideal) is the one holder of a
+completed basis: it completes its ideal once, on first use, and every
+membership test and normal form in the package goes through it.
+``ideal_equal`` compares two presentations through their own bases.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ring import IntPolynomial, Ring, RingMismatchError
 
@@ -84,8 +89,6 @@ def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
 
 class StrongGroebnerBasis:
     """A completed, interreduced strong basis with unique normal forms."""
-
-    order = "grevlex"
 
     __slots__ = ("ring", "elements", "_leads")
 
@@ -307,59 +310,30 @@ def _interreduce(ring: Ring, basis: list[IntPolynomial]) -> list[IntPolynomial]:
     return elems
 
 
-def normal_form(p: IntPolynomial, basis: StrongGroebnerBasis) -> IntPolynomial:
-    return basis.normal_form(p)
-
-
-def ideal_contains(ideal_or_basis, p: IntPolynomial) -> bool:
-    """Membership via normal form (true iff the normal form vanishes)."""
-    basis = (
-        ideal_or_basis
-        if isinstance(ideal_or_basis, StrongGroebnerBasis)
-        else strong_groebner(ideal_or_basis)
-    )
-    return basis.contains(p)
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Mutual containment of generators, hence equality of ideals."""
-    if I.ring != J.ring:
-        raise RingMismatchError("ideals live over different rings")
-    basis_i = strong_groebner(I)
-    basis_j = strong_groebner(J)
-    return all(basis_j.contains(g) for g in I.generators) and all(
-        basis_i.contains(g) for g in J.generators
-    )
-
-
 class RingSpec:
     """A graded ring presentation: weighted variables plus a relation ideal.
 
-    This is the universal container for every Chow ring in the pipeline.
-    ``aliases`` records intended renamings (for example the Hodge classes
-    standing in for the doubled-torus classes) without affecting any
-    computation.
+    This is the universal container for every Chow ring in the pipeline,
+    and the only place a strong basis is completed and kept.
     """
 
-    __slots__ = ("ring", "relations", "aliases", "__dict__")
+    __slots__ = ("ring", "relations", "__dict__")
 
-    def __init__(self, ring: Ring, relations: Ideal, aliases: Mapping[str, str] | None = None):
+    def __init__(self, ring: Ring, relations: Ideal):
         if relations.ring != ring:
             raise RingMismatchError("relations live over a different ring")
         self.ring = ring
         self.relations = relations
-        self.aliases = dict(aliases or {})
 
     @classmethod
     def build(
         cls,
         variables: Sequence[tuple],
         relation_texts: Sequence[str] = (),
-        aliases: Mapping[str, str] | None = None,
     ) -> "RingSpec":
         ring = Ring(*variables)
         gens = [ring.parse(text) for text in relation_texts]
-        return cls(ring, Ideal(ring, gens), aliases)
+        return cls(ring, Ideal(ring, gens))
 
     def __repr__(self):
         return f"RingSpec({self.ring!r}, {self.relations!r})"
@@ -374,12 +348,18 @@ class RingSpec:
     def contains(self, p: IntPolynomial) -> bool:
         return self.groebner.contains(p)
 
-    def same_ideal(self, other: "Ideal | RingSpec") -> bool:
-        ideal = other.relations if isinstance(other, RingSpec) else other
-        return ideal_equal(self.relations, ideal)
-
     def with_relations(self, *extra: IntPolynomial) -> "RingSpec":
-        return RingSpec(self.ring, self.relations.plus(*extra), self.aliases)
+        return RingSpec(self.ring, self.relations.plus(*extra))
 
     def parse(self, text: str) -> IntPolynomial:
         return self.ring.parse(text)
+
+
+def ideal_equal(a: RingSpec, b: RingSpec) -> bool:
+    """Mutual containment of generators, hence equality of the two
+    presentations' ideals; each side's membership uses its own basis."""
+    if a.ring != b.ring:
+        raise RingMismatchError("ideals live over different rings")
+    return all(b.contains(g) for g in a.relations.generators) and all(
+        a.contains(g) for g in b.relations.generators
+    )

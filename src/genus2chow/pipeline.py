@@ -431,8 +431,8 @@ class Pipeline:
         if z0 != 24 * t2v * t2v:
             problems.append(f"vanishing-summand class is {z0}")
 
-        push1 = bt_pushforward(z0, bgr)
-        push2 = bt_pushforward(z0 * sub_ring.var("t1"), bgr)
+        push1 = bt_pushforward(z0, self.bg)
+        push2 = bt_pushforward(z0 * sub_ring.var("t1"), self.bg)
         if self.corruption == "delta1-excision":
             push2 = push2 - bgr.parse("beta1*beta2")
         if push1 != bgr.parse("24*beta1^2 - 48*beta2"):
@@ -450,12 +450,8 @@ class Pipeline:
             push2.substitute(alias, target=ring),
             euler46.substitute(alias, target=ring),
         )
-        derived = RingSpec(
-            ring, Ideal(ring, derived_gens), aliases={"beta1": "lambda1", "beta2": "lambda2"}
-        )
-        stated = RingSpec.build(
-            _BOUNDARY_VARS, _BOUNDARY_RELATIONS, aliases={"beta1": "lambda1", "beta2": "lambda2"}
-        )
+        derived = RingSpec(ring, Ideal(ring, derived_gens))
+        stated = RingSpec.build(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)
         return {
             "euler46": euler46,
             "z0": z0,
@@ -568,9 +564,8 @@ class Pipeline:
             for g in derived_delta1.relations.generators[:4]
         ]
         six = [ring.parse(text) for text in _MAIN_RELATIONS[:2]] + pushed
-        six_ideal = Ideal(ring, tuple(six))
         stated = RingSpec.build(_MAIN_VARS, _MAIN_RELATIONS)
-        return {"six": six, "six_ideal": six_ideal, "stated": stated}
+        return {"six": RingSpec(ring, Ideal(ring, six)), "stated": stated}
 
     @cached_property
     def m2bar_ring(self) -> RingSpec:
@@ -603,8 +598,8 @@ class Pipeline:
         z0 = z_class.substitute({"x": 0}).into(tg)
         if z0 != tg.parse("4*t2^2 + 6*alpha1*t2 + 2*alpha1^2 + alpha2"):
             raise DerivationError(f"vanishing-form class evaluates to {z0}")
-        relz2 = bt_pushforward(z0, ar)
-        relz3 = bt_pushforward(z0 * tg.var("t1"), ar)
+        relz2 = bt_pushforward(z0, amb)
+        relz3 = bt_pushforward(z0 * tg.var("t1"), amb)
         relzero = [euler_v31, relz2, relz3, euler_pairs]
 
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
@@ -630,8 +625,8 @@ class Pipeline:
         pushed_sq = pushed_sq.substitute({"x4": -alpha1s - 2 * t2s}, target=sq_ring)
         tg_full = self.torus_gl2_ring
         pushed_sq = pushed_sq.into(tg_full)
-        rel_t3 = bt_pushforward(pushed_sq, ar)
-        rel_t4 = bt_pushforward(pushed_sq * tg_full.var("t1"), ar)
+        rel_t3 = bt_pushforward(pushed_sq, amb)
+        rel_t4 = bt_pushforward(pushed_sq * tg_full.var("t1"), amb)
 
         # All three forms share a common factor.
         rel_t5, rel_t6 = self._common_factor_relations()
@@ -662,7 +657,7 @@ class Pipeline:
 
         all_alpha_gens = list(amb.relations.generators) + relzero + reltrip
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
-        derived_ideal = Ideal(lr, derived_gens)
+        derived = RingSpec(lr, Ideal(lr, derived_gens))
         stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
         return {
             "euler_v31": euler_v31,
@@ -672,7 +667,7 @@ class Pipeline:
             "reltrip": reltrip,
             "taut": (taut_lambda1, taut_lambda2, taut_delta1),
             "phi": phi,
-            "derived_ideal": derived_ideal,
+            "derived": derived,
             "stated": stated,
         }
 
@@ -855,10 +850,9 @@ class Pipeline:
     def check_groth_membership(self) -> str:
         ring = self.groth_ring
         polys = self.s6["polys"]
-        ideal = Ideal(ring, (polys["s00"], polys["s10"]))
-        basis = RingSpec(ring, ideal).groebner
+        spec = RingSpec(ring, Ideal(ring, (polys["s00"], polys["s10"])))
         _require(
-            basis.contains(self.grothendieck_relation),
+            spec.contains(self.grothendieck_relation),
             "the degree-7 relation is not in the two-generator ideal",
         )
         # The halved class itself is a fresh generator; only its double is a
@@ -866,7 +860,7 @@ class Pipeline:
         members = {name: poly for name, poly in polys.items() if name != "s02'"}
         members["s02"] = 2 * polys["s02'"]
         for name, poly in members.items():
-            _require(basis.contains(poly), f"{name} is not in the two-generator ideal")
+            _require(spec.contains(poly), f"{name} is not in the two-generator ideal")
         return (
             "the degree-7 bundle relation and the seven pushforward classes lie in"
             " the ideal generated by the degree-2 and degree-3 ones"
@@ -877,7 +871,7 @@ class Pipeline:
         _require(not data["problems"], "; ".join(data["problems"]) or "derivation failed")
         derived, stated = data["derived"], data["stated"]
         _require(
-            ideal_equal(derived.relations, stated.relations),
+            ideal_equal(derived, stated),
             "derived boundary ideal differs from the stated presentation",
         )
         _require(
@@ -907,9 +901,9 @@ class Pipeline:
         ring = self.groth_ring
         lam1 = ring.var("lambda1")
         t = ring.var("t")
-        open_derived = Ideal(self.open_ring, data["quotient_gens"])
+        open_derived = RingSpec(self.open_ring, Ideal(self.open_ring, data["quotient_gens"]))
         _require(
-            ideal_equal(open_derived, data["open_stated"].relations),
+            ideal_equal(open_derived, data["open_stated"]),
             "twist quotient does not match the stated two-relation presentation",
         )
         killed = self.gm_data["spec"].with_relations(t - 2 * lam1)
@@ -1027,7 +1021,7 @@ class Pipeline:
         ring = self.m2bar_vars_ring
         stated = data["stated"]
         _require(
-            ideal_equal(data["six_ideal"], stated.relations),
+            ideal_equal(data["six"], stated),
             "the six derived relations do not generate the stated ideal",
         )
         samples = [
@@ -1036,23 +1030,12 @@ class Pipeline:
         ]
         for p in samples:
             _require(stated.contains(p), f"{p} is not in the stated ideal")
-        # Both directions spelled out: the pushed boundary relations sit in
-        # the stated ideal, and the stated cubic and quadric relations sit in
-        # the six-relation ideal.
-        six_basis = RingSpec(ring, data["six_ideal"]).groebner
-        for text in _MAIN_RELATIONS[2:]:
-            _require(
-                six_basis.contains(ring.parse(text)),
-                f"{text} is not implied by the six relations",
-            )
-        for p in data["six"]:
-            _require(stated.contains(p), f"pushed relation {p} is not in the stated ideal")
         delta0 = ring.parse(_DELTA0)
         _require(
             stated.contains(2 * delta0 * ring.var("lambda2")),
             "the self-node relation does not hold in the quotient",
         )
-        lines = [f"  {g}" for g in data["six"]]
+        lines = [f"  {g}" for g in data["six"].relations.generators]
         return (
             "the six localization relations\n"
             + "\n".join(lines)
@@ -1123,7 +1106,7 @@ class Pipeline:
         )
         stated = data["stated"]
         _require(
-            ideal_equal(data["derived_ideal"], stated.relations),
+            ideal_equal(data["derived"], stated),
             "substituted relations do not generate the stated seven relations",
         )
         return (
@@ -1137,13 +1120,12 @@ class Pipeline:
         data = self.bielliptic_data
         lr = self.bielliptic_vars_ring
         two = lr.const(2)
-        mod2 = Ideal(lr, data["stated"].relations.generators + (two,))
-        mod2_stated = Ideal(lr, (two, *(lr.parse(text) for text in _MOD2_RELATIONS)))
+        mod2_gens = (two, *(lr.parse(text) for text in _MOD2_RELATIONS))
+        mod2_spec = RingSpec(lr, Ideal(lr, mod2_gens))
         _require(
-            ideal_equal(mod2, mod2_stated),
+            ideal_equal(data["stated"].with_relations(two), mod2_spec),
             "mod-2 reduction does not give the stated two-relation presentation",
         )
-        mod2_spec = RingSpec(lr, mod2_stated)
         main = self.m2bar_ring
         main_ring = main.ring
         for g in main.relations.generators:

@@ -16,7 +16,7 @@ from genus2chow.classifying import (
     wn_chern,
     wn_chern_from_tensor_identity,
 )
-from genus2chow.groebner import Ideal, RingSpec
+from genus2chow.groebner import Ideal, RingSpec, ideal_equal
 from genus2chow.ring import Ring
 
 from helpers import random_homogeneous
@@ -41,7 +41,7 @@ class TestBgPresentation:
         assert deriv.excision_relations[1] == deriv.excision_relations[0].ring.parse(
             "t^2 - alpha1*t"
         )
-        assert deriv.ringspec.same_ideal(bg)
+        assert ideal_equal(deriv.ringspec, bg)
 
     def test_substituted_relations(self):
         deriv = bg_presentation()
@@ -60,22 +60,22 @@ class TestTransfer:
 
     def test_pushforward_values(self, bg, bt):
         ring = bg.ring
-        assert bt_pushforward(bt.parse("t1"), ring) == ring.parse("beta1 + gamma")
-        assert bt_pushforward(bt.parse("24*t2^2"), ring) == ring.parse(
+        assert bt_pushforward(bt.parse("t1"), bg) == ring.parse("beta1 + gamma")
+        assert bt_pushforward(bt.parse("24*t2^2"), bg) == ring.parse(
             "24*beta1^2 - 48*beta2"
         )
-        assert bt_pushforward(bt.parse("t1*t2^2"), ring) == ring.parse(
+        assert bt_pushforward(bt.parse("t1*t2^2"), bg) == ring.parse(
             "beta1*beta2 + beta2*gamma"
         )
-        assert bt_pushforward(bt.one(), ring) == ring.const(2)
+        assert bt_pushforward(bt.one(), bg) == ring.const(2)
 
     def test_projection_formula_random(self, bg, bt):
         rng = random.Random(41)
         for _ in range(100):
             q = random_homogeneous(bg.ring, rng.randint(1, 3), rng, coeff_bound=50)
             p = random_homogeneous(bt, rng.randint(1, 4), rng, coeff_bound=50)
-            lhs = bt_pushforward(bt_pullback(q, bt) * p, bg.ring)
-            rhs = bg.normal_form(q * bt_pushforward(p, bg.ring))
+            lhs = bt_pushforward(bt_pullback(q, bt) * p, bg)
+            rhs = bg.normal_form(q * bt_pushforward(p, bg))
             assert lhs == rhs
 
     def test_degree_doubling(self, bg, bt):
@@ -83,7 +83,7 @@ class TestTransfer:
         for d in range(0, 7):
             for exps in bg.ring.monomials_of_degree(d):
                 mono = bg.ring.polynomial({exps: 1})
-                assert bt_pushforward(bt_pullback(mono, bt), bg.ring) == bg.normal_form(
+                assert bt_pushforward(bt_pullback(mono, bt), bg) == bg.normal_form(
                     2 * mono
                 )
 

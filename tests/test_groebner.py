@@ -4,14 +4,9 @@ import random
 
 import pytest
 
-from genus2chow.groebner import (
-    Ideal,
-    RingSpec,
-    ideal_contains,
-    ideal_equal,
-    strong_groebner,
-)
-from genus2chow.ring import InhomogeneousError, Ring
+import genus2chow.groebner as gb
+from genus2chow.groebner import Ideal, RingSpec, ideal_equal, strong_groebner
+from genus2chow.ring import InhomogeneousError, Ring, RingMismatchError
 
 from helpers import random_homogeneous
 
@@ -106,27 +101,30 @@ class TestNormalForm:
             assert basis.normal_form(p - nf) == 0
 
 
+def _spec(ring, gens):
+    return RingSpec(ring, Ideal(ring, tuple(gens)))
+
+
 class TestMembership:
     def test_divisibility_failure(self):
         ring = Ring(("lambda1", 1), ("lambda2", 2))
-        ideal = Ideal(ring, (ring.var("lambda2"),))
-        assert not ideal_contains(ideal, ring.var("lambda1"))
+        assert not _spec(ring, (ring.var("lambda2"),)).contains(ring.var("lambda1"))
 
     def test_membership_via_basis_object(self, bg_ideal, bg_ring):
-        basis = strong_groebner(bg_ideal)
-        assert ideal_contains(basis, bg_ring.parse("2*gamma*beta2"))
+        spec = RingSpec(bg_ring, bg_ideal)
+        assert spec.contains(bg_ring.parse("2*gamma*beta2"))
 
 
 class TestIdealEqual:
     def test_sign_flip(self, bg_ring):
-        I = Ideal(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
-        J = Ideal(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
+        I = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
+        J = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
         assert ideal_equal(I, J)
 
     def test_strict_inclusion(self):
         ring = Ring(("lambda1", 1),)
         l1 = ring.var("lambda1")
-        assert not ideal_equal(Ideal(ring, (l1,)), Ideal(ring, (l1 * l1,)))
+        assert not ideal_equal(_spec(ring, (l1,)), _spec(ring, (l1 * l1,)))
 
     def test_reflexive_symmetric_shuffle_invariant(self, bg_ring):
         rng = random.Random(5)
@@ -135,11 +133,11 @@ class TestIdealEqual:
             bg_ring.parse("gamma^2 + beta1*gamma"),
             bg_ring.parse("24*beta1^2 - 48*beta2"),
         ]
-        I = Ideal(bg_ring, tuple(gens))
+        I = _spec(bg_ring, gens)
         assert ideal_equal(I, I)
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        J = Ideal(bg_ring, tuple(shuffled))
+        J = _spec(bg_ring, shuffled)
         assert ideal_equal(I, J) and ideal_equal(J, I)
 
     def test_invariant_under_adding_combination(self, bg_ring):
@@ -147,9 +145,25 @@ class TestIdealEqual:
             bg_ring.parse("2*gamma"),
             bg_ring.parse("gamma^2 + beta1*gamma"),
         )
-        I = Ideal(bg_ring, gens)
+        I = _spec(bg_ring, gens)
         combo = bg_ring.parse("beta1") * gens[0] + 3 * gens[1]
-        assert ideal_equal(I, Ideal(bg_ring, gens + (combo,)))
+        assert ideal_equal(I, _spec(bg_ring, gens + (combo,)))
+
+    def test_uses_both_cached_bases(self, bg_ring, monkeypatch):
+        I = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
+        J = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
+        I.groebner, J.groebner
+
+        def no_completion(ideal):
+            raise AssertionError(f"completed {ideal} again")
+
+        monkeypatch.setattr(gb, "strong_groebner", no_completion)
+        assert ideal_equal(I, J)
+
+    def test_ring_mismatch(self, bg_ring):
+        other = Ring(("x", 1),)
+        with pytest.raises(RingMismatchError):
+            ideal_equal(_spec(bg_ring, ()), _spec(other, ()))
 
 
 class TestGuards:
@@ -157,8 +171,6 @@ class TestGuards:
         # Mixed-weight ideals with coprime-ish leading coefficients can blow
         # up over ZZ; with a tightened bound the engine must fail loudly
         # instead of grinding.
-        import genus2chow.groebner as gb
-
         monkeypatch.setattr(gb, "_MAX_COEFF_BITS", 64)
         ring = Ring(("v0", 1), ("v1", 2), ("v2", 1))
         gens = (
@@ -220,4 +232,4 @@ class TestRingSpec:
     def test_same_ideal(self):
         a = RingSpec.build((("x", 1),), ("2*x",))
         b = RingSpec.build((("x", 1),), ("2*x", "4*x"))
-        assert a.same_ideal(b)
+        assert ideal_equal(a, b)
