@@ -48,10 +48,8 @@ from .bundles import (
 )
 from .classifying import (
     BgDerivation,
-    DerivationError,
     RepSpec,
     bg_presentation,
-    bg_ringspec,
     bt_pullback,
     bt_pushforward,
     rep_euler_class,

@@ -1,40 +1,25 @@
 """Classifying-space calculus for the doubled torus and its rank-2 ambient group.
 
 The group at the center of the boundary calculations is the wreath-type
-extension of a two-dimensional torus by the swap involution.  Its Chow ring
-is derived here from the rank-2 projective-bundle calculus, and the transfer
-(pullback and pushforward) along the torus double cover is implemented by the
-explicit recursion it satisfies.  Representations are described by a small
-closed-world grammar, just large enough for every Euler class the pipeline
-needs.
+extension of a two-dimensional torus by the swap involution.  The relations
+of its Chow ring are derived here from the rank-2 projective-bundle calculus;
+the stated presentation they are checked against lives in the pipeline's
+table of stated texts.  The transfer (pullback and pushforward) along the
+torus double cover is implemented by the explicit recursion it satisfies.
+Representations are described by a small closed-world grammar, just large
+enough for every Euler class the pipeline needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bundles import BundleClasses, srj_table, veronese_pushforward
-from .groebner import Ideal, RingSpec, ideal_equal
+from .groebner import RingSpec
 from .ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
-class DerivationError(AssertionError):
-    """A derivation-level identity failed; the message names it."""
-
-
 # -- ambient rings -------------------------------------------------------------
-
-
-def bg_ring() -> Ring:
-    return Ring(("beta1", 1), ("beta2", 2), ("gamma", 1))
-
-
-def bg_ringspec() -> RingSpec:
-    """Presentation ZZ[beta1, beta2, gamma] / (2*gamma, gamma^2 + beta1*gamma)."""
-    ring = bg_ring()
-    gamma, beta1 = ring.var("gamma"), ring.var("beta1")
-    return RingSpec(ring, Ideal(ring, (2 * gamma, gamma * gamma + beta1 * gamma)))
 
 
 def torus_ring() -> Ring:
@@ -93,11 +78,10 @@ def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
 class RepSpec:
     """A representation in the closed-world grammar of the pipeline.
 
-    kinds: "torus-weights" (weight pairs for the two torus factors),
-    "gl2-sym-twist" (n-th symmetric power of the dual standard representation,
-    twisted by the m-th determinant power), "g-doubled-weight" (the doubled
-    one-dimensional torus representations, swap-equivariant), "external-tensor"
-    and "sum".
+    kinds: "gl2-sym-twist" (n-th symmetric power of the dual standard
+    representation, twisted by the m-th determinant power), "g-doubled-weight"
+    (the doubled one-dimensional torus representations, swap-equivariant) and
+    "external-tensor".
     """
 
     kind: str
@@ -105,10 +89,6 @@ class RepSpec:
     n: int = 0
     m: int = 0
     parts: tuple = ()
-
-    @classmethod
-    def torus_weights(cls, weights: Sequence[tuple[int, int]]) -> "RepSpec":
-        return cls(kind="torus-weights", weights=tuple(tuple(w) for w in weights))
 
     @classmethod
     def gl2_sym_twist(cls, n: int, m: int) -> "RepSpec":
@@ -124,13 +104,7 @@ class RepSpec:
     def external_tensor(cls, left: "RepSpec", right: "RepSpec") -> "RepSpec":
         return cls(kind="external-tensor", parts=(left, right))
 
-    @classmethod
-    def direct_sum(cls, *parts: "RepSpec") -> "RepSpec":
-        return cls(kind="sum", parts=tuple(parts))
-
     def uses(self) -> set[str]:
-        if self.kind == "torus-weights":
-            return {"t"}
         if self.kind == "gl2-sym-twist":
             return {"a"}
         if self.kind == "g-doubled-weight":
@@ -145,9 +119,6 @@ def rep_roots(rep: RepSpec, ring: Ring) -> list[IntPolynomial]:
     +-2, through the formal roots b1, b2 of the weight-2 case; every other
     doubled weight must be handled through its closed-form Chern classes.
     """
-    if rep.kind == "torus-weights":
-        t1, t2 = ring.var("t1"), ring.var("t2")
-        return [m * t1 + n * t2 for m, n in rep.weights]
     if rep.kind == "gl2-sym-twist":
         a1, a2 = ring.var("a1"), ring.var("a2")
         det = a1 + a2
@@ -166,18 +137,12 @@ def rep_roots(rep: RepSpec, ring: Ring) -> list[IntPolynomial]:
         left = rep_roots(rep.parts[0], ring)
         right = rep_roots(rep.parts[1], ring)
         return [x + y for x in left for y in right]
-    if rep.kind == "sum":
-        roots = []
-        for part in rep.parts:
-            roots.extend(rep_roots(part, ring))
-        return roots
     raise ValueError(f"unknown representation kind {rep.kind!r}")
 
 
 _ROOT_VARS = {
     "a": (("a1", 1), ("a2", 1)),
     "b": (("b1", 1), ("b2", 1), ("eb1", 1), ("eb2", 2)),
-    "t": (("t1", 1), ("t2", 1)),
 }
 
 
@@ -190,11 +155,6 @@ def rep_euler_class(rep: RepSpec, ambient: RingSpec) -> IntPolynomial:
     Doubled summands without a root presentation contribute the product of
     their closed-form top Chern classes.
     """
-    if rep.kind == "sum":
-        acc = ambient.ring.one()
-        for part in rep.parts:
-            acc = acc * rep_euler_class(part, ambient)
-        return ambient.normal_form(acc)
     if rep.kind == "g-doubled-weight" and any(abs(w) != 2 for w in rep.weights):
         beta2 = ambient.ring.var("beta2")
         acc = ambient.ring.one()
@@ -204,7 +164,7 @@ def rep_euler_class(rep: RepSpec, ambient: RingSpec) -> IntPolynomial:
 
     used = rep.uses()
     extra = []
-    for tag in ("a", "b", "t"):
+    for tag in ("a", "b"):
         if tag in used:
             extra.extend(
                 spec for spec in _ROOT_VARS[tag] if spec[0] not in ambient.ring
@@ -302,21 +262,20 @@ def wn_chern_from_tensor_identity(
 class BgDerivation:
     """Result of the classifying-space derivation, with its witnesses."""
 
-    ringspec: RingSpec
     grothendieck_relation: IntPolynomial
     excision_relations: tuple[IntPolynomial, IntPolynomial]
     substituted_relations: tuple[IntPolynomial, IntPolynomial]
 
 
-def bg_presentation() -> BgDerivation:
-    """Derive ZZ[beta1, beta2, gamma] / (2*gamma, gamma^2 + beta1*gamma).
+def bg_presentation(target: Ring) -> BgDerivation:
+    """Derive the relations of the classifying ring over ``target``, a ring
+    in beta1, beta2 and gamma.
 
     Steps: the degree-3 projective-bundle relation for the squared dual
-    standard representation, its stated quadratic-times-linear factorization,
-    the two excision relations along the squaring map, membership of the
-    bundle relation in the excision ideal, and the degree-1 change of
-    variable onto the torsion class.  Any failed identity raises
-    DerivationError naming it.
+    standard representation, the two excision relations along the squaring
+    map, and the degree-1 change of variable onto the torsion class, which
+    carries the excision relations into ``target``.  Nothing is compared
+    here; the pipeline's check compares each step with its stated value.
     """
     amb = Ring(("alpha1", 1), ("alpha2", 2), ("t", 1))
     alpha1, alpha2, t = amb.var("alpha1"), amb.var("alpha2"), amb.var("t")
@@ -327,24 +286,12 @@ def bg_presentation() -> BgDerivation:
     product = (tw - 2 * a1) * (tw - 2 * a2) * (tw - a1 - a2)
     groth = symmetrize_to_elementary(product, [(("a1", "a2"), ("alpha1", "alpha2"))])
     groth = groth.into(amb)
-    factored = (t * t - 2 * alpha1 * t + 4 * alpha2) * (t - alpha1)
-    if groth != factored:
-        raise DerivationError("projective-bundle relation does not factor as stated")
 
     classes = BundleClasses(c1=-alpha1, c2=alpha2)
     table = srj_table(2, classes, hyperplane="t")
     rel1 = veronese_pushforward(2, 0, classes).expand(table)
     rel2 = veronese_pushforward(2, 1, classes).expand(table)
-    if rel1 != 2 * t - 2 * alpha1:
-        raise DerivationError(f"first excision relation is {rel1}")
-    if rel2 != t * t - alpha1 * t:
-        raise DerivationError(f"second excision relation is {rel2}")
 
-    excision = RingSpec(amb, Ideal(amb, (rel1, rel2)))
-    if not excision.contains(groth):
-        raise DerivationError("bundle relation is not implied by the excision relations")
-
-    target = bg_ring()
     beta1, beta2, gamma = target.var("beta1"), target.var("beta2"), target.var("gamma")
     rename = {
         "alpha1": beta1,
@@ -353,12 +300,7 @@ def bg_presentation() -> BgDerivation:
     }
     sub1 = rel1.substitute(rename, target=target)
     sub2 = rel2.substitute(rename, target=target)
-    derived = RingSpec(target, Ideal(target, (sub1, sub2)))
-    stated = bg_ringspec()
-    if not ideal_equal(derived, stated):
-        raise DerivationError("derived presentation differs from the stated one")
     return BgDerivation(
-        ringspec=stated,
         grothendieck_relation=groth,
         excision_relations=(rel1, rel2),
         substituted_relations=(sub1, sub2),

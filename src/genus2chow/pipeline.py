@@ -27,10 +27,8 @@ from .bundles import (
     veronese_pushforward,
 )
 from .classifying import (
-    DerivationError,
     RepSpec,
     bg_presentation,
-    bg_ringspec,
     bt_pushforward,
     rep_euler_class,
     wn_chern,
@@ -72,7 +70,6 @@ class LemmaCheck:
 
     id: str
     anchor: str
-    statement: str
     status: str  # "pass" or "fail"
     witness: str
     elapsed_ms: int
@@ -148,7 +145,9 @@ _SEGRE_KEYS = {(0, 0): "1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1x2"}
 # The stated results, each written once.  A check parses these texts where it
 # verifies them and quotes them in its witness; `explain` renders them.
 
+_BG_BUNDLE_FACTORS = "(t^2 - 2*alpha1*t + 4*alpha2)*(t - alpha1)"
 _BG_EXCISION = ("-2*alpha1 + 2*t", "-alpha1*t + t^2")
+_BG_VARS = (("beta1", 1), ("beta2", 2), ("gamma", 1))
 _BG_RELATIONS = ("2*gamma", "gamma^2 + beta1*gamma")
 
 _S6_TABLE = {
@@ -203,6 +202,12 @@ _BOUNDARY_RELATIONS = (
     "24*lambda1*lambda2",
 )
 _BOUNDARY_IMPLIED = "576*lambda2^2"
+# The Euler class of the doubled (4, 6) weights, the class on the torus of
+# the locus where its second summand vanishes, and that class's two excision
+# pushforwards to the classifying ring.
+_BOUNDARY_EULER = "576*beta2^2"
+_VANISHING_SUMMAND = "24*t2^2"
+_BOUNDARY_EXCISION = ("24*beta1^2 - 48*beta2", "24*beta1*beta2")
 
 _OPEN_VARS = (("lambda1", 1), ("lambda2", 2))
 _OPEN_RELATIONS = ("24*lambda1^2 - 48*lambda2", "20*lambda1*lambda2")
@@ -213,6 +218,9 @@ _TWIST_KERNEL = (
 )
 
 _KAPPA_QUADRIC = "c1omega^2 - c1omega*lambda1 + lambda2 - S1"
+# The square of the dualizing class plus S, rewritten through the quadric
+# and the splitting S = S0 + S1.
+_KAPPA_REWRITE = "c1omega*lambda1 - lambda2 + 2*S1 + S0"
 _DELTA0 = "10*lambda1 - 2*delta1"
 
 _DEGREE3_KERNEL = ("gamma*lambda1^2", "gamma*lambda2", "gamma*(lambda1^2 + lambda2)")
@@ -252,6 +260,9 @@ _RELTRIP = (
     "alpha2*gamma - 10*alpha1^3 - 12*alpha1^2*beta1 - 5*alpha1*alpha2"
     " - 6*alpha2*beta1 - 16*alpha1*beta2",
 )
+
+# Class on the torus cover of the locus where the second linear form vanishes.
+_VANISHING_FORM = "4*t2^2 + 6*alpha1*t2 + 2*alpha1^2 + alpha2"
 
 # Pullbacks of lambda1, lambda2 and delta1 to the test family, and the
 # inverse change of variables.
@@ -309,7 +320,7 @@ class Pipeline:
 
     @cached_property
     def bg(self) -> RingSpec:
-        return bg_ringspec()
+        return RingSpec.build(_BG_VARS, _BG_RELATIONS)
 
     @cached_property
     def torus_gl2_ring(self) -> Ring:
@@ -346,12 +357,13 @@ class Pipeline:
         return Ring(*_TEST_FAMILY_VARS)
 
     # ------------------------------------------------------------------
-    # derived data blocks
+    # derived data blocks: they only compute; every comparison with a
+    # stated text is made in the check that states it
     # ------------------------------------------------------------------
 
     @cached_property
     def bg_derivation(self):
-        return bg_presentation()
+        return bg_presentation(self.bg.ring)
 
     @cached_property
     def s6(self) -> dict:
@@ -361,12 +373,11 @@ class Pipeline:
         table = srj_table(6, classes, hyperplane="t")
         ver0 = veronese_pushforward(3, 0, classes)
         ver1 = veronese_pushforward(3, 1, classes)
-        combos = {}
-        for j in range(4):
-            combos[f"s1{j}"] = ver1.push_multiply(SClassCombo.unit(ring, 3, j))
-        for j in range(3):
-            combos[f"s0{j}"] = ver0.push_multiply(SClassCombo.unit(ring, 3, j))
-        s02 = combos.pop("s02")
+        s1j = [ver1.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
+        s0j = [ver0.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
+        combos = {f"s1{j}": combo for j, combo in enumerate(s1j)}
+        combos.update({f"s0{j}": combo for j, combo in enumerate(s0j[:2])})
+        s02 = s0j[2]
         evenness = all(
             all(c % 2 == 0 for c in coeff.term_map().values()) for coeff in s02.coeffs
         )
@@ -380,6 +391,8 @@ class Pipeline:
             "table": table,
             "ver0": ver0,
             "ver1": ver1,
+            "s1j": s1j,
+            "s0j": s0j,
             "combos": combos,
             "polys": polys,
             "s02_evenness": evenness,
@@ -410,16 +423,9 @@ class Pipeline:
 
     @cached_property
     def delta1_data(self) -> dict:
-        problems: list[str] = []
-        bgr = self.bg.ring
-
         euler46 = rep_euler_class(RepSpec.g_doubled(4, 6), self.bg)
         w4 = wn_chern(4, self.bg)
         w6 = wn_chern(6, self.bg)
-        if euler46 != self.bg.normal_form(w4[1] * w6[1]):
-            problems.append("euler class of the doubled (4,6) weights is not c2*c2")
-        if euler46 != bgr.parse("576*beta2^2"):
-            problems.append(f"euler class of the doubled (4,6) weights is {euler46}")
 
         # Class of the locus where the second summand vanishes, on the torus:
         # the top Chern class of the complementary weight-(4, 6) summand.
@@ -428,17 +434,11 @@ class Pipeline:
         roots = [4 * t2v, 6 * t2v]
         z_class = subbundle_class([roots[0] + roots[1], roots[0] * roots[1]], "x")
         z0 = z_class.substitute({"x": 0})
-        if z0 != 24 * t2v * t2v:
-            problems.append(f"vanishing-summand class is {z0}")
 
         push1 = bt_pushforward(z0, self.bg)
         push2 = bt_pushforward(z0 * sub_ring.var("t1"), self.bg)
         if self.corruption == "delta1-excision":
-            push2 = push2 - bgr.parse("beta1*beta2")
-        if push1 != bgr.parse("24*beta1^2 - 48*beta2"):
-            problems.append(f"first excision pushforward is {push1}")
-        if push2 != bgr.parse("24*beta1*beta2"):
-            problems.append(f"second excision pushforward is {push2}")
+            push2 = push2 - self.bg.parse("beta1*beta2")
 
         ring = self.delta1_vars_ring
         lam1, lam2, gamma = ring.var("lambda1"), ring.var("lambda2"), ring.var("gamma")
@@ -454,12 +454,12 @@ class Pipeline:
         stated = RingSpec.build(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)
         return {
             "euler46": euler46,
+            "c2_product": self.bg.normal_form(w4[1] * w6[1]),
             "z0": z0,
             "push1": push1,
             "push2": push2,
             "derived": derived,
             "stated": stated,
-            "problems": problems,
         }
 
     @cached_property
@@ -516,7 +516,6 @@ class Pipeline:
         kappa_big = big.parse(_KAPPA_QUADRIC)
         split = sb - s0b - s1b
         rewritten = RingSpec(big, Ideal(big, (kappa_big, split))).normal_form(cb * cb + sb)
-        expected_rewrite = cb * lam1b - lam2b + 2 * s1b + s0b
 
         pushed = big.zero()
         i_c = big.index("c1omega")
@@ -544,7 +543,6 @@ class Pipeline:
             "kappa_ring": ring,
             "kappa_class": kappa_class,
             "rewritten": rewritten,
-            "expected_rewrite": expected_rewrite,
             "leftover": leftover,
             "pushed": pushed,
             "delta0_solution": delta0_solution,
@@ -596,8 +594,6 @@ class Pipeline:
         c2 = symmetrize_to_elementary(roots[0] * roots[1], [(("a1", "a2"), ("alpha1", "alpha2"))])
         z_class = subbundle_class([c1.into(sub_ring), c2.into(sub_ring)], "x")
         z0 = z_class.substitute({"x": 0}).into(tg)
-        if z0 != tg.parse("4*t2^2 + 6*alpha1*t2 + 2*alpha1^2 + alpha2"):
-            raise DerivationError(f"vanishing-form class evaluates to {z0}")
         relz2 = bt_pushforward(z0, amb)
         relz3 = bt_pushforward(z0 * tg.var("t1"), amb)
         relzero = [euler_v31, relz2, relz3, euler_pairs]
@@ -737,14 +733,29 @@ class Pipeline:
 
     def check_bg(self) -> str:
         deriv = self.bg_derivation
+        groth = deriv.grothendieck_relation
+        _require(
+            groth == groth.ring.parse(_BG_BUNDLE_FACTORS),
+            "projective-bundle relation does not factor as stated",
+        )
         rel1, rel2 = deriv.excision_relations
         _require(
             (str(rel1), str(rel2)) == _BG_EXCISION,
             f"excision relations came out as {rel1}; {rel2}",
         )
+        _require(
+            RingSpec(groth.ring, Ideal(groth.ring, (rel1, rel2))).contains(groth),
+            "bundle relation is not implied by the excision relations",
+        )
+        # Equal generators, in order, present the same ideal as the pipeline's
+        # classifying ring without completing a second basis.
+        _require(
+            deriv.substituted_relations == self.bg.relations.generators,
+            "derived presentation differs from the stated one",
+        )
         return (
             f"excision relations: {rel1} and {rel2}\n"
-            f"degree-7 bundle relation {deriv.grothendieck_relation} lies in their ideal\n"
+            f"degree-7 bundle relation {groth} lies in their ideal\n"
             f"substituted relations: {deriv.substituted_relations[0]},"
             f" {deriv.substituted_relations[1]}\n"
             f"final presentation equals {_ideal(_BG_RELATIONS)}"
@@ -788,8 +799,7 @@ class Pipeline:
     def check_cub_compat(self) -> str:
         ring = self.groth_ring
         ver0, ver1 = self.s6["ver0"], self.s6["ver1"]
-        s1j = [ver1.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
-        s0j = [ver0.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
+        s1j, s0j = self.s6["s1j"], self.s6["s0j"]
 
         def combine(weights: SClassCombo, combos: list[SClassCombo]) -> SClassCombo:
             acc = SClassCombo(6, [ring.zero()] * 7)
@@ -868,7 +878,20 @@ class Pipeline:
 
     def check_adelta1(self) -> str:
         data = self.delta1_data
-        _require(not data["problems"], "; ".join(data["problems"]) or "derivation failed")
+        euler46, z0 = data["euler46"], data["z0"]
+        _require(
+            euler46 == data["c2_product"],
+            "euler class of the doubled (4,6) weights is not c2*c2",
+        )
+        _require(
+            euler46 == self.bg.parse(_BOUNDARY_EULER),
+            f"euler class of the doubled (4,6) weights is {euler46}",
+        )
+        _require(z0 == z0.ring.parse(_VANISHING_SUMMAND), f"vanishing-summand class is {z0}")
+        push1, push2 = data["push1"], data["push2"]
+        stated1, stated2 = (self.bg.parse(text) for text in _BOUNDARY_EXCISION)
+        _require(push1 == stated1, f"first excision pushforward is {push1}")
+        _require(push2 == stated2, f"second excision pushforward is {push2}")
         derived, stated = data["derived"], data["stated"]
         _require(
             ideal_equal(derived, stated),
@@ -957,7 +980,7 @@ class Pipeline:
         data = self.grr_data
         big = data["big"]
         _require(
-            data["rewritten"] == data["expected_rewrite"],
+            data["rewritten"] == big.parse(_KAPPA_REWRITE),
             f"quadric rewriting gives {data['rewritten']}",
         )
         _require(not data["leftover"], "unexpected monomials survived the pushforward")
@@ -1057,6 +1080,8 @@ class Pipeline:
     def check_relzero(self) -> str:
         data = self.bielliptic_data
         amb = self.alpha_ambient
+        z0 = data["z0"]
+        _require(z0 == z0.ring.parse(_VANISHING_FORM), f"vanishing-form class evaluates to {z0}")
         lines = []
         for derived, text in zip(data["relzero"], _RELZERO):
             stated = amb.normal_form(amb.parse(text))
@@ -1187,7 +1212,7 @@ class Pipeline:
                  "Presentation of the swap-extended torus classifying ring",
                  (), check_bg,
                  f"excision relations {_BG_EXCISION[0]} and {_BG_EXCISION[1]};\n"
-                 f"final presentation ZZ[beta1, beta2, gamma] / {_ideal(_BG_RELATIONS)}"),
+                 f"final presentation {_presentation(_BG_VARS, _BG_RELATIONS)}"),
         CheckDef("s6-table", "pushforward-basis-table",
                  "Degree-six pushforward basis classes",
                  (), check_s6_table,
@@ -1292,7 +1317,7 @@ class Pipeline:
         try:
             witness = cdef.run(self)
             status = "pass"
-        except (CheckFailure, DerivationError) as exc:
+        except CheckFailure as exc:
             witness = str(exc)
             status = "fail"
         except Exception as exc:  # failures are data, never crashes
@@ -1302,7 +1327,6 @@ class Pipeline:
         return LemmaCheck(
             id=cdef.id,
             anchor=cdef.anchor,
-            statement=cdef.title,
             status=status,
             witness=witness,
             elapsed_ms=elapsed,

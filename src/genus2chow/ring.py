@@ -265,14 +265,6 @@ class IntPolynomial:
             return None
         return next(iter(seen))
 
-    def homogeneous_components(self) -> dict[int, "IntPolynomial"]:
-        parts: dict[int, dict] = {}
-        for exps, c in self._terms.items():
-            parts.setdefault(self.ring.monomial_degree(exps), {})[exps] = c
-        return {
-            d: IntPolynomial(self.ring, t, _trusted=True) for d, t in sorted(parts.items())
-        }
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "IntPolynomial"):

