@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain lists of Python ints, so there is no overflow
-anywhere: Hermite and Smith normal forms with unimodular transforms, left
-kernels, lattice membership and canonical residues.  These routines realize
+anywhere: Hermite and Smith normal forms, left kernels, lattice membership
+and canonical residues.  Hermite bases (``lattice_basis``) are computed
+without a transform; only ``hermite_normal_form``, which ``solve_left_many``
+and ``left_kernel`` read, builds its unimodular U.  These routines realize
 graded pieces of quotient rings as finitely generated abelian groups and act
 as the independent cross-check for the Groebner engine.
 """
@@ -81,14 +83,10 @@ class HermiteForm:
         return residual
 
 
-def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
-    m = len(A)
-    if ncols is None:
-        if not A:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(A[0])
-    H = [list(row) for row in A]
-    U = identity(m)
+def _hermite(H: Matrix, ncols: int) -> tuple[Matrix, list[tuple[int, int]]]:
+    """Hermite elimination of H in place with pivots in its first ncols columns.
+    Row operations act on whole rows, so appended identity rows track U."""
+    m = len(H)
     pivots: list[tuple[int, int]] = []
     pivot_row = 0
     for col in range(ncols):
@@ -102,7 +100,6 @@ def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) ->
             i0 = min(nz, key=lambda i: abs(H[i][col]))
             if i0 != pivot_row:
                 H[pivot_row], H[i0] = H[i0], H[pivot_row]
-                U[pivot_row], U[i0] = U[i0], U[pivot_row]
             if len(nz) == 1:
                 break
             pivot = H[pivot_row][col]
@@ -111,31 +108,40 @@ def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) ->
                     q = H[i][col] // pivot
                     if q:
                         H[i] = [x - q * y for x, y in zip(H[i], H[pivot_row])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[pivot_row])]
         if not H[pivot_row][col]:
             continue
         if H[pivot_row][col] < 0:
             H[pivot_row] = [-x for x in H[pivot_row]]
-            U[pivot_row] = [-x for x in U[pivot_row]]
         pivot = H[pivot_row][col]
         for i in range(pivot_row):
             q = H[i][col] // pivot
             if q:
                 H[i] = [x - q * y for x, y in zip(H[i], H[pivot_row])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[pivot_row])]
         pivots.append((pivot_row, col))
         pivot_row += 1
-    return HermiteForm(rows=H, transform=U, pivots=pivots)
+    return H, pivots
+
+
+def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
+    """Hermite form of A together with its unimodular transform U."""
+    if ncols is None:
+        if not A:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(A[0])
+    width = len(A[0]) if A else 0
+    # Pivots lie in A's columns, never in the appended identity.
+    H, pivots = _hermite([list(row) + e for row, e in zip(A, identity(len(A)))], min(ncols, width))
+    return HermiteForm([row[:width] for row in H], [row[width:] for row in H], pivots)
 
 
 def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     """Canonical basis (HNF, zero rows dropped) of the lattice the rows span.
 
     Two row sets span the same lattice exactly when these bases are equal.
+    The elimination runs on the rows alone; no transform is built.
     """
-    if not rows:
-        return []
-    return hermite_normal_form(rows, ncols).basis()
+    H, pivots = _hermite([list(row) for row in rows], ncols)
+    return [H[r] for r, _ in pivots]
 
 
 def _solve_against(hf: HermiteForm, nrows: int, v: Sequence[int]) -> list[int] | None:
@@ -297,13 +303,11 @@ def smith_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> S
                         col_swap(t, j)
             if all(D[i][t] == 0 for i in range(t + 1, m)):
                 break
-        # Enforce that the pivot divides every remaining entry.
+        # Enforce that the pivot divides every remaining entry (a unit always does).
         d = D[t][t]
         culprit = None
-        for i in range(t + 1, m):
-            if any(x % d for x in D[i][t + 1:]):
-                culprit = i
-                break
+        if abs(d) != 1:
+            culprit = next((i for i in range(t + 1, m) if any(x % d for x in D[i][t + 1:])), None)
         if culprit is not None:
             row_addmul(t, culprit, 1)
             continue

@@ -3,9 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from genus2chow import intlinalg as la
+from genus2chow import graded, intlinalg as la
+from genus2chow.groebner import RingSpec
 
 
 def small_matrices(max_dim=6, bound=30):
@@ -16,6 +17,20 @@ def small_matrices(max_dim=6, bound=30):
                 min_size=m,
                 max_size=m,
             )
+        )
+    )
+
+
+def hermite_inputs(max_dim=5, bound=20):
+    """Up to max_dim rows of one width w, possibly none, and a pivot bound
+    ncols <= w, so rows may be wider than the columns that take pivots."""
+    return st.integers(1, max_dim).flatmap(
+        lambda w: st.tuples(
+            st.lists(
+                st.lists(st.integers(-bound, bound), min_size=w, max_size=w),
+                max_size=max_dim,
+            ),
+            st.integers(0, w),
         )
     )
 
@@ -55,6 +70,40 @@ class TestHermite:
         assert hf.reduce([5, 7]) == [1, 3]
 
 
+class TestSharedElimination:
+    """``lattice_basis`` and ``hermite_normal_form`` run one elimination;
+    only the latter tracks the transform."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(hermite_inputs())
+    @example(([], 3))
+    @example(([[0, 2, 1], [0, 4, 5]], 1))
+    def test_basis_and_transform(self, case):
+        A, n = case
+        hf = la.hermite_normal_form(A, n)
+        assert la.lattice_basis(A, n) == hf.basis()
+        assert la.matmul(hf.transform, A) == hf.rows
+        assert all(c < n for _, c in hf.pivots)
+        if A:
+            assert abs(la.determinant_expansion(hf.transform)) == 1
+
+    def test_lattice_basis_builds_no_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hermite_normal_form called")
+
+        monkeypatch.setattr(la, "hermite_normal_form", refuse)
+        assert la.lattice_basis([[2, 3], [2, -3], [4, 3]], 2) == [[2, 0], [0, 3]]
+        assert la.lattice_basis([[0, 2, 1], [0, 4, 5]], 1) == []
+        spec = RingSpec.build(
+            (("beta1", 1), ("beta2", 2), ("gamma", 1)),
+            ("2*gamma", "gamma^2 + beta1*gamma"),
+        )
+        piece = graded.graded_piece(spec, 1)
+        assert (piece.free_rank, piece.torsion_invariants) == (1, (2,))
+        piece = graded.graded_piece(spec, 2)
+        assert (piece.free_rank, piece.torsion_invariants) == (2, (2,))
+
+
 class TestSmith:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
@@ -73,6 +122,13 @@ class TestSmith:
         snf = la.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         snf.verify([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert snf.diagonal == [2, 2, 156]
+
+    def test_later_pivot_needs_divisibility_fix(self):
+        # The first pivot 2 does not divide 3, so a row is added back to it.
+        A = [[2, 0], [0, 3]]
+        snf = la.smith_normal_form(A)
+        snf.verify(A)
+        assert snf.diagonal == [1, 6]
 
     def test_rank_deficient(self):
         A = [[1, 2], [2, 4]]
