@@ -4,15 +4,17 @@ A degree-d piece of ZZ[x1..xk]/I is presented by the lattice of degree-d
 multiples of the relation generators inside the free module on the degree-d
 monomials; the Smith normal form of that lattice's Hermite basis yields the
 free rank, the torsion invariants and explicit coordinates.  Kernels of
-multiplication maps are quotients of lattices, read off the same way.  This
-route is independent of the Groebner engine and doubles as its oracle: a
-class is zero in the graded piece exactly when its normal form vanishes.
+multiplication maps are quotients of lattices, read off the same way from
+coordinates in the kernel's Hermite basis; which classes generate a kernel is
+for the caller to check.  This route is independent of the Groebner engine and
+doubles as its oracle: a class is zero in the graded piece exactly when its
+normal form vanishes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import intlinalg
 from .groebner import RingSpec
@@ -36,14 +38,12 @@ def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) ->
     return IntPolynomial(ring, {m: c for m, c in zip(monomials, vec) if c})
 
 
-def relation_rows(
-    spec: RingSpec, d: int, extra: Iterable[IntPolynomial] = ()
-) -> tuple[list[tuple], list[list[int]]]:
+def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]:
     """Degree-d monomial basis and the lattice rows of degree-d relation multiples."""
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
     rows = []
-    for g in list(spec.relations.generators) + list(extra):
+    for g in spec.relations.generators:
         if not g:
             continue
         e = g.weighted_degree()
@@ -70,14 +70,13 @@ class GradedPieceGroup:
     torsion_invariants: tuple[int, ...]
     basis_change: tuple[tuple, ...]
     diagonal: tuple[int, ...]
-    ring: Ring = field(compare=False)
 
     def coordinates(self, p: IntPolynomial) -> list[int]:
         deg = p.weighted_degree()
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
         vec = vector_of(self.monomial_basis, p)
-        return intlinalg.matvec_left(vec, [list(r) for r in self.basis_change])
+        return intlinalg.matvec_left(vec, self.basis_change)
 
     def residue(self, p: IntPolynomial) -> tuple[int, ...]:
         """Canonical coordinates: entry i reduced modulo diagonal[i]."""
@@ -88,15 +87,6 @@ class GradedPieceGroup:
 
     def is_zero(self, p: IntPolynomial) -> bool:
         return not any(self.residue(p))
-
-    def order(self) -> int | None:
-        """Number of elements, or None when the free rank is positive."""
-        if self.free_rank:
-            return None
-        n = 1
-        for t in self.torsion_invariants:
-            n *= t
-        return n
 
 
 def _smith_quotient(
@@ -111,13 +101,11 @@ def _smith_quotient(
     return list(snf.diagonal) + [0] * (n - len(snf.diagonal)), snf.V, snf.Vinv
 
 
-def graded_piece(
-    spec: RingSpec, d: int, extra: Iterable[IntPolynomial] = ()
-) -> GradedPieceGroup:
+def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     """The degree-d piece of the quotient ring, by Smith normal form."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    monomials, rows = relation_rows(spec, d, extra)
+    monomials, rows = relation_rows(spec, d)
     diagonal, basis_change, _ = _smith_quotient(rows, len(monomials))
     return GradedPieceGroup(
         degree=d,
@@ -126,7 +114,6 @@ def graded_piece(
         torsion_invariants=tuple(x for x in diagonal if x >= 2),
         basis_change=tuple(tuple(r) for r in basis_change),
         diagonal=tuple(diagonal),
-        ring=spec.ring,
     )
 
 
@@ -177,7 +164,6 @@ class KernelPiece:
     free_rank: int
     torsion_invariants: tuple[int, ...]
     generators: list[IntPolynomial]   # lifts of the quotient-group generators
-    generated_by_candidates: bool | None = None
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion_invariants
@@ -189,8 +175,9 @@ def _quotient_group(
     lattice: list[list[int]],
     sub_rows: list[list[int]],
 ) -> tuple[int, tuple[int, ...], list[IntPolynomial], list[int]]:
-    """Structure of lattice / <sub_rows> with polynomial lifts of generators."""
-    coeff_rows = intlinalg.solve_left_many(lattice, sub_rows)
+    """Structure of lattice / <sub_rows> with polynomial lifts of generators;
+    ``lattice`` is a Hermite basis, so coordinates need no factoring."""
+    coeff_rows = [intlinalg.lattice_coordinates(lattice, row) for row in sub_rows]
     if None in coeff_rows:
         raise AssertionError("sublattice is not contained in the lattice")
     diagonal, _, vinv = _smith_quotient(coeff_rows, len(lattice))
@@ -207,19 +194,8 @@ def _quotient_group(
     return free_rank, torsion, generators, orders
 
 
-def multiplication_kernel(
-    spec: RingSpec,
-    m: IntPolynomial,
-    d_max: int,
-    candidates: Sequence[IntPolynomial] = (),
-) -> list[KernelPiece]:
-    """Kernel of multiplication by m on each graded piece of degree <= d_max.
-
-    When candidate classes are supplied, each piece also records whether the
-    candidates generate it over the ring, i.e. whether the degree-d lattice
-    spanned by all monomial multiples of the candidates together with the
-    relations equals the full kernel lattice.
-    """
+def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[KernelPiece]:
+    """Kernel of multiplication by m on each graded piece of degree <= d_max."""
     ring = spec.ring
     pieces = []
     for d in range(d_max + 1):
@@ -227,25 +203,9 @@ def multiplication_kernel(
         free_rank, torsion, gens, _ = _quotient_group(
             ring, monomials, kernel_basis, rel_rows
         )
-        piece = KernelPiece(
-            degree=d,
-            free_rank=free_rank,
-            torsion_invariants=torsion,
-            generators=gens,
+        pieces.append(
+            KernelPiece(degree=d, free_rank=free_rank, torsion_invariants=torsion, generators=gens)
         )
-        if candidates:
-            spanned = [list(r) for r in rel_rows]
-            for cand in candidates:
-                e = cand.weighted_degree()
-                if e is None or e > d:
-                    continue
-                for mult in ring.monomials_of_degree(d - e):
-                    mono = IntPolynomial(ring, {mult: 1}, _trusted=True)
-                    spanned.append(vector_of(monomials, mono * cand))
-            piece.generated_by_candidates = (
-                intlinalg.lattice_basis(spanned, len(monomials)) == kernel_basis
-            )
-        pieces.append(piece)
     return pieces
 
 

@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain lists of Python ints, so there is no overflow
-anywhere: Hermite and Smith normal forms, left kernels, lattice membership
+anywhere: Hermite and Smith normal forms, left kernels, lattice coordinates
 and canonical residues.  Hermite bases (``lattice_basis``) are computed
-without a transform; only ``hermite_normal_form``, which ``solve_left_many``
-and ``left_kernel`` read, builds its unimodular U.  These routines realize
+without a transform, and coordinates against them (``lattice_coordinates``)
+come from one pass over their pivots; only ``hermite_normal_form``, which
+``left_kernel`` reads, builds its unimodular U.  These routines realize
 graded pieces of quotient rings as finitely generated abelian groups and act
 as the independent cross-check for the Groebner engine.
 """
@@ -144,34 +145,23 @@ def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     return [H[r] for r, _ in pivots]
 
 
-def _solve_against(hf: HermiteForm, nrows: int, v: Sequence[int]) -> list[int] | None:
+def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
+    """The integer row vector x with x @ basis = v, or None if v lies outside
+    the lattice.  The basis must be in Hermite form without zero rows, as
+    ``lattice_basis`` gives it, so one pass over its pivots solves for x."""
     residual = list(v)
-    coeffs = [0] * nrows
-    for r, c in hf.pivots:
-        q, rem = divmod(residual[c], hf.rows[r][c])
+    coeffs = []
+    c = 0
+    for row in basis:
+        while not row[c]:  # pivot columns strictly increase
+            c += 1
+        q, rem = divmod(residual[c], row[c])
         if rem:
             return None
         if q:
-            residual = [x - q * y for x, y in zip(residual, hf.rows[r])]
-        coeffs[r] = q
-    if any(residual):
-        return None
-    x = [0] * nrows
-    for r, q in enumerate(coeffs):
-        if q:
-            x = [a + q * b for a, b in zip(x, hf.transform[r])]
-    return x
-
-
-def solve_left_many(
-    A: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
-) -> list[list[int] | None]:
-    """For each vector v, an integer row vector x with x @ A = v, or None if
-    none exists; A is factored only once."""
-    if not A:
-        return [[] if not any(v) else None for v in vectors]
-    hf = hermite_normal_form(A)
-    return [_solve_against(hf, len(A), v) for v in vectors]
+            residual = [x - q * y for x, y in zip(residual, row)]
+        coeffs.append(q)
+    return None if any(residual) else coeffs
 
 
 def left_kernel(A: Sequence[Sequence[int]], ncols: int | None = None) -> Matrix:

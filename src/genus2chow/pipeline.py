@@ -474,18 +474,13 @@ class Pipeline:
         gm_spec = RingSpec(ring, Ideal(ring, gens))
         lam1 = ring.var("lambda1")
         t = ring.var("t")
-        k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
-        pieces = multiplication_kernel(
-            gm_spec, t - 2 * lam1, self.max_degree, candidates=(k3, k4)
-        )
+        pieces = multiplication_kernel(gm_spec, t - 2 * lam1, self.max_degree)
         quotient_gens = tuple(
             g.substitute({"t": 2 * lam1}, target=ring).into(self.open_ring) for g in gens
         )
         open_stated = RingSpec.build(_OPEN_VARS, _OPEN_RELATIONS)
         return {
             "spec": gm_spec,
-            "k3": k3,
-            "k4": k4,
             "pieces": pieces,
             "quotient_gens": quotient_gens,
             "open_stated": open_stated,
@@ -945,7 +940,7 @@ class Pipeline:
                 f"kernel piece in degree {piece.degree} should vanish",
             )
         spec = data["spec"]
-        k3, k4 = data["k3"], data["k4"]
+        k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
         _require(spec.contains(k3 * (t - 2 * lam1)), "degree-3 class is not in the kernel")
         _require(spec.contains(k4 * (t - 2 * lam1)), "degree-4 class is not in the kernel")
         # Both kernel generators are honest 2-torsion classes in the quotient.
@@ -957,9 +952,12 @@ class Pipeline:
             - ring.parse("6*lambda1^2 - 12*lambda2") * self.s6["polys"]["s10"]
         )
         _require(identity == 0, "degree-4 kernel witness identity fails")
+        # A piece's lifts span it modulo I, and k3, k4 lie in (I : m), so
+        # the two classes generate the piece when every lift lies in I + (k3, k4).
+        generated = spec.with_relations(k3, k4)
         for piece in pieces:
             _require(
-                piece.generated_by_candidates is True,
+                all(generated.contains(g) for g in piece.generators),
                 f"kernel piece in degree {piece.degree} is not generated by the two classes",
             )
         return (

@@ -83,9 +83,21 @@ def test_criterion_05_boundary_ring(pipeline):
 def test_criterion_06_open_stratum(pipeline):
     ok = _passes(pipeline, "thm:45")
     if ok:
+        spec = pipeline.gm_data["spec"]
         pieces = pipeline.gm_data["pieces"]
+        m = spec.parse("t - 2*lambda1")
+        k3 = spec.parse("60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)")
+        k4 = spec.parse(
+            "5*lambda1*lambda2*(12*t - 48*lambda1)"
+            " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)"
+        )
+        generated = spec.with_relations(k3, k4)
+        # k3 and k4 lie in the kernel, and every piece's lifts (which span
+        # it modulo the relations) lie in the ideal they add.
         ok = (
-            all(p.generated_by_candidates for p in pieces)
+            spec.contains(k3 * m)
+            and spec.contains(k4 * m)
+            and all(generated.contains(g) for p in pieces for g in p.generators)
             and all(p.is_trivial() for p in pieces[:3])
             and len(pieces) == pipeline.max_degree + 1
             and pipeline.max_degree >= 10

@@ -88,7 +88,6 @@ class TestGradedPiece:
         piece = graded_piece(bg_spec, 1)
         assert piece.free_rank == 1
         assert piece.torsion_invariants == (2,)
-        assert piece.order() is None
         ring = bg_spec.ring
         assert piece.is_zero(ring.parse("2*gamma"))
         assert not piece.is_zero(ring.var("gamma"))
@@ -143,15 +142,21 @@ class TestMultiplicationKernel:
             for lift in piece.generators:
                 assert delta1_spec.contains(lift * m)
 
-    def test_candidate_generation_flag(self, delta1_spec):
+    def test_candidate_generates_kernel(self, delta1_spec):
         ring = delta1_spec.ring
         m = ring.parse("gamma - lambda1")
         gamma = ring.var("gamma")
-        pieces = multiplication_kernel(delta1_spec, m, 5, candidates=(gamma,))
+        pieces = multiplication_kernel(delta1_spec, m, 5)
         # gamma itself is in the kernel: (gamma - lambda1)*gamma =
         # gamma^2 - lambda1*gamma = -2*lambda1*gamma = 0.
         assert delta1_spec.contains(m * gamma)
-        assert pieces[1].generated_by_candidates is True
+        # So gamma generates a piece exactly when its lifts lie in I + (gamma).
+        # The free class 24*lambda2 and its lambda2 multiple are not multiples
+        # of gamma, so the even pieces escape it.
+        generated = delta1_spec.with_relations(gamma)
+        by_gamma = [all(generated.contains(g) for g in piece.generators) for piece in pieces]
+        assert by_gamma == [True, True, False, True, False, True]
+        assert pieces[1].generators
 
 
 class TestEnumeration:

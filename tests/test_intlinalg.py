@@ -35,6 +35,23 @@ def hermite_inputs(max_dim=5, bound=20):
     )
 
 
+def lattice_cases(max_dim=5, bound=20):
+    """Up to max_dim rows of one width w, possibly none, one coefficient per
+    row and a probe vector of width w."""
+    return st.integers(1, max_dim).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=w, max_size=w),
+            max_size=max_dim,
+        ).flatmap(
+            lambda rows: st.tuples(
+                st.just(rows),
+                st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)),
+                st.lists(st.integers(-bound, bound), min_size=w, max_size=w),
+            )
+        )
+    )
+
+
 class TestHermite:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
@@ -138,21 +155,32 @@ class TestSmith:
 
 
 class TestSolveAndKernel:
-    def test_solve_left_exact(self):
-        A = [[2, 0, 1], [0, 3, 1]]
-        v = [4, 3, 3]
-        (x,) = la.solve_left_many(A, [v])
-        assert x is not None and la.matvec_left(x, A) == v
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_cases())
+    @example(([[2, 0, 1], [0, 3, 1]], [2, 1], [4, 3, 3]))
+    @example(([[2, 0]], [1], [1, 0]))
+    @example(([[1, 1], [0, 2]], [2, 1], [0, 1]))
+    def test_lattice_coordinates_round_trip(self, case):
+        rows, coeffs, probe = case
+        n = len(probe)
+        B = la.lattice_basis(rows, n)
 
-    def test_solve_left_no_solution(self):
-        assert la.solve_left_many([[2, 0]], [[1, 0]]) == [None]
+        def combination(x):
+            return la.matvec_left(x, B) if B else [0] * n
 
-    def test_solve_left_many(self):
-        A = [[1, 1], [0, 2]]
-        results = la.solve_left_many(A, [[1, 3], [2, 4], [0, 1]])
-        assert results[0] == [1, 1]
-        assert la.matvec_left(results[1], A) == [2, 4]
-        assert results[2] is None
+        x = coeffs[: len(B)]
+        assert la.lattice_coordinates(B, combination(x)) == x
+        # A probe has coordinates exactly when the raw rows' Hermite form
+        # reduces it to zero, and then they reproduce it.
+        coords = la.lattice_coordinates(B, probe)
+        if any(la.hermite_normal_form(rows, n).reduce(probe)):
+            assert coords is None
+        else:
+            assert coords is not None and combination(coords) == probe
+
+    def test_lattice_coordinates_empty_basis(self):
+        assert la.lattice_coordinates([], [0, 0, 0]) == []
+        assert la.lattice_coordinates([], [0, 1, 0]) is None
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices())

@@ -118,6 +118,24 @@ class TestFaultInjection:
         assert status["thm:bg"] == ("fail", "derived presentation differs from the stated one")
         assert status["adelta1"][0] == "pass"
 
+    def test_extra_kernel_lift_fails_thm45(self, pipeline):
+        # t^10 is no combination of the two stated kernel classes modulo the
+        # relations, so a degree-10 piece that lists it as a lift is not
+        # generated by them.  Only thm:45 reads the lifts.
+        data = pipeline.gm_data
+        *lower, last = data["pieces"]
+        lift = data["spec"].parse("t^10")
+        fresh = Pipeline()
+        fresh.__dict__["gm_data"] = {
+            **data,
+            "pieces": lower + [replace(last, generators=last.generators + [lift])],
+        }
+        report = fresh.run()
+        failing = {c.id: c.witness for c in report.checks if c.status != "pass"}
+        assert failing == {
+            "thm:45": "kernel piece in degree 10 is not generated by the two classes"
+        }
+
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
             Pipeline(corruption="nonsense")
