@@ -25,13 +25,20 @@ class InfiniteKernelError(ValueError):
     """Enumeration was requested for a kernel with positive free rank."""
 
 
-def vector_of(monomials: Sequence[tuple], p: IntPolynomial) -> list[int]:
-    """Coefficient vector of a homogeneous polynomial in a monomial basis."""
-    index = {m: i for i, m in enumerate(monomials)}
-    vec = [0] * len(monomials)
+def _monomial_index(monomials: Sequence[tuple]) -> dict[tuple, int]:
+    return {m: i for i, m in enumerate(monomials)}
+
+
+def _vector(index: dict[tuple, int], p: IntPolynomial) -> list[int]:
+    vec = [0] * len(index)
     for exps, coeff in p.term_map().items():
         vec[index[exps]] = coeff
     return vec
+
+
+def vector_of(monomials: Sequence[tuple], p: IntPolynomial) -> list[int]:
+    """Coefficient vector of a homogeneous polynomial in a monomial basis."""
+    return _vector(_monomial_index(monomials), p)
 
 
 def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) -> IntPolynomial:
@@ -42,6 +49,7 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]
     """Degree-d monomial basis and the lattice rows of degree-d relation multiples."""
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
+    index = _monomial_index(monomials)
     rows = []
     for g in spec.relations.generators:
         if not g:
@@ -51,7 +59,7 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]
             continue
         for mult in ring.monomials_of_degree(d - e):
             mono = IntPolynomial(ring, {mult: 1}, _trusted=True)
-            rows.append(vector_of(monomials, mono * g))
+            rows.append(_vector(index, mono * g))
     return monomials, rows
 
 
@@ -145,10 +153,11 @@ def _kernel_lattice(
         return monomials, rel_rows, intlinalg.identity(n)
     e = m.weighted_degree()
     target_monomials, target_rel_rows = relation_rows(spec, d + e)
+    target_index = _monomial_index(target_monomials)
     mult_rows = []
     for exps in monomials:
         mono = IntPolynomial(ring, {exps: 1}, _trusted=True)
-        mult_rows.append(vector_of(target_monomials, mono * m))
+        mult_rows.append(_vector(target_index, mono * m))
     stacked = mult_rows + target_rel_rows
     kernel = intlinalg.left_kernel(stacked, ncols=len(target_monomials))
     projected = [row[:n] for row in kernel]

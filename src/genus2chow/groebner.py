@@ -87,6 +87,16 @@ def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
+    """(lead exps, lead coeff, poly) of each nonzero poly, least lead
+    coefficient first and then least leading monomial.  The sort is stable,
+    so ties keep the order of ``polys``; ``_reduce`` takes the first lead
+    that divides a term as its reducer."""
+    table = [(exps, coeff, g) for g in polys for exps, coeff in [g.leading_term()]]
+    table.sort(key=lambda lead: (lead[1], lead[2].ring.monomial_key(lead[0])))
+    return table
+
+
 class StrongGroebnerBasis:
     """A completed, interreduced strong basis with unique normal forms."""
 
@@ -95,9 +105,7 @@ class StrongGroebnerBasis:
     def __init__(self, ring: Ring, elements: Sequence[IntPolynomial]):
         self.ring = ring
         self.elements = tuple(elements)
-        self._leads = tuple(
-            (exps, coeff, g) for g in self.elements for exps, coeff in [g.leading_term()]
-        )
+        self._leads = _lead_table(self.elements)
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.elements)
@@ -130,6 +138,12 @@ def _neg_key(key: tuple) -> tuple:
 
 
 def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
+    """Fully reduce p, from its greatest term down, by the leads.
+
+    The leads must come from ``_lead_table``: each term is reduced by the
+    first lead whose monomial divides it, which is then the one with the
+    least (lead coefficient, leading monomial).  That fixes the reducer
+    whatever order the basis came in."""
     ring = p.ring
     key = ring.monomial_key
     work = p.term_map()
@@ -141,17 +155,13 @@ def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
         if mono not in work:
             continue
         coeff = work[mono]
-        best = None
         for lexps, lcoeff, g in leads:
             if _monomial_divides(lexps, mono):
-                cand = (lcoeff, key(lexps))
-                if best is None or cand < best[0]:
-                    best = (cand, lexps, lcoeff, g)
-        if best is None:
+                break
+        else:
             out[mono] = coeff
             del work[mono]
             continue
-        _, lexps, lcoeff, g = best
         q, r = divmod(coeff, lcoeff)
         if q:
             shift = tuple(a - b for a, b in zip(mono, lexps))
@@ -210,16 +220,12 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     ring = ideal.ring
     basis: list[IntPolynomial] = []     # append-only; alive flags what counts
     alive: list[bool] = []
-    live_leads: list[tuple] = []        # (lead exps, lead coeff, poly) of live ones
+    live_leads: list[tuple] = []        # _lead_table of the live ones
     queue: list[tuple] = []
     counter = 0
 
     def rebuild_leads():
-        live_leads.clear()
-        for ok, g in zip(alive, basis):
-            if ok:
-                exps, coeff = g.leading_term()
-                live_leads.append((exps, coeff, g))
+        live_leads[:] = _lead_table(g for ok, g in zip(alive, basis) if ok)
 
     def push_pairs(new_index: int):
         nonlocal counter
@@ -291,12 +297,7 @@ def _interreduce(ring: Ring, basis: list[IntPolynomial]) -> list[IntPolynomial]:
         elems.sort(key=lambda g: ring.monomial_key(g.leading_term()[0]))
         changed = False
         for i in range(len(elems)):
-            others = [
-                (e, c, g)
-                for k, g in enumerate(elems)
-                if k != i and g
-                for e, c in [g.leading_term()]
-            ]
+            others = _lead_table(g for k, g in enumerate(elems) if k != i and g)
             r = _reduce(elems[i], others)
             if r != elems[i]:
                 changed = True

@@ -2,7 +2,9 @@
 
 Everything here works on plain lists of Python ints, so there is no overflow
 anywhere: Hermite and Smith normal forms, left kernels, lattice coordinates
-and canonical residues.  Hermite bases (``lattice_basis``) are computed
+and canonical residues.  Hermite elimination holds its rows sparse, as
+{column: entry} dicts, so a row update skips the zero entries; inputs and
+results are dense.  Hermite bases (``lattice_basis``) are computed
 without a transform, and coordinates against them (``lattice_coordinates``)
 come from one pass over their pivots; only ``hermite_normal_form``, which
 ``left_kernel`` reads, builds its unimodular U.  These routines realize
@@ -84,10 +86,33 @@ class HermiteForm:
         return residual
 
 
-def _hermite(H: Matrix, ncols: int) -> tuple[Matrix, list[tuple[int, int]]]:
-    """Hermite elimination of H in place with pivots in its first ncols columns.
-    Row operations act on whole rows, so appended identity rows track U."""
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row: dict[int, int], start: int, stop: int) -> list[int]:
+    return [row.get(j, 0) for j in range(start, stop)]
+
+
+def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
+    """Hermite elimination of H in place with pivots in its first ncols
+    columns; returns the (row, column) pivots.
+
+    Rows are held sparse, as {column: entry} dicts: a row update touches only
+    the nonzero entries of the pivot row, and an entry that cancels to 0 is
+    deleted.  Row operations act on whole rows, so appended identity entries
+    track U."""
     m = len(H)
+
+    def subtract(i: int, q: int, prow: dict[int, int]) -> None:
+        row = H[i]
+        for j, y in prow.items():
+            v = row.get(j, 0) - q * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
     pivots: list[tuple[int, int]] = []
     pivot_row = 0
     for col in range(ncols):
@@ -95,7 +120,7 @@ def _hermite(H: Matrix, ncols: int) -> tuple[Matrix, list[tuple[int, int]]]:
             break
         # Euclid the column entries at/below pivot_row down to one survivor.
         while True:
-            nz = [i for i in range(pivot_row, m) if H[i][col]]
+            nz = [i for i in range(pivot_row, m) if col in H[i]]
             if not nz:
                 break
             i0 = min(nz, key=lambda i: abs(H[i][col]))
@@ -103,24 +128,27 @@ def _hermite(H: Matrix, ncols: int) -> tuple[Matrix, list[tuple[int, int]]]:
                 H[pivot_row], H[i0] = H[i0], H[pivot_row]
             if len(nz) == 1:
                 break
-            pivot = H[pivot_row][col]
-            for i in range(pivot_row + 1, m):
-                if H[i][col]:
-                    q = H[i][col] // pivot
+            prow = H[pivot_row]
+            pivot = prow[col]
+            for i in nz:
+                if i != pivot_row:
+                    # Row i0 may now hold the zero that pivot_row held.
+                    q = H[i].get(col, 0) // pivot
                     if q:
-                        H[i] = [x - q * y for x, y in zip(H[i], H[pivot_row])]
-        if not H[pivot_row][col]:
+                        subtract(i, q, prow)
+        prow = H[pivot_row]
+        if col not in prow:
             continue
-        if H[pivot_row][col] < 0:
-            H[pivot_row] = [-x for x in H[pivot_row]]
-        pivot = H[pivot_row][col]
+        if prow[col] < 0:
+            prow = H[pivot_row] = {j: -x for j, x in prow.items()}
+        pivot = prow[col]
         for i in range(pivot_row):
-            q = H[i][col] // pivot
+            q = H[i].get(col, 0) // pivot
             if q:
-                H[i] = [x - q * y for x, y in zip(H[i], H[pivot_row])]
+                subtract(i, q, prow)
         pivots.append((pivot_row, col))
         pivot_row += 1
-    return H, pivots
+    return pivots
 
 
 def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
@@ -130,9 +158,13 @@ def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) ->
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
     width = len(A[0]) if A else 0
+    m = len(A)
+    H = [_sparse(row) | {width + i: 1} for i, row in enumerate(A)]
     # Pivots lie in A's columns, never in the appended identity.
-    H, pivots = _hermite([list(row) + e for row, e in zip(A, identity(len(A)))], min(ncols, width))
-    return HermiteForm([row[:width] for row in H], [row[width:] for row in H], pivots)
+    pivots = _hermite(H, min(ncols, width))
+    return HermiteForm(
+        [_dense(row, 0, width) for row in H], [_dense(row, width, width + m) for row in H], pivots
+    )
 
 
 def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
@@ -141,8 +173,9 @@ def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
     Two row sets span the same lattice exactly when these bases are equal.
     The elimination runs on the rows alone; no transform is built.
     """
-    H, pivots = _hermite([list(row) for row in rows], ncols)
-    return [H[r] for r, _ in pivots]
+    H = [_sparse(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    return [_dense(H[r], 0, width) for r, _ in _hermite(H, ncols)]
 
 
 def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:

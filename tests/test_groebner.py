@@ -220,6 +220,30 @@ class TestRandomIdeals:
                 assert membership_matches_normal_form(spec, d)
 
 
+class TestLeadOrder:
+    def test_shuffled_basis_gives_same_normal_forms(self, pipeline):
+        """The reducer of each term is fixed by the basis's lead table, not
+        by the order in which its elements are given."""
+        specs = [
+            pipeline.bg,
+            pipeline.delta1_ring,
+            pipeline.gm_data["spec"],
+            pipeline.gm_data["open_stated"],
+            pipeline.m2bar_ring,
+            pipeline.bielliptic_data["stated"],
+        ]
+        rng = random.Random(8)
+        for spec in specs:
+            ring = spec.ring
+            elements = list(spec.groebner.elements)
+            rng.shuffle(elements)
+            shuffled = gb.StrongGroebnerBasis(ring, elements)
+            for d in range(7):
+                for exps in ring.monomials_of_degree(d):
+                    mono = ring.polynomial({exps: 1})
+                    assert shuffled.normal_form(mono) == spec.normal_form(mono)
+
+
 class TestRingSpec:
     def test_build_and_normal_form(self):
         spec = RingSpec.build(

@@ -52,21 +52,26 @@ def lattice_cases(max_dim=5, bound=20):
     )
 
 
+def assert_hermite_shape(hf, A):
+    """H = U @ A, pivot columns increase, pivots are positive, entries above
+    a pivot are reduced modulo it and entries below it are 0."""
+    assert la.matmul(hf.transform, A) == hf.rows
+    cols = [c for _, c in hf.pivots]
+    assert cols == sorted(cols)
+    for r, c in hf.pivots:
+        pivot = hf.rows[r][c]
+        assert pivot > 0
+        for i in range(r):
+            assert 0 <= hf.rows[i][c] < pivot
+        for i in range(r + 1, len(A)):
+            assert hf.rows[i][c] == 0
+
+
 class TestHermite:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
     def test_transform_and_shape(self, A):
-        hf = la.hermite_normal_form(A)
-        assert la.matmul(hf.transform, A) == hf.rows
-        cols = [c for _, c in hf.pivots]
-        assert cols == sorted(cols)
-        for r, c in hf.pivots:
-            pivot = hf.rows[r][c]
-            assert pivot > 0
-            for i in range(r):
-                assert 0 <= hf.rows[i][c] < pivot
-            for i in range(r + 1, len(A)):
-                assert hf.rows[i][c] == 0
+        assert_hermite_shape(la.hermite_normal_form(A), A)
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices())
@@ -103,6 +108,23 @@ class TestSharedElimination:
         assert all(c < n for _, c in hf.pivots)
         if A:
             assert abs(la.determinant_expansion(hf.transform)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(hermite_inputs(max_dim=8, bound=2))
+    # Row 1 minus twice row 0 cancels column 1, right of the pivot.
+    @example(([[1, 2, 1], [2, 4, 0]], 3))
+    # The same cancellation in a column that takes no pivot (ncols < width).
+    @example(([[2, 1, 0], [4, 2, 1]], 1))
+    # Back-substitution above the second pivot cancels column 2 of row 0.
+    @example(([[1, 1, 1], [0, 1, 1]], 3))
+    def test_sparse_cancellations(self, case):
+        """Entries in -2..2 make row updates cancel entries to exactly 0,
+        which the sparse rows of the elimination must drop."""
+        A, n = case
+        hf = la.hermite_normal_form(A, n)
+        assert_hermite_shape(hf, A)
+        assert all(c < n for _, c in hf.pivots)
+        assert la.lattice_basis(A, n) == hf.basis()
 
     def test_lattice_basis_builds_no_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
