@@ -27,7 +27,6 @@ from .groebner import (
 from .graded import (
     GradedPieceGroup,
     InfiniteKernelError,
-    KernelPiece,
     enumerate_kernel_elements,
     graded_piece,
     membership_matches_normal_form,

@@ -4,11 +4,12 @@ A degree-d piece of ZZ[x1..xk]/I is presented by the lattice of degree-d
 multiples of the relation generators inside the free module on the degree-d
 monomials; the Smith normal form of that lattice's Hermite basis yields the
 free rank, the torsion invariants and explicit coordinates.  Kernels of
-multiplication maps are quotients of lattices, read off the same way from
-coordinates in the kernel's Hermite basis; which classes generate a kernel is
-for the caller to check.  This route is independent of the Groebner engine and
-doubles as its oracle: a class is zero in the graded piece exactly when its
-normal form vanishes.
+multiplication maps are lattices too, returned in each degree as Hermite
+bases; two lattices are equal exactly when their Hermite bases are, so which
+classes generate a kernel is for the caller to compare.  Only enumeration
+takes a kernel's group structure.  This route is independent of the Groebner
+engine and doubles as its oracle: a class is zero in the graded piece exactly
+when its normal form vanishes.
 """
 
 from __future__ import annotations
@@ -165,19 +166,6 @@ def _kernel_lattice(
     return monomials, rel_rows, basis
 
 
-@dataclass
-class KernelPiece:
-    """The kernel of multiplication by a fixed class, in one degree."""
-
-    degree: int
-    free_rank: int
-    torsion_invariants: tuple[int, ...]
-    generators: list[IntPolynomial]   # lifts of the quotient-group generators
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_invariants
-
-
 def _quotient_group(
     ring: Ring,
     monomials: Sequence[tuple],
@@ -203,19 +191,12 @@ def _quotient_group(
     return free_rank, torsion, generators, orders
 
 
-def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[KernelPiece]:
-    """Kernel of multiplication by m on each graded piece of degree <= d_max."""
-    ring = spec.ring
-    pieces = []
-    for d in range(d_max + 1):
-        monomials, rel_rows, kernel_basis = _kernel_lattice(spec, m, d)
-        free_rank, torsion, gens, _ = _quotient_group(
-            ring, monomials, kernel_basis, rel_rows
-        )
-        pieces.append(
-            KernelPiece(degree=d, free_rank=free_rank, torsion_invariants=torsion, generators=gens)
-        )
-    return pieces
+def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[intlinalg.Matrix]:
+    """Kernel of multiplication by m on each graded piece of degree <= d_max:
+    in degree d, the Hermite basis of the lattice of vectors, over
+    ``ring.monomials_of_degree(d)``, whose product with m lies in the
+    relations.  It contains the degree-d relation lattice."""
+    return [_kernel_lattice(spec, m, d)[2] for d in range(d_max + 1)]
 
 
 def enumerate_kernel_elements(

@@ -38,9 +38,10 @@ from .graded import (
     graded_piece,
     membership_matches_normal_form,
     multiplication_kernel,
+    relation_rows,
 )
 from .groebner import Ideal, RingSpec, ideal_equal
-from .intlinalg import determinant_expansion
+from .intlinalg import determinant_expansion, lattice_basis
 from .ring import IntPolynomial, Ring, symmetrize_to_elementary, chern_series_quotient
 
 
@@ -335,26 +336,10 @@ class Pipeline:
         )
 
     @cached_property
-    def delta1_vars_ring(self) -> Ring:
-        return Ring(*_BOUNDARY_VARS)
-
-    @cached_property
     def groth_ring(self) -> Ring:
         # The hyperplane class is declared first so that normal forms in the
         # twist quotient eliminate it.
         return Ring(("t", 1), ("lambda1", 1), ("lambda2", 2))
-
-    @cached_property
-    def open_ring(self) -> Ring:
-        return Ring(*_OPEN_VARS)
-
-    @cached_property
-    def m2bar_vars_ring(self) -> Ring:
-        return Ring(*_MAIN_VARS)
-
-    @cached_property
-    def bielliptic_vars_ring(self) -> Ring:
-        return Ring(*_TEST_FAMILY_VARS)
 
     # ------------------------------------------------------------------
     # derived data blocks: they only compute; every comparison with a
@@ -440,7 +425,8 @@ class Pipeline:
         if self.corruption == "delta1-excision":
             push2 = push2 - self.bg.parse("beta1*beta2")
 
-        ring = self.delta1_vars_ring
+        stated = RingSpec.build(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)
+        ring = stated.ring
         lam1, lam2, gamma = ring.var("lambda1"), ring.var("lambda2"), ring.var("gamma")
         alias = {"beta1": lam1, "beta2": lam2, "gamma": gamma}
         derived_gens = (
@@ -451,7 +437,6 @@ class Pipeline:
             euler46.substitute(alias, target=ring),
         )
         derived = RingSpec(ring, Ideal(ring, derived_gens))
-        stated = RingSpec.build(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)
         return {
             "euler46": euler46,
             "c2_product": self.bg.normal_form(w4[1] * w6[1]),
@@ -474,14 +459,14 @@ class Pipeline:
         gm_spec = RingSpec(ring, Ideal(ring, gens))
         lam1 = ring.var("lambda1")
         t = ring.var("t")
-        pieces = multiplication_kernel(gm_spec, t - 2 * lam1, self.max_degree)
-        quotient_gens = tuple(
-            g.substitute({"t": 2 * lam1}, target=ring).into(self.open_ring) for g in gens
-        )
+        kernels = multiplication_kernel(gm_spec, t - 2 * lam1, self.max_degree)
         open_stated = RingSpec.build(_OPEN_VARS, _OPEN_RELATIONS)
+        quotient_gens = tuple(
+            g.substitute({"t": 2 * lam1}, target=ring).into(open_stated.ring) for g in gens
+        )
         return {
             "spec": gm_spec,
-            "pieces": pieces,
+            "kernels": kernels,
             "quotient_gens": quotient_gens,
             "open_stated": open_stated,
         }
@@ -547,7 +532,7 @@ class Pipeline:
 
     @cached_property
     def main_data(self) -> dict:
-        ring = self.m2bar_vars_ring
+        ring = self.m2bar_ring.ring
         derived_delta1 = self.delta1_ring
         # The boundary presentation's first four generators are the two
         # involution-class relations and the two excision pushforwards; the
@@ -557,12 +542,11 @@ class Pipeline:
             for g in derived_delta1.relations.generators[:4]
         ]
         six = [ring.parse(text) for text in _MAIN_RELATIONS[:2]] + pushed
-        stated = RingSpec.build(_MAIN_VARS, _MAIN_RELATIONS)
-        return {"six": RingSpec(ring, Ideal(ring, six)), "stated": stated}
+        return {"six": RingSpec(ring, Ideal(ring, six))}
 
     @cached_property
     def m2bar_ring(self) -> RingSpec:
-        return self.main_data["stated"]
+        return RingSpec.build(_MAIN_VARS, _MAIN_RELATIONS)
 
     # -- bielliptic family ----------------------------------------------------
 
@@ -639,7 +623,8 @@ class Pipeline:
         )
         taut_delta1 = seg1.substitute({"x": (-alpha1).into(seg_ring)}, target=seg_ring).into(ar)
 
-        lr = self.bielliptic_vars_ring
+        stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
+        lr = stated.ring
         gl, dl, l1, l2 = (lr.var(n) for n in ("gamma", "delta1", "lambda1", "lambda2"))
         phi = {name: lr.parse(text) for name, text in _CHANGE_OF_VARIABLES.items()}
         phi["gamma"] = gl
@@ -649,7 +634,6 @@ class Pipeline:
         all_alpha_gens = list(amb.relations.generators) + relzero + reltrip
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
         derived = RingSpec(lr, Ideal(lr, derived_gens))
-        stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
         return {
             "euler_v31": euler_v31,
             "euler_pairs": euler_pairs,
@@ -919,7 +903,8 @@ class Pipeline:
         ring = self.groth_ring
         lam1 = ring.var("lambda1")
         t = ring.var("t")
-        open_derived = RingSpec(self.open_ring, Ideal(self.open_ring, data["quotient_gens"]))
+        open_ring = data["open_stated"].ring
+        open_derived = RingSpec(open_ring, Ideal(open_ring, data["quotient_gens"]))
         _require(
             ideal_equal(open_derived, data["open_stated"]),
             "twist quotient does not match the stated two-relation presentation",
@@ -933,12 +918,6 @@ class Pipeline:
                     all(e[ti] == 0 for e in nf.term_map()),
                     f"normal form of {IntPolynomial(ring, {exps: 1})} retains the hyperplane class",
                 )
-        pieces = data["pieces"]
-        for piece in pieces[:3]:
-            _require(
-                piece.is_trivial(),
-                f"kernel piece in degree {piece.degree} should vanish",
-            )
         spec = data["spec"]
         k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
         _require(spec.contains(k3 * (t - 2 * lam1)), "degree-3 class is not in the kernel")
@@ -952,13 +931,15 @@ class Pipeline:
             - ring.parse("6*lambda1^2 - 12*lambda2") * self.s6["polys"]["s10"]
         )
         _require(identity == 0, "degree-4 kernel witness identity fails")
-        # A piece's lifts span it modulo I, and k3, k4 lie in (I : m), so
-        # the two classes generate the piece when every lift lies in I + (k3, k4).
+        # (I : m) = I + (k3, k4) in degree d exactly when the two lattices
+        # have the same Hermite basis; below degree 3 the right side is I.
         generated = spec.with_relations(k3, k4)
-        for piece in pieces:
+        for d, kernel in enumerate(data["kernels"]):
+            monomials, rows = relation_rows(generated, d)
             _require(
-                all(generated.contains(g) for g in piece.generators),
-                f"kernel piece in degree {piece.degree} is not generated by the two classes",
+                kernel == lattice_basis(rows, len(monomials)),
+                f"kernel piece in degree {d} should vanish" if d < 3
+                else f"kernel piece in degree {d} is not generated by the two classes",
             )
         return (
             f"twist quotient ring = {_presentation(_OPEN_VARS, _OPEN_RELATIONS)}\n"
@@ -1009,7 +990,7 @@ class Pipeline:
             len(elements) == 3 and set(elements) == stated_nf,
             f"kernel enumeration gives {[str(e) for e in elements]}",
         )
-        target = self.m2bar_vars_ring
+        target = self.m2bar_ring.ring
         pushed = [pushforward_boundary_to_total(p, target) for p in stated]
         expected = [target.parse(text) for text in _BOUNDARY_CLASSES]
         _require(pushed == expected, "boundary pushforwards differ from the stated classes")
@@ -1039,8 +1020,8 @@ class Pipeline:
 
     def check_main(self) -> str:
         data = self.main_data
-        ring = self.m2bar_vars_ring
-        stated = data["stated"]
+        stated = self.m2bar_ring
+        ring = stated.ring
         _require(
             ideal_equal(data["six"], stated),
             "the six derived relations do not generate the stated ideal",
@@ -1109,7 +1090,7 @@ class Pipeline:
         ar = amb.ring
         t1, t2, t3 = data["taut"]
         _require(t3 == ar.parse(_TAUTOLOGICAL[2]), f"boundary class pullback is {t3}")
-        lr = self.bielliptic_vars_ring
+        lr = data["stated"].ring
         phi = data["phi"]
         _require(
             t1.substitute(phi, target=lr) == lr.var("lambda1")
@@ -1141,7 +1122,7 @@ class Pipeline:
 
     def check_bielliptic_mod2(self) -> str:
         data = self.bielliptic_data
-        lr = self.bielliptic_vars_ring
+        lr = data["stated"].ring
         two = lr.const(2)
         mod2_gens = (two, *(lr.parse(text) for text in _MOD2_RELATIONS))
         mod2_spec = RingSpec(lr, Ideal(lr, mod2_gens))
@@ -1189,16 +1170,15 @@ class Pipeline:
             "total": self.m2bar_ring,
             "bielliptic": self.bielliptic_data["stated"],
         }
-        bound = min(8, self.max_degree)
         for name, spec in specs.items():
-            for d in range(bound + 1):
+            for d in range(9):
                 _require(
                     membership_matches_normal_form(spec, d),
                     f"oracle disagreement in {name} ring, degree {d}",
                 )
         return (
-            f"Groebner normal forms and Smith-form membership agree on every"
-            f" monomial of every pipeline ring through degree {bound}"
+            "Groebner normal forms and Smith-form membership agree on every"
+            " monomial of every pipeline ring through degree 8"
         )
 
     # ------------------------------------------------------------------

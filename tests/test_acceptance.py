@@ -8,8 +8,9 @@ under ``pytest -s`` or on failure).
 import random
 
 from genus2chow.classifying import bt_pullback, bt_pushforward, torus_ring
-from genus2chow.graded import membership_matches_normal_form
+from genus2chow.graded import membership_matches_normal_form, relation_rows
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal
+from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
@@ -84,7 +85,7 @@ def test_criterion_06_open_stratum(pipeline):
     ok = _passes(pipeline, "thm:45")
     if ok:
         spec = pipeline.gm_data["spec"]
-        pieces = pipeline.gm_data["pieces"]
+        kernels = pipeline.gm_data["kernels"]
         m = spec.parse("t - 2*lambda1")
         k3 = spec.parse("60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)")
         k4 = spec.parse(
@@ -92,14 +93,18 @@ def test_criterion_06_open_stratum(pipeline):
             " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)"
         )
         generated = spec.with_relations(k3, k4)
-        # k3 and k4 lie in the kernel, and every piece's lifts (which span
-        # it modulo the relations) lie in the ideal they add.
+
+        def generated_lattice(d):
+            monomials, rows = relation_rows(generated, d)
+            return lattice_basis(rows, len(monomials))
+
+        # k3 and k4 lie in the kernel, and in every degree the kernel lattice
+        # is the lattice of the ideal they add.
         ok = (
             spec.contains(k3 * m)
             and spec.contains(k4 * m)
-            and all(generated.contains(g) for p in pieces for g in p.generators)
-            and all(p.is_trivial() for p in pieces[:3])
-            and len(pieces) == pipeline.max_degree + 1
+            and all(basis == generated_lattice(d) for d, basis in enumerate(kernels))
+            and len(kernels) == pipeline.max_degree + 1
             and pipeline.max_degree >= 10
         )
     _report(

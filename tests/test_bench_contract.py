@@ -1,0 +1,54 @@
+"""What the benchmark binds in the package.
+
+``bench/tracing.py`` wraps named functions at every place the package binds
+them, and ``bench/workloads.py`` reads named pipeline intermediates.  These
+tests fail fast when a change to ``src/`` removes or renames one of them; the
+benchmark's own suite (``python3 -m unittest bench/test_bench.py``) notices
+too, but runs for minutes.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+from genus2chow import graded, pipeline  # noqa: E402
+from genus2chow.groebner import RingSpec  # noqa: E402
+from genus2chow.ring import IntPolynomial  # noqa: E402
+
+
+def _targets():
+    return [vars(owner)[attr] for _name, owner, attr, _stats in tracing.entry_points()]
+
+
+def test_every_traced_entry_point_resolves():
+    for _name, owner, attr, _stats in tracing.entry_points():
+        assert attr in vars(owner), f"{owner!r} has no {attr}"
+
+
+def test_tracer_restores_the_originals():
+    originals = _targets()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert hasattr(pipeline.multiplication_kernel, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    assert all(a is b for a, b in zip(_targets(), originals))
+    assert pipeline.multiplication_kernel is graded.multiplication_kernel
+
+
+def test_membership_reads_six_named_presentations():
+    specs = workloads.membership_specs()
+    assert set(specs) == {
+        "classifying", "boundary", "twist-quotient", "open-stratum", "total", "bielliptic",
+    }
+    for spec in specs.values():
+        assert isinstance(spec, RingSpec)
+        gens = spec.relations.generators
+        assert gens and all(isinstance(g, IntPolynomial) for g in gens)

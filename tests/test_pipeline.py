@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from genus2chow import groebner
+from genus2chow import groebner, intlinalg
+from genus2chow.graded import vector_of
+from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import (
     Pipeline,
     UnknownCheckError,
@@ -118,22 +120,33 @@ class TestFaultInjection:
         assert status["thm:bg"] == ("fail", "derived presentation differs from the stated one")
         assert status["adelta1"][0] == "pass"
 
+    @staticmethod
+    def _failures_with_kernel_vector(pipeline, text):
+        """Failing checks of a run whose twist-kernel lattice in the degree
+        of ``text`` also contains that class."""
+        data = pipeline.gm_data
+        p = data["spec"].parse(text)
+        d = p.weighted_degree()
+        monomials = p.ring.monomials_of_degree(d)
+        kernels = list(data["kernels"])
+        kernels[d] = lattice_basis(kernels[d] + [vector_of(monomials, p)], len(monomials))
+        fresh = Pipeline()
+        fresh.__dict__["gm_data"] = {**data, "kernels": kernels}
+        report = fresh.run()
+        return {c.id: c.witness for c in report.checks if c.status != "pass"}
+
     def test_extra_kernel_lift_fails_thm45(self, pipeline):
         # t^10 is no combination of the two stated kernel classes modulo the
-        # relations, so a degree-10 piece that lists it as a lift is not
-        # generated by them.  Only thm:45 reads the lifts.
-        data = pipeline.gm_data
-        *lower, last = data["pieces"]
-        lift = data["spec"].parse("t^10")
-        fresh = Pipeline()
-        fresh.__dict__["gm_data"] = {
-            **data,
-            "pieces": lower + [replace(last, generators=last.generators + [lift])],
-        }
-        report = fresh.run()
-        failing = {c.id: c.witness for c in report.checks if c.status != "pass"}
-        assert failing == {
+        # relations, so a degree-10 kernel lattice that contains it is not
+        # generated by them.  Only thm:45 reads the kernels.
+        assert self._failures_with_kernel_vector(pipeline, "t^10") == {
             "thm:45": "kernel piece in degree 10 is not generated by the two classes"
+        }
+
+    def test_kernel_below_degree_three_fails_thm45(self, pipeline):
+        # Below degree 3 the kernel must be the relation lattice itself.
+        assert self._failures_with_kernel_vector(pipeline, "t^2") == {
+            "thm:45": "kernel piece in degree 2 should vanish"
         }
 
     def test_unknown_corruption_rejected(self):
@@ -225,6 +238,19 @@ class TestStrataRings:
         assert Pipeline(max_degree=5).run().overall == "pass"
         repeated = {ideal: n for ideal, n in completed.items() if n > 1}
         assert repeated == {}
+
+    def test_twist_kernel_runs_no_smith_form(self, monkeypatch):
+        # thm:45 compares kernel lattices by their Hermite bases.
+        def no_smith_form(*args, **kwargs):
+            raise AssertionError("Smith form taken")
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", no_smith_form)
+        assert Pipeline(max_degree=10).run(ids=["thm:45"]).overall == "pass"
+
+    def test_total_ring_is_built_from_its_stated_text(self):
+        fresh = Pipeline()
+        fresh.m2bar_ring
+        assert set(vars(fresh)) == {"max_degree", "corruption", "m2bar_ring"}
 
 
 class TestBoundaryPushforward:
@@ -336,3 +362,8 @@ class TestConfigBounds:
     def test_degree_five_runs_quickly(self):
         report = Pipeline(max_degree=5).run(ids=["thm:45"])
         assert report.overall == "pass"
+
+    def test_oracle_bound_does_not_follow_max_degree(self):
+        report = Pipeline(max_degree=5).run(ids=["oracle-agreement"])
+        assert report.overall == "pass"
+        assert report.checks[0].witness.endswith("through degree 8")
