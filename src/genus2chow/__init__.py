@@ -42,7 +42,6 @@ from .bundles import (
     segre_pushforward,
     srj_table,
     subbundle_class,
-    to_combo,
     veronese_pushforward,
 )
 from .classifying import (

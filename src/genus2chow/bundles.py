@@ -149,34 +149,6 @@ class SClassCombo:
         return " + ".join(parts) if parts else "0"
 
 
-def to_combo(p: IntPolynomial, table: SrjTable) -> SClassCombo:
-    """Express a polynomial of hyperplane-degree <= r in the s_r^j basis.
-
-    The table entries are monic of degree j in the hyperplane class, so the
-    conversion is exact triangular back-substitution with integer polynomial
-    coefficients.
-    """
-    ring = p.ring
-    t_index = ring.index(table.hyperplane)
-    remainder = p
-    coeffs = [ring.zero()] * (table.r + 1)
-    for j in range(table.r, -1, -1):
-        cj_terms = {}
-        for exps, c in remainder.term_map().items():
-            if exps[t_index] == j:
-                reduced = list(exps)
-                reduced[t_index] = 0
-                cj_terms[tuple(reduced)] = c
-        if not cj_terms:
-            continue
-        cj = IntPolynomial(ring, cj_terms, _trusted=True)
-        coeffs[j] = cj
-        remainder = remainder - cj * table.entries[j]
-    if remainder:
-        raise ValueError(f"hyperplane degree exceeds r = {table.r}")
-    return SClassCombo(table.r, coeffs)
-
-
 def diagonal_class(n: int, classes: BundleClasses, hyperplanes: Sequence[str]) -> IntPolynomial:
     """Class of the small diagonal of (P E)^n, for n = 2 or 3."""
     ring = classes.ring

@@ -289,6 +289,32 @@ _TEST_FAMILY_RELATIONS = (
 )
 _MOD2_RELATIONS = ("gamma^2 + lambda1*gamma", "delta1^2 + delta1*gamma")
 
+# The two engines are compared on every monomial of degree at most this.
+_ORACLE_DEGREE = 8
+
+
+def _s3_values_at_alpha1(ring: Ring) -> list[IntPolynomial]:
+    """Entries of the degree-3 table with the hyperplane class set to the
+    first Chern class of the dual standard representation's ambient twist:
+    1, alpha1, 3*alpha2, alpha1*alpha2."""
+    work = ring.extend(("hyp", 1))
+    cls = BundleClasses(c1=-work.var("alpha1"), c2=work.var("alpha2"))
+    table = srj_table(3, cls, hyperplane="hyp")
+    alpha1 = work.var("alpha1")
+    return [
+        entry.substitute({"hyp": alpha1}, target=work).into(ring)
+        for entry in table.entries
+    ]
+
+
+def _weighted_sum(weights: SClassCombo, terms: Sequence[IntPolynomial]) -> IntPolynomial:
+    """The sum of each coefficient of ``weights`` times the matching term."""
+    acc = terms[0].ring.zero()
+    for w, term in zip(weights.coeffs, terms):
+        if w:
+            acc = acc + w * term
+    return acc
+
 
 def _ideal(relations: Sequence[str]) -> str:
     return "(" + ", ".join(relations) + ")"
@@ -303,8 +329,9 @@ class Pipeline:
     """Shared context for all verifications.
 
     ``corruption`` deliberately flips one coefficient in a named intermediate
-    (currently only "delta1-excision"); it exists so that fault-injection
-    tests can confirm exactly the dependent checks fail.
+    (currently only "delta1-excision").  It stays only because the benchmark
+    in ``bench/`` passes it; faults are injected into every cached
+    intermediate from outside, by ``tests/test_fault_sweep.py``.
     """
 
     def __init__(self, max_degree: int = 10, corruption: str | None = None):
@@ -324,10 +351,6 @@ class Pipeline:
         return RingSpec.build(_BG_VARS, _BG_RELATIONS)
 
     @cached_property
-    def torus_gl2_ring(self) -> Ring:
-        return Ring(("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1))
-
-    @cached_property
     def alpha_ambient(self) -> RingSpec:
         """Product of the rank-2 classifying ring and the doubled-torus ring."""
         return RingSpec.build(
@@ -340,6 +363,18 @@ class Pipeline:
         # The hyperplane class is declared first so that normal forms in the
         # twist quotient eliminate it.
         return Ring(("t", 1), ("lambda1", 1), ("lambda2", 2))
+
+    @property
+    def presentations(self) -> dict[str, RingSpec]:
+        """The six ring presentations of the pipeline, by name."""
+        return {
+            "classifying": self.bg,
+            "boundary": self.delta1_ring,
+            "twist-quotient": self.gm_data["spec"],
+            "open-stratum": self.gm_data["open_stated"],
+            "total": self.m2bar_ring,
+            "bielliptic": self.bielliptic_data["stated"],
+        }
 
     # ------------------------------------------------------------------
     # derived data blocks: they only compute; every comparison with a
@@ -372,7 +407,6 @@ class Pipeline:
         ) if evenness else None
         polys = {name: combo.expand(table) for name, combo in combos.items() if combo}
         return {
-            "classes": classes,
             "table": table,
             "ver0": ver0,
             "ver1": ver1,
@@ -531,7 +565,7 @@ class Pipeline:
         }
 
     @cached_property
-    def main_data(self) -> dict:
+    def main_data(self) -> RingSpec:
         ring = self.m2bar_ring.ring
         derived_delta1 = self.delta1_ring
         # The boundary presentation's first four generators are the two
@@ -542,7 +576,7 @@ class Pipeline:
             for g in derived_delta1.relations.generators[:4]
         ]
         six = [ring.parse(text) for text in _MAIN_RELATIONS[:2]] + pushed
-        return {"six": RingSpec(ring, Ideal(ring, six))}
+        return RingSpec(ring, Ideal(ring, six))
 
     @cached_property
     def m2bar_ring(self) -> RingSpec:
@@ -563,7 +597,7 @@ class Pipeline:
         )
 
         # Locus where the second linear form vanishes, on the torus cover.
-        tg = self.torus_gl2_ring
+        tg = Ring(("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1))
         sub_ring = tg.extend(("x", 1))
         twork = sub_ring.extend(("a1", 1), ("a2", 1))
         a1, a2 = twork.var("a1"), twork.var("a2")
@@ -580,9 +614,9 @@ class Pipeline:
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
         # hyperplane class set to alpha1, pushed along the cubing map.
         cls_v1 = BundleClasses(c1=-alpha1, c2=alpha2)
-        s3_values = self._s3_values_at_alpha1(ar)
-        rel_t1 = self._eval_combo(veronese_pushforward(3, 0, cls_v1), s3_values)
-        rel_t2 = self._eval_combo(veronese_pushforward(3, 1, cls_v1), s3_values)
+        s3_values = _s3_values_at_alpha1(ar)
+        rel_t1 = _weighted_sum(veronese_pushforward(3, 0, cls_v1), s3_values)
+        rel_t2 = _weighted_sum(veronese_pushforward(3, 1, cls_v1), s3_values)
 
         # Square-of-a-linear-form divides the cubic: triple diagonal on the
         # middle line factor, then the 3-fold multiplication (the first
@@ -594,23 +628,21 @@ class Pipeline:
         cls_sq = BundleClasses(c1=-sq_ring.var("alpha1"), c2=sq_ring.var("alpha2"))
         diag3 = diagonal_class(3, cls_sq, ("x2", "x3", "x4"))
         combo = push_multiplication_power(diag3, ("x1", "x2", "x3"), cls_sq)
-        s3_values_sq = self._s3_values_at_alpha1(sq_ring)
-        pushed_sq = self._eval_combo(combo, s3_values_sq)
+        pushed_sq = _weighted_sum(combo, [v.into(sq_ring) for v in s3_values])
         alpha1s, t2s = sq_ring.var("alpha1"), sq_ring.var("t2")
         pushed_sq = pushed_sq.substitute({"x4": -alpha1s - 2 * t2s}, target=sq_ring)
-        tg_full = self.torus_gl2_ring
-        pushed_sq = pushed_sq.into(tg_full)
+        pushed_sq = pushed_sq.into(tg)
         rel_t3 = bt_pushforward(pushed_sq, amb)
-        rel_t4 = bt_pushforward(pushed_sq * tg_full.var("t1"), amb)
+        rel_t4 = bt_pushforward(pushed_sq * tg.var("t1"), amb)
 
         # All three forms share a common factor.
-        rel_t5, rel_t6 = self._common_factor_relations()
+        w_m2 = wn_chern(-2, self.bg)
+        rel_t5, rel_t6 = self._common_factor_relations(w_m2, s3_values)
 
         reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]
 
         # Tautological classes and the inverse change of variables.
         taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
-        w_m2 = wn_chern(-2, self.bg)
         e2_wm2 = BundleClasses(
             c1=w_m2[0].into(ar), c2=w_m2[1].into(ar)
         )
@@ -646,32 +678,14 @@ class Pipeline:
             "stated": stated,
         }
 
-    def _s3_values_at_alpha1(self, ring: Ring) -> list[IntPolynomial]:
-        """Entries of the degree-3 table with the hyperplane class set to the
-        first Chern class of the dual standard representation's ambient twist:
-        1, alpha1, 3*alpha2, alpha1*alpha2."""
-        work = ring.extend(("hyp", 1)) if "hyp" not in ring else ring
-        cls = BundleClasses(c1=-work.var("alpha1"), c2=work.var("alpha2"))
-        table = srj_table(3, cls, hyperplane="hyp")
-        alpha1 = work.var("alpha1")
-        values = [
-            entry.substitute({"hyp": alpha1}, target=work).into(ring)
-            for entry in table.entries
-        ]
-        return values
-
-    def _eval_combo(self, combo: SClassCombo, values: Sequence[IntPolynomial]) -> IntPolynomial:
-        ring = values[0].ring
-        acc = ring.zero()
-        for coeff, value in zip(combo.coeffs, values):
-            if coeff:
-                acc = acc + coeff.into(ring) * value
-        return acc
-
-    def _common_factor_relations(self) -> tuple[IntPolynomial, IntPolynomial]:
+    def _common_factor_relations(
+        self, wm2: Sequence[IntPolynomial], s3_values: Sequence[IntPolynomial]
+    ) -> tuple[IntPolynomial, IntPolynomial]:
         """Pushforwards of the fundamental class and of the second hyperplane
         class along (conic, line, line) -> (cubic, tensor product): the
-        diagonal on the shared line factor, then multiplication and Segre."""
+        diagonal on the shared line factor, then multiplication and Segre.
+        ``wm2`` are the Chern classes of the weight -2 bundle and ``s3_values``
+        the degree-3 table at alpha1."""
         ar = self.alpha_ambient.ring
         alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
         work = ar.extend(("x1", 1), ("x2", 1), ("w", 1), ("x", 1))
@@ -679,9 +693,8 @@ class Pipeline:
         cls_v1 = BundleClasses(c1=(-alpha1).into(work), c2=alpha2.into(work))
         diag = diagonal_class(2, cls_v1, ("x1", "x2"))
 
-        wm2 = wn_chern(-2, self.bg)
         cls_wm2 = BundleClasses(c1=wm2[0].into(work), c2=wm2[1].into(work))
-        s3_values = [v.into(work) for v in self._s3_values_at_alpha1(ar)]
+        s3_values = [v.into(work) for v in s3_values]
 
         def push(p: IntPolynomial) -> IntPolynomial:
             i1 = work.index("x1")
@@ -776,29 +789,22 @@ class Pipeline:
         return f"7x7 independence matrix determinant = {det}"
 
     def check_cub_compat(self) -> str:
-        ring = self.groth_ring
         ver0, ver1 = self.s6["ver0"], self.s6["ver1"]
         s1j, s0j = self.s6["s1j"], self.s6["s0j"]
-
-        def combine(weights: SClassCombo, combos: list[SClassCombo]) -> SClassCombo:
-            acc = SClassCombo(6, [ring.zero()] * 7)
-            for w, combo in zip(weights.coeffs, combos):
-                if w:
-                    acc = acc + combo.scale(w)
-            return acc
-
+        lhs, rhs, fundamental = (
+            SClassCombo(6, [_weighted_sum(weights, column)
+                            for column in zip(*(c.coeffs for c in combos))])
+            for weights, combos in ((ver0, s1j), (ver1, s0j), (ver0, s0j))
+        )
         # The conic hyperplane class arrives two ways: cube the second line
         # factor of a product of two lines, or cube the first.  Both composite
         # expansions must agree in the degree-six basis.
-        lhs = combine(ver0, s1j)
-        rhs = combine(ver1, s0j)
         _require(
             lhs.coeffs == rhs.coeffs,
             "the two composite expansions of the cubed conic class disagree",
         )
         # The fundamental-class identity carries the factor 2 on its left side,
         # so every coefficient of its right side must be even.
-        fundamental = combine(ver0, s0j)
         even = all(
             all(c % 2 == 0 for c in coeff.term_map().values())
             for coeff in fundamental.coeffs
@@ -1019,11 +1025,11 @@ class Pipeline:
         )
 
     def check_main(self) -> str:
-        data = self.main_data
+        six = self.main_data
         stated = self.m2bar_ring
         ring = stated.ring
         _require(
-            ideal_equal(data["six"], stated),
+            ideal_equal(six, stated),
             "the six derived relations do not generate the stated ideal",
         )
         samples = [
@@ -1037,7 +1043,7 @@ class Pipeline:
             stated.contains(2 * delta0 * ring.var("lambda2")),
             "the self-node relation does not hold in the quotient",
         )
-        lines = [f"  {g}" for g in data["six"].relations.generators]
+        lines = [f"  {g}" for g in six.relations.generators]
         return (
             "the six localization relations\n"
             + "\n".join(lines)
@@ -1056,33 +1062,29 @@ class Pipeline:
             f"euler class of the paired linear forms: {data['euler_pairs']}"
         )
 
-    def check_relzero(self) -> str:
-        data = self.bielliptic_data
+    def _test_family_relations(self, kind: str, derived: Sequence, texts: Sequence[str]) -> str:
+        """Require each derived relation to equal its stated text in the
+        ambient ring; ``kind`` names the family in the witness."""
         amb = self.alpha_ambient
-        z0 = data["z0"]
-        _require(z0 == z0.ring.parse(_VANISHING_FORM), f"vanishing-form class evaluates to {z0}")
         lines = []
-        for derived, text in zip(data["relzero"], _RELZERO):
+        for relation, text in zip(derived, texts, strict=True):
             stated = amb.normal_form(amb.parse(text))
             _require(
-                amb.normal_form(derived) == stated,
-                f"zero-section relation mismatch: derived {derived}, stated {text}",
+                amb.normal_form(relation) == stated,
+                f"{kind} relation mismatch: derived {relation}, stated {text}",
             )
             lines.append(f"  {text} = 0")
-        return "zero-section relations reproduced from primitives:\n" + "\n".join(lines)
+        return f"{kind} relations reproduced from primitives:\n" + "\n".join(lines)
+
+    def check_relzero(self) -> str:
+        data = self.bielliptic_data
+        z0 = data["z0"]
+        _require(z0 == z0.ring.parse(_VANISHING_FORM), f"vanishing-form class evaluates to {z0}")
+        return self._test_family_relations("zero-section", data["relzero"], _RELZERO)
 
     def check_reltrip(self) -> str:
         data = self.bielliptic_data
-        amb = self.alpha_ambient
-        lines = []
-        for derived, text in zip(data["reltrip"], _RELTRIP):
-            stated = amb.normal_form(amb.parse(text))
-            _require(
-                amb.normal_form(derived) == stated,
-                f"triple-root relation mismatch: derived {derived}, stated {text}",
-            )
-            lines.append(f"  {text} = 0")
-        return "triple-root relations reproduced from primitives:\n" + "\n".join(lines)
+        return self._test_family_relations("triple-root", data["reltrip"], _RELTRIP)
 
     def check_bielliptic_ring(self) -> str:
         data = self.bielliptic_data
@@ -1162,23 +1164,15 @@ class Pipeline:
         )
 
     def check_oracle_agreement(self) -> str:
-        specs = {
-            "classifying": self.bg,
-            "boundary": self.delta1_ring,
-            "twist-quotient": self.gm_data["spec"],
-            "open-stratum": self.gm_data["open_stated"],
-            "total": self.m2bar_ring,
-            "bielliptic": self.bielliptic_data["stated"],
-        }
-        for name, spec in specs.items():
-            for d in range(9):
+        for name, spec in self.presentations.items():
+            for d in range(_ORACLE_DEGREE + 1):
                 _require(
                     membership_matches_normal_form(spec, d),
                     f"oracle disagreement in {name} ring, degree {d}",
                 )
         return (
             "Groebner normal forms and Smith-form membership agree on every"
-            " monomial of every pipeline ring through degree 8"
+            f" monomial of every pipeline ring through degree {_ORACLE_DEGREE}"
         )
 
     # ------------------------------------------------------------------
@@ -1275,7 +1269,8 @@ class Pipeline:
                  "Agreement of the Groebner and Smith-form engines",
                  ("adelta1", "thm:45", "thm:main", "bielliptic-ring"),
                  check_oracle_agreement,
-                 "normal form vanishing == Smith-form membership, all rings, degrees <= 8"),
+                 "normal form vanishing == Smith-form membership, all rings,"
+                 f" degrees <= {_ORACLE_DEGREE}"),
     )
 
     @classmethod

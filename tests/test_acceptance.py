@@ -166,17 +166,9 @@ def test_criterion_11_bielliptic(pipeline):
 
 def test_criterion_12_property_suites(pipeline):
     # Oracle agreement on every pipeline ring through degree 8.
-    specs = {
-        "classifying": pipeline.bg,
-        "boundary": pipeline.delta1_ring,
-        "twist-quotient": pipeline.gm_data["spec"],
-        "open-stratum": pipeline.gm_data["open_stated"],
-        "total": pipeline.m2bar_ring,
-        "bielliptic": pipeline.bielliptic_data["stated"],
-    }
     oracle_ok = all(
         membership_matches_normal_form(spec, d)
-        for spec in specs.values()
+        for spec in pipeline.presentations.values()
         for d in range(9)
     )
 

@@ -1,8 +1,9 @@
 """What the benchmark binds in the package.
 
 ``bench/tracing.py`` wraps named functions at every place the package binds
-them, and ``bench/workloads.py`` reads named pipeline intermediates.  These
-tests fail fast when a change to ``src/`` removes or renames one of them; the
+them and reads the Smith and Hermite transforms, and ``bench/workloads.py``
+reads named pipeline intermediates and passes ``corruption``.  These tests
+fail fast when a change to ``src/`` removes or renames one of them; the
 benchmark's own suite (``python3 -m unittest bench/test_bench.py``) notices
 too, but runs for minutes.
 """
@@ -19,6 +20,7 @@ import workloads  # noqa: E402
 
 from genus2chow import graded, pipeline  # noqa: E402
 from genus2chow.groebner import RingSpec  # noqa: E402
+from genus2chow.pipeline import Pipeline  # noqa: E402
 from genus2chow.ring import IntPolynomial  # noqa: E402
 
 
@@ -45,10 +47,35 @@ def test_tracer_restores_the_originals():
 
 def test_membership_reads_six_named_presentations():
     specs = workloads.membership_specs()
-    assert set(specs) == {
+    presentations = Pipeline(max_degree=5).presentations
+    assert set(specs) == set(presentations) == {
         "classifying", "boundary", "twist-quotient", "open-stratum", "total", "bielliptic",
     }
-    for spec in specs.values():
+    for name, spec in specs.items():
         assert isinstance(spec, RingSpec)
         gens = spec.relations.generators
         assert gens and all(isinstance(g, IntPolynomial) for g in gens)
+        assert gens == presentations[name].relations.generators, name
+
+
+def test_tracer_reads_the_linear_algebra_it_measures():
+    # The statistics hooks read every Smith transform and the Hermite
+    # transform; these two checks take both forms.
+    ids = ["thm:45", "bielliptic-mod2"]
+    tracer = tracing.Tracer()
+    tracer.reset()
+    try:
+        tracer.install()
+        report = Pipeline(max_degree=5).run(ids=ids)
+    finally:
+        tracer.uninstall()
+    assert report.overall == "pass", [c.witness for c in report.checks]
+    metrics = tracing.layer_metrics(tracer, ids)
+    for name in ("intlinalg.snf_calls", "intlinalg.hnf_calls", "intlinalg.snf_max_bits"):
+        assert metrics[name] > 0, name
+
+
+def test_pipeline_takes_the_benchmark_keywords():
+    # workloads.py passes max_degree and corruption to every verify Pipeline.
+    for corruption in (None, "delta1-excision"):
+        assert Pipeline(max_degree=10, corruption=corruption).corruption == corruption

@@ -11,7 +11,6 @@ from genus2chow.bundles import (
     segre_pushforward,
     srj_table,
     subbundle_class,
-    to_combo,
     veronese_pushforward,
 )
 from genus2chow.ring import Ring
@@ -54,20 +53,6 @@ class TestSrjTable:
         assert table[0] == 1
         for j, entry in enumerate(table.entries):
             assert entry.weighted_degree() == (0 if j == 0 else j)
-
-    def test_span_equality_with_hyperplane_powers(self, generic):
-        # Both conversion directions stay integral for every r <= 6: the
-        # table is monic triangular over ZZ[c1, c2].
-        ring = generic.ring
-        t = ring.var("t")
-        for r in range(0, 7):
-            table = srj_table(r, generic)
-            for j in range(r + 1):
-                combo = to_combo(t ** j, table)
-                assert combo.expand(table) == t ** j
-                i_t = ring.index("t")
-                for coeff in combo.coeffs:
-                    assert all(e[i_t] == 0 for e in coeff.term_map())
 
 
 class TestMultPushforward:

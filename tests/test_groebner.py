@@ -224,16 +224,8 @@ class TestLeadOrder:
     def test_shuffled_basis_gives_same_normal_forms(self, pipeline):
         """The reducer of each term is fixed by the basis's lead table, not
         by the order in which its elements are given."""
-        specs = [
-            pipeline.bg,
-            pipeline.delta1_ring,
-            pipeline.gm_data["spec"],
-            pipeline.gm_data["open_stated"],
-            pipeline.m2bar_ring,
-            pipeline.bielliptic_data["stated"],
-        ]
         rng = random.Random(8)
-        for spec in specs:
+        for spec in pipeline.presentations.values():
             ring = spec.ring
             elements = list(spec.groebner.elements)
             rng.shuffle(elements)

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from genus2chow import groebner, intlinalg
-from genus2chow.graded import vector_of
-from genus2chow.intlinalg import lattice_basis
+from genus2chow import pipeline as pipeline_module
 from genus2chow.pipeline import (
     Pipeline,
     UnknownCheckError,
@@ -106,48 +105,6 @@ class TestFaultInjection:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
         assert outputs.pop().startswith("fail ")
-
-    def test_wrong_classifying_derivation_fails_thm_bg(self, pipeline):
-        # The check compares the derived relations with the pipeline's own
-        # classifying presentation; the boundary ring does not read them.
-        deriv = pipeline.bg_derivation
-        sub1, _ = deriv.substituted_relations
-        wrong = sub1.ring.parse("gamma^2 + beta1*gamma + beta2")
-        fresh = Pipeline()
-        fresh.__dict__["bg_derivation"] = replace(deriv, substituted_relations=(sub1, wrong))
-        report = fresh.run(ids=["thm:bg", "adelta1"])
-        status = {c.id: (c.status, c.witness) for c in report.checks}
-        assert status["thm:bg"] == ("fail", "derived presentation differs from the stated one")
-        assert status["adelta1"][0] == "pass"
-
-    @staticmethod
-    def _failures_with_kernel_vector(pipeline, text):
-        """Failing checks of a run whose twist-kernel lattice in the degree
-        of ``text`` also contains that class."""
-        data = pipeline.gm_data
-        p = data["spec"].parse(text)
-        d = p.weighted_degree()
-        monomials = p.ring.monomials_of_degree(d)
-        kernels = list(data["kernels"])
-        kernels[d] = lattice_basis(kernels[d] + [vector_of(monomials, p)], len(monomials))
-        fresh = Pipeline()
-        fresh.__dict__["gm_data"] = {**data, "kernels": kernels}
-        report = fresh.run()
-        return {c.id: c.witness for c in report.checks if c.status != "pass"}
-
-    def test_extra_kernel_lift_fails_thm45(self, pipeline):
-        # t^10 is no combination of the two stated kernel classes modulo the
-        # relations, so a degree-10 kernel lattice that contains it is not
-        # generated by them.  Only thm:45 reads the kernels.
-        assert self._failures_with_kernel_vector(pipeline, "t^10") == {
-            "thm:45": "kernel piece in degree 10 is not generated by the two classes"
-        }
-
-    def test_kernel_below_degree_three_fails_thm45(self, pipeline):
-        # Below degree 3 the kernel must be the relation lattice itself.
-        assert self._failures_with_kernel_vector(pipeline, "t^2") == {
-            "thm:45": "kernel piece in degree 2 should vanish"
-        }
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
@@ -330,30 +287,6 @@ class TestLocalizationExactness:
             assert restr_kernel == image, f"degree {d}"
 
 
-class TestBiellipticIntermediates:
-    def test_vanishing_form_class(self, pipeline):
-        z0 = pipeline.bielliptic_data["z0"]
-        assert z0 == z0.ring.parse("4*t2^2 + 6*alpha1*t2 + 2*alpha1^2 + alpha2")
-
-    def test_tautological_classes(self, pipeline):
-        t1, t2, t3 = pipeline.bielliptic_data["taut"]
-        ring = t1.ring
-        assert t1 == ring.parse("-beta1 - 2*alpha1")
-        assert t2 == ring.parse("alpha1^2 + alpha1*beta1 + beta2")
-        assert t3 == ring.parse("-3*alpha1 - 2*beta1 + gamma")
-
-    def test_eliminated_quadratic_class(self, pipeline):
-        phi = pipeline.bielliptic_data["phi"]
-        ring = phi["alpha1"].ring
-        assert phi["alpha2"] == ring.parse(
-            "2*lambda1*delta1 - 2*lambda1*gamma - 8*lambda2"
-        )
-        assert phi["beta2"] == ring.parse(
-            "2*lambda1^2 - 3*lambda1*delta1 + delta1^2 + 3*lambda1*gamma"
-            " - 2*delta1*gamma + gamma^2 + lambda2"
-        )
-
-
 class TestConfigBounds:
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -367,3 +300,19 @@ class TestConfigBounds:
         report = Pipeline(max_degree=5).run(ids=["oracle-agreement"])
         assert report.overall == "pass"
         assert report.checks[0].witness.endswith("through degree 8")
+
+    def test_oracle_compares_every_degree_through_eight(self, pipeline, monkeypatch):
+        # The loop must reach the degree that the witness and the stated text
+        # name.
+        degrees = {}
+
+        def recording(spec, d):
+            degrees.setdefault(spec, []).append(d)
+            return True
+
+        monkeypatch.setattr(pipeline_module, "membership_matches_normal_form", recording)
+        assert pipeline.run_check("oracle-agreement").status == "pass"
+        presentations = pipeline.presentations
+        assert len(degrees) == len(presentations) == 6
+        for spec in presentations.values():
+            assert degrees[spec] == list(range(9))
