@@ -48,11 +48,9 @@ from .classifying import (
     BgDerivation,
     RepSpec,
     bg_presentation,
-    bt_pullback,
     bt_pushforward,
     rep_euler_class,
     wn_chern,
-    wn_chern_from_tensor_identity,
 )
 from .pipeline import (
     CheckFailure,

@@ -106,16 +106,6 @@ class SClassCombo:
     def __hash__(self):
         return hash((self.r, self.coeffs))
 
-    def __add__(self, other: "SClassCombo") -> "SClassCombo":
-        if self.r != other.r:
-            raise ValueError("cannot add combinations for different r")
-        return SClassCombo(self.r, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "SClassCombo") -> "SClassCombo":
-        if self.r != other.r:
-            raise ValueError("cannot subtract combinations for different r")
-        return SClassCombo(self.r, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def scale(self, factor) -> "SClassCombo":
         return SClassCombo(self.r, [factor * c for c in self.coeffs])
 
@@ -134,14 +124,13 @@ class SClassCombo:
                 out[index] = out[index] + coefficient * ci * cj
         return SClassCombo(r, out)
 
-    def expand(self, table: SrjTable) -> IntPolynomial:
-        """Polynomial in the hyperplane class, via an expanded table."""
-        if table.r != self.r:
-            raise ValueError("table does not match this combination")
+    def expand(self, values: Sequence[IntPolynomial]) -> IntPolynomial:
+        """The sum of each coefficient times the matching value of s_r^0 ..
+        s_r^r, such as an expanded table's entries."""
         acc = self.ring.zero()
-        for c, entry in zip(self.coeffs, table.entries):
+        for c, value in zip(self.coeffs, values, strict=True):
             if c:
-                acc = acc + c * entry
+                acc = acc + c * value
         return acc
 
     def __str__(self):
@@ -241,34 +230,20 @@ def push_multiplication_power(
     """
     ring = p.ring
     r = len(xvars)
-    idx = [ring.index(x) for x in xvars]
-
     work = p
-    while True:
-        offending = None
-        for exps in work.term_map():
-            for pos, i in enumerate(idx):
-                if exps[i] >= 2:
-                    offending = (exps, i)
-                    break
-            if offending:
-                break
-        if not offending:
-            break
-        exps, i = offending
-        coeff = work.coefficient(exps)
-        reduced = list(exps)
-        reduced[i] -= 2
-        base = IntPolynomial(ring, {tuple(reduced): coeff}, _trusted=True)
-        x_i = ring.var(ring.names[i])
-        work = work - base * x_i ** 2 + base * (-classes.c1 * x_i - classes.c2)
+    for name in xvars:
+        # x^e = -c1 x^(e-1) - c2 x^(e-2), down to x^0 and x^1; the remainder
+        # is unique because squarefree monomials are a basis over the base.
+        powers = [ring.one(), ring.var(name)]
+        reduced = ring.zero()
+        for (e,), coeff in work.coefficients((name,)).items():
+            while len(powers) <= e:
+                powers.append(-classes.c1 * powers[-1] - classes.c2 * powers[-2])
+            reduced = reduced + coeff * powers[e]
+        work = reduced
 
     out = [ring.zero()] * (r + 1)
-    for exps, coeff in work.term_map().items():
-        j = sum(exps[i] for i in idx)
-        rest = list(exps)
-        for i in idx:
-            rest[i] = 0
-        base = IntPolynomial(ring, {tuple(rest): coeff * factorial(r - j)}, _trusted=True)
-        out[j] = out[j] + base
+    for exps, coeff in work.coefficients(xvars).items():
+        j = sum(exps)
+        out[j] = out[j] + factorial(r - j) * coeff
     return SClassCombo(r, out)

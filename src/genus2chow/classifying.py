@@ -4,8 +4,8 @@ The group at the center of the boundary calculations is the wreath-type
 extension of a two-dimensional torus by the swap involution.  The relations
 of its Chow ring are derived here from the rank-2 projective-bundle calculus;
 the stated presentation they are checked against lives in the pipeline's
-table of stated texts.  The transfer (pullback and pushforward) along the
-torus double cover is implemented by the explicit recursion it satisfies.
+table of stated texts.  The pushforward along the torus double cover is
+implemented by the explicit recursion it satisfies.
 Representations are described by a small closed-world grammar, just large
 enough for every Euler class the pipeline needs.
 """
@@ -19,20 +19,7 @@ from .groebner import RingSpec
 from .ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
-# -- ambient rings -------------------------------------------------------------
-
-
-def torus_ring() -> Ring:
-    return Ring(("t1", 1), ("t2", 1))
-
-
 # -- transfer along the torus double cover ---------------------------------------
-
-
-def bt_pullback(p: IntPolynomial, target: Ring) -> IntPolynomial:
-    """Pullback to the torus: beta1 -> t1 + t2, beta2 -> t1 t2, gamma -> 0."""
-    t1, t2 = target.var("t1"), target.var("t2")
-    return p.substitute({"beta1": t1 + t2, "beta2": t1 * t2, "gamma": 0}, target=target)
 
 
 def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
@@ -48,8 +35,7 @@ def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
     product with the rank-2 classifying ring.  Variables other than t1, t2
     pass through as scalars.
     """
-    source, ring = p.ring, target.ring
-    i1, i2 = source.index("t1"), source.index("t2")
+    ring = target.ring
     beta1, beta2, gamma = ring.var("beta1"), ring.var("beta2"), ring.var("gamma")
 
     powers = [ring.const(2), beta1 + gamma]
@@ -61,13 +47,8 @@ def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
         return powers[a]
 
     acc = ring.zero()
-    for exps, coeff in p.term_map().items():
-        a, b = exps[i1], exps[i2]
-        rest = ring.zero() + coeff
-        for i, e in enumerate(exps):
-            if e and i not in (i1, i2):
-                rest = rest * ring.var(source.names[i]) ** e
-        acc = acc + rest * beta2 ** min(a, b) * push_power(abs(a - b))
+    for (a, b), rest in p.coefficients(("t1", "t2")).items():
+        acc = acc + rest.into(ring) * beta2 ** min(a, b) * push_power(abs(a - b))
     return target.normal_form(acc)
 
 
@@ -209,52 +190,6 @@ def wn_chern(n: int, spec: RingSpec) -> tuple[IntPolynomial, IntPolynomial]:
     return spec.normal_form(-c1), spec.normal_form(c2)
 
 
-def wn_chern_from_tensor_identity(
-    n: int, spec: RingSpec
-) -> tuple[IntPolynomial, IntPolynomial]:
-    """Rederive (c1(W_n), c2(W_n)) for n >= 2 from the splitting of
-    W_(n-1) (x) W_1 into W_n plus a twist of W_(n-2), by comparing the
-    degree-1 and degree-2 parts of total Chern classes on both sides.
-    """
-    if n < 2:
-        raise ValueError("the tensor identity derivation needs n >= 2")
-    ring = spec.ring
-    beta1, gamma = ring.var("beta1"), ring.var("gamma")
-
-    work = ring.extend(
-        ("x", 1), ("y", 1), ("u", 1), ("v", 1),
-        ("e1xy", 1), ("e2xy", 2), ("e1uv", 1), ("e2uv", 2),
-    )
-    x, y, u, v = (work.var(name) for name in ("x", "y", "u", "v"))
-    lhs_roots = [x + u, x + v, y + u, y + v]
-    e1_lhs = lhs_roots[0] + lhs_roots[1] + lhs_roots[2] + lhs_roots[3]
-    e2_lhs = work.zero()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e2_lhs = e2_lhs + lhs_roots[i] * lhs_roots[j]
-    families = [(("x", "y"), ("e1xy", "e2xy")), (("u", "v"), ("e1uv", "e2uv"))]
-    e1_lhs = symmetrize_to_elementary(e1_lhs, families)
-    e2_lhs = symmetrize_to_elementary(e2_lhs, families)
-
-    c1_prev, c2_prev = wn_chern(n - 1, spec)
-    c1_prev2, c2_prev2 = wn_chern(n - 2, spec)
-    known = {
-        "e1xy": c1_prev.into(work),
-        "e2xy": c2_prev.into(work),
-        "e1uv": work.var("beta1"),
-        "e2uv": work.var("beta2"),
-    }
-    e1_lhs = e1_lhs.substitute(known, target=work).into(ring)
-    e2_lhs = e2_lhs.substitute(known, target=work).into(ring)
-
-    twist = beta1 + gamma
-    c1_rest = c1_prev2 + 2 * twist
-    e2_rest = c2_prev2 + twist * c1_prev2 + twist * twist
-    c1_n = e1_lhs - c1_rest
-    c2_n = e2_lhs - e2_rest - c1_n * c1_rest
-    return spec.normal_form(c1_n), spec.normal_form(c2_n)
-
-
 # -- derivation of the classifying-space presentation ------------------------------
 
 
@@ -289,8 +224,8 @@ def bg_presentation(target: Ring) -> BgDerivation:
 
     classes = BundleClasses(c1=-alpha1, c2=alpha2)
     table = srj_table(2, classes, hyperplane="t")
-    rel1 = veronese_pushforward(2, 0, classes).expand(table)
-    rel2 = veronese_pushforward(2, 1, classes).expand(table)
+    rel1 = veronese_pushforward(2, 0, classes).expand(table.entries)
+    rel2 = veronese_pushforward(2, 1, classes).expand(table.entries)
 
     beta1, beta2, gamma = target.var("beta1"), target.var("beta2"), target.var("gamma")
     rename = {

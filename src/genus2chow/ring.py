@@ -238,6 +238,19 @@ class IntPolynomial:
     def coefficient(self, exps: Sequence[int]) -> int:
         return self._terms.get(tuple(exps), 0)
 
+    def coefficients(self, names: Sequence[str]) -> dict[tuple[int, ...], "IntPolynomial"]:
+        """Split along the named variables: each exponent tuple of ``names``
+        that occurs maps to its coefficient, a polynomial (in this ring) in
+        the other variables."""
+        idx = [self.ring.index(name) for name in names]
+        split: dict[tuple, dict[tuple, int]] = {}
+        for exps, c in self._terms.items():
+            rest = list(exps)
+            for i in idx:
+                rest[i] = 0
+            split.setdefault(tuple(exps[i] for i in idx), {})[tuple(rest)] = c
+        return {key: IntPolynomial(self.ring, terms, _trusted=True) for key, terms in split.items()}
+
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Greatest term under the ring's monomial order. Raises on zero."""
         if self._lt is None:
@@ -502,7 +515,6 @@ def _check_symmetry(p: IntPolynomial, roots: Sequence[str]):
 
 def _eliminate_family(p: IntPolynomial, roots: list[str], targets: list[str]) -> IntPolynomial:
     ring = p.ring
-    idx = [ring.index(r) for r in roots]
     k = len(roots)
     elem = [elementary_symmetric(ring, roots, i + 1) for i in range(k)]
     tvars = [ring.var(t) for t in targets]
@@ -510,22 +522,13 @@ def _eliminate_family(p: IntPolynomial, roots: list[str], targets: list[str]) ->
     done = ring.zero()
     work = p
     while work:
-        # Split off the terms free of the roots; rewrite the lex-leading rest.
-        free = {e: c for e, c in work._terms.items() if all(e[i] == 0 for i in idx)}
-        if free:
-            part = IntPolynomial(ring, free, _trusted=True)
-            done = done + part
-            work = work - part
-            continue
-        exps, coeff = max(
-            ((e, c) for e, c in work._terms.items()),
-            key=lambda item: tuple(item[0][i] for i in idx),
-        )
-        profile = [exps[i] for i in idx]
-        if sorted(profile, reverse=True) != profile:
+        # Rewrite the whole coefficient of the lex-leading root exponents; the
+        # root-free part comes last, with every step zero.
+        split = work.coefficients(roots)
+        profile = max(split)
+        cofactor = split[profile]
+        if sorted(profile, reverse=True) != list(profile):
             raise AssertionError("lex-leading exponents of a symmetric input must descend")
-        cofactor_exps = tuple(0 if i in idx else e for i, e in enumerate(exps))
-        cofactor = IntPolynomial(ring, {cofactor_exps: coeff}, _trusted=True)
         in_targets = ring.one()
         in_roots = ring.one()
         for i in range(k):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from genus2chow.ring import IntPolynomial, Ring
+from genus2chow.classifying import wn_chern
+from genus2chow.groebner import RingSpec
+from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
 def random_homogeneous(
@@ -36,3 +38,62 @@ def naive_product(terms_a, terms_b):
 
 def as_term_list(p: IntPolynomial):
     return [(c, e) for e, c in p.term_map().items()]
+
+
+# -- oracles for the classifying-space calculus -----------------------------------
+
+
+def torus_ring() -> Ring:
+    return Ring(("t1", 1), ("t2", 1))
+
+
+def bt_pullback(p: IntPolynomial, target: Ring) -> IntPolynomial:
+    """Pullback to the torus: beta1 -> t1 + t2, beta2 -> t1 t2, gamma -> 0."""
+    t1, t2 = target.var("t1"), target.var("t2")
+    return p.substitute({"beta1": t1 + t2, "beta2": t1 * t2, "gamma": 0}, target=target)
+
+
+def wn_chern_from_tensor_identity(
+    n: int, spec: RingSpec
+) -> tuple[IntPolynomial, IntPolynomial]:
+    """Rederive (c1(W_n), c2(W_n)) for n >= 2 from the splitting of
+    W_(n-1) (x) W_1 into W_n plus a twist of W_(n-2), by comparing the
+    degree-1 and degree-2 parts of total Chern classes on both sides.
+    """
+    if n < 2:
+        raise ValueError("the tensor identity derivation needs n >= 2")
+    ring = spec.ring
+    beta1, gamma = ring.var("beta1"), ring.var("gamma")
+
+    work = ring.extend(
+        ("x", 1), ("y", 1), ("u", 1), ("v", 1),
+        ("e1xy", 1), ("e2xy", 2), ("e1uv", 1), ("e2uv", 2),
+    )
+    x, y, u, v = (work.var(name) for name in ("x", "y", "u", "v"))
+    lhs_roots = [x + u, x + v, y + u, y + v]
+    e1_lhs = lhs_roots[0] + lhs_roots[1] + lhs_roots[2] + lhs_roots[3]
+    e2_lhs = work.zero()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            e2_lhs = e2_lhs + lhs_roots[i] * lhs_roots[j]
+    families = [(("x", "y"), ("e1xy", "e2xy")), (("u", "v"), ("e1uv", "e2uv"))]
+    e1_lhs = symmetrize_to_elementary(e1_lhs, families)
+    e2_lhs = symmetrize_to_elementary(e2_lhs, families)
+
+    c1_prev, c2_prev = wn_chern(n - 1, spec)
+    c1_prev2, c2_prev2 = wn_chern(n - 2, spec)
+    known = {
+        "e1xy": c1_prev.into(work),
+        "e2xy": c2_prev.into(work),
+        "e1uv": work.var("beta1"),
+        "e2uv": work.var("beta2"),
+    }
+    e1_lhs = e1_lhs.substitute(known, target=work).into(ring)
+    e2_lhs = e2_lhs.substitute(known, target=work).into(ring)
+
+    twist = beta1 + gamma
+    c1_rest = c1_prev2 + 2 * twist
+    e2_rest = c2_prev2 + twist * c1_prev2 + twist * twist
+    c1_n = e1_lhs - c1_rest
+    c2_n = e2_lhs - e2_rest - c1_n * c1_rest
+    return spec.normal_form(c1_n), spec.normal_form(c2_n)

@@ -72,12 +72,6 @@ class TestMultPushforward:
         # s_3^1 x s_3^2 -> binom(2+1, 2) s_6^3 = 3 s_6^3
         assert pushed.coeffs[3] == lam_ring.parse("3*lambda1")
 
-    def test_combo_linear_ops(self, lam_ring):
-        a = SClassCombo.unit(lam_ring, 2, 0)
-        b = SClassCombo.unit(lam_ring, 2, 1).scale(3)
-        assert (a + b - a).coeffs == b.coeffs
-        assert (b - b).coeffs == tuple([lam_ring.zero()] * 3)
-
 
 class TestDiagonal:
     def test_double(self, generic):

@@ -8,18 +8,15 @@ import pytest
 from genus2chow.classifying import (
     RepSpec,
     bg_presentation,
-    bt_pullback,
     bt_pushforward,
     rep_euler_class,
-    torus_ring,
     wn_chern,
-    wn_chern_from_tensor_identity,
 )
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
-from helpers import random_homogeneous
+from helpers import bt_pullback, random_homogeneous, torus_ring, wn_chern_from_tensor_identity
 
 
 @pytest.fixture(scope="module")

@@ -149,7 +149,7 @@ ROWS = (
     Row("grr-kappa-class", "grr_data", lambda p: _entry(p.grr_data, "kappa_class", _twice),
         {"kappa": "series quotient gives "}),
     Row("grr-leftover", "grr_data",
-        lambda p: _entry(p.grr_data, "leftover", lambda left: left + [(0, 0, 0, 2, 0, 0, 0, 0)]),
+        lambda p: _entry(p.grr_data, "leftover", lambda left: left + [(0, 2, 0)]),
         {"delta0": "unexpected monomials survived the pushforward"}),
     # Only the witness quotes the assembled pushforward.
     Row("grr-pushed", "grr_data", lambda p: _entry(p.grr_data, "pushed", _twice),

@@ -173,6 +173,28 @@ class TestRingAxioms:
             assert product.weighted_degree() in (None, dp + dq)
 
 
+class TestCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        homogeneous_triple(),
+        st.lists(st.sampled_from(("x", "y", "z")), unique=True),
+    )
+    def test_split_reassembles(self, triple, names):
+        p = triple[0] + triple[1] + triple[2]
+        ring = p.ring
+        idx = [ring.index(name) for name in names]
+        split = p.coefficients(names)
+        assert set(split) == {tuple(exps[i] for i in idx) for exps, _ in p.terms()}
+        total = ring.zero()
+        for key, coeff in split.items():
+            assert all(exps[i] == 0 for exps in coeff.term_map() for i in idx)
+            monomial = ring.one()
+            for name, e in zip(names, key):
+                monomial = monomial * ring.var(name) ** e
+            total = total + coeff * monomial
+        assert total == p
+
+
 class TestSymmetrize:
     def test_newton_identity(self):
         ring = Ring(("e1", 1), ("e2", 2), ("a1", 1), ("a2", 1))
