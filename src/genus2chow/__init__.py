@@ -35,13 +35,11 @@ from .graded import (
 from .bundles import (
     BundleClasses,
     SClassCombo,
-    SrjTable,
     diagonal_class,
     mult_pushforward,
     push_multiplication_power,
     segre_pushforward,
     srj_table,
-    subbundle_class,
     veronese_pushforward,
 )
 from .classifying import (

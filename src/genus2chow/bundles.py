@@ -3,9 +3,10 @@
 The multiplication maps (P E)^j x P(Sym^(r-j) E) -> P(Sym^r E) admit a
 distinguished system of classes s_r^j, computed by a two-term recurrence in
 the hyperplane class.  In this basis the pushforwards along multiplication,
-squaring and cubing (Veronese) maps, diagonals, subbundle inclusions and the
-Segre map are all given by small universal formulas, which this module
-implements as exact polynomial operations.
+squaring and cubing (Veronese) maps, diagonals and the Segre map are all
+given by small universal formulas, which this module implements as exact
+polynomial operations.  The formulas in the hyperplane class take that class
+as a polynomial, so they evaluate directly at whatever class it is set to.
 """
 
 from __future__ import annotations
@@ -37,33 +38,20 @@ class BundleClasses:
         return self.c1.ring
 
 
-@dataclass(frozen=True)
-class SrjTable:
-    """The classes s_r^0 .. s_r^r expanded in the hyperplane class."""
-
-    r: int
-    hyperplane: str
-    classes: BundleClasses
-    entries: tuple[IntPolynomial, ...]
-
-    def __getitem__(self, j: int) -> IntPolynomial:
-        return self.entries[j]
-
-
-def srj_table(r: int, classes: BundleClasses, hyperplane: str = "t") -> SrjTable:
-    """Build the s_r^j table from the recurrence
+def srj_table(r: int, classes: BundleClasses, t: IntPolynomial) -> tuple[IntPolynomial, ...]:
+    """The classes s_r^0 .. s_r^r at the hyperplane class ``t``, from the
+    recurrence
     s_r^0 = 1,  s_r^(j+1) = (t + j c1) s_r^j + j (r + 1 - j) c2 s_r^(j-1).
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     ring = classes.ring
-    t = ring.var(hyperplane)
     entries = [ring.one()]
     for j in range(r):
         prev = entries[j]
         prev2 = entries[j - 1] if j >= 1 else ring.zero()
         entries.append((t + j * classes.c1) * prev + j * (r + 1 - j) * classes.c2 * prev2)
-    return SrjTable(r=r, hyperplane=hyperplane, classes=classes, entries=tuple(entries))
+    return tuple(entries)
 
 
 def mult_pushforward(a: int, alpha: int, b: int, beta: int) -> tuple[int, tuple[int, int]]:
@@ -171,52 +159,33 @@ def veronese_pushforward(k: int, j: int, classes: BundleClasses) -> SClassCombo:
     raise ValueError(f"unsupported Veronese indices k = {k}, j = {j}")
 
 
-def subbundle_class(quotient_chern: Sequence[IntPolynomial], hyperplane: str) -> IntPolynomial:
-    """Class of P(V) inside P(W): the Chern polynomial of W/V evaluated at
-    the hyperplane class, x^d + c1 x^(d-1) + ... + cd."""
-    if not quotient_chern:
-        raise ValueError("need at least one Chern class")
-    ring = quotient_chern[0].ring
-    for i, c in enumerate(quotient_chern):
-        deg = c.weighted_degree()
-        if deg is not None and deg != i + 1:
-            raise ValueError(f"Chern class {i + 1} has degree {deg}")
-    x = ring.var(hyperplane)
-    d = len(quotient_chern)
-    acc = x ** d
-    for i, c in enumerate(quotient_chern):
-        acc = acc + c * x ** (d - i - 1)
-    return acc
-
-
 def segre_pushforward(
-    class_index: str,
+    exps: tuple[int, int],
     e1: BundleClasses,
     e2: BundleClasses,
-    hyperplane: str,
+    x: IntPolynomial,
 ) -> IntPolynomial:
-    """Pushforward along the Segre map P E1 x P E2 -> P(E1 (x) E2) of 1, x1,
-    x2 or x1*x2, in the target hyperplane class."""
-    ring = e1.ring
-    if e2.ring != ring:
+    """Pushforward along the Segre map P E1 x P E2 -> P(E1 (x) E2) of
+    x1^i x2^j, for (i, j) = ``exps`` with i, j in {0, 1}, at the target
+    hyperplane class ``x``."""
+    if e2.ring != e1.ring:
         raise RingMismatchError("both bundles must live over one ring")
-    x = ring.var(hyperplane)
     c11, c21 = e1.c1, e1.c2
     c12, c22 = e2.c1, e2.c2
-    if class_index == "1":
+    if exps == (0, 0):
         return 2 * x + c11 + c12
-    if class_index == "x1":
+    if exps == (1, 0):
         return x * x + c12 * x + c22 - c21
-    if class_index == "x2":
+    if exps == (0, 1):
         return x * x + c11 * x + c21 - c22
-    if class_index == "x1x2":
+    if exps == (1, 1):
         return (
             x ** 3
             + (c11 + c12) * x ** 2
             + (c21 + c11 * c12 + c22) * x
             + c11 * c22 + c21 * c12
         )
-    raise ValueError(f"unsupported Segre class index {class_index!r}")
+    raise ValueError(f"unsupported Segre exponents {exps!r}")
 
 
 def push_multiplication_power(

@@ -223,9 +223,9 @@ def bg_presentation(target: Ring) -> BgDerivation:
     groth = groth.into(amb)
 
     classes = BundleClasses(c1=-alpha1, c2=alpha2)
-    table = srj_table(2, classes, hyperplane="t")
-    rel1 = veronese_pushforward(2, 0, classes).expand(table.entries)
-    rel2 = veronese_pushforward(2, 1, classes).expand(table.entries)
+    table = srj_table(2, classes, t)
+    rel1 = veronese_pushforward(2, 0, classes).expand(table)
+    rel2 = veronese_pushforward(2, 1, classes).expand(table)
 
     beta1, beta2, gamma = target.var("beta1"), target.var("beta2"), target.var("gamma")
     rename = {

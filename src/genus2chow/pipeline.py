@@ -23,7 +23,6 @@ from .bundles import (
     push_multiplication_power,
     segre_pushforward,
     srj_table,
-    subbundle_class,
     veronese_pushforward,
 )
 from .classifying import (
@@ -138,9 +137,6 @@ def pushforward_boundary_to_total(p: IntPolynomial, target: Ring) -> IntPolynomi
     delta1 = target.var("delta1")
     lam1 = target.var("lambda1")
     return delta1 * p.substitute({"gamma": delta1 + lam1}, target=target)
-
-
-_SEGRE_KEYS = {(0, 0): "1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1x2"}
 
 
 # The stated results, each written once.  A check parses these texts where it
@@ -293,20 +289,6 @@ _MOD2_RELATIONS = ("gamma^2 + lambda1*gamma", "delta1^2 + delta1*gamma")
 _ORACLE_DEGREE = 8
 
 
-def _s3_values_at_alpha1(ring: Ring) -> list[IntPolynomial]:
-    """Entries of the degree-3 table with the hyperplane class set to the
-    first Chern class of the dual standard representation's ambient twist:
-    1, alpha1, 3*alpha2, alpha1*alpha2."""
-    work = ring.extend(("hyp", 1))
-    cls = BundleClasses(c1=-work.var("alpha1"), c2=work.var("alpha2"))
-    table = srj_table(3, cls, hyperplane="hyp")
-    alpha1 = work.var("alpha1")
-    return [
-        entry.substitute({"hyp": alpha1}, target=work).into(ring)
-        for entry in table.entries
-    ]
-
-
 def _ideal(relations: Sequence[str]) -> str:
     return "(" + ", ".join(relations) + ")"
 
@@ -381,7 +363,7 @@ class Pipeline:
         ring = self.groth_ring
         lam1, lam2 = ring.var("lambda1"), ring.var("lambda2")
         classes = BundleClasses(c1=-lam1, c2=lam2)
-        table = srj_table(6, classes, hyperplane="t")
+        table = srj_table(6, classes, ring.var("t"))
         ver0 = veronese_pushforward(3, 0, classes)
         ver1 = veronese_pushforward(3, 1, classes)
         s1j = [ver1.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
@@ -396,7 +378,7 @@ class Pipeline:
             6, [IntPolynomial(ring, {e: c // 2 for e, c in p.term_map().items()})
                 for p in s02.coeffs]
         ) if evenness else None
-        polys = {name: combo.expand(table.entries) for name, combo in combos.items() if combo}
+        polys = {name: combo.expand(table) for name, combo in combos.items() if combo}
         return {
             "table": table,
             "ver0": ver0,
@@ -439,14 +421,12 @@ class Pipeline:
 
         # Class of the locus where the second summand vanishes, on the torus:
         # the top Chern class of the complementary weight-(4, 6) summand.
-        sub_ring = Ring(("x", 1), ("t1", 1), ("t2", 1))
-        t2v = sub_ring.var("t2")
-        roots = [4 * t2v, 6 * t2v]
-        z_class = subbundle_class([roots[0] + roots[1], roots[0] * roots[1]], "x")
-        z0 = z_class.substitute({"x": 0})
+        torus = Ring(("t1", 1), ("t2", 1))
+        t2v = torus.var("t2")
+        z0 = (4 * t2v) * (6 * t2v)
 
         push1 = bt_pushforward(z0, self.bg)
-        push2 = bt_pushforward(z0 * sub_ring.var("t1"), self.bg)
+        push2 = bt_pushforward(z0 * torus.var("t1"), self.bg)
         if self.corruption == "delta1-excision":
             push2 = push2 - self.bg.parse("beta1*beta2")
 
@@ -579,17 +559,16 @@ class Pipeline:
             amb,
         )
 
-        # Locus where the second linear form vanishes, on the torus cover.
+        # Locus where the second linear form vanishes, on the torus cover:
+        # the top Chern class of the rank-2 bundle with these two roots.
         tg = Ring(("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1))
-        sub_ring = tg.extend(("x", 1))
-        twork = sub_ring.extend(("a1", 1), ("a2", 1))
+        twork = tg.extend(("a1", 1), ("a2", 1))
         a1, a2 = twork.var("a1"), twork.var("a2")
         alpha1w, t2w = twork.var("alpha1"), twork.var("t2")
         roots = [-alpha1w - a1 - 2 * t2w, -alpha1w - a2 - 2 * t2w]
-        c1 = symmetrize_to_elementary(roots[0] + roots[1], [(("a1", "a2"), ("alpha1", "alpha2"))])
-        c2 = symmetrize_to_elementary(roots[0] * roots[1], [(("a1", "a2"), ("alpha1", "alpha2"))])
-        z_class = subbundle_class([c1.into(sub_ring), c2.into(sub_ring)], "x")
-        z0 = z_class.substitute({"x": 0}).into(tg)
+        z0 = symmetrize_to_elementary(
+            roots[0] * roots[1], [(("a1", "a2"), ("alpha1", "alpha2"))]
+        ).into(tg)
         relz2 = bt_pushforward(z0, amb)
         relz3 = bt_pushforward(z0 * tg.var("t1"), amb)
         relzero = [euler_v31, relz2, relz3, euler_pairs]
@@ -597,7 +576,7 @@ class Pipeline:
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
         # hyperplane class set to alpha1, pushed along the cubing map.
         cls_v1 = BundleClasses(c1=-alpha1, c2=alpha2)
-        s3_values = _s3_values_at_alpha1(ar)
+        s3_values = srj_table(3, cls_v1, alpha1)
         rel_t1 = veronese_pushforward(3, 0, cls_v1).expand(s3_values)
         rel_t2 = veronese_pushforward(3, 1, cls_v1).expand(s3_values)
 
@@ -626,17 +605,8 @@ class Pipeline:
 
         # Tautological classes and the inverse change of variables.
         taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
-        e2_wm2 = BundleClasses(
-            c1=w_m2[0].into(ar), c2=w_m2[1].into(ar)
-        )
-        seg_ring = ar.extend(("x", 1))
-        seg1 = segre_pushforward(
-            "1",
-            BundleClasses(c1=(-alpha1).into(seg_ring), c2=alpha2.into(seg_ring)),
-            BundleClasses(c1=e2_wm2.c1.into(seg_ring), c2=e2_wm2.c2.into(seg_ring)),
-            "x",
-        )
-        taut_delta1 = seg1.substitute({"x": (-alpha1).into(seg_ring)}, target=seg_ring).into(ar)
+        e2_wm2 = BundleClasses(c1=w_m2[0].into(ar), c2=w_m2[1].into(ar))
+        taut_delta1 = segre_pushforward((0, 0), cls_v1, e2_wm2, -alpha1)
 
         stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
         lr = stated.ring
@@ -671,9 +641,10 @@ class Pipeline:
         the degree-3 table at alpha1."""
         ar = self.alpha_ambient.ring
         alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
-        work = ar.extend(("x1", 1), ("x2", 1), ("w", 1), ("x", 1))
+        work = ar.extend(("x1", 1), ("x2", 1), ("w", 1))
         w = work.var("w")
-        cls_v1 = BundleClasses(c1=(-alpha1).into(work), c2=alpha2.into(work))
+        minus_alpha1 = (-alpha1).into(work)
+        cls_v1 = BundleClasses(c1=minus_alpha1, c2=alpha2.into(work))
         diag = diagonal_class(2, cls_v1, ("x1", "x2"))
 
         cls_wm2 = BundleClasses(c1=wm2[0].into(work), c2=wm2[1].into(work))
@@ -686,12 +657,12 @@ class Pipeline:
                     raise ValueError("reduce hyperplane powers before pushing")
                 # conic x line -> cubic, fundamental class pushes with multiplicity 3
                 mult_value = s3_values[1] if e1 else 3 * s3_values[0]
-                seg_value = segre_pushforward(_SEGRE_KEYS[(e2, ew)], cls_v1, cls_wm2, "x")
+                seg_value = segre_pushforward((e2, ew), cls_v1, cls_wm2, minus_alpha1)
                 acc = acc + base * mult_value * seg_value
             return acc
 
-        rel5 = push(diag).substitute({"x": (-alpha1).into(work)}, target=work).into(ar)
-        rel6 = push(diag * w).substitute({"x": (-alpha1).into(work)}, target=work).into(ar)
+        rel5 = push(diag).into(ar)
+        rel6 = push(diag * w).into(ar)
         return self.alpha_ambient.normal_form(rel5), self.alpha_ambient.normal_form(rel6)
 
     # ------------------------------------------------------------------

@@ -235,9 +235,6 @@ class IntPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
-
     def coefficients(self, names: Sequence[str]) -> dict[tuple[int, ...], "IntPolynomial"]:
         """Split along the named variables: each exponent tuple of ``names``
         that occurs maps to its coefficient, a polynomial (in this ring) in

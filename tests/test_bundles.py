@@ -1,6 +1,7 @@
 """The rank-2 projective-bundle pushforward calculus."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genus2chow.bundles import (
     BundleClasses,
@@ -10,7 +11,6 @@ from genus2chow.bundles import (
     push_multiplication_power,
     segre_pushforward,
     srj_table,
-    subbundle_class,
     veronese_pushforward,
 )
 from genus2chow.ring import Ring
@@ -32,26 +32,26 @@ class TestSrjTable:
     def test_alpha_table(self):
         ring = Ring(("t", 1), ("alpha1", 1), ("alpha2", 2))
         cls = BundleClasses(c1=-ring.var("alpha1"), c2=ring.var("alpha2"))
-        table = srj_table(2, cls)
+        table = srj_table(2, cls, ring.var("t"))
         assert table[0] == 1
         assert table[1] == ring.var("t")
         assert table[2] == ring.parse("t^2 - alpha1*t + 2*alpha2")
 
     def test_degree_six_entry(self, lam_ring):
         cls = BundleClasses(c1=-lam_ring.var("lambda1"), c2=lam_ring.var("lambda2"))
-        table = srj_table(6, cls)
+        table = srj_table(6, cls, lam_ring.var("t"))
         assert table[3] == lam_ring.parse(
             "t^3 - 3*lambda1*t^2 + (2*lambda1^2 + 16*lambda2)*t - 12*lambda1*lambda2"
         )
 
     def test_first_entry_is_hyperplane(self, generic):
         for r in range(1, 7):
-            assert srj_table(r, generic)[1] == generic.ring.var("t")
+            assert srj_table(r, generic, generic.ring.var("t"))[1] == generic.ring.var("t")
 
     def test_entries_homogeneous_of_their_index(self, generic):
-        table = srj_table(5, generic)
+        table = srj_table(5, generic, generic.ring.var("t"))
         assert table[0] == 1
-        for j, entry in enumerate(table.entries):
+        for j, entry in enumerate(table):
             assert entry.weighted_degree() == (0 if j == 0 else j)
 
 
@@ -136,22 +136,6 @@ class TestVeronese:
             veronese_pushforward(4, 0, generic)
 
 
-class TestSubbundle:
-    def test_rank_two_quotient(self):
-        ring = Ring(("x", 1), ("q1", 1), ("q2", 2))
-        cls = subbundle_class([ring.var("q1"), ring.var("q2")], "x")
-        assert cls == ring.parse("x^2 + q1*x + q2")
-
-    def test_trivial_line_quotient(self):
-        ring = Ring(("x", 1),)
-        assert subbundle_class([ring.zero()], "x") == ring.var("x")
-
-    def test_degree_mismatch(self):
-        ring = Ring(("x", 1), ("q1", 1))
-        with pytest.raises(ValueError):
-            subbundle_class([ring.var("x") * ring.var("x")], "x")
-
-
 class TestSegre:
     @pytest.fixture
     def bundles(self):
@@ -162,36 +146,61 @@ class TestSegre:
 
     def test_fundamental_class(self, bundles):
         ring, e1, e2 = bundles
-        assert segre_pushforward("1", e1, e2, "x") == ring.parse("2*x + c11 + c12")
+        assert segre_pushforward((0, 0), e1, e2, ring.var("x")) == ring.parse("2*x + c11 + c12")
 
     def test_first_hyperplane_with_trivial_first_factor(self):
         ring = Ring(("x", 1), ("c12", 1), ("c22", 2))
         e1 = BundleClasses(c1=ring.zero(), c2=ring.zero())
         e2 = BundleClasses(c1=ring.var("c12"), c2=ring.var("c22"))
-        assert segre_pushforward("x1", e1, e2, "x") == ring.parse("x^2 + c12*x + c22")
+        assert segre_pushforward((1, 0), e1, e2, ring.var("x")) == ring.parse("x^2 + c12*x + c22")
 
     def test_product_with_both_trivial(self):
         ring = Ring(("x", 1),)
         triv = BundleClasses(c1=ring.zero(), c2=ring.zero())
-        assert segre_pushforward("x1x2", triv, triv, "x") == ring.var("x") ** 3
+        assert segre_pushforward((1, 1), triv, triv, ring.var("x")) == ring.var("x") ** 3
 
     def test_projection_formula_self_consistency(self, bundles):
         # Push (x1 + x2)*x2 two ways: via the projection formula against the
         # pushforward of x2, and by expanding x2^2 through its fiber relation.
         ring, e1, e2 = bundles
         x = ring.var("x")
-        via_projection = x * segre_pushforward("x2", e1, e2, "x")
+        via_projection = x * segre_pushforward((0, 1), e1, e2, x)
         via_relation = (
-            segre_pushforward("x1x2", e1, e2, "x")
-            - e2.c1 * segre_pushforward("x2", e1, e2, "x")
-            - e2.c2 * segre_pushforward("1", e1, e2, "x")
+            segre_pushforward((1, 1), e1, e2, x)
+            - e2.c1 * segre_pushforward((0, 1), e1, e2, x)
+            - e2.c2 * segre_pushforward((0, 0), e1, e2, x)
         )
         assert via_projection == via_relation
 
     def test_unknown_index(self, bundles):
-        _, e1, e2 = bundles
+        ring, e1, e2 = bundles
         with pytest.raises(ValueError):
-            segre_pushforward("x3", e1, e2, "x")
+            segre_pushforward((2, 0), e1, e2, ring.var("x"))
+
+
+class TestEvaluationAtAClass:
+    """The formulas use only ring operations, so evaluating them at a class
+    gives what evaluating at the hyperplane variable and substituting gives."""
+
+    RING = Ring(("t", 1), ("c11", 1), ("c21", 2), ("c12", 1), ("c22", 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+        st.integers(0, 6),
+    )
+    def test_evaluate_then_substitute(self, weights, r):
+        ring = self.RING
+        t = ring.var("t")
+        v = sum((w * ring.var(n) for w, n in zip(weights, ("t", "c11", "c12"))), ring.zero())
+        e1 = BundleClasses(c1=ring.var("c11"), c2=ring.var("c21"))
+        e2 = BundleClasses(c1=ring.var("c12"), c2=ring.var("c22"))
+        at_t = srj_table(r, e1, t)
+        assert srj_table(r, e1, v) == tuple(e.substitute({"t": v}) for e in at_t)
+        for exps in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert segre_pushforward(exps, e1, e2, v) == (
+                segre_pushforward(exps, e1, e2, t).substitute({"t": v})
+            )
 
 
 class TestMultiplicationPower:

@@ -101,8 +101,7 @@ ROWS = (
             _item(p.bg_derivation.excision_relations, 1, _twice))),
         {"thm:bg": "excision relations came out as "}),
     Row("s6-table", "s6",
-        lambda p: _entry(p.s6, "table",
-                         lambda t: replace(t, entries=tuple(_item(t.entries, 2, _twice)))),
+        lambda p: _entry(p.s6, "table", lambda t: tuple(_item(t, 2, _twice))),
         {"s6-table": "s6^2 = "}),
     Row("s6-ver1", "s6", lambda p: _entry(p.s6, "ver1", _scaled),
         {"cub-compat": "the two composite expansions of the cubed conic class disagree"}),
@@ -122,6 +121,8 @@ ROWS = (
         {"groth-factor": "root expansion gives "}),
     Row("delta1-euler46", "delta1_data", lambda p: _entry(p.delta1_data, "euler46", _twice),
         {"adelta1": "euler class of the doubled (4,6) weights is not c2*c2"}),
+    Row("delta1-z0", "delta1_data", lambda p: _entry(p.delta1_data, "z0", _twice),
+        {"adelta1": "vanishing-summand class is "}),
     Row("delta1-push2", "delta1_data", lambda p: _entry(p.delta1_data, "push2", _twice),
         {"adelta1": "second excision pushforward is "}),
     # The boundary ring without its excision pushforwards; thm:main reads the
@@ -168,8 +169,15 @@ ROWS = (
     Row("bielliptic-z0", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "z0", _twice),
         {"relzero": "vanishing-form class evaluates to "}),
+    Row("bielliptic-relzero", "bielliptic_data",
+        lambda p: _entry(p.bielliptic_data, "relzero", lambda r: _item(r, 1, _twice)),
+        {"relzero": "zero-section relation mismatch: "}),
     Row("bielliptic-reltrip", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _item(r, 2, _twice)),
+        {"reltrip": "triple-root relation mismatch: "}),
+    # The relation from the common-factor (diagonal, multiplication, Segre) push.
+    Row("bielliptic-reltrip-common-factor", "bielliptic_data",
+        lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _item(r, 4, _twice)),
         {"reltrip": "triple-root relation mismatch: "}),
     Row("bielliptic-taut", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "taut", lambda t: tuple(_item(t, 0, _twice))),

@@ -18,8 +18,8 @@ def ring():
 class TestParse:
     def test_basic(self, ring):
         p = parse_polynomial(ring, "24*lambda1^2 - 48*lambda2")
-        assert p.coefficient((2, 0, 0)) == 24
-        assert p.coefficient((0, 1, 0)) == -48
+        assert p.term_map().get((2, 0, 0)) == 24
+        assert p.term_map().get((0, 1, 0)) == -48
 
     def test_whitespace_insensitive(self, ring):
         assert parse_polynomial(ring, " 2*t -  lambda1 ") == parse_polynomial(
