@@ -15,11 +15,12 @@ when its normal form vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import intlinalg
 from .groebner import RingSpec
-from .ring import IntPolynomial, Ring
+from .ring import IntPolynomial, Ring, RingMismatchError
 
 
 class InfiniteKernelError(ValueError):
@@ -70,9 +71,11 @@ class GradedPieceGroup:
 
     ``basis_change`` maps coefficient vectors in the monomial basis to
     Smith-normal coordinates (vector times matrix); coordinate i is read
-    modulo ``diagonal[i]`` (0 meaning a free coordinate).
+    modulo ``diagonal[i]`` (0 meaning a free coordinate).  Only polynomials
+    over ``ring`` have coordinates.
     """
 
+    ring: Ring
     degree: int
     monomial_basis: tuple[tuple, ...]
     free_rank: int
@@ -80,12 +83,17 @@ class GradedPieceGroup:
     basis_change: tuple[tuple, ...]
     diagonal: tuple[int, ...]
 
+    @cached_property
+    def _index(self) -> dict[tuple, int]:
+        return _monomial_index(self.monomial_basis)
+
     def coordinates(self, p: IntPolynomial) -> list[int]:
+        if p.ring != self.ring:
+            raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
         deg = p.weighted_degree()
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
-        vec = vector_of(self.monomial_basis, p)
-        return intlinalg.matvec_left(vec, self.basis_change)
+        return intlinalg.matvec_left(_vector(self._index, p), self.basis_change)
 
     def residue(self, p: IntPolynomial) -> tuple[int, ...]:
         """Canonical coordinates: entry i reduced modulo diagonal[i]."""
@@ -117,6 +125,7 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     monomials, rows = relation_rows(spec, d)
     diagonal, basis_change, _ = _smith_quotient(rows, len(monomials))
     return GradedPieceGroup(
+        ring=spec.ring,
         degree=d,
         monomial_basis=tuple(monomials),
         free_rank=sum(1 for x in diagonal if x == 0),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from math import gcd
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .ring import IntPolynomial, Ring, RingMismatchError
@@ -84,17 +85,21 @@ class Ideal:
 
 
 def _monomial_divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
-    """(lead exps, lead coeff, poly) of each nonzero poly, least lead
-    coefficient first and then least leading monomial.  The sort is stable,
-    so ties keep the order of ``polys``; ``_reduce`` takes the first lead
-    that divides a term as its reducer."""
+    """(lead exps, lead coeff, tail) of each nonzero poly, least lead
+    coefficient first and then least leading monomial; the tail lists the
+    poly's other terms as (exps, coeff) pairs.  The sort is stable, so ties
+    keep the order of ``polys``; ``_reduce`` takes the first lead that
+    divides a term as its reducer."""
     table = [(exps, coeff, g) for g in polys for exps, coeff in [g.leading_term()]]
     table.sort(key=lambda lead: (lead[1], lead[2].ring.monomial_key(lead[0])))
-    return table
+    return [
+        (exps, coeff, [term for term in g.term_map().items() if term[0] != exps])
+        for exps, coeff, g in table
+    ]
 
 
 class StrongGroebnerBasis:
@@ -105,6 +110,8 @@ class StrongGroebnerBasis:
     def __init__(self, ring: Ring, elements: Sequence[IntPolynomial]):
         self.ring = ring
         self.elements = tuple(elements)
+        for g in self.elements:
+            g.weighted_degree()  # raises InhomogeneousError; _reduce needs homogeneous leads
         self._leads = _lead_table(self.elements)
 
     def __repr__(self):
@@ -132,51 +139,48 @@ class StrongGroebnerBasis:
                         )
 
 
-def _neg_key(key: tuple) -> tuple:
-    # Reverses the order of monomial keys, so a min-heap pops the largest.
-    return (-key[0], tuple(-x for x in key[1]))
-
-
 def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
     """Fully reduce p, from its greatest term down, by the leads.
 
     The leads must come from ``_lead_table``: each term is reduced by the
     first lead whose monomial divides it, which is then the one with the
     least (lead coefficient, leading monomial).  That fixes the reducer
-    whatever order the basis came in."""
+    whatever order the basis came in.  A reduction step keeps the residue of
+    the term modulo the lead coefficient and subtracts the quotient times the
+    shifted tail.  The leads are homogeneous, so every term a step adds has
+    the degree of the term it reduces; the heap key (negated degree,
+    reversed exponents) is the negated grevlex key."""
     ring = p.ring
-    key = ring.monomial_key
     work = p.term_map()
-    heap = [(_neg_key(key(m)), m) for m in work]
+    heap = [(-ring.monomial_degree(m), m[::-1]) for m in work]
     heapq.heapify(heap)
     out: dict[tuple, int] = {}
     while heap:
-        _, mono = heapq.heappop(heap)
-        if mono not in work:
+        neg_degree, reverse = heapq.heappop(heap)
+        mono = reverse[::-1]
+        coeff = work.pop(mono, 0)
+        if not coeff:
             continue
-        coeff = work[mono]
-        for lexps, lcoeff, g in leads:
-            if _monomial_divides(lexps, mono):
+        for lexps, lcoeff, tail in leads:
+            if all(map(le, lexps, mono)):
                 break
         else:
             out[mono] = coeff
-            del work[mono]
             continue
         q, r = divmod(coeff, lcoeff)
+        if r:
+            out[mono] = r
         if q:
-            shift = tuple(a - b for a, b in zip(mono, lexps))
-            for gexps, gcoeff in g.term_map().items():
-                tgt = tuple(a + b for a, b in zip(shift, gexps))
+            shift = tuple(map(sub, mono, lexps))
+            for gexps, gcoeff in tail:
+                tgt = tuple(map(add, shift, gexps))
                 v = work.get(tgt, 0) - q * gcoeff
                 if v:
                     if tgt not in work:
-                        heapq.heappush(heap, (_neg_key(key(tgt)), tgt))
+                        heapq.heappush(heap, (neg_degree, tgt[::-1]))
                     work[tgt] = v
                 else:
-                    work.pop(tgt, None)
-        if r:
-            out[mono] = r
-            work.pop(mono, None)
+                    del work[tgt]
     return IntPolynomial(ring, out, _trusted=True)
 
 

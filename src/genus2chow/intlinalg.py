@@ -91,7 +91,11 @@ def _sparse(row: Sequence[int]) -> dict[int, int]:
 
 
 def _dense(row: dict[int, int], start: int, stop: int) -> list[int]:
-    return [row.get(j, 0) for j in range(start, stop)]
+    out = [0] * (stop - start)
+    for j, x in row.items():
+        if start <= j < stop:
+            out[j - start] = x
+    return out
 
 
 def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
@@ -106,8 +110,9 @@ def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
 
     def subtract(i: int, q: int, prow: dict[int, int]) -> None:
         row = H[i]
+        get = row.get
         for j, y in prow.items():
-            v = row.get(j, 0) - q * y
+            v = get(j, 0) - q * y
             if v:
                 row[j] = v
             else:
@@ -296,12 +301,14 @@ def smith_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> S
 
     t = 0
     while t < min(m, n):
+        # The first least entry in row order; no entry is less than a unit,
+        # so the search stops at the first unit.
         best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = D[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+        for x, i, j in ((abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n)):
+            if x and (best is None or x < best[0]):
+                best = (x, i, j)
+                if x == 1:
+                    break
         if best is None:
             break
         _, i, j = best

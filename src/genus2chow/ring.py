@@ -10,6 +10,7 @@ pure functions, so results can be shared freely.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
@@ -316,10 +317,11 @@ class IntPolynomial:
             )
         self._check_ring(other)
         result: dict[tuple, int] = {}
+        add, get = operator.add, result.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                v = result.get(key, 0) + c1 * c2
+                key = tuple(map(add, e1, e2))
+                v = get(key, 0) + c1 * c2
                 if v:
                     result[key] = v
                 elif key in result:

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from genus2chow.classifying import wn_chern
 from genus2chow.groebner import RingSpec
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python process that imports the package
+    from this checkout, whether or not PYTHONPATH names it."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
 
 
 def random_homogeneous(
@@ -38,6 +50,38 @@ def naive_product(terms_a, terms_b):
 
 def as_term_list(p: IntPolynomial):
     return [(c, e) for e, c in p.term_map().items()]
+
+
+def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:
+    """Normal form of p by plain division: the greatest remaining term is
+    reduced by the first basis element, in lead-table order (least lead
+    coefficient, then least leading monomial), whose leading monomial
+    divides it, and q times the shifted element is subtracted in full."""
+    ring = p.ring
+    leads = sorted(
+        ((g.leading_term(), g) for g in elements),
+        key=lambda lead: (lead[0][1], ring.monomial_key(lead[0][0])),
+    )
+    work = p.term_map()
+    out: dict[tuple, int] = {}
+    while work:
+        mono = max(work, key=ring.monomial_key)
+        for (lexps, lcoeff), g in leads:
+            if all(a <= b for a, b in zip(lexps, mono)):
+                break
+        else:
+            out[mono] = work.pop(mono)
+            continue
+        q = work[mono] // lcoeff
+        shift = tuple(a - b for a, b in zip(mono, lexps))
+        for gexps, gcoeff in g.term_map().items():
+            tgt = tuple(a + b for a, b in zip(shift, gexps))
+            work[tgt] = work.get(tgt, 0) - q * gcoeff
+            if not work[tgt]:
+                del work[tgt]
+        if mono in work:
+            out[mono] = work.pop(mono)
+    return IntPolynomial(ring, out)
 
 
 # -- oracles for the classifying-space calculus -----------------------------------

@@ -5,7 +5,7 @@ them and reads the Smith and Hermite transforms, and ``bench/workloads.py``
 reads named pipeline intermediates and passes ``corruption``.  These tests
 fail fast when a change to ``src/`` removes or renames one of them; the
 benchmark's own suite (``python3 -m unittest bench/test_bench.py``) notices
-too, but runs for minutes.
+too, but takes about half a minute.
 """
 
 import sys

@@ -4,6 +4,8 @@ import json
 
 from genus2chow.cli import main
 
+from helpers import child_env
+
 
 class TestVerify:
     def test_single_check_text(self, capsys):
@@ -71,6 +73,7 @@ class TestProcessLevel:
              "--fail-fast"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "kappa" in proc.stdout
@@ -86,6 +89,7 @@ class TestProcessLevel:
              "--max-degree", "14"],
             capture_output=True,
             text=True,
+            env=child_env(),
             timeout=60,
         )
         assert proc.returncode == 0

@@ -15,6 +15,7 @@ from genus2chow.graded import (
     relation_rows,
 )
 from genus2chow.groebner import RingSpec
+from genus2chow.ring import Ring, RingMismatchError
 
 
 def row_sets(max_dim=5, bound=20):
@@ -116,6 +117,14 @@ class TestGradedPiece:
     def test_negative_degree_rejected(self, bg_spec):
         with pytest.raises(ValueError):
             graded_piece(bg_spec, -1)
+
+    def test_foreign_ring_rejected(self):
+        # Same variable count and weights, other names: the exponent tuples
+        # would match the piece's monomials if the ring went unchecked.
+        piece = graded_piece(RingSpec.build((("x", 1), ("y", 1)), ("2*x",)), 1)
+        assert piece.is_zero(piece.ring.parse("2*x"))
+        with pytest.raises(RingMismatchError):
+            piece.is_zero(Ring(("a", 1), ("b", 1)).parse("2*a"))
 
     def test_oracle_agreement(self, bg_spec, delta1_spec, open_spec):
         for spec in (bg_spec, delta1_spec, open_spec):

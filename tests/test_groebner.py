@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genus2chow.groebner as gb
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal, strong_groebner
 from genus2chow.ring import InhomogeneousError, Ring, RingMismatchError
 
-from helpers import random_homogeneous
+from helpers import random_homogeneous, reference_reduce
 
 
 @pytest.fixture
@@ -29,6 +30,11 @@ class TestIdealValidation:
 
     def test_constant_generator_allowed(self, bg_ring):
         Ideal(bg_ring, (bg_ring.const(2),))
+
+    def test_inhomogeneous_basis_element_rejected(self, bg_ring):
+        # Reduction keys each new term by the degree of the term it reduces.
+        with pytest.raises(InhomogeneousError):
+            gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("beta1 + beta2"),))
 
 
 class TestStrongGroebner:
@@ -234,6 +240,41 @@ class TestLeadOrder:
                 for exps in ring.monomials_of_degree(d):
                     mono = ring.polynomial({exps: 1})
                     assert shuffled.normal_form(mono) == spec.normal_form(mono)
+
+
+class TestReferenceReducer:
+    """``normal_form`` against a plain division that subtracts whole basis
+    elements."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(
+            ["classifying", "boundary", "twist-quotient", "open-stratum", "total", "bielliptic"]
+        ),
+        st.integers(0, 8),
+        st.randoms(use_true_random=False),
+    )
+    def test_pipeline_presentations(self, pipeline, name, degree, rng):
+        spec = pipeline.presentations[name]
+        basis = spec.groebner
+        p = random_homogeneous(spec.ring, degree, rng, max_terms=8, coeff_bound=50)
+        assert basis.normal_form(p) == reference_reduce(p, basis.elements)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_ideals(self, rng):
+        # Division is defined by any lead table, so the random generators
+        # serve as the basis uncompleted: the reducer is tested apart from
+        # completion, which the presentations above cover.
+        ring = Ring(("x", 1), ("y", 1), ("z", 2))
+        gens = [
+            random_homogeneous(ring, rng.randint(1, 3), rng, coeff_bound=20)
+            for _ in range(rng.randint(1, 4))
+        ]
+        basis = gb.StrongGroebnerBasis(ring, [g for g in gens if g])
+        for _ in range(5):
+            p = random_homogeneous(ring, rng.randint(0, 5), rng, max_terms=6, coeff_bound=500)
+            assert basis.normal_form(p) == reference_reduce(p, basis.elements)
 
 
 class TestRingSpec:

@@ -169,6 +169,17 @@ class TestSmith:
         snf.verify(A)
         assert snf.diagonal == [1, 6]
 
+    def test_first_unit_is_the_pivot(self):
+        # Units at (0, 2), (1, 0) and (2, 1): the pivot search takes the
+        # first in row order, as a full scan for the least entry does.  The
+        # literals are that full scan's result.
+        A = [[2, 3, 1], [1, 4, 6], [5, 1, 7]]
+        snf = la.smith_normal_form(A)
+        snf.verify(A)
+        assert snf.U == [[1, 0, 0], [11, 4, -5], [23, 9, -11]]
+        assert snf.V == [[0, 1, -44], [0, 0, 1], [1, -2, 85]]
+        assert snf.diagonal == [1, 1, 94]
+
     def test_rank_deficient(self):
         A = [[1, 2], [2, 4]]
         snf = la.smith_normal_form(A)

@@ -1,7 +1,6 @@
 """The end-to-end verification pipeline: reports, selection, fault injection."""
 
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +17,8 @@ from genus2chow.pipeline import (
     pushforward_boundary_to_total,
 )
 from genus2chow.ring import Ring
+
+from helpers import child_env
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 GOLDEN_D10 = GOLDEN / "verify-d10.json"
@@ -99,7 +100,7 @@ class TestFaultInjection:
                 [sys.executable, "-c", code],
                 capture_output=True,
                 text=True,
-                env={**os.environ, "PYTHONHASHSEED": seed},
+                env=child_env(PYTHONHASHSEED=seed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
