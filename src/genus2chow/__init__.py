@@ -38,16 +38,15 @@ from .bundles import (
     diagonal_class,
     mult_pushforward,
     push_multiplication_power,
+    root_product,
     segre_pushforward,
     srj_table,
     veronese_pushforward,
 )
 from .classifying import (
     BgDerivation,
-    RepSpec,
     bg_presentation,
     bt_pushforward,
-    rep_euler_class,
     wn_chern,
 )
 from .pipeline import (

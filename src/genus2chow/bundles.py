@@ -7,6 +7,11 @@ squaring and cubing (Veronese) maps, diagonals and the Segre map are all
 given by small universal formulas, which this module implements as exact
 polynomial operations.  The formulas in the hyperplane class take that class
 as a polynomial, so they evaluate directly at whatever class it is set to.
+
+Euler classes and projective-bundle relations are products of linear forms
+in the Chern roots of rank-2 bundles; ``root_product`` expands such a
+product and rewrites it in the bundles' Chern classes by the splitting
+principle.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
 
-from .ring import IntPolynomial, Ring, RingMismatchError
+from .ring import IntPolynomial, Ring, RingMismatchError, symmetrize_to_elementary
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,42 @@ class BundleClasses:
     @property
     def ring(self) -> Ring:
         return self.c1.ring
+
+
+def root_product(
+    classes: Sequence[BundleClasses],
+    factors: Sequence[tuple[IntPolynomial, Sequence[int]]],
+) -> IntPolynomial:
+    """The product of linear forms in the Chern roots of rank-2 bundles,
+    written in their Chern classes.
+
+    Each factor (x, multiplicities) is the form x + m1 r1 + m2 r2 + ..., with
+    x a class of the bundles' ring and (m1, m2) the multiples of each
+    bundle's roots (r1, r2) in turn.  The product must be symmetric in each
+    bundle's pair of roots; ``NotSymmetricError`` is raised otherwise.
+    """
+    ring = classes[0].ring
+    # Names behind more underscores than any name of the ring has characters
+    # are fresh.
+    fresh = "_" * (1 + max(len(v.name) for v in ring.variables))
+    roots = [(f"{fresh}r{k}", f"{fresh}s{k}") for k in range(len(classes))]
+    chern = [(f"{fresh}c{k}", f"{fresh}d{k}") for k in range(len(classes))]
+    work = ring.extend(
+        *((name, 1) for pair in roots for name in pair),
+        *(spec for c1, c2 in chern for spec in ((c1, 1), (c2, 2))),
+    )
+    root_vars = [work.var(name) for pair in roots for name in pair]
+    product = work.one()
+    for x, multiplicities in factors:
+        form = x.into(work)
+        for m, r in zip(multiplicities, root_vars, strict=True):
+            form = form + m * r
+        product = product * form
+    symmetric = symmetrize_to_elementary(product, list(zip(roots, chern)))
+    images = {}
+    for cls, (c1, c2) in zip(classes, chern):
+        images[c1], images[c2] = cls.c1, cls.c2
+    return symmetric.substitute(images, target=ring)
 
 
 def srj_table(r: int, classes: BundleClasses, t: IntPolynomial) -> tuple[IntPolynomial, ...]:

@@ -33,9 +33,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="run one check by id (repeatable)",
     )
-    verify.add_argument("--max-degree", type=int, default=10, metavar="N")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--fail-fast", action="store_true")
+    verify.add_argument(
+        "--max-degree", type=int, default=10, metavar="N",
+        help="degree through which thm:45 compares the twist kernel; at least 5 (default 10)",
+    )
+    verify.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report as text lines or as one JSON document (default text)",
+    )
+    verify.add_argument("--fail-fast", action="store_true", help="stop after the first failing check")
 
     explain = sub.add_parser("explain", help="describe one check and its witness")
     explain.add_argument("id")

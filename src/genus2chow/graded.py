@@ -38,11 +38,6 @@ def _vector(index: dict[tuple, int], p: IntPolynomial) -> list[int]:
     return vec
 
 
-def vector_of(monomials: Sequence[tuple], p: IntPolynomial) -> list[int]:
-    """Coefficient vector of a homogeneous polynomial in a monomial basis."""
-    return _vector(_monomial_index(monomials), p)
-
-
 def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) -> IntPolynomial:
     return IntPolynomial(ring, {m: c for m, c in zip(monomials, vec) if c})
 

@@ -21,17 +21,12 @@ from .bundles import (
     SClassCombo,
     diagonal_class,
     push_multiplication_power,
+    root_product,
     segre_pushforward,
     srj_table,
     veronese_pushforward,
 )
-from .classifying import (
-    RepSpec,
-    bg_presentation,
-    bt_pushforward,
-    rep_euler_class,
-    wn_chern,
-)
+from .classifying import bg_presentation, bt_pushforward, wn_chern
 from .graded import (
     enumerate_kernel_elements,
     graded_piece,
@@ -41,7 +36,7 @@ from .graded import (
 )
 from .groebner import Ideal, RingSpec, ideal_equal
 from .intlinalg import determinant_expansion, lattice_basis
-from .ring import IntPolynomial, Ring, symmetrize_to_elementary, chern_series_quotient
+from .ring import IntPolynomial, Ring, chern_series_quotient
 
 
 class CheckFailure(AssertionError):
@@ -395,29 +390,12 @@ class Pipeline:
         """The degree-7 projective-bundle relation for the six-fold symmetric
         power, expanded from its Chern roots."""
         ring = self.groth_ring
-        work = ring.extend(("r1", 1), ("r2", 1), ("e1v", 1), ("e2v", 2))
-        t, r1, r2 = work.var("t"), work.var("r1"), work.var("r2")
-        factors = [
-            t + 6 * r1,
-            t + 6 * r2,
-            t + 5 * r1 + r2,
-            t + r1 + 5 * r2,
-            t + 4 * r1 + 2 * r2,
-            t + 2 * r1 + 4 * r2,
-            t + 3 * r1 + 3 * r2,
-        ]
-        product = work.one()
-        for f in factors:
-            product = product * f
-        sym = symmetrize_to_elementary(product, [(("r1", "r2"), ("e1v", "e2v"))])
-        lam1, lam2 = work.var("lambda1"), work.var("lambda2")
-        return sym.substitute({"e1v": -lam1, "e2v": lam2}, target=work).into(ring)
+        classes = BundleClasses(c1=-ring.var("lambda1"), c2=ring.var("lambda2"))
+        return root_product([classes], [(ring.var("t"), (i, 6 - i)) for i in range(7)])
 
     @cached_property
     def delta1_data(self) -> dict:
-        euler46 = rep_euler_class(RepSpec.g_doubled(4, 6), self.bg)
-        w4 = wn_chern(4, self.bg)
-        w6 = wn_chern(6, self.bg)
+        euler46 = self.bg.normal_form(wn_chern(4, self.bg)[1] * wn_chern(6, self.bg)[1])
 
         # Class of the locus where the second summand vanishes, on the torus:
         # the top Chern class of the complementary weight-(4, 6) summand.
@@ -444,7 +422,6 @@ class Pipeline:
         derived = RingSpec(ring, Ideal(ring, derived_gens))
         return {
             "euler46": euler46,
-            "c2_product": self.bg.normal_form(w4[1] * w6[1]),
             "z0": z0,
             "push1": push1,
             "push2": push2,
@@ -553,29 +530,36 @@ class Pipeline:
         ar = amb.ring
         alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
 
-        euler_v31 = rep_euler_class(RepSpec.gl2_sym_twist(3, 1), amb)
-        euler_pairs = rep_euler_class(
-            RepSpec.external_tensor(RepSpec.gl2_sym_twist(1, -1), RepSpec.g_doubled(-2)),
-            amb,
+        # The twisted cubics have roots (i - 1) r1 + (2 - i) r2 in the roots
+        # of the rank-2 bundle; the paired linear forms add one root of the
+        # doubled weight -2 to the roots r1 + 2 r2 and 2 r1 + r2.
+        cls_v1 = BundleClasses(c1=-alpha1, c2=alpha2)
+        w_m2 = wn_chern(-2, self.bg)
+        e2_wm2 = BundleClasses(c1=w_m2[0].into(ar), c2=w_m2[1].into(ar))
+        euler_v31 = amb.normal_form(
+            root_product([cls_v1], [(ar.zero(), (i - 1, 2 - i)) for i in range(4)])
+        )
+        euler_pairs = amb.normal_form(
+            root_product(
+                [cls_v1, e2_wm2],
+                [(ar.zero(), (m, 3 - m, k, 1 - k)) for m in (1, 2) for k in (0, 1)],
+            )
         )
 
         # Locus where the second linear form vanishes, on the torus cover:
-        # the top Chern class of the rank-2 bundle with these two roots.
+        # the top Chern class of the rank-2 bundle with roots r - alpha1 - 2 t2.
         tg = Ring(("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1))
-        twork = tg.extend(("a1", 1), ("a2", 1))
-        a1, a2 = twork.var("a1"), twork.var("a2")
-        alpha1w, t2w = twork.var("alpha1"), twork.var("t2")
-        roots = [-alpha1w - a1 - 2 * t2w, -alpha1w - a2 - 2 * t2w]
-        z0 = symmetrize_to_elementary(
-            roots[0] * roots[1], [(("a1", "a2"), ("alpha1", "alpha2"))]
-        ).into(tg)
+        shift = -tg.var("alpha1") - 2 * tg.var("t2")
+        z0 = root_product(
+            [BundleClasses(c1=-tg.var("alpha1"), c2=tg.var("alpha2"))],
+            [(shift, (1, 0)), (shift, (0, 1))],
+        )
         relz2 = bt_pushforward(z0, amb)
         relz3 = bt_pushforward(z0 * tg.var("t1"), amb)
         relzero = [euler_v31, relz2, relz3, euler_pairs]
 
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
         # hyperplane class set to alpha1, pushed along the cubing map.
-        cls_v1 = BundleClasses(c1=-alpha1, c2=alpha2)
         s3_values = srj_table(3, cls_v1, alpha1)
         rel_t1 = veronese_pushforward(3, 0, cls_v1).expand(s3_values)
         rel_t2 = veronese_pushforward(3, 1, cls_v1).expand(s3_values)
@@ -598,14 +582,12 @@ class Pipeline:
         rel_t4 = bt_pushforward(pushed_sq * tg.var("t1"), amb)
 
         # All three forms share a common factor.
-        w_m2 = wn_chern(-2, self.bg)
         rel_t5, rel_t6 = self._common_factor_relations(w_m2, s3_values)
 
         reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]
 
         # Tautological classes and the inverse change of variables.
         taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
-        e2_wm2 = BundleClasses(c1=w_m2[0].into(ar), c2=w_m2[1].into(ar))
         taut_delta1 = segre_pushforward((0, 0), cls_v1, e2_wm2, -alpha1)
 
         stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
@@ -810,10 +792,6 @@ class Pipeline:
     def check_adelta1(self) -> str:
         data = self.delta1_data
         euler46, z0 = data["euler46"], data["z0"]
-        _require(
-            euler46 == data["c2_product"],
-            "euler class of the doubled (4,6) weights is not c2*c2",
-        )
         _require(
             euler46 == self.bg.parse(_BOUNDARY_EULER),
             f"euler class of the doubled (4,6) weights is {euler46}",

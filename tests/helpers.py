@@ -52,6 +52,15 @@ def as_term_list(p: IntPolynomial):
     return [(c, e) for e, c in p.term_map().items()]
 
 
+def vector_of(monomials, p: IntPolynomial) -> list[int]:
+    """Coefficient vector of a homogeneous polynomial in a monomial basis."""
+    index = {m: i for i, m in enumerate(monomials)}
+    vec = [0] * len(monomials)
+    for exps, coeff in p.term_map().items():
+        vec[index[exps]] = coeff
+    return vec
+
+
 def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:
     """Normal form of p by plain division: the greatest remaining term is
     reduced by the first basis element, in lead-table order (least lead

@@ -9,11 +9,12 @@ from genus2chow.bundles import (
     diagonal_class,
     mult_pushforward,
     push_multiplication_power,
+    root_product,
     segre_pushforward,
     srj_table,
     veronese_pushforward,
 )
-from genus2chow.ring import Ring
+from genus2chow.ring import NotSymmetricError, Ring
 
 
 @pytest.fixture
@@ -26,6 +27,54 @@ def generic():
 @pytest.fixture
 def lam_ring():
     return Ring(("t", 1), ("lambda1", 1), ("lambda2", 2))
+
+
+def _swapped(multiplicities: tuple, k: int) -> tuple:
+    """The multiplicities with the k-th bundle's two roots exchanged."""
+    m = list(multiplicities)
+    m[2 * k], m[2 * k + 1] = m[2 * k + 1], m[2 * k]
+    return tuple(m)
+
+
+class TestRootProduct:
+    """On split bundles, with roots (x, y) and (u, v), the product rewritten
+    in Chern classes is the plain product at those roots."""
+
+    RING = Ring(("x", 1), ("y", 1), ("u", 1), ("v", 1), ("z", 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.lists(
+            st.tuples(
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+            ),
+            max_size=2,
+        ),
+    )
+    def test_split_bundles(self, nbundles, drawn):
+        ring = self.RING
+        roots = [ring.var(name) for name in ("x", "y", "u", "v")[: 2 * nbundles]]
+        classes = [BundleClasses(c1=a + b, c2=a * b) for a, b in zip(roots[::2], roots[1::2])]
+        factors = []
+        for (wx, wz), multiplicities in drawn:
+            # A base class in x and z; more base variables make a degree-8
+            # product take seconds.
+            base = wx * ring.var("x") + wz * ring.var("z")
+            # Close the drawn factor under each bundle's root swap.
+            orbit = [tuple(multiplicities[: 2 * nbundles])]
+            for k in range(nbundles):
+                orbit += [_swapped(m, k) for m in orbit]
+            factors += [(base, m) for m in orbit]
+        expected = ring.one()
+        for base, multiplicities in factors:
+            expected = expected * (base + sum(m * r for m, r in zip(multiplicities, roots)))
+        assert root_product(classes, factors) == expected
+
+    def test_asymmetric_factor(self, generic):
+        with pytest.raises(NotSymmetricError):
+            root_product([generic], [(generic.ring.var("t"), (1, 2))])
 
 
 class TestSrjTable:

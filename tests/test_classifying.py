@@ -5,13 +5,8 @@ import random
 
 import pytest
 
-from genus2chow.classifying import (
-    RepSpec,
-    bg_presentation,
-    bt_pushforward,
-    rep_euler_class,
-    wn_chern,
-)
+from genus2chow.bundles import BundleClasses, root_product
+from genus2chow.classifying import bg_presentation, bt_pushforward, wn_chern
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
@@ -123,27 +118,36 @@ def alpha_ambient():
     return RingSpec(ring, Ideal(ring, (2 * g, g * g + b1 * g)))
 
 
+def _standard(spec: RingSpec) -> BundleClasses:
+    """The dual standard bundle of the rank-2 group, with roots r1 and r2."""
+    return BundleClasses(c1=-spec.ring.var("alpha1"), c2=spec.ring.var("alpha2"))
+
+
 class TestEulerClasses:
     def test_twisted_cubics(self, alpha_ambient):
-        out = rep_euler_class(RepSpec.gl2_sym_twist(3, 1), alpha_ambient)
-        assert out == alpha_ambient.parse("9*alpha2^2 - 2*alpha1^2*alpha2")
+        # Sym^3 twisted by the determinant: roots (i - 1) r1 + (2 - i) r2.
+        zero = alpha_ambient.ring.zero()
+        out = root_product(
+            [_standard(alpha_ambient)], [(zero, (i - 1, 2 - i)) for i in range(4)]
+        )
+        assert alpha_ambient.normal_form(out) == alpha_ambient.parse(
+            "9*alpha2^2 - 2*alpha1^2*alpha2"
+        )
 
-    def test_paired_linear_forms(self, alpha_ambient):
-        rep = RepSpec.external_tensor(RepSpec.gl2_sym_twist(1, -1), RepSpec.g_doubled(-2))
-        out = rep_euler_class(rep, alpha_ambient)
+    def test_paired_linear_forms(self, alpha_ambient, bg):
+        # The roots r1 + 2 r2 and 2 r1 + r2, each plus a root of the doubled
+        # weight -2.
+        ring = alpha_ambient.ring
+        c1, c2 = wn_chern(-2, bg)
+        doubled = BundleClasses(c1=c1.into(ring), c2=c2.into(ring))
+        out = root_product(
+            [_standard(alpha_ambient), doubled],
+            [(ring.zero(), (m, 3 - m, k, 1 - k)) for m in (1, 2) for k in (0, 1)],
+        )
         stated = alpha_ambient.parse(
             "4*alpha1^4 + 12*alpha1^3*beta1 + 8*alpha1^2*beta1^2 + 4*alpha1^2*alpha2"
             " + 6*alpha1*alpha2*beta1 + 4*alpha2*beta1^2 + 20*alpha1^2*beta2"
             " + 24*alpha1*beta1*beta2 + alpha1*alpha2*gamma + alpha2*beta1*gamma"
             " + alpha2^2 - 8*alpha2*beta2 + 16*beta2^2"
         )
-        assert out == alpha_ambient.normal_form(stated)
-
-    def test_doubled_pair(self, bg):
-        out = rep_euler_class(RepSpec.g_doubled(4, 6), bg)
-        assert out == bg.parse("576*beta2^2")
-
-    def test_no_root_presentation_inside_tensor(self, alpha_ambient):
-        rep = RepSpec.external_tensor(RepSpec.gl2_sym_twist(1, 0), RepSpec.g_doubled(4))
-        with pytest.raises(ValueError):
-            rep_euler_class(rep, alpha_ambient)
+        assert alpha_ambient.normal_form(out) == alpha_ambient.normal_form(stated)

@@ -44,6 +44,14 @@ class TestVerify:
     def test_all_and_check_mutually_exclusive(self):
         assert main(["verify", "--all", "--check", "kappa"]) == 2
 
+    def test_help_describes_every_option(self, capsys):
+        assert main(["verify", "-h"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "degree through which thm:45 compares the twist kernel" in out
+        assert "at least 5 (default 10)" in out
+        assert "report as text lines or as one JSON document" in out
+        assert "stop after the first failing check" in out
+
 
 class TestExplain:
     def test_known(self, capsys):

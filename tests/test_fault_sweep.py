@@ -16,11 +16,12 @@ from typing import Callable
 
 import pytest
 
-from genus2chow.graded import vector_of
 from genus2chow.groebner import Ideal, RingSpec
 from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
+
+from helpers import vector_of
 
 GOLDEN_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-d10.json"
 
@@ -120,7 +121,7 @@ ROWS = (
         lambda p: _twice(p.grothendieck_relation),
         {"groth-factor": "root expansion gives "}),
     Row("delta1-euler46", "delta1_data", lambda p: _entry(p.delta1_data, "euler46", _twice),
-        {"adelta1": "euler class of the doubled (4,6) weights is not c2*c2"}),
+        {"adelta1": "euler class of the doubled (4,6) weights is "}),
     Row("delta1-z0", "delta1_data", lambda p: _entry(p.delta1_data, "z0", _twice),
         {"adelta1": "vanishing-summand class is "}),
     Row("delta1-push2", "delta1_data", lambda p: _entry(p.delta1_data, "push2", _twice),
