@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--max-degree", type=int, default=10, metavar="N",
-        help="degree through which thm:45 compares the twist kernel; at least 5 (default 10)",
+        help="degree through which thm:45 compares the twist kernel; 5 to 24 (default 10)",
     )
     verify.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -82,8 +82,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        # Pipeline() rejects a degree bound below 5 and run() an unknown
-        # check id, both with a ValueError.
+        # Pipeline() rejects a degree bound outside 5..24 and run() an
+        # unknown check id, both with a ValueError.
         report = Pipeline(max_degree=args.max_degree).run(
             ids=args.check, fail_fast=args.fail_fast
         )

@@ -305,6 +305,8 @@ class Pipeline:
     def __init__(self, max_degree: int = 10, corruption: str | None = None):
         if max_degree < 5:
             raise ValueError("max_degree below 5 cannot exercise the stated results")
+        if max_degree > 24:
+            raise ValueError("max_degree above 24 lets thm:45's kernel comparison run for minutes")
         if corruption not in (None, "delta1-excision"):
             raise ValueError(f"unknown corruption target {corruption!r}")
         self.max_degree = max_degree
@@ -410,14 +412,10 @@ class Pipeline:
 
         stated = RingSpec.build(_BOUNDARY_VARS, _BOUNDARY_RELATIONS)
         ring = stated.ring
-        lam1, lam2, gamma = ring.var("lambda1"), ring.var("lambda2"), ring.var("gamma")
-        alias = {"beta1": lam1, "beta2": lam2, "gamma": gamma}
-        derived_gens = (
-            2 * gamma,
-            gamma * gamma + lam1 * gamma,
-            push1.substitute(alias, target=ring),
-            push2.substitute(alias, target=ring),
-            euler46.substitute(alias, target=ring),
+        alias = {"beta1": ring.var("lambda1"), "beta2": ring.var("lambda2")}
+        derived_gens = tuple(
+            g.substitute(alias, target=ring)
+            for g in (*self.bg_derivation.substituted_relations, push1, push2, euler46)
         )
         derived = RingSpec(ring, Ideal(ring, derived_gens))
         return {
@@ -439,12 +437,13 @@ class Pipeline:
         polys = self.s6["polys"]
         gens = (polys["s00"], polys["s10"], polys["s02'"])
         gm_spec = RingSpec(ring, Ideal(ring, gens))
-        lam1 = ring.var("lambda1")
-        t = ring.var("t")
-        kernels = multiplication_kernel(gm_spec, t - 2 * lam1, self.max_degree)
+        kernels = multiplication_kernel(
+            gm_spec, ring.var("t") - 2 * ring.var("lambda1"), self.max_degree
+        )
         open_stated = RingSpec.build(_OPEN_VARS, _OPEN_RELATIONS)
+        open_ring = open_stated.ring
         quotient_gens = tuple(
-            g.substitute({"t": 2 * lam1}, target=ring).into(open_stated.ring) for g in gens
+            g.substitute({"t": 2 * open_ring.var("lambda1")}, target=open_ring) for g in gens
         )
         return {
             "spec": gm_spec,
@@ -456,28 +455,20 @@ class Pipeline:
     @cached_property
     def grr_data(self) -> dict:
         ring = Ring(("c1omega", 1), ("lambda1", 1), ("lambda2", 2), ("S1", 2))
-        c, lam1, lam2, s1 = (
-            ring.var("c1omega"),
-            ring.var("lambda1"),
-            ring.var("lambda2"),
-            ring.var("S1"),
-        )
-        kappa_class = chern_series_quotient(
-            [ring.one(), lam1, lam2], [ring.one(), c, s1], 2
-        )
+        c, lam1, lam2, s1 = (ring.var(name) for name in ring.names)
+        kappa_class = chern_series_quotient([ring.one(), lam1, lam2], [ring.one(), c, s1], 2)
 
-        # Linear assembly: rewrite the square of the dualizing class through
-        # the derived quadric, push forward by the known values, and solve.
+        # Linear assembly: rewrite the square of the dualizing class plus
+        # S = S0 + S1 through the derived quadric (solved for c1omega^2), push
+        # forward by the known values, and solve.
         big = Ring(
-            ("c1omega", 1), ("S", 2), ("S0", 2), ("S1", 2),
+            ("c1omega", 1), ("S0", 2), ("S1", 2),
             ("lambda1", 1), ("lambda2", 2), ("delta0", 1), ("delta1", 1),
         )
-        cb, sb, s0b, s1b = big.var("c1omega"), big.var("S"), big.var("S0"), big.var("S1")
+        cb, s0b, s1b = big.var("c1omega"), big.var("S0"), big.var("S1")
         lam1b, lam2b = big.var("lambda1"), big.var("lambda2")
         d0, d1 = big.var("delta0"), big.var("delta1")
-        kappa_big = big.parse(_KAPPA_QUADRIC)
-        split = sb - s0b - s1b
-        rewritten = RingSpec(big, Ideal(big, (kappa_big, split))).normal_form(cb * cb + sb)
+        rewritten = cb * cb - kappa_class.into(big) + s0b + s1b
 
         # Pushforward values of the fiber classes c1omega, S0 and S1; a class
         # pulled back from the base pushes to zero.
@@ -507,15 +498,15 @@ class Pipeline:
     @cached_property
     def main_data(self) -> RingSpec:
         ring = self.m2bar_ring.ring
-        derived_delta1 = self.delta1_ring
         # The boundary presentation's first four generators are the two
         # involution-class relations and the two excision pushforwards; the
         # fifth (the Euler class they imply) adds nothing to the pushforward.
         pushed = [
             pushforward_boundary_to_total(g, ring)
-            for g in derived_delta1.relations.generators[:4]
+            for g in self.delta1_ring.relations.generators[:4]
         ]
-        six = [ring.parse(text) for text in _MAIN_RELATIONS[:2]] + pushed
+        # The self-node relation is the one the GRR assembly of delta0 derives.
+        six = [ring.parse(_MAIN_RELATIONS[0]), self.grr_data["rel3"].into(ring)] + pushed
         return RingSpec(ring, Ideal(ring, six))
 
     @cached_property
@@ -528,67 +519,80 @@ class Pipeline:
     def bielliptic_data(self) -> dict:
         amb = self.alpha_ambient
         ar = amb.ring
-        alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
+        # One working ring: the ambient classes, the torus roots t1, t2, the
+        # hyperplane classes x1..x4 of the line factors and that (w) of the
+        # weight -2 factor.  Every relation reaches the ambient ring through
+        # its normal form there.
+        wr = ar.extend(
+            ("t1", 1), ("t2", 1), ("x1", 1), ("x2", 1), ("x3", 1), ("x4", 1), ("w", 1)
+        )
+        alpha1, t1, t2, w = wr.var("alpha1"), wr.var("t1"), wr.var("t2"), wr.var("w")
+
+        def ambient(p: IntPolynomial) -> IntPolynomial:
+            return amb.normal_form(p.into(ar))
 
         # The twisted cubics have roots (i - 1) r1 + (2 - i) r2 in the roots
         # of the rank-2 bundle; the paired linear forms add one root of the
         # doubled weight -2 to the roots r1 + 2 r2 and 2 r1 + r2.
-        cls_v1 = BundleClasses(c1=-alpha1, c2=alpha2)
+        cls_v1 = BundleClasses(c1=-alpha1, c2=wr.var("alpha2"))
         w_m2 = wn_chern(-2, self.bg)
-        e2_wm2 = BundleClasses(c1=w_m2[0].into(ar), c2=w_m2[1].into(ar))
-        euler_v31 = amb.normal_form(
-            root_product([cls_v1], [(ar.zero(), (i - 1, 2 - i)) for i in range(4)])
+        e2_wm2 = BundleClasses(c1=w_m2[0].into(wr), c2=w_m2[1].into(wr))
+        euler_v31 = ambient(
+            root_product([cls_v1], [(wr.zero(), (i - 1, 2 - i)) for i in range(4)])
         )
-        euler_pairs = amb.normal_form(
+        euler_pairs = ambient(
             root_product(
                 [cls_v1, e2_wm2],
-                [(ar.zero(), (m, 3 - m, k, 1 - k)) for m in (1, 2) for k in (0, 1)],
+                [(wr.zero(), (m, 3 - m, k, 1 - k)) for m in (1, 2) for k in (0, 1)],
             )
         )
 
         # Locus where the second linear form vanishes, on the torus cover:
         # the top Chern class of the rank-2 bundle with roots r - alpha1 - 2 t2.
-        tg = Ring(("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1))
-        shift = -tg.var("alpha1") - 2 * tg.var("t2")
-        z0 = root_product(
-            [BundleClasses(c1=-tg.var("alpha1"), c2=tg.var("alpha2"))],
-            [(shift, (1, 0)), (shift, (0, 1))],
-        )
+        shift = -alpha1 - 2 * t2
+        z0 = root_product([cls_v1], [(shift, (1, 0)), (shift, (0, 1))])
         relz2 = bt_pushforward(z0, amb)
-        relz3 = bt_pushforward(z0 * tg.var("t1"), amb)
+        relz3 = bt_pushforward(z0 * t1, amb)
         relzero = [euler_v31, relz2, relz3, euler_pairs]
 
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
         # hyperplane class set to alpha1, pushed along the cubing map.
         s3_values = srj_table(3, cls_v1, alpha1)
-        rel_t1 = veronese_pushforward(3, 0, cls_v1).expand(s3_values)
-        rel_t2 = veronese_pushforward(3, 1, cls_v1).expand(s3_values)
+        rel_t1 = ambient(veronese_pushforward(3, 0, cls_v1).expand(s3_values))
+        rel_t2 = ambient(veronese_pushforward(3, 1, cls_v1).expand(s3_values))
 
         # Square-of-a-linear-form divides the cubic: triple diagonal on the
         # middle line factor, then the 3-fold multiplication (the first
         # factor's hyperplane class never occurs, but the map is 3-fold).
-        sq_ring = Ring(
-            ("x1", 1), ("x2", 1), ("x3", 1), ("x4", 1),
-            ("alpha1", 1), ("alpha2", 2), ("t1", 1), ("t2", 1),
-        )
-        cls_sq = BundleClasses(c1=-sq_ring.var("alpha1"), c2=sq_ring.var("alpha2"))
-        diag3 = diagonal_class(3, cls_sq, ("x2", "x3", "x4"))
-        combo = push_multiplication_power(diag3, ("x1", "x2", "x3"), cls_sq)
-        pushed_sq = combo.expand([v.into(sq_ring) for v in s3_values])
-        alpha1s, t2s = sq_ring.var("alpha1"), sq_ring.var("t2")
-        pushed_sq = pushed_sq.substitute({"x4": -alpha1s - 2 * t2s}, target=sq_ring)
-        pushed_sq = pushed_sq.into(tg)
+        diag3 = diagonal_class(3, cls_v1, ("x2", "x3", "x4"))
+        combo = push_multiplication_power(diag3, ("x1", "x2", "x3"), cls_v1)
+        pushed_sq = combo.expand(s3_values).substitute({"x4": shift})
         rel_t3 = bt_pushforward(pushed_sq, amb)
-        rel_t4 = bt_pushforward(pushed_sq * tg.var("t1"), amb)
+        rel_t4 = bt_pushforward(pushed_sq * t1, amb)
 
-        # All three forms share a common factor.
-        rel_t5, rel_t6 = self._common_factor_relations(w_m2, s3_values)
+        # All three forms share a common factor: push the fundamental class
+        # and the second hyperplane class along (conic, line, line) ->
+        # (cubic, tensor product), by the diagonal on the shared line factor,
+        # then multiplication and Segre.
+        def push(p: IntPolynomial) -> IntPolynomial:
+            acc = wr.zero()
+            for (e1, e2, ew), base in p.coefficients(("x1", "x2", "w")).items():
+                if e1 > 1 or e2 > 1 or ew > 1:
+                    raise ValueError("reduce hyperplane powers before pushing")
+                # conic x line -> cubic, fundamental class pushes with multiplicity 3
+                mult_value = s3_values[1] if e1 else 3 * s3_values[0]
+                seg_value = segre_pushforward((e2, ew), cls_v1, e2_wm2, -alpha1)
+                acc = acc + base * mult_value * seg_value
+            return acc
+
+        diag = diagonal_class(2, cls_v1, ("x1", "x2"))
+        rel_t5, rel_t6 = ambient(push(diag)), ambient(push(diag * w))
 
         reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]
 
         # Tautological classes and the inverse change of variables.
         taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
-        taut_delta1 = segre_pushforward((0, 0), cls_v1, e2_wm2, -alpha1)
+        taut_delta1 = ambient(segre_pushforward((0, 0), cls_v1, e2_wm2, -alpha1))
 
         stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
         lr = stated.ring
@@ -612,40 +616,6 @@ class Pipeline:
             "derived": derived,
             "stated": stated,
         }
-
-    def _common_factor_relations(
-        self, wm2: Sequence[IntPolynomial], s3_values: Sequence[IntPolynomial]
-    ) -> tuple[IntPolynomial, IntPolynomial]:
-        """Pushforwards of the fundamental class and of the second hyperplane
-        class along (conic, line, line) -> (cubic, tensor product): the
-        diagonal on the shared line factor, then multiplication and Segre.
-        ``wm2`` are the Chern classes of the weight -2 bundle and ``s3_values``
-        the degree-3 table at alpha1."""
-        ar = self.alpha_ambient.ring
-        alpha1, alpha2 = ar.var("alpha1"), ar.var("alpha2")
-        work = ar.extend(("x1", 1), ("x2", 1), ("w", 1))
-        w = work.var("w")
-        minus_alpha1 = (-alpha1).into(work)
-        cls_v1 = BundleClasses(c1=minus_alpha1, c2=alpha2.into(work))
-        diag = diagonal_class(2, cls_v1, ("x1", "x2"))
-
-        cls_wm2 = BundleClasses(c1=wm2[0].into(work), c2=wm2[1].into(work))
-        s3_values = [v.into(work) for v in s3_values]
-
-        def push(p: IntPolynomial) -> IntPolynomial:
-            acc = work.zero()
-            for (e1, e2, ew), base in p.coefficients(("x1", "x2", "w")).items():
-                if e1 > 1 or e2 > 1 or ew > 1:
-                    raise ValueError("reduce hyperplane powers before pushing")
-                # conic x line -> cubic, fundamental class pushes with multiplicity 3
-                mult_value = s3_values[1] if e1 else 3 * s3_values[0]
-                seg_value = segre_pushforward((e2, ew), cls_v1, cls_wm2, minus_alpha1)
-                acc = acc + base * mult_value * seg_value
-            return acc
-
-        rel5 = push(diag).into(ar)
-        rel6 = push(diag * w).into(ar)
-        return self.alpha_ambient.normal_form(rel5), self.alpha_ambient.normal_form(rel6)
 
     # ------------------------------------------------------------------
     # checks

@@ -392,7 +392,10 @@ class IntPolynomial:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
-        image_list: list[IntPolynomial | None] = [None] * ring.nvars
+        # A kept variable moves to its position in the target; the named
+        # images are multiplied in once per pattern of their exponents.
+        named: list[tuple[int, IntPolynomial]] = []
+        kept: list[tuple[int, int]] = []
         for i in sorted(used):
             spec = ring.variables[i]
             if spec.name in images:
@@ -408,32 +411,34 @@ class IntPolynomial:
                     raise GradingError(
                         f"image of {spec.name} has degree {d}, expected {spec.degree}"
                     )
+                named.append((i, img))
             else:
                 if spec.name not in target or target.variables[target.index(spec.name)] != spec:
                     raise GradingError(
                         f"variable {spec.name} has no graded counterpart in {target!r}"
                     )
-                img = target.var(spec.name)
-            image_list[i] = img
+                kept.append((i, target.index(spec.name)))
 
-        powers: list[dict[int, IntPolynomial]] = [
-            {0: target.one()} for _ in range(ring.nvars)
-        ]
-
-        def power(i: int, e: int) -> IntPolynomial:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * image_list[i]
-            return cache[e]
-
-        acc = target.zero()
+        by_pattern: dict[tuple, dict[tuple, int]] = {}
         for exps, c in self._terms.items():
-            piece = target.const(c)
-            for i, e in enumerate(exps):
+            moved = [0] * target.nvars
+            for i, j in kept:
+                moved[j] = exps[i]
+            by_pattern.setdefault(tuple(exps[i] for i, _ in named), {})[tuple(moved)] = c
+
+        result: dict[tuple, int] = {}
+        for pattern, terms in by_pattern.items():
+            piece = IntPolynomial(target, terms, _trusted=True)
+            for (_, img), e in zip(named, pattern):
                 if e:
-                    piece = piece * power(i, e)
-            acc = acc + piece
-        return acc
+                    piece = piece * img ** e
+            for exps, c in piece._terms.items():
+                v = result.get(exps, 0) + c
+                if v:
+                    result[exps] = v
+                else:
+                    result.pop(exps, None)
+        return IntPolynomial(target, result, _trusted=True)
 
     def into(self, target: Ring) -> "IntPolynomial":
         """Reinterpret in a ring containing the same named, like-graded variables."""

@@ -52,6 +52,27 @@ def as_term_list(p: IntPolynomial):
     return [(c, e) for e, c in p.term_map().items()]
 
 
+def reference_substitute(p: IntPolynomial, images: dict, target: Ring) -> IntPolynomial:
+    """Substitution term by term over explicit term lists: each term's
+    coefficient times, for each variable it contains, that variable's image
+    (or the target's variable of the same name) multiplied in once per unit
+    of its exponent."""
+    acc: dict[tuple, int] = {}
+    for exps, c in p.term_map().items():
+        term = [(c, (0,) * target.nvars)]
+        for spec, e in zip(p.ring.variables, exps):
+            if not e:
+                continue
+            img = images[spec.name] if spec.name in images else target.var(spec.name)
+            if isinstance(img, int):
+                img = target.const(img)
+            for _ in range(e):
+                term = [(v, k) for k, v in naive_product(term, as_term_list(img)).items()]
+        for coeff, key in term:
+            acc[key] = acc.get(key, 0) + coeff
+    return IntPolynomial(target, acc)
+
+
 def vector_of(monomials, p: IntPolynomial) -> list[int]:
     """Coefficient vector of a homogeneous polynomial in a monomial basis."""
     index = {m: i for i, m in enumerate(monomials)}

@@ -37,6 +37,9 @@ class TestVerify:
 
     def test_max_degree_validation(self, capsys):
         assert main(["verify", "--check", "kappa", "--max-degree", "3"]) == 2
+        assert main(["verify", "--check", "kappa", "--max-degree", "25"]) == 2
+        assert "above 24" in capsys.readouterr().err
+        assert main(["verify", "--check", "kappa", "--max-degree", "24"]) == 0
 
     def test_bad_flag_exit_2(self):
         assert main(["verify", "--frobnicate"]) == 2
@@ -48,7 +51,7 @@ class TestVerify:
         assert main(["verify", "-h"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "degree through which thm:45 compares the twist kernel" in out
-        assert "at least 5 (default 10)" in out
+        assert "5 to 24 (default 10)" in out
         assert "report as text lines or as one JSON document" in out
         assert "stop after the first failing check" in out
 

@@ -92,11 +92,15 @@ ROWS = (
         {},
         frozenset({"s6-table", "sij-expansions", "det-7x7", "cub-compat", "groth-factor",
                    "thm:45"})),
+    # The boundary ring is built from the substituted relations.
     Row("bg-derivation-substituted", "bg_derivation",
         lambda p: replace(p.bg_derivation, substituted_relations=tuple(
             _item(p.bg_derivation.substituted_relations, 1,
                   lambda r: r + r.ring.parse("beta2")))),
-        {"thm:bg": "derived presentation differs from the stated one"}),
+        {"thm:bg": "derived presentation differs from the stated one",
+         "adelta1": "derived boundary ideal differs from the stated presentation",
+         "degree3-kernel": "kernel enumeration gives ",
+         "thm:main": "the six derived relations do not generate the stated ideal"}),
     Row("bg-derivation-excision", "bg_derivation",
         lambda p: replace(p.bg_derivation, excision_relations=tuple(
             _item(p.bg_derivation.excision_relations, 1, _twice))),
@@ -104,7 +108,13 @@ ROWS = (
     Row("s6-table", "s6",
         lambda p: _entry(p.s6, "table", lambda t: tuple(_item(t, 2, _twice))),
         {"s6-table": "s6^2 = "}),
+    Row("s6-ver0", "s6", lambda p: _entry(p.s6, "ver0", _scaled),
+        {"cub-compat": "the two composite expansions of the cubed conic class disagree"}),
     Row("s6-ver1", "s6", lambda p: _entry(p.s6, "ver1", _scaled),
+        {"cub-compat": "the two composite expansions of the cubed conic class disagree"}),
+    Row("s6-s1j", "s6", lambda p: _entry(p.s6, "s1j", lambda c: _item(c, 1, _scaled)),
+        {"cub-compat": "the two composite expansions of the cubed conic class disagree"}),
+    Row("s6-s0j", "s6", lambda p: _entry(p.s6, "s0j", lambda c: _item(c, 1, _scaled)),
         {"cub-compat": "the two composite expansions of the cubed conic class disagree"}),
     Row("s6-combos", "s6",
         lambda p: _entry(p.s6, "combos", lambda c: _entry(c, "s11", _scaled)),
@@ -124,6 +134,8 @@ ROWS = (
         {"adelta1": "euler class of the doubled (4,6) weights is "}),
     Row("delta1-z0", "delta1_data", lambda p: _entry(p.delta1_data, "z0", _twice),
         {"adelta1": "vanishing-summand class is "}),
+    Row("delta1-push1", "delta1_data", lambda p: _entry(p.delta1_data, "push1", _twice),
+        {"adelta1": "first excision pushforward is "}),
     Row("delta1-push2", "delta1_data", lambda p: _entry(p.delta1_data, "push2", _twice),
         {"adelta1": "second excision pushforward is "}),
     # The boundary ring without its excision pushforwards; thm:main reads the
@@ -132,6 +144,9 @@ ROWS = (
         lambda p: _entry(p.delta1_data, "derived", lambda s: _relations(s, lambda g: g[:3])),
         {"adelta1": "derived boundary ideal differs from the stated presentation"},
         frozenset({"thm:main"})),
+    Row("delta1-stated", "delta1_data",
+        lambda p: _entry(p.delta1_data, "stated", lambda s: _relations(s, lambda g: g[:-1])),
+        {"adelta1": "derived boundary ideal differs from the stated presentation"}),
     Row("delta1-ring", "delta1_ring",
         lambda p: _relations(p.delta1_ring, lambda g: g[:1] + g[2:]),
         {"degree3-kernel": "kernel enumeration gives ",
@@ -148,8 +163,13 @@ ROWS = (
     Row("gm-quotient-gens", "gm_data",
         lambda p: _entry(p.gm_data, "quotient_gens", lambda g: tuple(_item(g, 0, _twice))),
         {"thm:45": "twist quotient does not match the stated two-relation presentation"}),
+    Row("gm-open-stated", "gm_data",
+        lambda p: _entry(p.gm_data, "open_stated", lambda s: _relations(s, lambda g: g[:1])),
+        {"thm:45": "twist quotient does not match the stated two-relation presentation"}),
     Row("grr-kappa-class", "grr_data", lambda p: _entry(p.grr_data, "kappa_class", _twice),
         {"kappa": "series quotient gives "}),
+    Row("grr-rewritten", "grr_data", lambda p: _entry(p.grr_data, "rewritten", _twice),
+        {"delta0": "quadric rewriting gives "}),
     Row("grr-leftover", "grr_data",
         lambda p: _entry(p.grr_data, "leftover", lambda left: left + [(0, 2, 0)]),
         {"delta0": "unexpected monomials survived the pushforward"}),
@@ -159,11 +179,18 @@ ROWS = (
     Row("grr-delta0-solution", "grr_data",
         lambda p: _entry(p.grr_data, "delta0_solution", _twice),
         {"delta0": "linear assembly gives "}),
+    # The total ring takes its self-node relation from the GRR assembly.
+    Row("grr-rel3", "grr_data", lambda p: _entry(p.grr_data, "rel3", _twice),
+        {"delta0": "doubled relation gives ",
+         "thm:main": "the six derived relations do not generate the stated ideal"}),
     Row("main-data", "main_data",
         lambda p: _relations(p.main_data, lambda g: g[:2] + g[3:]),
         {"thm:main": "the six derived relations do not generate the stated ideal"}),
     Row("m2bar-ring", "m2bar_ring", lambda p: _relations(p.m2bar_ring, lambda g: g[:3]),
         {"thm:main": "the six derived relations do not generate the stated ideal"}),
+    Row("bielliptic-euler-v31", "bielliptic_data",
+        lambda p: _entry(p.bielliptic_data, "euler_v31", _twice),
+        {"bielliptic-euler": "cubic euler class is "}),
     Row("bielliptic-euler-pairs", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "euler_pairs", _twice),
         {"bielliptic-euler": "pair euler class is "}),
@@ -218,6 +245,19 @@ def test_fault_is_noticed(pipeline, row):
     assert changed == row.digest_only
 
 
-def test_every_cached_intermediate_has_a_row():
+def test_every_cached_intermediate_has_a_row(pipeline):
     cached = {name for name, value in vars(Pipeline).items() if isinstance(value, cached_property)}
     assert {row.key for row in ROWS} == cached
+    # So does every entry of a dict-valued intermediate, except its rings.
+    entries = {
+        (name, key)
+        for name in cached if isinstance(getattr(pipeline, name), dict)
+        for key, value in getattr(pipeline, name).items() if not isinstance(value, Ring)
+    }
+    perturbed = set()
+    for row in ROWS:
+        sound = getattr(pipeline, row.key)
+        if isinstance(sound, dict):
+            changed = row.perturb(pipeline)
+            perturbed |= {(row.key, key) for key in sound if changed[key] is not sound[key]}
+    assert entries - perturbed == set()

@@ -17,7 +17,7 @@ from genus2chow.ring import (
     symmetrize_to_elementary,
 )
 
-from helpers import as_term_list, naive_product, random_homogeneous
+from helpers import as_term_list, naive_product, random_homogeneous, reference_substitute
 
 
 @pytest.fixture
@@ -142,6 +142,30 @@ class TestSubstitute:
             q = random_homogeneous(lring, rng.randint(1, 3), rng)
             assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
             assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_term_by_term_reference(self, data):
+        # Each variable is kept, renamed, sent to a random class or to zero,
+        # in a larger target ring whose variables come in a drawn order.
+        source = Ring(("x", 1), ("y", 1), ("z", 2))
+        declared = (("x", 1), ("y", 1), ("z", 2), ("u", 1), ("w", 2))
+        target = Ring(*data.draw(st.permutations(declared)))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        images = {}
+        for spec in source.variables:
+            kind = data.draw(st.sampled_from(("keep", "rename", "class", "zero")))
+            if kind == "rename":
+                names = [name for name, degree in declared if degree == spec.degree]
+                images[spec.name] = target.var(data.draw(st.sampled_from(names)))
+            elif kind == "class":
+                images[spec.name] = random_homogeneous(target, spec.degree, rng)
+            elif kind == "zero":
+                images[spec.name] = 0
+        p = source.zero()
+        for d in data.draw(st.lists(st.integers(0, 4), max_size=3)):
+            p = p + random_homogeneous(source, d, rng, max_terms=6)
+        assert p.substitute(images, target=target) == reference_substitute(p, images, target)
 
 
 @st.composite
