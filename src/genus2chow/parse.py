@@ -1,7 +1,8 @@
 """Reading and writing polynomials in a small ASCII grammar.
 
 The grammar accepts integer coefficients, named variables, ``+ - * ^`` and
-parentheses, and is whitespace-insensitive.  Rendering produces the canonical
+parentheses, ignores ASCII whitespace and rejects every non-ASCII character
+(digits and spaces included).  Rendering produces the canonical
 form used throughout reports: terms in descending monomial order, explicit
 ``*`` between factors, ``^`` for powers.
 """
@@ -9,10 +10,8 @@ form used throughout reports: terms in descending monomial order, explicit
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .ring import IntPolynomial, Ring
+from .ring import IntPolynomial, Ring, add_terms, mul_terms, pow_terms
 
 
 class ParseError(ValueError):
@@ -24,121 +23,97 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    r"(?P<space>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])|(?P<bad>.)",
+    re.ASCII | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        for kind in ("int", "name", "op"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value, m.start(kind)))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, ring: "Ring", text: str):
+    """Recursive descent over the tokens; every rule returns a term map.  Only
+    operator tokens carry the values that the rules compare with."""
+
+    def __init__(self, ring: Ring, text: str):
         self.ring = ring
-        self.tokens = _tokenize(text)
-        self.at = 0
+        self.unit = (0,) * ring.nvars
+        self.tokens = _tokenize(text)[::-1]  # the next token last
+        self.advance = self.tokens.pop
 
     def peek(self):
-        return self.tokens[self.at]
+        return self.tokens[-1]
 
-    def advance(self):
-        token = self.tokens[self.at]
-        self.at += 1
-        return token
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
-
-    def parse(self) -> "IntPolynomial":
-        poly = self.expression()
+    def parse(self) -> IntPolynomial:
+        terms = self.expression()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        return poly
+        return IntPolynomial(self.ring, terms, _trusted=True)
 
-    def expression(self) -> "IntPolynomial":
-        kind, value, _ = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
+    def expression(self) -> dict:
+        terms, op = {}, "+"
+        if self.peek()[1] in ("+", "-"):  # a leading sign
+            op = self.advance()[1]
+        while True:
+            terms = add_terms(terms, self.term(), -1 if op == "-" else 1)
+            if self.peek()[1] not in ("+", "-"):
+                return terms
+            op = self.advance()[1]
+
+    def term(self) -> dict:
+        terms = self.factor()
+        while self.peek()[1] == "*":
             self.advance()
-            negate = value == "-"
-        poly = self.term()
-        if negate:
-            poly = -poly
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly - rhs if value == "-" else poly + rhs
-            else:
-                return poly
+            terms = mul_terms(terms, self.factor())
+        return terms
 
-    def term(self) -> "IntPolynomial":
-        poly = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                poly = poly * self.factor()
-            else:
-                return poly
-
-    def factor(self) -> "IntPolynomial":
+    def factor(self) -> dict:
         base = self.primary()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            ekind, evalue, epos = self.peek()
-            if ekind != "int":
-                raise ParseError("expected integer exponent", epos)
-            self.advance()
-            return base ** int(evalue)
-        return base
+        if self.peek()[1] != "^":
+            return base
+        self.advance()
+        kind, value, pos = self.advance()
+        if kind != "int":
+            raise ParseError("expected integer exponent", pos)
+        return pow_terms(base, int(value), self.ring.nvars)
 
-    def primary(self) -> "IntPolynomial":
+    def primary(self) -> dict:
         kind, value, pos = self.advance()
         if kind == "int":
-            return self.ring.const(int(value))
+            n = int(value)
+            return {self.unit: n} if n else {}
         if kind == "name":
             if value not in self.ring:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return self.ring.var(value)
-        if kind == "op" and value == "(":
-            poly = self.expression()
-            self.expect_op(")")
-            return poly
-        if kind == "op" and value == "-":
-            return -self.primary()
+            i = self.ring.index(value)
+            return {self.unit[:i] + (1,) + self.unit[i + 1 :]: 1}
+        if value == "(":
+            terms = self.expression()
+            _, value, pos = self.advance()
+            if value != ")":
+                raise ParseError("expected ')'", pos)
+            return terms
+        if value == "-":
+            return {e: -c for e, c in self.primary().items()}
         raise ParseError(f"expected a coefficient, variable or '('", pos)
 
 
-def parse_polynomial(ring: "Ring", text: str) -> "IntPolynomial":
+def parse_polynomial(ring: Ring, text: str) -> IntPolynomial:
     """Parse ``text`` as a polynomial over ``ring``."""
     return _Parser(ring, text).parse()
 
 
-def render_monomial(ring: "Ring", exps) -> str:
+def render_monomial(ring: Ring, exps) -> str:
     parts = []
     for spec, e in zip(ring.variables, exps):
         if e == 1:
@@ -148,7 +123,7 @@ def render_monomial(ring: "Ring", exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def render_polynomial(poly: "IntPolynomial") -> str:
+def render_polynomial(poly: IntPolynomial) -> str:
     """Canonical ASCII form: descending monomial order, explicit * and ^."""
     if not poly:
         return "0"

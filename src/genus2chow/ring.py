@@ -188,6 +188,51 @@ class Ring:
         return parse_polynomial(self, text)
 
 
+# -- term maps (exponent tuple -> nonzero int): the one arithmetic kernel --------
+
+
+def add_terms(a: dict, b: Mapping[tuple, int], sign: int = 1) -> dict:
+    """Add sign*b into the term map a, in place; returns a."""
+    for exps, c in b.items():
+        v = a.get(exps, 0) + sign * c
+        if v:
+            a[exps] = v
+        else:
+            del a[exps]
+    return a
+
+
+def mul_terms(a: Mapping[tuple, int], b: Mapping[tuple, int]) -> dict:
+    """The term map of a*b."""
+    result: dict[tuple, int] = {}
+    add, get = operator.add, result.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            v = get(key, 0) + c1 * c2
+            if v:
+                result[key] = v
+            elif key in result:
+                del result[key]
+    return result
+
+
+def pow_terms(a: Mapping[tuple, int], n: int, nvars: int) -> dict:
+    """The term map of a^n; a one-term base only scales its exponents."""
+    if n < 0:
+        raise ValueError("negative powers are not defined")
+    if len(a) == 1:
+        ((exps, c),) = a.items()
+        return {tuple(e * n for e in exps): c**n}
+    result, base = {(0,) * nvars: 1}, a
+    while n:
+        if n & 1:
+            result = mul_terms(result, base)
+        base = mul_terms(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
 class IntPolynomial:
     """Immutable sparse polynomial with arbitrary-precision integer coefficients.
 
@@ -286,14 +331,7 @@ class IntPolynomial:
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check_ring(other)
-        result = dict(self._terms)
-        for exps, c in other._terms.items():
-            v = result.get(exps, 0) + c
-            if v:
-                result[exps] = v
-            elif exps in result:
-                del result[exps]
-        return IntPolynomial(self.ring, result, _trusted=True)
+        return IntPolynomial(self.ring, add_terms(dict(self._terms), other._terms), _trusted=True)
 
     __radd__ = __add__
 
@@ -303,7 +341,9 @@ class IntPolynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        return self + (-other)
+        self._check_ring(other)
+        terms = add_terms(dict(self._terms), other._terms, -1)
+        return IntPolynomial(self.ring, terms, _trusted=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -316,31 +356,12 @@ class IntPolynomial:
                 self.ring, {e: other * c for e, c in self._terms.items()}, _trusted=True
             )
         self._check_ring(other)
-        result: dict[tuple, int] = {}
-        add, get = operator.add, result.get
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
-                v = get(key, 0) + c1 * c2
-                if v:
-                    result[key] = v
-                elif key in result:
-                    del result[key]
-        return IntPolynomial(self.ring, result, _trusted=True)
+        return IntPolynomial(self.ring, mul_terms(self._terms, other._terms), _trusted=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return IntPolynomial(self.ring, pow_terms(self._terms, n, self.ring.nvars), _trusted=True)
 
     # -- comparison -----------------------------------------------------------
 
@@ -432,12 +453,7 @@ class IntPolynomial:
             for (_, img), e in zip(named, pattern):
                 if e:
                     piece = piece * img ** e
-            for exps, c in piece._terms.items():
-                v = result.get(exps, 0) + c
-                if v:
-                    result[exps] = v
-                else:
-                    result.pop(exps, None)
+            add_terms(result, piece._terms)
         return IntPolynomial(target, result, _trusted=True)
 
     def into(self, target: Ring) -> "IntPolynomial":
@@ -520,15 +536,16 @@ def _check_symmetry(p: IntPolynomial, roots: Sequence[str]):
 def _eliminate_family(p: IntPolynomial, roots: list[str], targets: list[str]) -> IntPolynomial:
     ring = p.ring
     k = len(roots)
+    idx = [ring.index(r) for r in roots]
     elem = [elementary_symmetric(ring, roots, i + 1) for i in range(k)]
     tvars = [ring.var(t) for t in targets]
 
+    # Split once, then rewrite the coefficient of the lex-leading root profile
+    # until none is left; a step only moves weight to lower profiles, and the
+    # root-free part comes last, with every step zero.
+    split = p.coefficients(roots)
     done = ring.zero()
-    work = p
-    while work:
-        # Rewrite the whole coefficient of the lex-leading root exponents; the
-        # root-free part comes last, with every step zero.
-        split = work.coefficients(roots)
+    while split:
         profile = max(split)
         cofactor = split[profile]
         if sorted(profile, reverse=True) != list(profile):
@@ -541,7 +558,14 @@ def _eliminate_family(p: IntPolynomial, roots: list[str], targets: list[str]) ->
                 in_targets = in_targets * tvars[i] ** step
                 in_roots = in_roots * elem[i] ** step
         done = done + cofactor * in_targets
-        work = work - cofactor * in_roots
+        # in_roots leads with the profile itself, coefficient 1, which cancels it.
+        for exps, c in in_roots._terms.items():
+            key = tuple(exps[i] for i in idx)
+            rest = split.get(key, ring.zero()) - c * cofactor
+            if rest:
+                split[key] = rest
+            else:
+                del split[key]
     return done
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+import re
 from pathlib import Path
 
 from genus2chow.classifying import wn_chern
 from genus2chow.groebner import RingSpec
+from genus2chow.parse import ParseError
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
@@ -112,6 +114,104 @@ def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:
         if mono in work:
             out[mono] = work.pop(mono)
     return IntPolynomial(ring, out)
+
+
+# -- an independent reader of the polynomial grammar --------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"[ \t\n\r\f\v]*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+)
+
+
+def _reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """One regex match per token, skipping ASCII whitespace."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip(" \t\n\r\f\v")
+            if not stripped:
+                break
+            bad_at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+        for kind in ("int", "name", "op"):
+            if m.group(kind) is not None:
+                tokens.append((kind, m.group(kind), m.start(kind)))
+                break
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def reference_parse(ring: Ring, text: str) -> IntPolynomial:
+    """The polynomial grammar evaluated as a chain of ``IntPolynomial``
+    operations: one polynomial per token, combined with ``+ - * **``."""
+    tokens = _reference_tokens(text)
+    at = 0
+
+    def peek():
+        return tokens[at]
+
+    def advance():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def is_op(token, ops):
+        return token[0] == "op" and token[1] in ops
+
+    def expression():
+        negate = is_op(peek(), "+-") and advance()[1] == "-"
+        poly = term()
+        poly = -poly if negate else poly
+        while is_op(peek(), "+-"):
+            op = advance()[1]
+            rhs = term()
+            poly = poly - rhs if op == "-" else poly + rhs
+        return poly
+
+    def term():
+        poly = factor()
+        while is_op(peek(), "*"):
+            advance()
+            poly = poly * factor()
+        return poly
+
+    def factor():
+        base = primary()
+        if not is_op(peek(), "^"):
+            return base
+        advance()
+        kind, value, pos = advance()
+        if kind != "int":
+            raise ParseError("expected integer exponent", pos)
+        return base ** int(value)
+
+    def primary():
+        kind, value, pos = advance()
+        if kind == "int":
+            return ring.const(int(value))
+        if kind == "name":
+            if value not in ring:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            return ring.var(value)
+        if is_op((kind, value), "("):
+            poly = expression()
+            kind, value, pos = peek()
+            if not is_op((kind, value), ")"):
+                raise ParseError("expected ')'", pos)
+            advance()
+            return poly
+        if is_op((kind, value), "-"):
+            return -primary()
+        raise ParseError("expected a coefficient, variable or '('", pos)
+
+    poly = expression()
+    kind, value, pos = peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {value!r}", pos)
+    return poly
 
 
 # -- oracles for the classifying-space calculus -----------------------------------

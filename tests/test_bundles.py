@@ -14,7 +14,7 @@ from genus2chow.bundles import (
     srj_table,
     veronese_pushforward,
 )
-from genus2chow.ring import NotSymmetricError, Ring
+from genus2chow.ring import IntPolynomial, NotSymmetricError, Ring
 
 
 @pytest.fixture
@@ -71,6 +71,28 @@ class TestRootProduct:
         for base, multiplicities in factors:
             expected = expected * (base + sum(m * r for m, r in zip(multiplicities, roots)))
         assert root_product(classes, factors) == expected
+
+    def test_one_coefficient_split_per_bundle(self, monkeypatch):
+        ring = self.RING
+        x, y, u, v, z = (ring.var(name) for name in ring.names)
+        classes = [BundleClasses(c1=x + y, c2=x * y), BundleClasses(c1=u + v, c2=u * v)]
+        factors = [(z, m) for m in ((1, 2, 3, 0), (2, 1, 3, 0), (1, 2, 0, 3), (2, 1, 0, 3))]
+        factors += [(x - z, m) for m in ((1, 1, 1, 2), (1, 1, 2, 1))]
+        splits = []
+        original = IntPolynomial.coefficients
+
+        def counted(p, names):
+            split = original(p, names)
+            splits.append(len(split))
+            return split
+
+        monkeypatch.setattr(IntPolynomial, "coefficients", counted)
+        expected = ring.one()
+        for base, (m1, m2, m3, m4) in factors:
+            expected = expected * (base + m1 * x + m2 * y + m3 * u + m4 * v)
+        assert root_product(classes, factors) == expected
+        # One split per bundle, each with many root profiles.
+        assert len(splits) == 2 and min(splits) > 10
 
     def test_asymmetric_factor(self, generic):
         with pytest.raises(NotSymmetricError):

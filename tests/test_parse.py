@@ -1,13 +1,14 @@
 """The polynomial I/O grammar and its canonical rendering."""
 
-import pytest
-
-from genus2chow.parse import ParseError, parse_polynomial, render_polynomial
-from genus2chow.ring import Ring
-
 import random
 
-from helpers import random_homogeneous
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from genus2chow.parse import ParseError, parse_polynomial, render_polynomial
+from genus2chow.ring import IntPolynomial, Ring
+
+from helpers import random_homogeneous, reference_parse
 
 
 @pytest.fixture
@@ -57,6 +58,38 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_polynomial(ring, "t^")
 
+    def test_name_extending_a_known_name_is_unknown(self, ring):
+        with pytest.raises(ParseError, match="unknown variable 'lambda12'") as err:
+            parse_polynomial(ring, "2*t + lambda12")
+        assert err.value.position == 6
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("\u0663*t", 0),  # an Arabic-Indic digit three
+            ("t\u00a0+ lambda1", 1),  # a no-break space
+            ("t\u2003*t", 1),  # an em space
+        ],
+    )
+    def test_non_ascii_rejected(self, ring, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_polynomial(ring, text)
+        assert err.value.position == position
+
+    def test_no_polynomial_arithmetic(self, ring, monkeypatch):
+        calls = []
+        for op in ("__add__", "__sub__", "__mul__", "__neg__", "__pow__"):
+            original = getattr(IntPolynomial, op)
+
+            def counted(*args, _op=op, _original=original):
+                calls.append(_op)
+                return _original(*args)
+
+            monkeypatch.setattr(IntPolynomial, op, counted)
+        p = parse_polynomial(ring, "-(t - 2*lambda1)^3 * (lambda2 + 007) - --t*t^0")
+        assert calls == []
+        assert p == reference_parse(ring, "-(t - 2*lambda1)^3 * (lambda2 + 007) - --t*t^0")
+
 
 class TestRender:
     def test_zero(self, ring):
@@ -76,3 +109,67 @@ class TestRender:
     def test_constant_rendering(self, ring):
         assert render_polynomial(ring.const(-7)) == "-7"
         assert render_polynomial(ring.one()) == "1"
+
+
+# -- the parser against the reference evaluator in helpers -------------------------
+
+_RING = Ring(("lambda1", 1), ("lambda2", 2), ("t", 1))
+_ATOMS = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.integers(0, 99).map(lambda n: f"00{n}"),
+    st.sampled_from(_RING.names),
+    st.tuples(st.sampled_from(_RING.names), st.integers(0, 3)).map(lambda a: f"{a[0]}^{a[1]}"),
+).map(lambda atom: [atom])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda a: [*a[0], a[1], *a[2]]),
+        inner.map(lambda a: ["(", *a, ")"]),
+        inner.map(lambda a: ["-", *a]),
+        st.tuples(inner, st.integers(0, 3)).map(lambda a: ["(", *a[0], ")", "^", str(a[1])]),
+    )
+
+
+@st.composite
+def expression_texts(draw):
+    """Grammatical texts, with ASCII spaces, tabs and newlines between tokens."""
+    tokens = draw(st.recursive(_ATOMS, _compound, max_leaves=8))
+    space = st.text(" \t\n", max_size=2)
+    return "".join(draw(space) + token for token in tokens) + draw(space)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(_RING, text)
+    except ParseError as err:
+        return ("ParseError", err.position)
+
+
+class TestAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(expression_texts())
+    def test_same_polynomial(self, text):
+        assert parse_polynomial(_RING, text) == reference_parse(_RING, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        expression_texts(),
+        st.data(),
+        # No digit or '^': a corruption never makes a huge exponent.
+        st.sampled_from(list("@#()*+- \tx\u0663\u00a0\u2003\u00e9")),
+        st.booleans(),
+    )
+    def test_same_error_position(self, text, data, char, replace):
+        at = data.draw(st.integers(0, len(text) - replace))
+        corrupted = text[:at] + char + text[at + replace :]
+        assert _outcome(parse_polynomial, corrupted) == _outcome(reference_parse, corrupted)
+
+
+def test_round_trip_on_pipeline_rings(pipeline):
+    rng = random.Random(16)
+    for name, spec in pipeline.presentations.items():
+        for degree in range(9):
+            for _ in range(3):
+                p = random_homogeneous(spec.ring, degree, rng, max_terms=6)
+                assert parse_polynomial(spec.ring, render_polynomial(p)) == p, (name, degree)

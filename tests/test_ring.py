@@ -85,6 +85,19 @@ class TestMultiply:
         p = big * lring.var("lambda1")
         assert (p * p).term_map().get((2, 0, 0)) == big * big
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 6))
+    def test_power_is_repeated_product(self, seed, terms, n):
+        """One-term bases take the exponent-scaling shortcut, the others
+        repeated squaring; both match schoolbook products."""
+        ring = Ring(("lambda1", 1), ("lambda2", 2), ("t", 1))
+        rng = random.Random(seed)
+        p = random_homogeneous(ring, 2, rng, max_terms=terms) if terms else ring.zero()
+        expected = {(0, 0, 0): 1}
+        for _ in range(n):
+            expected = naive_product([(c, e) for e, c in expected.items()], as_term_list(p))
+        assert (p**n).term_map() == expected
+
 
 class TestWeightedDegree:
     def test_homogeneous_weighted(self, lring):
