@@ -7,9 +7,11 @@ free rank, the torsion invariants and explicit coordinates.  Kernels of
 multiplication maps are lattices too, returned in each degree as Hermite
 bases; two lattices are equal exactly when their Hermite bases are, so which
 classes generate a kernel is for the caller to compare.  Only enumeration
-takes a kernel's group structure.  This route is independent of the Groebner
-engine and doubles as its oracle: a class is zero in the graded piece exactly
-when its normal form vanishes.
+takes a kernel's group structure.  The Groebner engine completes its bases
+by Hermite elimination too, but on its own degree-by-degree lattices, and its
+normal forms come from the polynomial reducer, so this route doubles as its
+oracle: a class is zero in the graded piece exactly when its normal form
+vanishes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import intlinalg
-from .groebner import RingSpec
+from .groebner import RingSpec, shifted_row
 from .ring import IntPolynomial, Ring, RingMismatchError
 
 
@@ -35,6 +37,14 @@ def _vector(index: dict[tuple, int], p: IntPolynomial) -> list[int]:
     vec = [0] * len(index)
     for exps, coeff in p.term_map().items():
         vec[index[exps]] = coeff
+    return vec
+
+
+def _shifted_vector(index: dict[tuple, int], terms: dict[tuple, int], shift: tuple) -> list[int]:
+    """Coefficient vector of x^shift times a term map."""
+    vec = [0] * len(index)
+    for j, c in shifted_row(index, terms, shift).items():
+        vec[j] = c
     return vec
 
 
@@ -54,9 +64,8 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]
         e = g.weighted_degree()
         if e > d:
             continue
-        for mult in ring.monomials_of_degree(d - e):
-            mono = IntPolynomial(ring, {mult: 1}, _trusted=True)
-            rows.append(_vector(index, mono * g))
+        terms = g.term_map()
+        rows.extend(_shifted_vector(index, terms, mult) for mult in ring.monomials_of_degree(d - e))
     return monomials, rows
 
 
@@ -132,12 +141,13 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
 
 def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
     """Oracle agreement in degree d: for every monomial, vanishing in the
-    graded piece coincides with vanishing of the Groebner normal form."""
+    graded piece coincides with vanishing of the Groebner normal form.  A
+    monomial's Smith coordinates are its row of ``basis_change``."""
     piece = graded_piece(spec, d)
     ring = spec.ring
-    for exps in piece.monomial_basis:
-        mono = IntPolynomial(ring, {exps: 1}, _trusted=True)
-        if piece.is_zero(mono) != spec.contains(mono):
+    for exps, coords in zip(piece.monomial_basis, piece.basis_change):
+        vanishes = not any(c % m if m else c for c, m in zip(coords, piece.diagonal))
+        if vanishes != spec.contains(IntPolynomial(ring, {exps: 1}, _trusted=True)):
             return False
     return True
 
@@ -151,7 +161,6 @@ def _kernel_lattice(
     """Monomial basis in degree d, rows of the degree-d relation lattice, and
     the Hermite basis (as ``lattice_basis`` gives it) of the lattice of
     vectors whose product with m lies in the relation lattice one degree up."""
-    ring = spec.ring
     monomials, rel_rows = relation_rows(spec, d)
     n = len(monomials)
     if not m:
@@ -159,10 +168,8 @@ def _kernel_lattice(
     e = m.weighted_degree()
     target_monomials, target_rel_rows = relation_rows(spec, d + e)
     target_index = _monomial_index(target_monomials)
-    mult_rows = []
-    for exps in monomials:
-        mono = IntPolynomial(ring, {exps: 1}, _trusted=True)
-        mult_rows.append(_vector(target_index, mono * m))
+    terms = m.term_map()
+    mult_rows = [_shifted_vector(target_index, terms, exps) for exps in monomials]
     stacked = mult_rows + target_rel_rows
     kernel = intlinalg.left_kernel(stacked, ncols=len(target_monomials))
     projected = [row[:n] for row in kernel]

@@ -3,13 +3,15 @@
 Everything here works on plain lists of Python ints, so there is no overflow
 anywhere: Hermite and Smith normal forms, left kernels, lattice coordinates
 and canonical residues.  Hermite elimination holds its rows sparse, as
-{column: entry} dicts, so a row update skips the zero entries; inputs and
-results are dense.  Hermite bases (``lattice_basis``) are computed
-without a transform, and coordinates against them (``lattice_coordinates``)
-come from one pass over their pivots; only ``hermite_normal_form``, which
-``left_kernel`` reads, builds its unimodular U.  These routines realize
-graded pieces of quotient rings as finitely generated abelian groups and act
-as the independent cross-check for the Groebner engine.
+{column: entry} dicts, so a row update skips the zero entries; the public
+functions take and return dense rows.  Hermite bases (``lattice_basis``) are
+computed without a transform, and coordinates against them
+(``lattice_coordinates``) come from one pass over their pivots; only
+``hermite_normal_form``, which ``left_kernel`` reads, builds its unimodular
+U.  Hermite elimination serves two engines: ``graded`` realizes graded
+pieces of quotient rings as finitely generated abelian groups through it,
+and ``groebner`` completes its strong bases on ``_hermite``, one degree at a
+time, on sparse rows it builds itself.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Strong Groebner bases over ZZ: normal forms, membership, ideal equality."""
 
 import random
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,20 +173,38 @@ class TestIdealEqual:
             ideal_equal(_spec(bg_ring, ()), _spec(other, ()))
 
 
-class TestGuards:
-    def test_coefficient_explosion_aborts_cleanly(self, monkeypatch):
-        # Mixed-weight ideals with coprime-ish leading coefficients can blow
-        # up over ZZ; with a tightened bound the engine must fail loudly
-        # instead of grinding.
-        monkeypatch.setattr(gb, "_MAX_COEFF_BITS", 64)
-        ring = Ring(("v0", 1), ("v1", 2), ("v2", 1))
-        gens = (
-            ring.parse("-27*v0*v1 + 5*v1*v2 - 25*v0*v2^2 - 32*v2^3"),
-            ring.parse("57*v0^4 - 30*v0^2*v2^2 - 16*v1*v2^2 - 33*v2^4"),
-            ring.parse("4*v0^3 + 33*v0*v2^2 + 19*v2^3"),
-        )
-        with pytest.raises(RuntimeError, match="coefficient growth"):
-            strong_groebner(Ideal(ring, gens))
+def _mixed_weight_ideal():
+    ring = Ring(("v0", 1), ("v1", 2), ("v2", 1))
+    gens = (
+        ring.parse("-27*v0*v1 + 5*v1*v2 - 25*v0*v2^2 - 32*v2^3"),
+        ring.parse("57*v0^4 - 30*v0^2*v2^2 - 16*v1*v2^2 - 33*v2^4"),
+        ring.parse("4*v0^3 + 33*v0*v2^2 + 19*v2^3"),
+    )
+    return Ideal(ring, gens)
+
+
+class TestDegreeCap:
+    def test_mixed_weight_ideal_closes(self):
+        # Mixed weights and coprime leading coefficients: the basis closes
+        # with entries of a few dozen bits.
+        ideal = _mixed_weight_ideal()
+        basis = strong_groebner(ideal)
+        basis.verify_complete()
+        assert len(basis.elements) == 16
+        assert max(g.weighted_degree() for g in basis.elements) == 9
+        assert all(abs(c).bit_length() <= 64 for g in basis.elements for c in g.term_map().values())
+        assert all(basis.contains(g) for g in ideal.generators)
+
+    def test_cap_below_the_closing_degree_raises(self, monkeypatch):
+        monkeypatch.setattr(gb, "_MAX_DEGREE", 8)
+        with pytest.raises(RuntimeError, match="degree cap 8"):
+            strong_groebner(_mixed_weight_ideal())
+
+    def test_generator_above_the_cap_raises(self, monkeypatch):
+        ring = Ring(("x", 1),)
+        monkeypatch.setattr(gb, "_MAX_DEGREE", 3)
+        with pytest.raises(RuntimeError, match="degree cap 3"):
+            strong_groebner(Ideal(ring, (ring.parse("2*x^4"),)))
 
 
 class TestRandomIdeals:
@@ -210,6 +229,41 @@ class TestRandomIdeals:
                         ring, d, rng, coeff_bound=9
                     ) * g
                 assert basis.normal_form(member) == 0
+
+    def test_seed_scan_gives_reduced_closed_bases(self):
+        # The draw above, over seeds 0..39, and an ideal on which pair-by-pair
+        # completion ran for minutes, its coefficients reaching 31,034 bits.
+        from genus2chow.graded import membership_matches_normal_form
+
+        ring = Ring(("x", 1), ("y", 1), ("z", 2))
+        texts = (
+            "3*x^2 + 18*x*y - 10*y^2 - 18*z",
+            "19*x*y^2 + 10*x*z - y*z",
+            "7*x^3 + 11*x^2*y + 13*x*y^2 - 11*x*z",
+        )
+        drawn = [Ideal(ring, tuple(ring.parse(text) for text in texts))]
+        for seed in range(40):
+            rng = random.Random(seed)
+            for _ in range(20):
+                gens = [
+                    random_homogeneous(ring, rng.randint(1, 3), rng, coeff_bound=20)
+                    for _ in range(rng.randint(2, 3))
+                ]
+                drawn.append(Ideal(ring, tuple(g for g in gens if g)))
+        for ideal in drawn:
+            spec = RingSpec(ring, ideal)
+            basis = spec.groebner
+            basis.verify_complete()
+            assert all(basis.contains(g) for g in ideal.generators)
+            leads = [g.leading_term() for g in basis.elements]
+            assert all(c > 0 for _, c in leads)
+            for i, (e, c) in enumerate(leads):
+                for j, (f, k) in enumerate(leads):
+                    assert i == j or not (all(map(le, f, e)) and c % k == 0)
+            for g in basis.elements:
+                tail = g - ring.polynomial(dict([g.leading_term()]))
+                assert basis.normal_form(tail) == tail
+            assert all(membership_matches_normal_form(spec, d) for d in range(5))
 
     def test_random_ideals_agree_with_lattice_membership(self):
         from genus2chow.graded import membership_matches_normal_form

@@ -119,6 +119,13 @@ class TestFaultInjection:
             "no basis element of the twist quotient is led by the hyperplane class"
         )
 
+    def test_completion_at_the_degree_cap_fails_as_data(self, monkeypatch):
+        # The main ideal closes in degree 4; a cap of 3 stops its completion.
+        monkeypatch.setattr(groebner, "_MAX_DEGREE", 3)
+        (check,) = Pipeline().run(ids=["thm:main"]).checks
+        assert check.status == "fail"
+        assert check.witness.startswith("RuntimeError: Groebner completion reached the degree cap 3")
+
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
             Pipeline(corruption="nonsense")
