@@ -6,8 +6,9 @@ monomials; the Smith normal form of that lattice's Hermite basis yields the
 free rank, the torsion invariants and explicit coordinates.  Kernels of
 multiplication maps are lattices too, returned in each degree as Hermite
 bases; two lattices are equal exactly when their Hermite bases are, so which
-classes generate a kernel is for the caller to compare.  Only enumeration
-takes a kernel's group structure.  The Groebner engine completes its bases
+classes generate a kernel is for the caller to compare.  Enumeration reads
+a kernel's cosets off a Hermite basis too; the Smith form serves
+``graded_piece`` only.  The Groebner engine completes its bases
 by Hermite elimination too, but on its own degree-by-degree lattices, and its
 normal forms come from the polynomial reducer, so this route doubles as its
 oracle: a class is zero in the graded piece exactly when its normal form
@@ -16,8 +17,9 @@ vanishes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from . import intlinalg
@@ -31,13 +33,6 @@ class InfiniteKernelError(ValueError):
 
 def _monomial_index(monomials: Sequence[tuple]) -> dict[tuple, int]:
     return {m: i for i, m in enumerate(monomials)}
-
-
-def _vector(index: dict[tuple, int], p: IntPolynomial) -> list[int]:
-    vec = [0] * len(index)
-    for exps, coeff in p.term_map().items():
-        vec[index[exps]] = coeff
-    return vec
 
 
 def _shifted_vector(index: dict[tuple, int], terms: dict[tuple, int], shift: tuple) -> list[int]:
@@ -76,7 +71,7 @@ class GradedPieceGroup:
     ``basis_change`` maps coefficient vectors in the monomial basis to
     Smith-normal coordinates (vector times matrix); coordinate i is read
     modulo ``diagonal[i]`` (0 meaning a free coordinate).  Only polynomials
-    over ``ring`` have coordinates.
+    of degree ``degree`` over ``ring`` are read.
     """
 
     ring: Ring
@@ -87,39 +82,28 @@ class GradedPieceGroup:
     basis_change: tuple[tuple, ...]
     diagonal: tuple[int, ...]
 
-    @cached_property
-    def _index(self) -> dict[tuple, int]:
-        return _monomial_index(self.monomial_basis)
-
-    def coordinates(self, p: IntPolynomial) -> list[int]:
+    def is_zero(self, p: IntPolynomial) -> bool:
+        """Whether every Smith-normal coordinate of p vanishes modulo its
+        diagonal entry."""
         if p.ring != self.ring:
             raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
         deg = p.weighted_degree()
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
-        return intlinalg.matvec_left(_vector(self._index, p), self.basis_change)
-
-    def residue(self, p: IntPolynomial) -> tuple[int, ...]:
-        """Canonical coordinates: entry i reduced modulo diagonal[i]."""
-        coords = self.coordinates(p)
-        return tuple(
-            c % d if d else c for c, d in zip(coords, self.diagonal)
-        )
-
-    def is_zero(self, p: IntPolynomial) -> bool:
-        return not any(self.residue(p))
+        terms = p.term_map()
+        vec = [terms.get(m, 0) for m in self.monomial_basis]
+        coords = intlinalg.matvec_left(vec, self.basis_change)
+        return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
 
-def _smith_quotient(
-    rows: Sequence[Sequence[int]], n: int
-) -> tuple[list[int], intlinalg.Matrix, intlinalg.Matrix]:
-    """The diagonal (padded to length n), V and Vinv of ZZ^n / <rows>.
+def _smith_quotient(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], intlinalg.Matrix]:
+    """The diagonal (padded to length n) and V of ZZ^n / <rows>.
 
     The Smith form is taken of the Hermite basis of the rows, which has full
     row rank, so it sees at most n rows and its entries stay small.
     """
     snf = intlinalg.smith_normal_form(intlinalg.lattice_basis(rows, n), ncols=n)
-    return list(snf.diagonal) + [0] * (n - len(snf.diagonal)), snf.V, snf.Vinv
+    return list(snf.diagonal) + [0] * (n - len(snf.diagonal)), snf.V
 
 
 def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
@@ -127,7 +111,7 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     if d < 0:
         raise ValueError("degree must be >= 0")
     monomials, rows = relation_rows(spec, d)
-    diagonal, basis_change, _ = _smith_quotient(rows, len(monomials))
+    diagonal, basis_change = _smith_quotient(rows, len(monomials))
     return GradedPieceGroup(
         ring=spec.ring,
         degree=d,
@@ -177,31 +161,6 @@ def _kernel_lattice(
     return monomials, rel_rows, basis
 
 
-def _quotient_group(
-    ring: Ring,
-    monomials: Sequence[tuple],
-    lattice: list[list[int]],
-    sub_rows: list[list[int]],
-) -> tuple[int, tuple[int, ...], list[IntPolynomial], list[int]]:
-    """Structure of lattice / <sub_rows> with polynomial lifts of generators;
-    ``lattice`` is a Hermite basis, so coordinates need no factoring."""
-    coeff_rows = [intlinalg.lattice_coordinates(lattice, row) for row in sub_rows]
-    if None in coeff_rows:
-        raise AssertionError("sublattice is not contained in the lattice")
-    diagonal, _, vinv = _smith_quotient(coeff_rows, len(lattice))
-    generators = []
-    orders = []
-    for i, dval in enumerate(diagonal):
-        if dval == 1:
-            continue
-        vec = intlinalg.matvec_left(vinv[i], lattice)
-        generators.append(polynomial_of(ring, monomials, vec))
-        orders.append(dval)
-    free_rank = sum(1 for dv in diagonal if dv == 0)
-    torsion = tuple(dv for dv in diagonal if dv >= 2)
-    return free_rank, torsion, generators, orders
-
-
 def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[intlinalg.Matrix]:
     """Kernel of multiplication by m on each graded piece of degree <= d_max:
     in degree d, the Hermite basis of the lattice of vectors, over
@@ -216,32 +175,31 @@ def enumerate_kernel_elements(
     """All nonzero elements of the degree-d kernel of multiplication by m,
     as canonical normal forms.
 
+    The relation rows, in coordinates over the kernel lattice's Hermite basis
+    K, span a sublattice with Hermite basis H.  When H has full rank, the
+    vectors x with 0 <= x_i < H[i][i] give one coset each, so the classes
+    x @ K are the kernel piece, each once.
     Raises InfiniteKernelError when the kernel piece has positive free rank.
     """
     ring = spec.ring
     monomials, rel_rows, kernel_basis = _kernel_lattice(spec, m, d)
-    free_rank, torsion, gens, orders = _quotient_group(
-        ring, monomials, kernel_basis, rel_rows
-    )
-    if free_rank:
+    rank = len(kernel_basis)
+    coords = [intlinalg.lattice_coordinates(kernel_basis, row) for row in rel_rows]
+    if None in coords:
+        raise AssertionError("relation lattice is not contained in the kernel")
+    H = intlinalg.lattice_basis(coords, rank)
+    if len(H) < rank:
         raise InfiniteKernelError(
-            f"kernel in degree {d} has free rank {free_rank}; not enumerable"
+            f"kernel in degree {d} has free rank {rank - len(H)}; not enumerable"
         )
+    diagonal = [row[i] for i, row in enumerate(H)]
     elements: set[IntPolynomial] = set()
-    combos = [[]]
-    for order in orders:
-        combos = [c + [k] for c in combos for k in range(order)]
-    for combo in combos:
-        acc = ring.zero()
-        for k, g in zip(combo, gens):
-            acc = acc + k * g
-        nf = spec.normal_form(acc)
+    for x in itertools.product(*map(range, diagonal)):
+        vec = intlinalg.matvec_left(x, kernel_basis)
+        nf = spec.normal_form(polynomial_of(ring, monomials, vec))
         if nf:
             elements.add(nf)
-    expected = 1
-    for t in torsion:
-        expected *= t
-    if len(elements) != expected - 1:
+    if len(elements) != math.prod(diagonal) - 1:
         raise AssertionError("kernel classes did not reduce to distinct normal forms")
     return sorted(
         elements,

@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain lists of Python ints, so there is no overflow
-anywhere: Hermite and Smith normal forms, left kernels, lattice coordinates
-and canonical residues.  Hermite elimination holds its rows sparse, as
+anywhere: Hermite and Smith normal forms, left kernels and lattice
+coordinates.  Hermite elimination holds its rows sparse, as
 {column: entry} dicts, so a row update skips the zero entries; the public
 functions take and return dense rows.  Hermite bases (``lattice_basis``) are
 computed without a transform, and coordinates against them
@@ -73,19 +73,6 @@ class HermiteForm:
     rows: Matrix
     transform: Matrix
     pivots: list[tuple[int, int]]
-
-    def basis(self) -> Matrix:
-        return [self.rows[r] for r, _ in self.pivots]
-
-    def reduce(self, vector: Sequence[int]) -> list[int]:
-        """Canonical residue of a vector modulo the row lattice."""
-        residual = list(vector)
-        for r, c in self.pivots:
-            q = residual[c] // self.rows[r][c]
-            if q:
-                row = self.rows[r]
-                residual = [x - q * y for x, y in zip(residual, row)]
-        return residual
 
 
 def _sparse(row: Sequence[int]) -> dict[int, int]:

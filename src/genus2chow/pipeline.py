@@ -55,6 +55,12 @@ def _require(condition: bool, witness: str):
         raise CheckFailure(witness)
 
 
+def _expect(derived, stated, what: str):
+    """Require a derived value to equal its stated one; the witness names both."""
+    if derived != stated:
+        raise CheckFailure(f"{what} {derived}, expected {stated}")
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -624,24 +630,22 @@ class Pipeline:
     def check_bg(self) -> str:
         deriv = self.bg_derivation
         groth = deriv.grothendieck_relation
-        _require(
-            groth == groth.ring.parse(_BG_BUNDLE_FACTORS),
-            "projective-bundle relation does not factor as stated",
+        amb = groth.ring
+        _expect(
+            groth, amb.parse(_BG_BUNDLE_FACTORS),
+            "projective-bundle relation does not factor as stated:",
         )
         rel1, rel2 = deriv.excision_relations
+        _expect((rel1, rel2), tuple(map(amb.parse, _BG_EXCISION)), "excision relations came out as")
         _require(
-            (str(rel1), str(rel2)) == _BG_EXCISION,
-            f"excision relations came out as {rel1}; {rel2}",
-        )
-        _require(
-            RingSpec(groth.ring, Ideal(groth.ring, (rel1, rel2))).contains(groth),
+            RingSpec(amb, Ideal(amb, (rel1, rel2))).contains(groth),
             "bundle relation is not implied by the excision relations",
         )
         # Equal generators, in order, present the same ideal as the pipeline's
         # classifying ring without completing a second basis.
-        _require(
-            deriv.substituted_relations == self.bg.relations.generators,
-            "derived presentation differs from the stated one",
+        _expect(
+            deriv.substituted_relations, self.bg.relations.generators,
+            "derived presentation differs from the stated one:",
         )
         return (
             f"excision relations: {rel1} and {rel2}\n"
@@ -653,37 +657,24 @@ class Pipeline:
 
     def check_s6_table(self) -> str:
         table = self.s6["table"]
-        lines = []
         for j, text in _S6_TABLE.items():
-            stated = self.groth_ring.parse(text)
-            _require(table[j] == stated, f"s6^{j} = {table[j]}, expected {stated}")
-            lines.append(f"s6^{j} = {table[j]}")
-        return "\n".join(lines)
+            _expect(table[j], self.groth_ring.parse(text), f"s6^{j} =")
+        return "\n".join(f"s6^{j} = {table[j]}" for j in _S6_TABLE)
 
     def check_sij_expansions(self) -> str:
         ring = self.groth_ring
         combos = self.s6["combos"]
         _require(self.s6["s02_evenness"], "halving failed: odd coefficient in the squared term")
-        lines = []
         for name, stated in _SIJ_EXPANSIONS.items():
-            combo = combos[name]
-            expected = [ring.zero()] * 7
-            for j, text in stated.items():
-                expected[j] = ring.parse(text)
-            _require(
-                list(combo.coeffs) == expected,
-                f"{name} expands as {combo}, expected {SClassCombo(6, expected)}",
-            )
-            lines.append(f"{name} = {combo}")
-        return "\n".join(lines)
+            expected = [ring.parse(stated.get(j, "0")) for j in range(7)]
+            _expect(combos[name], SClassCombo(6, expected), f"{name} expands as")
+        return "\n".join(f"{name} = {combos[name]}" for name in _SIJ_EXPANSIONS)
 
     def check_det_7x7(self) -> str:
-        ring = self.groth_ring
         order = ["s10", "s11", "s12", "s13", "s00", "s01", "s02'"]
         rows = [list(self.s6["combos"][name].coeffs) for name in order]
         det = determinant_expansion(rows)
-        stated = ring.parse(_DETERMINANT)
-        _require(det == stated, f"determinant is {det}")
+        _expect(det, self.groth_ring.parse(_DETERMINANT), "determinant is")
         return f"7x7 independence matrix determinant = {det}"
 
     def check_cub_compat(self) -> str:
@@ -716,29 +707,22 @@ class Pipeline:
         )
 
     def check_groth_factor(self) -> str:
-        ring = self.groth_ring
-        stated = ring.parse(_GROTHENDIECK_FACTORS)
-        _require(
-            self.grothendieck_relation == stated,
-            f"root expansion gives {self.grothendieck_relation}",
-        )
+        stated = self.groth_ring.parse(_GROTHENDIECK_FACTORS)
+        _expect(self.grothendieck_relation, stated, "root expansion gives")
         return f"degree-7 relation factors as stated: {stated}"
 
     def check_sij_rewrites(self) -> str:
         ring = self.groth_ring
         polys = self.s6["polys"]
-        lines = []
         for name, text in _SIJ_POLYNOMIALS.items():
-            stated = ring.parse(text)
-            _require(polys[name] == stated, f"{name} = {polys[name]}, expected {stated}")
+            _expect(polys[name], ring.parse(text), f"{name} =")
         named = ring.extend(("s10", 3), ("s00", 2))
         for name, text in _SIJ_REWRITES.items():
             stated = named.parse(text).substitute(
                 {"s10": polys["s10"], "s00": polys["s00"]}, target=ring
             )
-            _require(polys[name] == stated, f"{name} rewriting fails")
-            lines.append(f"{name} = {text}")
-        return "\n".join(lines)
+            _expect(polys[name], stated, f"{name} rewriting fails:")
+        return "\n".join(f"{name} = {text}" for name, text in _SIJ_REWRITES.items())
 
     def check_groth_membership(self) -> str:
         ring = self.groth_ring
@@ -761,16 +745,15 @@ class Pipeline:
 
     def check_adelta1(self) -> str:
         data = self.delta1_data
-        euler46, z0 = data["euler46"], data["z0"]
-        _require(
-            euler46 == self.bg.parse(_BOUNDARY_EULER),
-            f"euler class of the doubled (4,6) weights is {euler46}",
-        )
-        _require(z0 == z0.ring.parse(_VANISHING_SUMMAND), f"vanishing-summand class is {z0}")
-        push1, push2 = data["push1"], data["push2"]
-        stated1, stated2 = (self.bg.parse(text) for text in _BOUNDARY_EXCISION)
-        _require(push1 == stated1, f"first excision pushforward is {push1}")
-        _require(push2 == stated2, f"second excision pushforward is {push2}")
+        z0 = data["z0"]
+        for derived, stated, what in (
+            (data["euler46"], self.bg.parse(_BOUNDARY_EULER),
+             "euler class of the doubled (4,6) weights is"),
+            (z0, z0.ring.parse(_VANISHING_SUMMAND), "vanishing-summand class is"),
+            (data["push1"], self.bg.parse(_BOUNDARY_EXCISION[0]), "first excision pushforward is"),
+            (data["push2"], self.bg.parse(_BOUNDARY_EXCISION[1]), "second excision pushforward is"),
+        ):
+            _expect(derived, stated, what)
         derived, stated = data["derived"], data["stated"]
         _require(
             ideal_equal(derived, stated),
@@ -842,27 +825,18 @@ class Pipeline:
         )
 
     def check_kappa(self) -> str:
-        data = self.grr_data
-        ring = data["kappa_ring"]
-        stated = ring.parse(_KAPPA_QUADRIC)
-        _require(data["kappa_class"] == stated, f"series quotient gives {data['kappa_class']}")
+        stated = self.grr_data["kappa_ring"].parse(_KAPPA_QUADRIC)
+        _expect(self.grr_data["kappa_class"], stated, "series quotient gives")
         return f"degree-2 series quotient = {stated}"
 
     def check_delta0(self) -> str:
         data = self.grr_data
         big = data["big"]
-        _require(
-            data["rewritten"] == big.parse(_KAPPA_REWRITE),
-            f"quadric rewriting gives {data['rewritten']}",
-        )
+        _expect(data["rewritten"], big.parse(_KAPPA_REWRITE), "quadric rewriting gives")
         _require(not data["leftover"], "unexpected monomials survived the pushforward")
-        stated = big.parse(_DELTA0)
-        _require(
-            data["delta0_solution"] == stated,
-            f"linear assembly gives {data['delta0_solution']}",
-        )
+        _expect(data["delta0_solution"], big.parse(_DELTA0), "linear assembly gives")
         rel3_stated = big.parse(_MAIN_RELATIONS[1])
-        _require(data["rel3"] == rel3_stated, f"doubled relation gives {data['rel3']}")
+        _expect(data["rel3"], rel3_stated, "doubled relation gives")
         return (
             f"pushforward assembly: 12*lambda1 = {data['pushed']}\n"
             f"so delta0 = {data['delta0_solution']};"
@@ -878,15 +852,16 @@ class Pipeline:
         gamma, lam1 = ring.var("gamma"), ring.var("lambda1")
         elements = enumerate_kernel_elements(spec, gamma - lam1, 3)
         stated = [ring.parse(text) for text in _DEGREE3_KERNEL]
-        stated_nf = {spec.normal_form(p) for p in stated}
-        _require(
-            len(elements) == 3 and set(elements) == stated_nf,
-            f"kernel enumeration gives {[str(e) for e in elements]}",
+        _expect(
+            sorted(elements, key=str), sorted(map(spec.normal_form, stated), key=str),
+            "kernel enumeration gives",
         )
         target = self.m2bar_ring.ring
         pushed = [pushforward_boundary_to_total(p, target) for p in stated]
-        expected = [target.parse(text) for text in _BOUNDARY_CLASSES]
-        _require(pushed == expected, "boundary pushforwards differ from the stated classes")
+        _expect(
+            pushed, [target.parse(text) for text in _BOUNDARY_CLASSES],
+            "boundary pushforwards differ from the stated classes:",
+        )
         for p in stated:
             _require(
                 spec.contains(p * (gamma - lam1)),
@@ -896,7 +871,7 @@ class Pipeline:
             "degree-3 kernel of multiplication by gamma - lambda1 is exactly\n  "
             + "\n  ".join(str(p) for p in stated)
             + "\nwith boundary pushforwards\n  "
-            + "\n  ".join(str(p) for p in expected)
+            + "\n  ".join(str(p) for p in pushed)
         )
 
     def check_im5(self) -> str:
@@ -940,10 +915,8 @@ class Pipeline:
     def check_bielliptic_euler(self) -> str:
         data = self.bielliptic_data
         amb = self.alpha_ambient
-        stated1 = amb.normal_form(amb.parse(_RELZERO[0]))
-        stated2 = amb.normal_form(amb.parse(_RELZERO[3]))
-        _require(data["euler_v31"] == stated1, f"cubic euler class is {data['euler_v31']}")
-        _require(data["euler_pairs"] == stated2, f"pair euler class is {data['euler_pairs']}")
+        _expect(data["euler_v31"], amb.normal_form(amb.parse(_RELZERO[0])), "cubic euler class is")
+        _expect(data["euler_pairs"], amb.normal_form(amb.parse(_RELZERO[3])), "pair euler class is")
         return (
             f"euler class of the twisted cubics: {data['euler_v31']}\n"
             f"euler class of the paired linear forms: {data['euler_pairs']}"
@@ -953,20 +926,19 @@ class Pipeline:
         """Require each derived relation to equal its stated text in the
         ambient ring; ``kind`` names the family in the witness."""
         amb = self.alpha_ambient
-        lines = []
         for relation, text in zip(derived, texts, strict=True):
-            stated = amb.normal_form(amb.parse(text))
-            _require(
-                amb.normal_form(relation) == stated,
-                f"{kind} relation mismatch: derived {relation}, stated {text}",
+            _expect(
+                amb.normal_form(relation), amb.normal_form(amb.parse(text)),
+                f"{kind} relation mismatch: derived",
             )
-            lines.append(f"  {text} = 0")
-        return f"{kind} relations reproduced from primitives:\n" + "\n".join(lines)
+        return f"{kind} relations reproduced from primitives:\n" + "\n".join(
+            f"  {text} = 0" for text in texts
+        )
 
     def check_relzero(self) -> str:
         data = self.bielliptic_data
         z0 = data["z0"]
-        _require(z0 == z0.ring.parse(_VANISHING_FORM), f"vanishing-form class evaluates to {z0}")
+        _expect(z0, z0.ring.parse(_VANISHING_FORM), "vanishing-form class evaluates to")
         return self._test_family_relations("zero-section", data["relzero"], _RELZERO)
 
     def check_reltrip(self) -> str:
@@ -975,10 +947,8 @@ class Pipeline:
 
     def check_bielliptic_ring(self) -> str:
         data = self.bielliptic_data
-        amb = self.alpha_ambient
-        ar = amb.ring
         t1, t2, t3 = data["taut"]
-        _require(t3 == ar.parse(_TAUTOLOGICAL[2]), f"boundary class pullback is {t3}")
+        _expect(t3, t3.ring.parse(_TAUTOLOGICAL[2]), "boundary class pullback is")
         lr = data["stated"].ring
         phi = data["phi"]
         _require(

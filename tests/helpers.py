@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import re
 from pathlib import Path
 
+from genus2chow import intlinalg as la
 from genus2chow.classifying import wn_chern
+from genus2chow.graded import _kernel_lattice, polynomial_of
 from genus2chow.groebner import RingSpec
 from genus2chow.parse import ParseError
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
@@ -82,6 +85,35 @@ def vector_of(monomials, p: IntPolynomial) -> list[int]:
     for exps, coeff in p.term_map().items():
         vec[index[exps]] = coeff
     return vec
+
+
+def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
+    """The nonzero normal forms of the degree-d kernel of multiplication by
+    m, by a Smith form: the relation rows, in coordinates over the kernel
+    lattice's Hermite basis, diagonalize to one generator per invariant
+    factor, and every combination of the generators is reduced.  None when
+    the kernel piece has positive free rank."""
+    ring = spec.ring
+    monomials, rel_rows, basis = _kernel_lattice(spec, m, d)
+    n = len(basis)
+    coords = [la.lattice_coordinates(basis, row) for row in rel_rows]
+    snf = la.smith_normal_form(la.lattice_basis(coords, n), ncols=n)
+    diagonal = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
+    if 0 in diagonal:
+        return None
+    gens = [
+        (polynomial_of(ring, monomials, la.matvec_left(snf.Vinv[i], basis)), order)
+        for i, order in enumerate(diagonal) if order != 1
+    ]
+    elements = set()
+    for combo in itertools.product(*(range(order) for _, order in gens)):
+        acc = ring.zero()
+        for k, (g, _) in zip(combo, gens):
+            acc = acc + k * g
+        nf = spec.normal_form(acc)
+        if nf:
+            elements.add(nf)
+    return elements
 
 
 def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:

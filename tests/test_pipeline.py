@@ -107,6 +107,14 @@ class TestFaultInjection:
         assert len(outputs) == 1
         assert outputs.pop().startswith("fail ")
 
+    def test_failure_witness_names_the_stated_value(self, pipeline):
+        kappa = pipeline.grr_data["kappa_class"]
+        fresh = Pipeline()
+        fresh.__dict__["grr_data"] = {**pipeline.grr_data, "kappa_class": 2 * kappa}
+        (check,) = fresh.run(ids=["kappa"]).checks
+        assert check.status == "fail"
+        assert check.witness == f"series quotient gives {2 * kappa}, expected {kappa}"
+
     def test_hyperplane_class_declared_last_is_not_eliminated(self):
         # With t last in the monomial order no basis element of the twist
         # quotient is led by t.  oracle-agreement is not run: its Smith forms
