@@ -13,7 +13,6 @@ from .ring import (
     RingMismatchError,
     VariableSpec,
     chern_series_quotient,
-    elementary_symmetric,
     symmetrize_to_elementary,
 )
 from .parse import ParseError, parse_polynomial, render_polynomial

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
 
-from .ring import IntPolynomial, Ring, RingMismatchError, symmetrize_to_elementary
+from .ring import IntPolynomial, Ring, RingMismatchError, reduce_roots, symmetrize_to_elementary
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,10 @@ def push_multiplication_power(
     r = len(xvars)
     work = p
     for name in xvars:
-        # x^e = -c1 x^(e-1) - c2 x^(e-2), down to x^0 and x^1; the remainder
-        # is unique because squarefree monomials are a basis over the base.
-        powers = [ring.one(), ring.var(name)]
-        reduced = ring.zero()
-        for (e,), coeff in work.coefficients((name,)).items():
-            while len(powers) <= e:
-                powers.append(-classes.c1 * powers[-1] - classes.c2 * powers[-2])
-            reduced = reduced + coeff * powers[e]
-        work = reduced
+        # The remainder is unique because squarefree monomials are a basis
+        # over the base.
+        low, high = reduce_roots(work, (name,), -classes.c1, classes.c2)
+        work = low + high * ring.var(name)
 
     out = [ring.zero()] * (r + 1)
     for exps, coeff in work.coefficients(xvars).items():

@@ -4,8 +4,8 @@ The group at the center of the boundary calculations is the wreath-type
 extension of a two-dimensional torus by the swap involution.  The relations
 of its Chow ring are derived here from the rank-2 projective-bundle calculus;
 the stated presentation they are checked against lives in the pipeline's
-table of stated texts.  The pushforward along the torus double cover is
-implemented by the explicit recursion it satisfies.
+table of stated texts.  The pushforward along the torus double cover is the
+projection formula over the splitting reduction of the torus roots.
 """
 
 from __future__ import annotations
@@ -14,40 +14,26 @@ from dataclasses import dataclass
 
 from .bundles import BundleClasses, root_product, srj_table, veronese_pushforward
 from .groebner import RingSpec
-from .ring import IntPolynomial, Ring
+from .ring import IntPolynomial, Ring, reduce_roots
 
 
 # -- transfer along the torus double cover ---------------------------------------
 
 
 def bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
-    """Pushforward from the torus, extended linearly over monomials by
+    """Pushforward from the torus by the projection formula.
 
-        1        -> 2
-        t1       -> beta1 + gamma
-        t1^a     -> beta1 push(t1^(a-1)) - beta2 push(t1^(a-2))
-        t1^a t2^b -> beta2^min(a,b) push(t1^|a-b|),
-
-    reduced into ``target``: a presentation whose relations are exactly
+    p reduces to low + high t1 over the splitting t1 + t2 = beta1,
+    t1 t2 = beta2, and pushes to 2 low + (beta1 + gamma) high, reduced into
+    ``target``: a presentation whose relations are exactly
     (2*gamma, gamma^2 + beta1*gamma), such as the classifying ring or its
     product with the rank-2 classifying ring.  Variables other than t1, t2
     pass through as scalars.
     """
     ring = target.ring
-    beta1, beta2, gamma = ring.var("beta1"), ring.var("beta2"), ring.var("gamma")
-
-    powers = [ring.const(2), beta1 + gamma]
-
-    def push_power(a: int) -> IntPolynomial:
-        while len(powers) <= a:
-            k = len(powers)
-            powers.append(beta1 * powers[k - 1] - beta2 * powers[k - 2])
-        return powers[a]
-
-    acc = ring.zero()
-    for (a, b), rest in p.coefficients(("t1", "t2")).items():
-        acc = acc + rest.into(ring) * beta2 ** min(a, b) * push_power(abs(a - b))
-    return target.normal_form(acc)
+    beta1, gamma = ring.var("beta1"), ring.var("gamma")
+    low, high = reduce_roots(p, ("t1", "t2"), beta1, ring.var("beta2"), target=ring)
+    return target.normal_form(2 * low + (beta1 + gamma) * high)
 
 
 # -- Chern classes of the doubled weight representations ---------------------------

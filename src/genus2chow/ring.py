@@ -1,15 +1,16 @@
 """Sparse multivariate polynomial arithmetic over ZZ with weighted gradings.
 
 Every Chow-ring computation in this package reduces to exact arithmetic with
-graded integer polynomials: products, graded substitutions, rewriting of
-symmetric expressions in elementary symmetric classes, and truncated quotients
-of total Chern series.  Polynomials are immutable values; all operations are
-pure functions, so results can be shared freely.
+graded integer polynomials: products, graded substitutions, the reduction
+over the roots of a rank-2 splitting (which rewrites symmetric expressions in
+elementary symmetric classes and serves the torus transfer and hyperplane
+powers), and truncated quotients of total Chern series.  Polynomials are
+immutable values; all operations are pure functions, so results can be
+shared freely.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -461,58 +462,72 @@ class IntPolynomial:
         return self.substitute({}, target=target)
 
 
-# -- symmetric rewriting ----------------------------------------------------
+# -- rank-2 splitting ----------------------------------------------------------
 
 
-def elementary_symmetric(ring: Ring, names: Sequence[str], k: int) -> IntPolynomial:
-    """The k-th elementary symmetric polynomial in the named variables."""
-    acc = ring.zero()
-    for combo in itertools.combinations(names, k):
-        term = ring.one()
-        for name in combo:
-            term = term * ring.var(name)
-        acc = acc + term
-    return acc
+def reduce_roots(
+    p: IntPolynomial, roots: Sequence[str], s: IntPolynomial, q: IntPolynomial,
+    target: Ring | None = None,
+) -> tuple[IntPolynomial, IntPolynomial]:
+    """Split p as p0 + p1*a over the relations of a rank-2 splitting.
+
+    For two roots (a, b) the relations are a + b = s and a*b = q; for a lone
+    root a they are a^2 = s*a - q.  The returned p0 and p1 live in ``target``
+    (default: the ring of p), which holds s, q and every variable of p other
+    than the roots, by name; neither holds a root.  A monomial a^i b^j is
+    q^min(i,j) times a^k or b^k, k = |i - j|, read from the table
+    a^k = x_k + y_k a, b^k = (x_k + s y_k) - y_k a.
+    """
+    target = p.ring if target is None else target
+    xs, ys = [target.one(), target.zero()], [target.zero(), target.one()]
+    p0 = p1 = target.zero()
+    for exps, coeff in p.coefficients(roots).items():
+        i, j = exps if len(exps) == 2 else (exps[0], 0)
+        k = abs(i - j)
+        while len(xs) <= k:
+            xs, ys = xs + [-q * ys[-1]], ys + [xs[-1] + s * ys[-1]]
+        if target != p.ring:
+            coeff = coeff.into(target)
+        if min(i, j):
+            coeff = coeff * q ** min(i, j)
+        x, y = (xs[k], ys[k]) if i >= j else (xs[k] + s * ys[k], -ys[k])
+        p0, p1 = p0 + coeff * x, p1 + coeff * y
+    return p0, p1
 
 
 SymmetricFamilies = Sequence[tuple[Sequence[str], Sequence[str]]]
 
 
 def symmetrize_to_elementary(p: IntPolynomial, families: SymmetricFamilies) -> IntPolynomial:
-    """Rewrite a polynomial, symmetric within each family of degree-1 roots,
+    """Rewrite a polynomial, symmetric within each pair of degree-1 roots,
     as a polynomial in the matching elementary symmetric target variables.
 
-    ``families`` lists (root names, target names) pairs; the i-th target of a
-    family must have weight i+1.  The result carries no root variables, and
-    the rewriting is verified by substituting the elementary symmetric
+    ``families`` lists (root names, target names) pairs: two roots each,
+    with targets of weights 1 and 2.  The result carries no root variables,
+    and the rewriting is verified by substituting the elementary symmetric
     polynomials back in.
     """
     ring = p.ring
     for roots, targets in families:
-        if len(set(roots)) != len(roots):
-            raise ValueError("repeated root variables")
-        if len(targets) != len(roots):
-            raise ValueError("need one target per elementary symmetric degree")
-        for r in roots:
-            if ring.variables[ring.index(r)].degree != 1:
-                raise ValueError(f"root {r} must have degree 1")
-        for i, t in enumerate(targets):
-            if ring.variables[ring.index(t)].degree != i + 1:
-                raise ValueError(f"target {t} must have degree {i + 1}")
+        if len(roots) != 2 or len(targets) != 2 or roots[0] == roots[1]:
+            raise ValueError("a family is two distinct roots and two targets")
+        for name, weight in zip((*roots, *targets), (1, 1, 1, 2)):
+            if ring.variables[ring.index(name)].degree != weight:
+                raise ValueError(f"{name} must have degree {weight}")
         _check_symmetry(p, roots)
 
     result = p
-    for roots, targets in families:
-        result = _eliminate_family(result, list(roots), list(targets))
+    for roots, (e1, e2) in families:
+        result, rest = reduce_roots(result, roots, ring.var(e1), ring.var(e2))
+        if rest:
+            raise AssertionError("internal error: a symmetric input kept a root")
 
     # Targets may legitimately occur in the input (they already denote the
     # elementary symmetrics of their roots there); congruence is therefore
     # verified after retracting targets onto the elementary polynomials.
-    back = {
-        t: elementary_symmetric(ring, list(roots), i + 1)
-        for roots, targets in families
-        for i, t in enumerate(targets)
-    }
+    back = {}
+    for (a, b), (e1, e2) in families:
+        back[e1], back[e2] = ring.var(a) + ring.var(b), ring.var(a) * ring.var(b)
     if result.substitute(back) != p.substitute(back):
         raise AssertionError("internal error: back-substitution check failed")
     return result
@@ -520,53 +535,16 @@ def symmetrize_to_elementary(p: IntPolynomial, families: SymmetricFamilies) -> I
 
 def _check_symmetry(p: IntPolynomial, roots: Sequence[str]):
     ring = p.ring
-    idx = [ring.index(r) for r in roots]
-    for a, b in zip(idx, idx[1:]):
-        for exps, c in p._terms.items():
-            if exps[a] == exps[b]:
-                continue
-            swapped = list(exps)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            if p._terms.get(tuple(swapped), 0) != c:
-                raise NotSymmetricError(
-                    f"not symmetric under {roots} swap", orbit=(exps, tuple(swapped))
-                )
-
-
-def _eliminate_family(p: IntPolynomial, roots: list[str], targets: list[str]) -> IntPolynomial:
-    ring = p.ring
-    k = len(roots)
-    idx = [ring.index(r) for r in roots]
-    elem = [elementary_symmetric(ring, roots, i + 1) for i in range(k)]
-    tvars = [ring.var(t) for t in targets]
-
-    # Split once, then rewrite the coefficient of the lex-leading root profile
-    # until none is left; a step only moves weight to lower profiles, and the
-    # root-free part comes last, with every step zero.
-    split = p.coefficients(roots)
-    done = ring.zero()
-    while split:
-        profile = max(split)
-        cofactor = split[profile]
-        if sorted(profile, reverse=True) != list(profile):
-            raise AssertionError("lex-leading exponents of a symmetric input must descend")
-        in_targets = ring.one()
-        in_roots = ring.one()
-        for i in range(k):
-            step = profile[i] - (profile[i + 1] if i + 1 < k else 0)
-            if step:
-                in_targets = in_targets * tvars[i] ** step
-                in_roots = in_roots * elem[i] ** step
-        done = done + cofactor * in_targets
-        # in_roots leads with the profile itself, coefficient 1, which cancels it.
-        for exps, c in in_roots._terms.items():
-            key = tuple(exps[i] for i in idx)
-            rest = split.get(key, ring.zero()) - c * cofactor
-            if rest:
-                split[key] = rest
-            else:
-                del split[key]
-    return done
+    a, b = (ring.index(r) for r in roots)
+    for exps, c in p._terms.items():
+        if exps[a] == exps[b]:
+            continue
+        swapped = list(exps)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        if p._terms.get(tuple(swapped), 0) != c:
+            raise NotSymmetricError(
+                f"not symmetric under {roots} swap", orbit=(exps, tuple(swapped))
+            )
 
 
 # -- truncated Chern series ---------------------------------------------------

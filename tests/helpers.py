@@ -303,3 +303,68 @@ def wn_chern_from_tensor_identity(
     c1_n = e1_lhs - c1_rest
     c2_n = e2_lhs - e2_rest - c1_n * c1_rest
     return spec.normal_form(c1_n), spec.normal_form(c2_n)
+
+
+# -- oracles for the rank-2 splitting reduction -------------------------------------
+
+
+def _elementary(ring: Ring, names, k: int) -> IntPolynomial:
+    """The k-th elementary symmetric polynomial in the named variables."""
+    acc = ring.zero()
+    for combo in itertools.combinations(names, k):
+        term = ring.one()
+        for name in combo:
+            term = term * ring.var(name)
+        acc = acc + term
+    return acc
+
+
+def reference_symmetrize(p: IntPolynomial, families) -> IntPolynomial:
+    """Symmetric rewriting by lex-profile elimination, for families of any
+    number of degree-1 roots: split along a family's roots, then rewrite the
+    coefficient of the lex-leading root profile (e_1^(i1-i2) ... e_k^ik
+    leads with that profile, coefficient 1) until no profile is left."""
+    ring = p.ring
+    for roots, targets in families:
+        k = len(roots)
+        idx = [ring.index(r) for r in roots]
+        elem = [_elementary(ring, roots, i + 1) for i in range(k)]
+        tvars = [ring.var(t) for t in targets]
+        split = p.coefficients(roots)
+        done = ring.zero()
+        while split:
+            profile = max(split)
+            cofactor = split[profile]
+            assert sorted(profile, reverse=True) == list(profile), "input not symmetric"
+            in_targets, in_roots = ring.one(), ring.one()
+            for i in range(k):
+                step = profile[i] - (profile[i + 1] if i + 1 < k else 0)
+                in_targets = in_targets * tvars[i] ** step
+                in_roots = in_roots * elem[i] ** step
+            done = done + cofactor * in_targets
+            for exps, c in in_roots.term_map().items():
+                key = tuple(exps[i] for i in idx)
+                rest = split.get(key, ring.zero()) - c * cofactor
+                if rest:
+                    split[key] = rest
+                else:
+                    del split[key]
+        p = done
+    return p
+
+
+def reference_bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomial:
+    """The torus transfer by its four rules, extended linearly over
+    monomials and reduced into ``target``:
+    1 -> 2, t1 -> beta1 + gamma,
+    t1^a -> beta1 push(t1^(a-1)) - beta2 push(t1^(a-2)) and
+    t1^a t2^b -> beta2^min(a,b) push(t1^|a-b|)."""
+    ring = target.ring
+    beta1, beta2, gamma = ring.var("beta1"), ring.var("beta2"), ring.var("gamma")
+    pushed = [ring.const(2), beta1 + gamma]
+    acc = ring.zero()
+    for (a, b), rest in p.coefficients(("t1", "t2")).items():
+        while len(pushed) <= abs(a - b):
+            pushed.append(beta1 * pushed[-1] - beta2 * pushed[-2])
+        acc = acc + rest.into(ring) * beta2 ** min(a, b) * pushed[abs(a - b)]
+    return target.normal_form(acc)

@@ -13,7 +13,6 @@ from genus2chow.ring import (
     Ring,
     RingMismatchError,
     chern_series_quotient,
-    elementary_symmetric,
     symmetrize_to_elementary,
 )
 
@@ -266,8 +265,8 @@ class TestSymmetrize:
         rng = random.Random(11)
         i1, i2 = ring.index("a1"), ring.index("a2")
         back = {
-            "e1": elementary_symmetric(ring, ["a1", "a2"], 1),
-            "e2": elementary_symmetric(ring, ["a1", "a2"], 2),
+            "e1": ring.var("a1") + ring.var("a2"),
+            "e2": ring.var("a1") * ring.var("a2"),
         }
         for _ in range(20):
             raw = random_homogeneous(ring, rng.randint(1, 4), rng, max_terms=6)
