@@ -10,8 +10,8 @@ as a polynomial, so they evaluate directly at whatever class it is set to.
 
 Euler classes and projective-bundle relations are products of linear forms
 in the Chern roots of rank-2 bundles; ``root_product`` expands such a
-product and rewrites it in the bundles' Chern classes by the splitting
-principle.
+product over the roots alone and reduces it straight onto the bundles' Chern
+classes by the splitting principle.
 """
 
 from __future__ import annotations
@@ -60,11 +60,7 @@ def root_product(
     # are fresh.
     fresh = "_" * (1 + max(len(v.name) for v in ring.variables))
     roots = [(f"{fresh}r{k}", f"{fresh}s{k}") for k in range(len(classes))]
-    chern = [(f"{fresh}c{k}", f"{fresh}d{k}") for k in range(len(classes))]
-    work = ring.extend(
-        *((name, 1) for pair in roots for name in pair),
-        *(spec for c1, c2 in chern for spec in ((c1, 1), (c2, 2))),
-    )
+    work = ring.extend(*((name, 1) for pair in roots for name in pair))
     root_vars = [work.var(name) for pair in roots for name in pair]
     product = work.one()
     for x, multiplicities in factors:
@@ -72,11 +68,8 @@ def root_product(
         for m, r in zip(multiplicities, root_vars, strict=True):
             form = form + m * r
         product = product * form
-    symmetric = symmetrize_to_elementary(product, list(zip(roots, chern)))
-    images = {}
-    for cls, (c1, c2) in zip(classes, chern):
-        images[c1], images[c2] = cls.c1, cls.c2
-    return symmetric.substitute(images, target=ring)
+    families = [(pair, (c.c1.into(work), c.c2.into(work))) for pair, c in zip(roots, classes)]
+    return symmetrize_to_elementary(product, families).into(ring)
 
 
 def srj_table(r: int, classes: BundleClasses, t: IntPolynomial) -> tuple[IntPolynomial, ...]:

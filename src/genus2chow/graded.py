@@ -139,16 +139,14 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
 # -- kernels of multiplication maps -----------------------------------------------
 
 
-def _kernel_lattice(
-    spec: RingSpec, m: IntPolynomial, d: int
-) -> tuple[list[tuple], list[list[int]], list[list[int]]]:
-    """Monomial basis in degree d, rows of the degree-d relation lattice, and
-    the Hermite basis (as ``lattice_basis`` gives it) of the lattice of
-    vectors whose product with m lies in the relation lattice one degree up."""
-    monomials, rel_rows = relation_rows(spec, d)
+def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]:
+    """The Hermite basis (as ``lattice_basis`` gives it) of the lattice of
+    vectors, over ``ring.monomials_of_degree(d)``, whose product with m lies
+    in the relation lattice one degree up."""
+    monomials = spec.ring.monomials_of_degree(d)
     n = len(monomials)
     if not m:
-        return monomials, rel_rows, intlinalg.identity(n)
+        return intlinalg.identity(n)
     e = m.weighted_degree()
     target_monomials, target_rel_rows = relation_rows(spec, d + e)
     target_index = _monomial_index(target_monomials)
@@ -157,8 +155,7 @@ def _kernel_lattice(
     stacked = mult_rows + target_rel_rows
     kernel = intlinalg.left_kernel(stacked, ncols=len(target_monomials))
     projected = [row[:n] for row in kernel]
-    basis = intlinalg.lattice_basis(projected, n)
-    return monomials, rel_rows, basis
+    return intlinalg.lattice_basis(projected, n)
 
 
 def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[intlinalg.Matrix]:
@@ -166,7 +163,7 @@ def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[
     in degree d, the Hermite basis of the lattice of vectors, over
     ``ring.monomials_of_degree(d)``, whose product with m lies in the
     relations.  It contains the degree-d relation lattice."""
-    return [_kernel_lattice(spec, m, d)[2] for d in range(d_max + 1)]
+    return [_kernel_lattice(spec, m, d) for d in range(d_max + 1)]
 
 
 def enumerate_kernel_elements(
@@ -182,7 +179,8 @@ def enumerate_kernel_elements(
     Raises InfiniteKernelError when the kernel piece has positive free rank.
     """
     ring = spec.ring
-    monomials, rel_rows, kernel_basis = _kernel_lattice(spec, m, d)
+    monomials, rel_rows = relation_rows(spec, d)
+    kernel_basis = _kernel_lattice(spec, m, d)
     rank = len(kernel_basis)
     coords = [intlinalg.lattice_coordinates(kernel_basis, row) for row in rel_rows]
     if None in coords:

@@ -10,7 +10,8 @@ which makes them unique and path-independent.
 Completion takes Lazard's Macaulay-matrix route over ZZ: the ideals are
 homogeneous, so the basis in each degree is read off the Hermite basis of
 that degree's relation lattice, one degree at a time, until the critical
-pairs (s- and gcd-combinations) close.  One degree cap bounds the run, and
+pairs (s- and gcd-combinations) close.  One cap on the monomial columns
+processed, summed over degrees, bounds the run in size and so in time, and
 reaching it raises.  The two engines stay independent: the closure
 certificate is run by the polynomial reducer, and the Smith-form oracle in
 ``graded`` takes its lattices from generator multiples, not from the
@@ -25,6 +26,7 @@ membership test and normal form in the package goes through it.
 from __future__ import annotations
 
 import heapq
+import itertools
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, le, sub
@@ -33,10 +35,12 @@ from typing import Iterable, Sequence
 from . import intlinalg
 from .ring import IntPolynomial, Ring, RingMismatchError, add_terms
 
-# The pipeline's ideals close by degree 5 and small random ideals over three
-# variables by degree 13.  Running up to the cap takes about 0.1 s over three
-# variables, 5 s over four and a minute over five.
-_MAX_DEGREE = 24
+# Completion raises once the monomial columns of its degrees, summed, pass
+# this cap, which bounds its size, and so its time, in any number of
+# variables.  Pipeline ideals close within 80 columns, small random ideals
+# over three variables within about 300.  Forcing non-closure, the cap is
+# reached in 0.1 to 0.3 s over two to five variables (one core, Python 3.11).
+_MAX_COLUMNS = 2000
 
 
 class Ideal:
@@ -220,8 +224,8 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     lcm lies above d can fail to close.  The loop stops at the first d, no
     lower than the largest generator degree, at which those pairs close.
     The result is certified by the closure of every pair and by every
-    generator reducing to zero.  Reaching ``_MAX_DEGREE`` raises
-    RuntimeError.
+    generator reducing to zero.  Passing ``_MAX_COLUMNS`` columns, summed
+    over the degrees processed, raises RuntimeError.
     """
     ring = ideal.ring
     zero = (0,) * ring.nvars
@@ -234,8 +238,14 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     hermite: list[list[dict]] = []  # term maps of the Hermite basis of I_d
     leads: list[tuple] = []
     kept: list[IntPolynomial] = []
-    for d in range(_MAX_DEGREE + 1):
+    columns = 0
+    for d in itertools.count():
         monomials = ring.monomials_of_degree(d)
+        columns += len(monomials)
+        if columns > _MAX_COLUMNS:
+            raise RuntimeError(
+                f"Groebner completion reached the column cap {_MAX_COLUMNS} without closing"
+            )
         index = {m: i for i, m in enumerate(monomials)}
         rows = [shifted_row(index, t, zero) for t in generators.get(d, ())]
         for v, w in enumerate(ring.weights):
@@ -252,8 +262,6 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
         hermite.append(basis)
         if d >= top and not _unclosed_pair(kept, _lead_table(kept), above=d):
             break
-    else:
-        raise RuntimeError(f"Groebner completion reached the degree cap {_MAX_DEGREE} without closing")
     kept.sort(key=lambda g: ring.monomial_key(g.leading_term()[0]))
     result = StrongGroebnerBasis(ring, kept)
     result.verify_complete()

@@ -2,11 +2,11 @@
 
 Every Chow-ring computation in this package reduces to exact arithmetic with
 graded integer polynomials: products, graded substitutions, the reduction
-over the roots of a rank-2 splitting (which rewrites symmetric expressions in
-elementary symmetric classes and serves the torus transfer and hyperplane
-powers), and truncated quotients of total Chern series.  Polynomials are
-immutable values; all operations are pure functions, so results can be
-shared freely.
+over the roots of a rank-2 splitting (which rewrites an expression symmetric
+in each pair of roots straight onto the given Chern classes of their bundles,
+and serves the torus transfer and hyperplane powers), and truncated quotients
+of total Chern series.  Polynomials are immutable values; all operations are
+pure functions, so results can be shared freely.
 """
 
 from __future__ import annotations
@@ -495,41 +495,33 @@ def reduce_roots(
     return p0, p1
 
 
-SymmetricFamilies = Sequence[tuple[Sequence[str], Sequence[str]]]
+SymmetricFamilies = Sequence[tuple[Sequence[str], tuple[IntPolynomial, IntPolynomial]]]
 
 
 def symmetrize_to_elementary(p: IntPolynomial, families: SymmetricFamilies) -> IntPolynomial:
     """Rewrite a polynomial, symmetric within each pair of degree-1 roots,
-    as a polynomial in the matching elementary symmetric target variables.
+    with each pair's elementary symmetric polynomials read as given classes:
+    the splitting principle.
 
-    ``families`` lists (root names, target names) pairs: two roots each,
-    with targets of weights 1 and 2.  The result carries no root variables,
-    and the rewriting is verified by substituting the elementary symmetric
-    polynomials back in.
+    ``families`` lists (root names, (s, q)) pairs: two roots r1, r2 each,
+    with classes s = r1 + r2 and q = r1 r2 over the ring of p, of degrees 1
+    and 2 (zero is allowed) and free of every root.  The result lies in
+    that ring and holds no root.
     """
     ring = p.ring
-    for roots, targets in families:
-        if len(roots) != 2 or len(targets) != 2 or roots[0] == roots[1]:
-            raise ValueError("a family is two distinct roots and two targets")
-        for name, weight in zip((*roots, *targets), (1, 1, 1, 2)):
-            if ring.variables[ring.index(name)].degree != weight:
-                raise ValueError(f"{name} must have degree {weight}")
+    for roots, classes in families:
+        if len(roots) != 2 or len(classes) != 2 or roots[0] == roots[1]:
+            raise ValueError("a family is two distinct roots and two classes")
+        for x, weight in zip([ring.var(r) for r in roots] + list(classes), (1, 1, 1, 2)):
+            if x.ring != ring or x.weighted_degree() not in (None, weight):
+                raise ValueError(f"{x} must have degree {weight} over {ring!r}")
         _check_symmetry(p, roots)
 
     result = p
-    for roots, (e1, e2) in families:
-        result, rest = reduce_roots(result, roots, ring.var(e1), ring.var(e2))
+    for roots, (s, q) in families:
+        result, rest = reduce_roots(result, roots, s, q)
         if rest:
             raise AssertionError("internal error: a symmetric input kept a root")
-
-    # Targets may legitimately occur in the input (they already denote the
-    # elementary symmetrics of their roots there); congruence is therefore
-    # verified after retracting targets onto the elementary polynomials.
-    back = {}
-    for (a, b), (e1, e2) in families:
-        back[e1], back[e2] = ring.var(a) + ring.var(b), ring.var(a) * ring.var(b)
-    if result.substitute(back) != p.substitute(back):
-        raise AssertionError("internal error: back-substitution check failed")
     return result
 
 

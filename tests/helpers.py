@@ -10,7 +10,7 @@ from pathlib import Path
 
 from genus2chow import intlinalg as la
 from genus2chow.classifying import wn_chern
-from genus2chow.graded import _kernel_lattice, polynomial_of
+from genus2chow.graded import _kernel_lattice, polynomial_of, relation_rows
 from genus2chow.groebner import RingSpec
 from genus2chow.parse import ParseError
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
@@ -94,7 +94,8 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     factor, and every combination of the generators is reduced.  None when
     the kernel piece has positive free rank."""
     ring = spec.ring
-    monomials, rel_rows, basis = _kernel_lattice(spec, m, d)
+    monomials, rel_rows = relation_rows(spec, d)
+    basis = _kernel_lattice(spec, m, d)
     n = len(basis)
     coords = [la.lattice_coordinates(basis, row) for row in rel_rows]
     snf = la.smith_normal_form(la.lattice_basis(coords, n), ncols=n)
@@ -271,10 +272,9 @@ def wn_chern_from_tensor_identity(
     ring = spec.ring
     beta1, gamma = ring.var("beta1"), ring.var("gamma")
 
-    work = ring.extend(
-        ("x", 1), ("y", 1), ("u", 1), ("v", 1),
-        ("e1xy", 1), ("e2xy", 2), ("e1uv", 1), ("e2uv", 2),
-    )
+    c1_prev, c2_prev = wn_chern(n - 1, spec)
+    c1_prev2, c2_prev2 = wn_chern(n - 2, spec)
+    work = ring.extend(("x", 1), ("y", 1), ("u", 1), ("v", 1))
     x, y, u, v = (work.var(name) for name in ("x", "y", "u", "v"))
     lhs_roots = [x + u, x + v, y + u, y + v]
     e1_lhs = lhs_roots[0] + lhs_roots[1] + lhs_roots[2] + lhs_roots[3]
@@ -282,20 +282,12 @@ def wn_chern_from_tensor_identity(
     for i in range(4):
         for j in range(i + 1, 4):
             e2_lhs = e2_lhs + lhs_roots[i] * lhs_roots[j]
-    families = [(("x", "y"), ("e1xy", "e2xy")), (("u", "v"), ("e1uv", "e2uv"))]
-    e1_lhs = symmetrize_to_elementary(e1_lhs, families)
-    e2_lhs = symmetrize_to_elementary(e2_lhs, families)
-
-    c1_prev, c2_prev = wn_chern(n - 1, spec)
-    c1_prev2, c2_prev2 = wn_chern(n - 2, spec)
-    known = {
-        "e1xy": c1_prev.into(work),
-        "e2xy": c2_prev.into(work),
-        "e1uv": work.var("beta1"),
-        "e2uv": work.var("beta2"),
-    }
-    e1_lhs = e1_lhs.substitute(known, target=work).into(ring)
-    e2_lhs = e2_lhs.substitute(known, target=work).into(ring)
+    families = [
+        (("x", "y"), (c1_prev.into(work), c2_prev.into(work))),
+        (("u", "v"), (work.var("beta1"), work.var("beta2"))),
+    ]
+    e1_lhs = symmetrize_to_elementary(e1_lhs, families).into(ring)
+    e2_lhs = symmetrize_to_elementary(e2_lhs, families).into(ring)
 
     twist = beta1 + gamma
     c1_rest = c1_prev2 + 2 * twist

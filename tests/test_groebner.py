@@ -196,15 +196,26 @@ class TestDegreeCap:
         assert all(basis.contains(g) for g in ideal.generators)
 
     def test_cap_below_the_closing_degree_raises(self, monkeypatch):
-        monkeypatch.setattr(gb, "_MAX_DEGREE", 8)
-        with pytest.raises(RuntimeError, match="degree cap 8"):
+        # Degrees 0..8 have 95 columns in all, degree 9 has 30 more.
+        monkeypatch.setattr(gb, "_MAX_COLUMNS", 95)
+        with pytest.raises(RuntimeError, match="column cap 95"):
             strong_groebner(_mixed_weight_ideal())
 
     def test_generator_above_the_cap_raises(self, monkeypatch):
         ring = Ring(("x", 1),)
-        monkeypatch.setattr(gb, "_MAX_DEGREE", 3)
-        with pytest.raises(RuntimeError, match="degree cap 3"):
+        monkeypatch.setattr(gb, "_MAX_COLUMNS", 3)
+        with pytest.raises(RuntimeError, match="column cap 3"):
             strong_groebner(Ideal(ring, (ring.parse("2*x^4"),)))
+
+    def test_forced_non_closure_raises_at_the_cap(self, pipeline, monkeypatch):
+        # Over five variables the columns grow like d^4, so a cap on the
+        # degree alone (24) lets such a run take about a minute; the column
+        # cap is reached in a fraction of a second.
+        ideal = pipeline.alpha_ambient.relations
+        assert ideal.ring.nvars == 5
+        monkeypatch.setattr(gb, "_unclosed_pair", lambda *args, **kwargs: ("f", "g"))
+        with pytest.raises(RuntimeError, match=f"column cap {gb._MAX_COLUMNS} "):
+            strong_groebner(ideal)
 
 
 class TestRandomIdeals:

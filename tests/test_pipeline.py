@@ -128,11 +128,12 @@ class TestFaultInjection:
         )
 
     def test_completion_at_the_degree_cap_fails_as_data(self, monkeypatch):
-        # The main ideal closes in degree 4; a cap of 3 stops its completion.
-        monkeypatch.setattr(groebner, "_MAX_DEGREE", 3)
+        # The main ideal closes in degree 4; a cap of 13 columns, those of
+        # degrees 0..3, stops its completion.
+        monkeypatch.setattr(groebner, "_MAX_COLUMNS", 13)
         (check,) = Pipeline().run(ids=["thm:main"]).checks
         assert check.status == "fail"
-        assert check.witness.startswith("RuntimeError: Groebner completion reached the degree cap 3")
+        assert check.witness.startswith("RuntimeError: Groebner completion reached the column cap 13")
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):

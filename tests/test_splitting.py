@@ -5,6 +5,7 @@ elimination and the four-rule transfer it replaced."""
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genus2chow.classifying import bt_pushforward
 from genus2chow.ring import (
@@ -35,6 +36,11 @@ def _symmetrized(p: IntPolynomial, pairs) -> IntPolynomial:
 
 def _swapped(p: IntPolynomial, a: str, b: str) -> IntPolynomial:
     return p.substitute({a: p.ring.var(b), b: p.ring.var(a)})
+
+
+def _as_classes(ring: Ring, families):
+    """The families with each target name replaced by its variable."""
+    return [(roots, tuple(ring.var(t) for t in targets)) for roots, targets in families]
 
 
 class TestReduceRoots:
@@ -90,7 +96,7 @@ class TestSymmetrizeAgainstReference:
         for _ in range(25):
             raw = random_homogeneous(self.RING, rng.randint(0, 5), rng, max_terms=6)
             p = _symmetrized(raw, [roots for roots, _ in families])
-            out = symmetrize_to_elementary(p, families)
+            out = symmetrize_to_elementary(p, _as_classes(self.RING, families))
             assert out == reference_symmetrize(p, families)
 
     def test_three_roots_rejected(self):
@@ -99,27 +105,55 @@ class TestSymmetrizeAgainstReference:
         family = [(("a1", "a2", "a3"), ("e1", "e2", "e3"))]
         p = a1 * a1 + a2 * a2 + a3 * a3
         with pytest.raises(ValueError):
-            symmetrize_to_elementary(p, family)
+            symmetrize_to_elementary(p, _as_classes(ring, family))
         # The reference still rewrites any number of roots.
         assert reference_symmetrize(p, family) == ring.parse("e1^2 - 2*e2")
 
     def test_wrong_target_weight_rejected(self):
+        # The class given for a1 a2 has degree 1.
         ring = Ring(("e1", 1), ("e2", 1), ("a1", 1), ("a2", 1))
         with pytest.raises(ValueError):
             symmetrize_to_elementary(
-                ring.var("a1") + ring.var("a2"), [(("a1", "a2"), ("e1", "e2"))]
+                ring.var("a1") + ring.var("a2"),
+                [(("a1", "a2"), (ring.var("e1"), ring.var("e2")))],
             )
 
     def test_asymmetric_second_pair(self):
         ring = self.RING
         p = (ring.var("a1") + ring.var("a2")) * ring.var("b1")
         with pytest.raises(NotSymmetricError) as err:
-            symmetrize_to_elementary(p, self.FAMILIES)
+            symmetrize_to_elementary(p, _as_classes(ring, self.FAMILIES))
         exps, image = err.value.orbit
         i, j = ring.index("b1"), ring.index("b2")
         expected = list(exps)
         expected[i], expected[j] = exps[j], exps[i]
         assert exps[i] != exps[j] and tuple(expected) == image
+
+    SCALARS = Ring(("c", 1), ("d", 1), ("g", 2), ("a1", 1), ("a2", 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degree=st.integers(0, 4),
+        coeffs=st.lists(st.integers(-50, 50), max_size=50),
+        s_coeffs=st.tuples(*[st.integers(-9, 9)] * 2),
+        q_coeffs=st.tuples(*[st.integers(-9, 9)] * 4),
+    )
+    @example(degree=3, coeffs=[1] * 50, s_coeffs=(0, 0), q_coeffs=(0, 0, 0, 0))
+    def test_classes_as_targets(self, degree, coeffs, s_coeffs, q_coeffs):
+        # Any classes s (degree 1, zero included) and q (degree 2) over the
+        # scalars: the reduction equals the reference rewriting in
+        # elementary variables e1, e2, read at e1 = s and e2 = q.
+        scalars = self.SCALARS
+        ring = Ring(("e1", 1), ("e2", 2), *scalars.variables)
+        terms = dict(zip(scalars.monomials_of_degree(degree), coeffs))
+        raw = IntPolynomial(scalars, terms).into(ring)
+        p = _symmetrized(raw, [("a1", "a2")])
+        c, d, g = (ring.var(name) for name in ("c", "d", "g"))
+        s = s_coeffs[0] * c + s_coeffs[1] * d
+        q = q_coeffs[0] * c * c + q_coeffs[1] * c * d + q_coeffs[2] * d * d + q_coeffs[3] * g
+        out = symmetrize_to_elementary(p, [(("a1", "a2"), (s, q))])
+        expected = reference_symmetrize(p, [(("a1", "a2"), ("e1", "e2"))])
+        assert out == expected.substitute({"e1": s, "e2": q})
 
 
 class TestTransferAgainstReference:
