@@ -35,7 +35,6 @@ from .bundles import (
     BundleClasses,
     SClassCombo,
     diagonal_class,
-    mult_pushforward,
     push_multiplication_power,
     root_product,
     segre_pushforward,

@@ -2,11 +2,11 @@
 
 The multiplication maps (P E)^j x P(Sym^(r-j) E) -> P(Sym^r E) admit a
 distinguished system of classes s_r^j, computed by a two-term recurrence in
-the hyperplane class.  In this basis the pushforwards along multiplication,
-squaring and cubing (Veronese) maps, diagonals and the Segre map are all
-given by small universal formulas, which this module implements as exact
-polynomial operations.  The formulas in the hyperplane class take that class
-as a polynomial, so they evaluate directly at whatever class it is set to.
+the hyperplane class.  Two primitives, the fiberwise relation
+x^2 = -c1 x - c2 and the binomial pushforward along multiplication, give the
+diagonals and the squaring and cubing (Veronese) pushforwards; the Segre
+pushforward keeps four formulas of its own.  Formulas in the hyperplane class
+take it as a polynomial, so they evaluate directly at whatever class it is.
 
 Euler classes and projective-bundle relations are products of linear forms
 in the Chern roots of rank-2 bundles; ``root_product`` expands such a
@@ -43,6 +43,11 @@ class BundleClasses:
         return self.c1.ring
 
 
+def _fresh(ring: Ring) -> str:
+    """A prefix of fresh names: more underscores than any name has characters."""
+    return "_" * (1 + max(len(v.name) for v in ring.variables))
+
+
 def root_product(
     classes: Sequence[BundleClasses],
     factors: Sequence[tuple[IntPolynomial, Sequence[int]]],
@@ -56,9 +61,7 @@ def root_product(
     bundle's pair of roots; ``NotSymmetricError`` is raised otherwise.
     """
     ring = classes[0].ring
-    # Names behind more underscores than any name of the ring has characters
-    # are fresh.
-    fresh = "_" * (1 + max(len(v.name) for v in ring.variables))
+    fresh = _fresh(ring)
     roots = [(f"{fresh}r{k}", f"{fresh}s{k}") for k in range(len(classes))]
     work = ring.extend(*((name, 1) for pair in roots for name in pair))
     root_vars = [work.var(name) for pair in roots for name in pair]
@@ -88,15 +91,6 @@ def srj_table(r: int, classes: BundleClasses, t: IntPolynomial) -> tuple[IntPoly
     return tuple(entries)
 
 
-def mult_pushforward(a: int, alpha: int, b: int, beta: int) -> tuple[int, tuple[int, int]]:
-    """Pushforward of s_a^alpha x s_b^beta along the multiplication map:
-    the binomial coefficient on s_(a+b)^(alpha+beta)."""
-    if not (0 <= alpha <= a and 0 <= beta <= b):
-        raise ValueError(f"indices out of range: ({alpha},{a}), ({beta},{b})")
-    coefficient = comb(a - alpha + b - beta, a - alpha)
-    return coefficient, (alpha + beta, a + b)
-
-
 class SClassCombo:
     """A ZZ[base]-linear combination of the classes s_r^0 .. s_r^r."""
 
@@ -114,6 +108,8 @@ class SClassCombo:
 
     @classmethod
     def unit(cls, ring: Ring, r: int, j: int) -> "SClassCombo":
+        if not 0 <= j <= r:
+            raise ValueError(f"index {j} out of range for r = {r}")
         coeffs = [ring.zero()] * (r + 1)
         coeffs[j] = ring.one()
         return cls(r, coeffs)
@@ -132,7 +128,8 @@ class SClassCombo:
         return SClassCombo(self.r, [factor * c for c in self.coeffs])
 
     def push_multiply(self, other: "SClassCombo") -> "SClassCombo":
-        """Pushforward of the product along multiplication to r = self.r + other.r."""
+        """Pushforward of the product along multiplication to r = self.r + other.r:
+        s_a^i x s_b^j pushes to binom(a - i + b - j, a - i) s_(a+b)^(i+j)."""
         ring = self.ring
         r = self.r + other.r
         out = [ring.zero()] * (r + 1)
@@ -140,10 +137,8 @@ class SClassCombo:
             if not ci:
                 continue
             for j, cj in enumerate(other.coeffs):
-                if not cj:
-                    continue
-                coefficient, (index, _) = mult_pushforward(self.r, i, other.r, j)
-                out[index] = out[index] + coefficient * ci * cj
+                if cj:
+                    out[i + j] = out[i + j] + comb(r - i - j, self.r - i) * ci * cj
         return SClassCombo(r, out)
 
     def expand(self, values: Sequence[IntPolynomial]) -> IntPolynomial:
@@ -160,37 +155,40 @@ class SClassCombo:
         return " + ".join(parts) if parts else "0"
 
 
-def diagonal_class(n: int, classes: BundleClasses, hyperplanes: Sequence[str]) -> IntPolynomial:
-    """Class of the small diagonal of (P E)^n, for n = 2 or 3."""
-    ring = classes.ring
-    if n == 2:
-        x1, x2 = (ring.var(h) for h in hyperplanes)
-        return x1 + x2 + classes.c1
-    if n == 3:
-        x1, x2, x3 = (ring.var(h) for h in hyperplanes)
-        return (
-            (x1 * x2 + x2 * x3 + x3 * x1)
-            + (x1 + x2 + x3) * classes.c1
-            + classes.c1 * classes.c1
-            - classes.c2
-        )
-    raise ValueError(f"unsupported diagonal arity {n}")
+def _squarefree(p: IntPolynomial, xvars: Sequence[str], classes: BundleClasses) -> IntPolynomial:
+    """p with the powers of the hyperplane classes ``xvars`` rewritten by the
+    fiberwise relation x^2 = -c1 x - c2."""
+    for name in xvars:
+        # The remainder is unique because squarefree monomials are a basis
+        # over the base.
+        low, high = reduce_roots(p, (name,), -classes.c1, classes.c2)
+        p = low + high * p.ring.var(name)
+    return p
+
+
+def diagonal_class(classes: BundleClasses, hyperplanes: Sequence[str]) -> IntPolynomial:
+    """Class of the small diagonal of (P E)^n, n = len(hyperplanes): the
+    product of the consecutive diagonals x_i + x_(i+1) + c1, squarefree."""
+    xs = [classes.ring.var(h) for h in hyperplanes]
+    product = classes.ring.one()
+    for a, b in zip(xs, xs[1:]):
+        product = product * (a + b + classes.c1)
+    return _squarefree(product, hyperplanes, classes)
 
 
 def veronese_pushforward(k: int, j: int, classes: BundleClasses) -> SClassCombo:
-    """Pushforward of s_1^j along the squaring (k = 2) or cubing (k = 3) map,
-    as a combination of s_k classes."""
+    """Pushforward of s_1^j along the Veronese map P E -> P(Sym^k E), as a
+    combination of s_k classes: the small diagonal of (P E)^k times x1^j,
+    pushed along the k-fold multiplication map."""
+    if k < 1 or j not in (0, 1):
+        raise ValueError(f"unsupported Veronese indices k = {k}, j = {j}")
     ring = classes.ring
-    c1, c2 = classes.c1, classes.c2
-    if k == 2 and j == 0:
-        return SClassCombo(2, [2 * c1, ring.const(2), ring.zero()])
-    if k == 2 and j == 1:
-        return SClassCombo(2, [-2 * c2, ring.zero(), ring.one()])
-    if k == 3 and j == 0:
-        return SClassCombo(3, [6 * (c1 * c1 - c2), 6 * c1, ring.const(3), ring.zero()])
-    if k == 3 and j == 1:
-        return SClassCombo(3, [-6 * c1 * c2, -6 * c2, ring.zero(), ring.one()])
-    raise ValueError(f"unsupported Veronese indices k = {k}, j = {j}")
+    names = [f"{_fresh(ring)}x{i}" for i in range(k)]
+    work = ring.extend(*((name, 1) for name in names))
+    lifted = BundleClasses(c1=classes.c1.into(work), c2=classes.c2.into(work))
+    p = diagonal_class(lifted, names) * work.var(names[0]) ** j
+    combo = push_multiplication_power(p, names, lifted)
+    return SClassCombo(k, [c.into(ring) for c in combo.coeffs])
 
 
 def segre_pushforward(
@@ -231,17 +229,9 @@ def push_multiplication_power(
     x_i^2 = -c1 x_i - c2; a squarefree product of j distinct hyperplane
     classes then pushes to (r - j)! s_r^j.
     """
-    ring = p.ring
     r = len(xvars)
-    work = p
-    for name in xvars:
-        # The remainder is unique because squarefree monomials are a basis
-        # over the base.
-        low, high = reduce_roots(work, (name,), -classes.c1, classes.c2)
-        work = low + high * ring.var(name)
-
-    out = [ring.zero()] * (r + 1)
-    for exps, coeff in work.coefficients(xvars).items():
+    out = [p.ring.zero()] * (r + 1)
+    for exps, coeff in _squarefree(p, xvars, classes).coefficients(xvars).items():
         j = sum(exps)
         out[j] = out[j] + factorial(r - j) * coeff
     return SClassCombo(r, out)

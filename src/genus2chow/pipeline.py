@@ -570,7 +570,7 @@ class Pipeline:
         # Square-of-a-linear-form divides the cubic: triple diagonal on the
         # middle line factor, then the 3-fold multiplication (the first
         # factor's hyperplane class never occurs, but the map is 3-fold).
-        diag3 = diagonal_class(3, cls_v1, ("x2", "x3", "x4"))
+        diag3 = diagonal_class(cls_v1, ("x2", "x3", "x4"))
         combo = push_multiplication_power(diag3, ("x1", "x2", "x3"), cls_v1)
         pushed_sq = combo.expand(s3_values).substitute({"x4": shift})
         rel_t3 = bt_pushforward(pushed_sq, amb)
@@ -585,13 +585,13 @@ class Pipeline:
             for (e1, e2, ew), base in p.coefficients(("x1", "x2", "w")).items():
                 if e1 > 1 or e2 > 1 or ew > 1:
                     raise ValueError("reduce hyperplane powers before pushing")
-                # conic x line -> cubic, fundamental class pushes with multiplicity 3
-                mult_value = s3_values[1] if e1 else 3 * s3_values[0]
+                # line x conic -> cubic
+                mult = SClassCombo.unit(wr, 1, e1).push_multiply(SClassCombo.unit(wr, 2, 0))
                 seg_value = segre_pushforward((e2, ew), cls_v1, e2_wm2, -alpha1)
-                acc = acc + base * mult_value * seg_value
+                acc = acc + base * mult.expand(s3_values) * seg_value
             return acc
 
-        diag = diagonal_class(2, cls_v1, ("x1", "x2"))
+        diag = diagonal_class(cls_v1, ("x1", "x2"))
         rel_t5, rel_t6 = ambient(push(diag)), ambient(push(diag * w))
 
         reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 from genus2chow import intlinalg as la
+from genus2chow.bundles import BundleClasses, SClassCombo
 from genus2chow.classifying import wn_chern
 from genus2chow.graded import _kernel_lattice, polynomial_of, relation_rows
 from genus2chow.groebner import RingSpec
@@ -300,7 +301,7 @@ def wn_chern_from_tensor_identity(
 # -- oracles for the rank-2 splitting reduction -------------------------------------
 
 
-def _elementary(ring: Ring, names, k: int) -> IntPolynomial:
+def elementary(ring: Ring, names, k: int) -> IntPolynomial:
     """The k-th elementary symmetric polynomial in the named variables."""
     acc = ring.zero()
     for combo in itertools.combinations(names, k):
@@ -320,7 +321,7 @@ def reference_symmetrize(p: IntPolynomial, families) -> IntPolynomial:
     for roots, targets in families:
         k = len(roots)
         idx = [ring.index(r) for r in roots]
-        elem = [_elementary(ring, roots, i + 1) for i in range(k)]
+        elem = [elementary(ring, roots, i + 1) for i in range(k)]
         tvars = [ring.var(t) for t in targets]
         split = p.coefficients(roots)
         done = ring.zero()
@@ -360,3 +361,49 @@ def reference_bt_pushforward(p: IntPolynomial, target: RingSpec) -> IntPolynomia
             pushed.append(beta1 * pushed[-1] - beta2 * pushed[-2])
         acc = acc + rest.into(ring) * beta2 ** min(a, b) * pushed[abs(a - b)]
     return target.normal_form(acc)
+
+
+# -- oracles for the pushforward calculus -------------------------------------------
+
+
+def reference_diagonal(classes: BundleClasses, hyperplanes) -> IntPolynomial:
+    """The small diagonal of (P E)^n by its closed formula, for n = 2 or 3."""
+    ring, c1, c2 = classes.ring, classes.c1, classes.c2
+    if len(hyperplanes) == 2:
+        x1, x2 = (ring.var(h) for h in hyperplanes)
+        return x1 + x2 + c1
+    x1, x2, x3 = (ring.var(h) for h in hyperplanes)
+    return (x1 * x2 + x2 * x3 + x3 * x1) + (x1 + x2 + x3) * c1 + c1 * c1 - c2
+
+
+def reference_veronese(k: int, j: int, classes: BundleClasses) -> SClassCombo:
+    """The pushforward of s_1^j along the squaring (k = 2) or cubing (k = 3)
+    map by its closed formula."""
+    ring, c1, c2 = classes.ring, classes.c1, classes.c2
+    formulas = {
+        (2, 0): [2 * c1, ring.const(2), ring.zero()],
+        (2, 1): [-2 * c2, ring.zero(), ring.one()],
+        (3, 0): [6 * (c1 * c1 - c2), 6 * c1, ring.const(3), ring.zero()],
+        (3, 1): [-6 * c1 * c2, -6 * c2, ring.zero(), ring.one()],
+    }
+    return SClassCombo(k, formulas[k, j])
+
+
+def reference_squarefree(p: IntPolynomial, names, classes: BundleClasses) -> IntPolynomial:
+    """p with x^2 replaced by -c1 x - c2, one square of one named hyperplane
+    class x per term and pass, until no named exponent exceeds 1."""
+    ring = p.ring
+    while True:
+        done, rest = ring.zero(), ring.zero()
+        for exps, coeff in p.term_map().items():
+            high = [name for name in names if exps[ring.index(name)] >= 2]
+            if not high:
+                done = done + ring.polynomial({exps: coeff})
+                continue
+            lowered = list(exps)
+            lowered[ring.index(high[0])] -= 2
+            x = ring.var(high[0])
+            rest = rest + ring.polynomial({tuple(lowered): coeff}) * (-classes.c1 * x - classes.c2)
+        if not rest:
+            return done
+        p = done + rest

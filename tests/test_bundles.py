@@ -7,7 +7,6 @@ from genus2chow.bundles import (
     BundleClasses,
     SClassCombo,
     diagonal_class,
-    mult_pushforward,
     push_multiplication_power,
     root_product,
     segre_pushforward,
@@ -15,6 +14,8 @@ from genus2chow.bundles import (
     veronese_pushforward,
 )
 from genus2chow.ring import IntPolynomial, NotSymmetricError, Ring
+
+from helpers import elementary, reference_diagonal, reference_squarefree, reference_veronese
 
 
 @pytest.fixture
@@ -127,14 +128,18 @@ class TestSrjTable:
 
 
 class TestMultPushforward:
-    def test_binomials(self):
-        assert mult_pushforward(1, 1, 3, 0) == (1, (1, 4))
-        assert mult_pushforward(3, 3, 3, 3) == (1, (6, 6))
-        assert mult_pushforward(3, 0, 3, 0) == (20, (0, 6))
+    @staticmethod
+    def _push(ring, a, alpha, b, beta):
+        return SClassCombo.unit(ring, a, alpha).push_multiply(SClassCombo.unit(ring, b, beta))
 
-    def test_out_of_range(self):
+    def test_binomials(self, lam_ring):
+        assert self._push(lam_ring, 1, 1, 3, 0) == SClassCombo.unit(lam_ring, 4, 1)
+        assert self._push(lam_ring, 3, 3, 3, 3) == SClassCombo.unit(lam_ring, 6, 6)
+        assert self._push(lam_ring, 3, 0, 3, 0) == SClassCombo.unit(lam_ring, 6, 0).scale(20)
+
+    def test_out_of_range(self, lam_ring):
         with pytest.raises(ValueError):
-            mult_pushforward(2, 3, 1, 0)
+            SClassCombo.unit(lam_ring, 2, 3)
 
     def test_combo_bilinearity(self, lam_ring):
         a = SClassCombo.unit(lam_ring, 3, 1).scale(lam_ring.parse("lambda1"))
@@ -144,46 +149,56 @@ class TestMultPushforward:
         assert pushed.coeffs[3] == lam_ring.parse("3*lambda1")
 
 
+def _hyperplanes(generic, n):
+    """The ring of ``generic`` with hyperplane classes x1..xn, the classes
+    lifted to it, and the names."""
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    ring = generic.ring.extend(*((name, 1) for name in names))
+    return ring, BundleClasses(c1=generic.c1.into(ring), c2=generic.c2.into(ring)), names
+
+
 class TestDiagonal:
     def test_double(self, generic):
-        ring = generic.ring.extend(("x1", 1), ("x2", 1))
-        cls = BundleClasses(c1=generic.c1.into(ring), c2=generic.c2.into(ring))
-        assert diagonal_class(2, cls, ("x1", "x2")) == ring.parse("x1 + x2 + c1")
+        ring, cls, names = _hyperplanes(generic, 2)
+        assert diagonal_class(cls, names) == reference_diagonal(cls, names)
+        assert diagonal_class(cls, names) == ring.parse("x1 + x2 + c1")
 
     def test_triple(self, generic):
-        ring = generic.ring.extend(("x1", 1), ("x2", 1), ("x3", 1))
-        cls = BundleClasses(c1=generic.c1.into(ring), c2=generic.c2.into(ring))
-        assert diagonal_class(3, cls, ("x1", "x2", "x3")) == ring.parse(
+        ring, cls, names = _hyperplanes(generic, 3)
+        assert diagonal_class(cls, names) == reference_diagonal(cls, names)
+        assert diagonal_class(cls, names) == ring.parse(
             "(x1*x2 + x2*x3 + x3*x1) + (x1 + x2 + x3)*c1 + c1^2 - c2"
         )
 
     def test_triple_from_double_consistency(self, generic):
         # Multiply two pairwise diagonals and reduce the middle hyperplane
         # square by its fiber relation.
-        ring = generic.ring.extend(("x1", 1), ("x2", 1), ("x3", 1))
-        cls = BundleClasses(c1=generic.c1.into(ring), c2=generic.c2.into(ring))
-        d12 = diagonal_class(2, cls, ("x1", "x2"))
-        d23 = diagonal_class(2, cls, ("x2", "x3"))
-        product = d12 * d23
-        x2 = ring.var("x2")
-        i2 = ring.index("x2")
-        reduced = ring.zero()
-        for exps, coeff in product.term_map().items():
-            if exps[i2] >= 2:
-                stripped = list(exps)
-                stripped[i2] -= 2
-                base = ring.polynomial({tuple(stripped): coeff})
-                reduced = reduced + base * (-cls.c1 * x2 - cls.c2)
-            else:
-                reduced = reduced + ring.polynomial({exps: coeff})
-        assert reduced == diagonal_class(3, cls, ("x1", "x2", "x3"))
+        _, cls, names = _hyperplanes(generic, 3)
+        product = diagonal_class(cls, names[:2]) * diagonal_class(cls, names[1:])
+        assert reference_squarefree(product, ("x2",), cls) == diagonal_class(cls, names)
 
-    def test_unsupported_arity(self, generic):
-        with pytest.raises(ValueError):
-            diagonal_class(4, generic, ("a", "b", "c", "d"))
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_hyperplane_classes_agree_on_the_diagonal(self, generic, n):
+        ring, cls, names = _hyperplanes(generic, n)
+        diagonal = diagonal_class(cls, names)
+        assert diagonal.weighted_degree() == n - 1
+        for name in names[1:]:
+            moved = (ring.var("x1") - ring.var(name)) * diagonal
+            assert reference_squarefree(moved, names, cls) == 0
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_trivial_bundle_gives_the_elementary_polynomial(self, generic, n):
+        ring, _, names = _hyperplanes(generic, n)
+        trivial = BundleClasses(c1=ring.zero(), c2=ring.zero())
+        assert diagonal_class(trivial, names) == elementary(ring, names, n - 1)
 
 
 class TestVeronese:
+    def test_closed_formulas(self, generic):
+        for k in (2, 3):
+            for j in (0, 1):
+                assert veronese_pushforward(k, j, generic) == reference_veronese(k, j, generic)
+
     def test_square_fundamental(self, generic):
         combo = veronese_pushforward(2, 0, generic)
         assert combo.coeffs[1] == 2
@@ -204,7 +219,27 @@ class TestVeronese:
 
     def test_unsupported_indices(self, generic):
         with pytest.raises(ValueError):
-            veronese_pushforward(4, 0, generic)
+            veronese_pushforward(0, 0, generic)
+        with pytest.raises(ValueError):
+            veronese_pushforward(2, 2, generic)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_pullback_and_fiber_relations(self, generic, k):
+        # V0 and V1 are the pushforwards of 1 and x along the Veronese map
+        # v, which pulls t back to k x.  So t V0 = v_*(k x) = k V1, and
+        # t V1 = v_*(k x^2) = -k c1 V1 - k c2 V0 up to the relation
+        # s_k^(k+1) of P(Sym^k E); both sides lead with t^(k+1), so that
+        # multiple is exactly the relation.
+        t, c1, c2 = generic.ring.var("t"), generic.c1, generic.c2
+        table = srj_table(k, generic, t)
+        v0, v1 = (veronese_pushforward(k, j, generic).expand(table) for j in (0, 1))
+        assert t * v0 == k * v1
+        relation = (t + k * c1) * table[k] + k * c2 * table[k - 1]
+        assert t * v1 + k * c1 * v1 + k * c2 * v0 == relation
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_rational_normal_curve_has_degree_k(self, generic, k):
+        assert veronese_pushforward(k, 0, generic).coeffs[k - 1] == k
 
 
 class TestSegre:

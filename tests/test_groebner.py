@@ -183,7 +183,7 @@ def _mixed_weight_ideal():
     return Ideal(ring, gens)
 
 
-class TestDegreeCap:
+class TestColumnCap:
     def test_mixed_weight_ideal_closes(self):
         # Mixed weights and coprime leading coefficients: the basis closes
         # with entries of a few dozen bits.

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from genus2chow import groebner, intlinalg
+from genus2chow import classifying, groebner, intlinalg
 from genus2chow import pipeline as pipeline_module
 from genus2chow.pipeline import (
     Pipeline,
     UnknownCheckError,
     pushforward_boundary_to_total,
 )
+from genus2chow.bundles import SClassCombo
 from genus2chow.ring import Ring
 
 from helpers import child_env, vector_of
@@ -127,13 +128,35 @@ class TestFaultInjection:
             "no basis element of the twist quotient is led by the hyperplane class"
         )
 
-    def test_completion_at_the_degree_cap_fails_as_data(self, monkeypatch):
+    def test_completion_at_the_column_cap_fails_as_data(self, monkeypatch):
         # The main ideal closes in degree 4; a cap of 13 columns, those of
         # degrees 0..3, stops its completion.
         monkeypatch.setattr(groebner, "_MAX_COLUMNS", 13)
         (check,) = Pipeline().run(ids=["thm:main"]).checks
         assert check.status == "fail"
         assert check.witness.startswith("RuntimeError: Groebner completion reached the column cap 13")
+
+    @pytest.mark.parametrize(("module", "check_id", "witness"), [
+        (pipeline_module, "sij-expansions", "s10 expands as"),
+        (classifying, "thm:bg", "excision relations came out as"),
+    ])
+    def test_doubled_veronese_coefficient_fails_a_stated_check(
+        self, monkeypatch, module, check_id, witness
+    ):
+        # The Veronese pushforwards have no stated copy of their own: the
+        # stated expansions of s_i^j (cubing) and the stated excision
+        # relations (squaring) fix each coefficient.  Doubling the one on
+        # s_k^1 must fail them.
+        original = module.veronese_pushforward
+
+        def doubled(k, j, classes):
+            combo = original(k, j, classes)
+            return SClassCombo(k, [2 * c if i == 1 else c for i, c in enumerate(combo.coeffs)])
+
+        monkeypatch.setattr(module, "veronese_pushforward", doubled)
+        (check,) = Pipeline().run(ids=[check_id]).checks
+        assert check.status == "fail"
+        assert check.witness.startswith(witness)
 
     def test_unknown_corruption_rejected(self):
         with pytest.raises(ValueError):
