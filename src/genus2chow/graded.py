@@ -3,13 +3,14 @@
 A degree-d piece of ZZ[x1..xk]/I is presented by the lattice of degree-d
 multiples of the relation generators inside the free module on the degree-d
 monomials; the Smith normal form of that lattice's Hermite basis yields the
-free rank, the torsion invariants and explicit coordinates.  Kernels of
-multiplication maps are lattices too, returned in each degree as Hermite
-bases; two lattices are equal exactly when their Hermite bases are, so which
-classes generate a kernel is for the caller to compare.  Enumeration reads
-a kernel's cosets off a Hermite basis too; the Smith form serves
-``graded_piece`` only.  The Groebner engine completes its bases
-by Hermite elimination too, but on its own degree-by-degree lattices, and its
+free rank, the torsion invariants and explicit coordinates.  The kernel of
+multiplication by m in degree d is a lattice too: the preimage, under the
+rows of multiplication by m, of the relation lattice one degree up, returned
+as a Hermite basis; two lattices are equal exactly when their Hermite bases
+are, so which classes generate a kernel is for the caller to compare.
+Enumeration reads a kernel's cosets off a Hermite basis; the Smith form
+serves ``graded_piece`` only.  The Groebner engine completes its bases by
+Hermite elimination too, but on its own degree-by-degree lattices, and its
 normal forms come from the polynomial reducer, so this route doubles as its
 oracle: a class is zero in the graded piece exactly when its normal form
 vanishes.
@@ -92,7 +93,9 @@ class GradedPieceGroup:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
         terms = p.term_map()
         vec = [terms.get(m, 0) for m in self.monomial_basis]
-        coords = intlinalg.matvec_left(vec, self.basis_change)
+        return self._vanishes(intlinalg.matvec_left(vec, self.basis_change))
+
+    def _vanishes(self, coords: Sequence[int]) -> bool:
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
 
@@ -128,10 +131,9 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
     graded piece coincides with vanishing of the Groebner normal form.  A
     monomial's Smith coordinates are its row of ``basis_change``."""
     piece = graded_piece(spec, d)
-    ring = spec.ring
     for exps, coords in zip(piece.monomial_basis, piece.basis_change):
-        vanishes = not any(c % m if m else c for c, m in zip(coords, piece.diagonal))
-        if vanishes != spec.contains(IntPolynomial(ring, {exps: 1}, _trusted=True)):
+        monomial = IntPolynomial(spec.ring, {exps: 1}, _trusted=True)
+        if piece._vanishes(coords) != spec.contains(monomial):
             return False
     return True
 
@@ -140,22 +142,15 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
 
 
 def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]:
-    """The Hermite basis (as ``lattice_basis`` gives it) of the lattice of
-    vectors, over ``ring.monomials_of_degree(d)``, whose product with m lies
-    in the relation lattice one degree up."""
+    """The Hermite basis (as ``lattice_basis`` gives it) of the vectors, over
+    ``ring.monomials_of_degree(d)``, whose product with m lies in the
+    relation lattice one degree up: that lattice's preimage under m."""
     monomials = spec.ring.monomials_of_degree(d)
-    n = len(monomials)
-    if not m:
-        return intlinalg.identity(n)
-    e = m.weighted_degree()
-    target_monomials, target_rel_rows = relation_rows(spec, d + e)
-    target_index = _monomial_index(target_monomials)
+    target_monomials, target_rel_rows = relation_rows(spec, d + (m.weighted_degree() or 0))
+    index = _monomial_index(target_monomials)
     terms = m.term_map()
-    mult_rows = [_shifted_vector(target_index, terms, exps) for exps in monomials]
-    stacked = mult_rows + target_rel_rows
-    kernel = intlinalg.left_kernel(stacked, ncols=len(target_monomials))
-    projected = [row[:n] for row in kernel]
-    return intlinalg.lattice_basis(projected, n)
+    mult_rows = [_shifted_vector(index, terms, exps) for exps in monomials]
+    return intlinalg.preimage_basis(mult_rows, target_rel_rows, len(target_monomials))
 
 
 def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[intlinalg.Matrix]:

@@ -1,16 +1,16 @@
 """Exact linear algebra over the integers.
 
 Everything here works on plain lists of Python ints, so there is no overflow
-anywhere: Hermite and Smith normal forms, left kernels and lattice
+anywhere: Hermite and Smith normal forms, preimage lattices and lattice
 coordinates.  Hermite elimination holds its rows sparse, as
 {column: entry} dicts, so a row update skips the zero entries; the public
-functions take and return dense rows.  Hermite bases (``lattice_basis``) are
-computed without a transform, and coordinates against them
-(``lattice_coordinates``) come from one pass over their pivots; only
-``hermite_normal_form``, which ``left_kernel`` reads, builds its unimodular
-U.  Hermite elimination serves two engines: ``graded`` realizes graded
-pieces of quotient rings as finitely generated abelian groups through it,
-and ``groebner`` completes its strong bases on ``_hermite``, one degree at a
+functions take and return dense rows.  Hermite bases (``lattice_basis``) and
+preimages (``preimage_basis``) are computed without a transform; only
+``hermite_normal_form``, which nothing in the package calls, builds its
+unimodular U.  Coordinates against a Hermite basis (``lattice_coordinates``)
+come from one pass over its pivots.  Hermite elimination serves two engines:
+``graded`` realizes graded pieces and multiplication kernels through it, and
+``groebner`` completes its strong bases on ``_hermite``, one degree at a
 time, on sparse rows it builds itself.
 """
 
@@ -191,13 +191,15 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> lis
     return None if any(residual) else coeffs
 
 
-def left_kernel(A: Sequence[Sequence[int]], ncols: int | None = None) -> Matrix:
-    """Basis rows of the lattice of integer vectors x with x @ A = 0."""
-    if not A:
-        return []
-    hf = hermite_normal_form(A, ncols)
-    pivot_rows = {r for r, _ in hf.pivots}
-    return [hf.transform[i] for i in range(len(A)) if i not in pivot_rows]
+def preimage_basis(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], ncols: int) -> Matrix:
+    """Hermite basis, as ``lattice_basis`` gives it, of the lattice of row
+    vectors x with x @ A in the row lattice of B: eliminating [A | I; B | 0]
+    over the ncols columns of A and B leaves rows below the pivots that
+    vanish there, and their identity parts span it."""
+    n = len(A)
+    H = [_sparse(row) | {ncols + i: 1} for i, row in enumerate(A)] + [_sparse(row) for row in B]
+    pivots = _hermite(H, ncols)
+    return lattice_basis([_dense(row, ncols, ncols + n) for row in H[len(pivots):]], n)
 
 
 # -- Smith normal form ---------------------------------------------------------

@@ -214,6 +214,8 @@ _TWIST_KERNEL = (
     "5*lambda1*lambda2*(12*t - 48*lambda1)"
     " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)",
 )
+# The cofactors c00, c10 in (t - 2*lambda1)*k4 = c00*s00 - c10*s10.
+_TWIST_KERNEL_COFACTORS = ("5*lambda1*lambda2", "6*lambda1^2 - 12*lambda2")
 
 _KAPPA_QUADRIC = "c1omega^2 - c1omega*lambda1 + lambda2 - S1"
 # The square of the dualizing class plus S, rewritten through the quadric
@@ -237,6 +239,11 @@ _MAIN_RELATIONS = (
     "20*lambda1*lambda2 - 4*delta1*lambda2",
     "delta1^3 + delta1^2*lambda1",
     "2*delta1^2 + 2*delta1*lambda1",
+)
+# Two classes of the stated ideal, each a multiple of one relation.
+_MAIN_SAMPLES = (
+    "((delta1 + lambda1)^2 + lambda1*(delta1 + lambda1))*delta1",
+    "24*lambda1*lambda2*delta1",
 )
 
 _RELZERO = (
@@ -292,6 +299,11 @@ _ORACLE_DEGREE = 8
 
 def _ideal(relations: Sequence[str]) -> str:
     return "(" + ", ".join(relations) + ")"
+
+
+def _even(combo: SClassCombo) -> bool:
+    """Whether every coefficient of every polynomial in the combination is even."""
+    return all(c % 2 == 0 for p in combo.coeffs for c in p.term_map().values())
 
 
 def _presentation(variables: Sequence[tuple], relations: Sequence[str], base: str = "ZZ") -> str:
@@ -374,9 +386,7 @@ class Pipeline:
         combos = {f"s1{j}": combo for j, combo in enumerate(s1j)}
         combos.update({f"s0{j}": combo for j, combo in enumerate(s0j[:2])})
         s02 = s0j[2]
-        evenness = all(
-            all(c % 2 == 0 for c in coeff.term_map().values()) for coeff in s02.coeffs
-        )
+        evenness = _even(s02)
         combos["s02'"] = SClassCombo(
             6, [IntPolynomial(ring, {e: c // 2 for e, c in p.term_map().items()})
                 for p in s02.coeffs]
@@ -694,11 +704,9 @@ class Pipeline:
         )
         # The fundamental-class identity carries the factor 2 on its left side,
         # so every coefficient of its right side must be even.
-        even = all(
-            all(c % 2 == 0 for c in coeff.term_map().values())
-            for coeff in fundamental.coeffs
+        _require(
+            _even(fundamental), "the doubled fundamental-class expansion has an odd coefficient"
         )
-        _require(even, "the doubled fundamental-class expansion has an odd coefficient")
         _require(self.s6["s02_evenness"], "coefficients of the squared term must be even")
         return (
             "both composite expansions of the cubed conic class agree:\n"
@@ -802,10 +810,9 @@ class Pipeline:
         for k in (k3, k4):
             _require(not spec.contains(k), "kernel generator vanishes in the quotient")
             _require(spec.contains(2 * k), "kernel generator is not 2-torsion")
-        identity = (t - 2 * lam1) * k4 - (
-            ring.parse("5*lambda1*lambda2") * self.s6["polys"]["s00"]
-            - ring.parse("6*lambda1^2 - 12*lambda2") * self.s6["polys"]["s10"]
-        )
+        c00, c10 = (ring.parse(text) for text in _TWIST_KERNEL_COFACTORS)
+        polys = self.s6["polys"]
+        identity = (t - 2 * lam1) * k4 - (c00 * polys["s00"] - c10 * polys["s10"])
         _require(identity == 0, "degree-4 kernel witness identity fails")
         # (I : m) = I + (k3, k4) in degree d exactly when the two lattices
         # have the same Hermite basis; below degree 3 the right side is I.
@@ -894,11 +901,7 @@ class Pipeline:
             ideal_equal(six, stated),
             "the six derived relations do not generate the stated ideal",
         )
-        samples = [
-            ring.parse("((delta1 + lambda1)^2 + lambda1*(delta1 + lambda1))*delta1"),
-            ring.parse("24*lambda1*lambda2*delta1"),
-        ]
-        for p in samples:
+        for p in map(ring.parse, _MAIN_SAMPLES):
             _require(stated.contains(p), f"{p} is not in the stated ideal")
         delta0 = ring.parse(_DELTA0)
         _require(

@@ -88,6 +88,18 @@ def vector_of(monomials, p: IntPolynomial) -> list[int]:
     return vec
 
 
+def reference_preimage(A, B, ncols: int) -> list[list[int]]:
+    """The lattice of row vectors x with x @ A in the row lattice of B, by
+    the Hermite transform: the transform rows under the zero rows of the
+    Hermite form of A stacked on B span the left kernel of the stack, and
+    their first len(A) entries, re-based, span the preimage."""
+    stacked = [list(row) for row in A] + [list(row) for row in B]
+    hf = la.hermite_normal_form(stacked, ncols)
+    pivot_rows = {r for r, _ in hf.pivots}
+    kernel = [hf.transform[i] for i in range(len(stacked)) if i not in pivot_rows]
+    return la.lattice_basis([row[: len(A)] for row in kernel], len(A))
+
+
 def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     """The nonzero normal forms of the degree-d kernel of multiplication by
     m, by a Smith form: the relation rows, in coordinates over the kernel

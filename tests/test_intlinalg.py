@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Hermite and Smith forms, kernels, lattices."""
+"""Exact integer linear algebra: Hermite and Smith forms, preimages, lattices."""
 
 import random
 
@@ -7,6 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from genus2chow import graded, intlinalg as la
 from genus2chow.groebner import RingSpec
+from genus2chow.pipeline import Pipeline
+
+from helpers import reference_preimage
 
 
 def small_matrices(max_dim=6, bound=30):
@@ -224,18 +227,58 @@ class TestSolveAndKernel:
         assert la.lattice_coordinates([], [0, 0, 0]) == []
         assert la.lattice_coordinates([], [0, 1, 0]) is None
 
-    @settings(max_examples=40, deadline=None)
-    @given(small_matrices())
-    def test_left_kernel(self, A):
-        kernel = la.left_kernel(A)
-        ncols = len(A[0])
-        for row in kernel:
-            assert la.matvec_left(row, A) == [0] * ncols
-        rank = len(la.hermite_normal_form(A).pivots)
-        assert len(kernel) == len(A) - rank
+
+def preimage_cases(max_dim=4, bound=6):
+    """Matrices A and B of one width w, each with up to max_dim rows,
+    possibly none."""
+    def rows(w):
+        return st.lists(
+            st.lists(st.integers(-bound, bound), min_size=w, max_size=w), max_size=max_dim
+        )
+
+    return st.integers(0, max_dim).flatmap(lambda w: st.tuples(rows(w), rows(w), st.just(w)))
+
+
+class TestPreimage:
+    @settings(max_examples=120, deadline=None)
+    @given(preimage_cases())
+    @example(([], [[1, 2]], 2))
+    @example(([[1, 2]], [], 2))
+    @example(([], [], 3))
+    @example(([[0, 0], [0, 0]], [[2, 0]], 2))
+    def test_equals_the_transform_route(self, case):
+        assert la.preimage_basis(*case) == reference_preimage(*case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(preimage_cases())
+    def test_rows_map_into_the_target_lattice(self, case):
+        A, B, n = case
+        target = la.lattice_basis(B, n)
+        for x in la.preimage_basis(A, B, n):
+            assert la.lattice_coordinates(target, la.matvec_left(x, A)) is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(preimage_cases())
+    def test_empty_target_gives_the_left_kernel(self, case):
+        A, _, n = case
+        kernel = la.preimage_basis(A, [], n)
+        for x in kernel:
+            assert la.matvec_left(x, A) == [0] * n
+        assert len(kernel) == len(A) - len(la.lattice_basis(A, n))
 
     def test_kernel_example(self):
-        assert la.lattice_basis(la.left_kernel([[1, 2], [2, 4]]), 2) == [[2, -1]]
+        assert la.preimage_basis([[1, 2], [2, 4]], [], 2) == [[2, -1]]
+        # 2*x0 + 4*x1 lies in 4Z exactly when x0 is even.
+        assert la.preimage_basis([[2], [4]], [[4]], 1) == [[2, 0], [0, 1]]
+
+    def test_full_run_builds_no_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("hermite_normal_form called")
+
+        monkeypatch.setattr(la, "hermite_normal_form", refuse)
+        report = Pipeline().run()
+        assert report.overall == "pass", [c.witness for c in report.checks if c.status != "pass"]
+        assert len(report.checks) == 21
 
 
 class TestDeterminant:

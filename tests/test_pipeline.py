@@ -330,9 +330,7 @@ class TestLocalizationExactness:
 
             # Injectivity: the lattice of boundary vectors pushing into the
             # total relation lattice is no bigger than the boundary relations.
-            stacked = push_rows + trows
-            kernel = la.left_kernel(stacked, ncols=len(tmons))
-            preimage = la.lattice_basis([row[: len(bmons)] for row in kernel], len(bmons))
+            preimage = la.preimage_basis(push_rows, trows, len(tmons))
             assert preimage == la.lattice_basis(brows, len(bmons)), f"degree {d}"
 
             # Surjectivity: restriction plus the open relations span everything.
@@ -342,11 +340,7 @@ class TestLocalizationExactness:
 
             # Exactness in the middle: kernel of restriction equals the image
             # of the pushforward together with the total relations.
-            stacked2 = restrict_rows + orows
-            kernel2 = la.left_kernel(stacked2, ncols=len(omons))
-            restr_kernel = la.lattice_basis(
-                [row[: len(tmons)] for row in kernel2], len(tmons)
-            )
+            restr_kernel = la.preimage_basis(restrict_rows, orows, len(omons))
             image = la.lattice_basis(push_rows + trows, len(tmons))
             assert restr_kernel == image, f"degree {d}"
 
