@@ -2,8 +2,12 @@
 
 A degree-d piece of ZZ[x1..xk]/I is presented by the lattice of degree-d
 multiples of the relation generators inside the free module on the degree-d
-monomials; the Smith normal form of that lattice's Hermite basis yields the
-free rank, the torsion invariants and explicit coordinates.  The kernel of
+monomials; ``relation_rows`` gives them as sparse {column: entry} rows,
+which the lattice routines of ``intlinalg`` take as they are.  The Smith
+normal form of that lattice's Hermite basis yields the free rank, the
+torsion invariants and explicit coordinates; each row with a unit pivot
+splits off as a trivial summand, so the Smith form is taken of the other
+rows on the other columns only, and certified.  The kernel of
 multiplication by m in degree d is a lattice too: the preimage, under the
 rows of multiplication by m, of the relation lattice one degree up, returned
 as a Hermite basis; two lattices are equal exactly when their Hermite bases
@@ -36,20 +40,13 @@ def _monomial_index(monomials: Sequence[tuple]) -> dict[tuple, int]:
     return {m: i for i, m in enumerate(monomials)}
 
 
-def _shifted_vector(index: dict[tuple, int], terms: dict[tuple, int], shift: tuple) -> list[int]:
-    """Coefficient vector of x^shift times a term map."""
-    vec = [0] * len(index)
-    for j, c in shifted_row(index, terms, shift).items():
-        vec[j] = c
-    return vec
-
-
 def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) -> IntPolynomial:
     return IntPolynomial(ring, {m: c for m, c in zip(monomials, vec) if c})
 
 
-def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]:
-    """Degree-d monomial basis and the lattice rows of degree-d relation multiples."""
+def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, int]]]:
+    """Degree-d monomial basis and the lattice rows of degree-d relation
+    multiples, sparse as {column: entry} over that basis."""
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
     index = _monomial_index(monomials)
@@ -61,7 +58,7 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[list[int]]]
         if e > d:
             continue
         terms = g.term_map()
-        rows.extend(_shifted_vector(index, terms, mult) for mult in ring.monomials_of_degree(d - e))
+        rows.extend(shifted_row(index, terms, mult) for mult in ring.monomials_of_degree(d - e))
     return monomials, rows
 
 
@@ -99,14 +96,41 @@ class GradedPieceGroup:
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
 
-def _smith_quotient(rows: Sequence[Sequence[int]], n: int) -> tuple[list[int], intlinalg.Matrix]:
+def _smith_quotient(rows: Sequence[intlinalg.Row], n: int) -> tuple[list[int], intlinalg.Matrix]:
     """The diagonal (padded to length n) and V of ZZ^n / <rows>.
 
-    The Smith form is taken of the Hermite basis of the rows, which has full
-    row rank, so it sees at most n rows and its entries stay small.
+    The rows' Hermite basis is reduced, so the column of a unit pivot is 0
+    in every other basis row: x minus x_c times the row of the unit pivot in
+    column c is 0 in column c and lies in the lattice exactly when x does.
+    Each such row thus splits off as a summand ZZ/1, and the Smith form
+    U'·H'·V' = D' is taken of the block H' of the other rows on the other
+    columns only, which has full row rank, and certified.  V carries, in the
+    row of column c, e_k for the k-th unit pivot and minus that basis row,
+    restricted to the other columns, times V'; in the row of any other
+    column, the matching row of V'.  It is block triangular with the
+    identity and V' on its diagonal, so it needs no check of its own, and
+    the diagonal is 1 for each unit pivot followed by D'.
     """
-    snf = intlinalg.smith_normal_form(intlinalg.lattice_basis(rows, n), ncols=n)
-    return list(snf.diagonal) + [0] * (n - len(snf.diagonal)), snf.V
+    units, others = [], []
+    c = 0
+    for row in intlinalg.lattice_basis(rows, n):
+        while not row[c]:  # pivot columns strictly increase
+            c += 1
+        (units if row[c] == 1 else others).append((c, row))
+    unit_columns = {c for c, _ in units}
+    columns = [j for j in range(n) if j not in unit_columns]
+    block = [[row[j] for j in columns] for _, row in others]
+    snf = intlinalg.smith_normal_form(block, ncols=len(columns))
+    snf.verify(block)
+    k = len(units)
+    V: intlinalg.Matrix = [[]] * n
+    for i, (c, row) in enumerate(units):
+        V[c] = [0] * k + intlinalg.matvec_left([-row[j] for j in columns], snf.V)
+        V[c][i] = 1
+    for j, v_row in zip(columns, snf.V):
+        V[j] = [0] * k + v_row
+    diagonal = [1] * k + snf.diagonal
+    return diagonal + [0] * (n - len(diagonal)), V
 
 
 def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
@@ -149,7 +173,7 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]
     target_monomials, target_rel_rows = relation_rows(spec, d + (m.weighted_degree() or 0))
     index = _monomial_index(target_monomials)
     terms = m.term_map()
-    mult_rows = [_shifted_vector(index, terms, exps) for exps in monomials]
+    mult_rows = [shifted_row(index, terms, exps) for exps in monomials]
     return intlinalg.preimage_basis(mult_rows, target_rel_rows, len(target_monomials))
 
 
@@ -177,7 +201,11 @@ def enumerate_kernel_elements(
     monomials, rel_rows = relation_rows(spec, d)
     kernel_basis = _kernel_lattice(spec, m, d)
     rank = len(kernel_basis)
-    coords = [intlinalg.lattice_coordinates(kernel_basis, row) for row in rel_rows]
+    columns = range(len(monomials))
+    coords = [
+        intlinalg.lattice_coordinates(kernel_basis, [row.get(j, 0) for j in columns])
+        for row in rel_rows
+    ]
     if None in coords:
         raise AssertionError("relation lattice is not contained in the kernel")
     H = intlinalg.lattice_basis(coords, rank)

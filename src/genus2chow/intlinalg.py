@@ -3,13 +3,18 @@
 Everything here works on plain lists of Python ints, so there is no overflow
 anywhere: Hermite and Smith normal forms, preimage lattices and lattice
 coordinates.  Hermite elimination holds its rows sparse, as
-{column: entry} dicts, so a row update skips the zero entries; the public
-functions take and return dense rows.  Hermite bases (``lattice_basis``) and
-preimages (``preimage_basis``) are computed without a transform; only
+{column: entry} dicts, so a row update skips the zero entries.  Among the
+rows whose entry in the pivot column is least in absolute value it takes the
+one with the fewest stored entries, which keeps the fill of later updates
+small; the Hermite basis it reaches is canonical whatever the choice.
+``lattice_basis`` and ``preimage_basis`` take rows dense or as such dicts,
+and return dense rows.  Hermite bases (``lattice_basis``) and preimages
+(``preimage_basis``) are computed without a transform; only
 ``hermite_normal_form``, which nothing in the package calls, builds its
-unimodular U.  Coordinates against a Hermite basis (``lattice_coordinates``)
-come from one pass over its pivots.  Hermite elimination serves two engines:
-``graded`` realizes graded pieces and multiplication kernels through it, and
+unimodular U, in rows of its own that take the same row operations.
+Coordinates against a Hermite basis (``lattice_coordinates``) come from one
+pass over its pivots.  Hermite elimination serves two engines: ``graded``
+realizes graded pieces and multiplication kernels through it, and
 ``groebner`` completes its strong bases on ``_hermite``, one degree at a
 time, on sparse rows it builds itself.
 """
@@ -20,6 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 Matrix = list[list[int]]
+# A row given dense, or sparse as {column: entry} with no zero entries.
+Row = Sequence[int] | dict[int, int]
 
 
 def identity(n: int) -> Matrix:
@@ -75,7 +82,10 @@ class HermiteForm:
     pivots: list[tuple[int, int]]
 
 
-def _sparse(row: Sequence[int]) -> dict[int, int]:
+def _sparse(row: Row) -> dict[int, int]:
+    """A fresh {column: entry} copy of a dense or sparse row."""
+    if isinstance(row, dict):
+        return dict(row)
     return {j: x for j, x in enumerate(row) if x}
 
 
@@ -87,18 +97,22 @@ def _dense(row: dict[int, int], start: int, stop: int) -> list[int]:
     return out
 
 
-def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
+def _hermite(
+    H: list[dict[int, int]], ncols: int, T: list[dict[int, int]] | None = None
+) -> list[tuple[int, int]]:
     """Hermite elimination of H in place with pivots in its first ncols
     columns; returns the (row, column) pivots.
 
     Rows are held sparse, as {column: entry} dicts: a row update touches only
     the nonzero entries of the pivot row, and an entry that cancels to 0 is
-    deleted.  Row operations act on whole rows, so appended identity entries
-    track U."""
+    deleted.  Each Euclid step pivots on the row of least absolute entry in
+    the column and, among those, of fewest stored entries, appended ones
+    included.  Row operations act on whole rows, so appended identity
+    entries track U; rows T, one per row of H, take the same operations
+    without entering the pivot choice."""
     m = len(H)
 
-    def subtract(i: int, q: int, prow: dict[int, int]) -> None:
-        row = H[i]
+    def subtract(row: dict[int, int], q: int, prow: dict[int, int]) -> None:
         get = row.get
         for j, y in prow.items():
             v = get(j, 0) - q * y
@@ -117,9 +131,11 @@ def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
             nz = [i for i in range(pivot_row, m) if col in H[i]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(H[i][col]))
+            i0 = min(nz, key=lambda i: (abs(H[i][col]), len(H[i])))
             if i0 != pivot_row:
                 H[pivot_row], H[i0] = H[i0], H[pivot_row]
+                if T is not None:
+                    T[pivot_row], T[i0] = T[i0], T[pivot_row]
             if len(nz) == 1:
                 break
             prow = H[pivot_row]
@@ -129,46 +145,57 @@ def _hermite(H: list[dict[int, int]], ncols: int) -> list[tuple[int, int]]:
                     # Row i0 may now hold the zero that pivot_row held.
                     q = H[i].get(col, 0) // pivot
                     if q:
-                        subtract(i, q, prow)
+                        subtract(H[i], q, prow)
+                        if T is not None:
+                            subtract(T[i], q, T[pivot_row])
         prow = H[pivot_row]
         if col not in prow:
             continue
         if prow[col] < 0:
             prow = H[pivot_row] = {j: -x for j, x in prow.items()}
+            if T is not None:
+                T[pivot_row] = {j: -x for j, x in T[pivot_row].items()}
         pivot = prow[col]
         for i in range(pivot_row):
             q = H[i].get(col, 0) // pivot
             if q:
-                subtract(i, q, prow)
+                subtract(H[i], q, prow)
+                if T is not None:
+                    subtract(T[i], q, T[pivot_row])
         pivots.append((pivot_row, col))
         pivot_row += 1
     return pivots
 
 
 def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
-    """Hermite form of A together with its unimodular transform U."""
+    """Hermite form of A together with its unimodular transform U.
+
+    U is kept in rows apart from A's, so the elimination, pivot choices
+    included, is the one ``lattice_basis`` runs."""
     if ncols is None:
         if not A:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
     width = len(A[0]) if A else 0
     m = len(A)
-    H = [_sparse(row) | {width + i: 1} for i, row in enumerate(A)]
-    # Pivots lie in A's columns, never in the appended identity.
-    pivots = _hermite(H, min(ncols, width))
+    H = [_sparse(row) for row in A]
+    T = [{i: 1} for i in range(m)]
+    pivots = _hermite(H, ncols, T)
     return HermiteForm(
-        [_dense(row, 0, width) for row in H], [_dense(row, width, width + m) for row in H], pivots
+        [_dense(row, 0, width) for row in H], [_dense(row, 0, m) for row in T], pivots
     )
 
 
-def lattice_basis(rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
+def lattice_basis(rows: Sequence[Row], ncols: int) -> Matrix:
     """Canonical basis (HNF, zero rows dropped) of the lattice the rows span.
 
     Two row sets span the same lattice exactly when these bases are equal.
-    The elimination runs on the rows alone; no transform is built.
+    The elimination runs on the rows alone; no transform is built.  The
+    basis rows are as wide as the first dense input row, or ncols wide when
+    every row is sparse.
     """
     H = [_sparse(row) for row in rows]
-    width = len(rows[0]) if rows else 0
+    width = next((len(row) for row in rows if not isinstance(row, dict)), ncols)
     return [_dense(H[r], 0, width) for r, _ in _hermite(H, ncols)]
 
 
@@ -191,7 +218,7 @@ def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> lis
     return None if any(residual) else coeffs
 
 
-def preimage_basis(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], ncols: int) -> Matrix:
+def preimage_basis(A: Sequence[Row], B: Sequence[Row], ncols: int) -> Matrix:
     """Hermite basis, as ``lattice_basis`` gives it, of the lattice of row
     vectors x with x @ A in the row lattice of B: eliminating [A | I; B | 0]
     over the ncols columns of A and B leaves rows below the pivots that

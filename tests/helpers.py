@@ -110,7 +110,10 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     monomials, rel_rows = relation_rows(spec, d)
     basis = _kernel_lattice(spec, m, d)
     n = len(basis)
-    coords = [la.lattice_coordinates(basis, row) for row in rel_rows]
+    coords = [
+        la.lattice_coordinates(basis, [row.get(j, 0) for j in range(len(monomials))])
+        for row in rel_rows
+    ]
     snf = la.smith_normal_form(la.lattice_basis(coords, n), ncols=n)
     diagonal = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
     if 0 in diagonal:

@@ -1,5 +1,7 @@
 """Graded pieces as abelian groups, kernels of multiplication, enumeration."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from genus2chow.graded import (
     relation_rows,
 )
 from genus2chow.groebner import RingSpec
+from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring, RingMismatchError
 
 from helpers import reference_kernel_elements
@@ -33,6 +36,30 @@ def row_sets(max_dim=5, bound=20):
             st.booleans(),
         )
     )
+
+
+def quotient_cases(max_dim=5, bound=12):
+    """An n, up to 5 rows of length n and a probe: an integer combination of
+    the rows, plus an offset of small entries when a flag is set."""
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n), max_size=5
+        ).flatmap(
+            lambda rows: st.tuples(
+                st.just(n),
+                st.just(rows),
+                st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)),
+                st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                st.booleans(),
+            )
+        )
+    )
+
+
+def _probe(case):
+    n, rows, coeffs, offset, offset_on = case
+    probe = la.matvec_left(coeffs, rows) if rows else [0] * n
+    return [x + y for x, y in zip(probe, offset)] if offset_on else probe
 
 
 @pytest.fixture
@@ -84,6 +111,76 @@ class TestSmithQuotient:
         for row in rows:
             for x, d in zip(la.matvec_left(row, V), diagonal):
                 assert (x % d == 0) if d else x == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(quotient_cases())
+    # All pivots units: the rows span ZZ^2.
+    @example((2, [[1, 2], [3, 7]], [1, -1], [1, 0], True))
+    # No unit pivots: diag(2, 3), probed off and on the lattice.
+    @example((2, [[2, 0], [0, 3]], [1, 1], [1, 0], True))
+    @example((2, [[2, 0], [0, 3]], [2, -1], [0, 0], False))
+    # A unit pivot in column 0, a pivot 4 in column 2, free columns 1 and 3.
+    @example((4, [[1, 3, 0, 2], [0, 0, 4, 6]], [2, 1], [0, 1, 0, 0], True))
+    @example((4, [[1, 3, 0, 2], [0, 0, 4, 6]], [-1, 2], [0, 0, 1, 0], True))
+    @example((4, [[1, 3, 0, 2], [0, 0, 4, 6]], [3, -1], [0, 0, 0, 0], False))
+    def test_vanishing_coordinates_mean_membership(self, case):
+        """The converse: a probe's coordinates under V vanish modulo the
+        diagonal exactly when it lies in the lattice of the rows."""
+        n, rows = case[0], case[1]
+        probe = _probe(case)
+        diagonal, V = _smith_quotient(rows, n)
+        coords = la.matvec_left(probe, V)
+        vanishes = all((x % d == 0) if d else x == 0 for x, d in zip(coords, diagonal))
+        member = la.lattice_coordinates(la.lattice_basis(rows, n), probe) is not None
+        assert vanishes == member
+
+
+class TestBlockSmithForm:
+    """``graded_piece`` takes the Smith form of the non-unit-pivot rows of the
+    Hermite basis, on the columns without a unit pivot, and certifies it."""
+
+    def test_block_has_one_row_per_non_unit_pivot(self, pipeline, monkeypatch):
+        spec = pipeline.presentations["bielliptic"]
+        monomials, rows = relation_rows(spec, 8)
+        basis = la.lattice_basis(rows, len(monomials))
+        non_unit = sum(1 for row in basis if next(x for x in row if x) != 1)
+        blocks = []
+        real = la.smith_normal_form
+
+        def recorded(A, ncols=None):
+            blocks.append((len(A), ncols))
+            return real(A, ncols)
+
+        monkeypatch.setattr(la, "smith_normal_form", recorded)
+        graded_piece(spec, 8)
+        assert (len(basis), non_unit) == (95, 17)
+        assert blocks == [(non_unit, len(monomials) - (len(basis) - non_unit))]
+
+    @staticmethod
+    def _swap_two_columns_of_v(monkeypatch):
+        real = la.smith_normal_form
+
+        def faulty(A, ncols=None):
+            snf = real(A, ncols)
+            if snf.ncols < 2:
+                return snf
+            V = [[row[1], row[0]] + row[2:] for row in snf.V]
+            return dataclasses.replace(snf, V=V)
+
+        monkeypatch.setattr(la, "smith_normal_form", faulty)
+
+    def test_faulty_smith_form_makes_graded_piece_raise(self, bg_spec, monkeypatch):
+        self._swap_two_columns_of_v(monkeypatch)
+        with pytest.raises(AssertionError, match="U @ A @ V != D|not unimodular"):
+            graded_piece(bg_spec, 2)
+
+    def test_faulty_smith_form_fails_oracle_agreement_as_data(self, monkeypatch):
+        fresh = Pipeline()
+        fresh.presentations  # derived first, so only the check's Smith forms are faulty
+        self._swap_two_columns_of_v(monkeypatch)
+        result = fresh.run_check("oracle-agreement")
+        assert result.status == "fail"
+        assert result.witness.startswith("AssertionError: ")
 
 
 class TestGradedPiece:

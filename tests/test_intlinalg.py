@@ -281,6 +281,74 @@ class TestPreimage:
         assert len(report.checks) == 21
 
 
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def rearranged_rows(max_dim=5, bound=6):
+    """Up to max_dim rows of one width w, a permutation of them and the
+    coefficients of one more row that combines them."""
+    return st.integers(1, max_dim).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=w, max_size=w), max_size=max_dim
+        ).flatmap(
+            lambda rows: st.tuples(
+                st.just(rows),
+                st.permutations(range(len(rows))),
+                st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)),
+                st.just(w),
+            )
+        )
+    )
+
+
+def rearranged_preimages(max_dim=4, bound=6):
+    """A preimage case (A, B, w), a permutation of A's rows and one of B's,
+    and the coefficients of one more row of B that combines B's rows."""
+    return preimage_cases(max_dim, bound).flatmap(
+        lambda case: st.tuples(
+            st.just(case),
+            st.permutations(range(len(case[0]))),
+            st.permutations(range(len(case[1]))),
+            st.lists(st.integers(-3, 3), min_size=len(case[1]), max_size=len(case[1])),
+        )
+    )
+
+
+class TestCanonicalBases:
+    """The pivot choice depends on how many entries each row stores, yet the
+    bases reached are canonical: the same for every order of the rows, with
+    or without redundant rows, dense or sparse."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rearranged_rows())
+    @example(([[2, 0, 1], [2, 3, 0], [4, 0, 0]], [2, 0, 1], [1, -1, 2], 3))
+    def test_lattice_basis(self, case):
+        rows, order, coeffs, w = case
+        basis = la.lattice_basis(rows, w)
+        shuffled = [rows[i] for i in order]
+        assert la.lattice_basis(shuffled, w) == basis
+        assert la.lattice_basis(_sparse(shuffled), w) == basis
+        if rows:
+            assert la.lattice_basis(rows + [la.matvec_left(coeffs, rows)], w) == basis
+
+    @settings(max_examples=100, deadline=None)
+    @given(rearranged_preimages())
+    @example((([[1, 2], [2, 1], [0, 3]], [[3, 0], [0, 6]], 2), [2, 0, 1], [1, 0], [2, -1]))
+    def test_preimage_basis(self, case):
+        (A, B, w), order_a, order_b, coeffs = case
+        expected = la.preimage_basis(A, B, w)
+        assert la.preimage_basis(A, [B[i] for i in order_b], w) == expected
+        assert la.preimage_basis(_sparse(A), _sparse(B), w) == expected
+        if B:
+            assert la.preimage_basis(A, B + [la.matvec_left(coeffs, B)], w) == expected
+        # Permuting A's rows permutes the preimage's coordinates alike.
+        permuted = [[x[i] for i in order_a] for x in expected]
+        assert la.preimage_basis([A[i] for i in order_a], B, w) == la.lattice_basis(
+            permuted, len(A)
+        )
+
+
 class TestDeterminant:
     def test_integer_determinants(self):
         assert la.determinant_expansion([[1, 2], [3, 4]]) == -2
