@@ -13,14 +13,17 @@ and return dense rows.  Hermite bases (``lattice_basis``) and preimages
 ``hermite_normal_form``, which nothing in the package calls, builds its
 unimodular U, in rows of its own that take the same row operations.
 Coordinates against a Hermite basis (``lattice_coordinates``) come from one
-pass over its pivots.  Hermite elimination serves two engines: ``graded``
-realizes graded pieces and multiplication kernels through it, and
-``groebner`` completes its strong bases on ``_hermite``, one degree at a
-time, on sparse rows it builds itself.
+pass over its pivots.  The one elimination, ``_hermite``, serves Hermite
+bases, preimages, Groebner completion and Smith forms: ``graded`` realizes
+graded pieces and multiplication kernels through it, ``groebner`` completes
+its strong bases on it, one degree at a time, on sparse rows it builds
+itself, and ``smith_normal_form`` alternates it on the rows and the columns,
+as Kannan and Bachem do, so every step reduces entries modulo a pivot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,30 +130,28 @@ def _hermite(
         if pivot_row == m:
             break
         # Euclid the column entries at/below pivot_row down to one survivor.
-        while True:
-            nz = [i for i in range(pivot_row, m) if col in H[i]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(H[i][col]), len(H[i])))
-            if i0 != pivot_row:
-                H[pivot_row], H[i0] = H[i0], H[pivot_row]
-                if T is not None:
-                    T[pivot_row], T[i0] = T[i0], T[pivot_row]
-            if len(nz) == 1:
-                break
-            prow = H[pivot_row]
+        # A row without an entry in col never gains one, so the rows holding
+        # one are collected once and only thinned afterwards.
+        nz = [i for i in range(pivot_row, m) if col in H[i]]
+        while len(nz) > 1:
+            p = min(nz, key=lambda i: (abs(H[i][col]), len(H[i])))
+            prow = H[p]
             pivot = prow[col]
             for i in nz:
-                if i != pivot_row:
-                    # Row i0 may now hold the zero that pivot_row held.
-                    q = H[i].get(col, 0) // pivot
-                    if q:
-                        subtract(H[i], q, prow)
-                        if T is not None:
-                            subtract(T[i], q, T[pivot_row])
-        prow = H[pivot_row]
-        if col not in prow:
+                if i != p:
+                    q = H[i][col] // pivot  # nonzero: |H[i][col]| >= |pivot|
+                    subtract(H[i], q, prow)
+                    if T is not None:
+                        subtract(T[i], q, T[p])
+            nz = [i for i in nz if col in H[i]]
+        if not nz:
             continue
+        p = nz[0]
+        if p != pivot_row:
+            H[pivot_row], H[p] = H[p], H[pivot_row]
+            if T is not None:
+                T[pivot_row], T[p] = T[p], T[pivot_row]
+        prow = H[pivot_row]
         if prow[col] < 0:
             prow = H[pivot_row] = {j: -x for j, x in prow.items()}
             if T is not None:
@@ -237,7 +238,7 @@ class SmithNormalForm:
     """Diagonalization U @ A @ V = D by unimodular U and V.
 
     ``diagonal`` lists the diagonal of D (nonnegative, each dividing the
-    next among the nonzero entries).  The tracked inverses certify
+    next among the nonzero entries).  The inverses certify
     unimodularity exactly: U @ Uinv = I and V @ Vinv = I over the integers.
     """
 
@@ -272,100 +273,83 @@ class SmithNormalForm:
             raise AssertionError("diagonal entries must be nonnegative")
 
 
+def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+    """Rows i and j become x·row_i + y·row_j and z·row_i + w·row_j."""
+    ri, rj = rows[i], rows[j]
+    keys = ri.keys() | rj.keys()
+    rows[i] = {k: v for k in keys if (v := x * ri.get(k, 0) + y * rj.get(k, 0))}
+    rows[j] = {k: v for k in keys if (v := z * ri.get(k, 0) + w * rj.get(k, 0))}
+
+
+def _inverse(rows: list[dict[int, int]]) -> Matrix:
+    """The inverse of a unimodular matrix, dense: its Hermite form is the
+    identity, so the transform rows that reach it are the inverse."""
+    n = len(rows)
+    T = [{i: 1} for i in range(n)]
+    _hermite([dict(row) for row in rows], n, T)
+    return [_dense(row, 0, n) for row in T]
+
+
 def smith_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> SmithNormalForm:
+    """Smith form of A, after Kannan and Bachem ("Polynomial algorithms for
+    computing the Smith and Hermite normal forms of an integer matrix", SIAM
+    J. Comput. 8, 1979): Hermite eliminations of the rows and of the columns
+    in turn, on the one ``_hermite``, until every row holds at most its
+    diagonal entry.  Each elimination reduces the entries above its pivots
+    modulo them, which keeps entries from growing from phase to phase.  The
+    row phase carries U in its transform rows; the column phase runs on the
+    transpose and carries the columns of V.  Then one 2×2 Bezout step on U's
+    rows and V's columns turns each diagonal pair (a, b) with a ∤ b into
+    (gcd, lcm), and Uinv and Vinv are the transforms that eliminate U and V
+    to the identity."""
     m = len(A)
     if ncols is None:
         if not A:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
     n = ncols
-    D = [list(row) for row in A]
-    U, Uinv = identity(m), identity(m)
-    V, Vinv = identity(n), identity(n)
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, q):
-        # row_i += q * row_j; Uinv picks up the inverse column operation
-        D[i] = [x + q * y for x, y in zip(D[i], D[j])]
-        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
-        for row in Uinv:
-            row[j] -= q * row[i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
-
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def col_addmul(j, i, q):
-        # col_j += q * col_i
-        for row in D:
-            row[j] += q * row[i]
-        for row in V:
-            row[j] += q * row[i]
-        Vinv[i] = [x - q * y for x, y in zip(Vinv[i], Vinv[j])]
-
-    t = 0
-    while t < min(m, n):
-        # The first least entry in row order; no entry is less than a unit,
-        # so the search stops at the first unit.
-        best = None
-        for x, i, j in ((abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n)):
-            if x and (best is None or x < best[0]):
-                best = (x, i, j)
-                if x == 1:
-                    break
-        if best is None:
+    D = [_sparse(row) for row in A]
+    transforms = ([{i: 1} for i in range(m)], [{j: 1} for j in range(n)])
+    widths = (n, m)
+    side = 0  # 0: D is A's orientation, transforms[0] holds U's rows
+    while True:
+        _hermite(D, widths[side], transforms[side])
+        if all(row.keys() <= {i} for i, row in enumerate(D)):
             break
-        _, i, j = best
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        while True:
-            for i in range(t + 1, m):
-                while D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    if q:
-                        row_addmul(i, t, -q)
-                    if D[i][t]:
-                        row_swap(t, i)
-            for j in range(t + 1, n):
-                while D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    if q:
-                        col_addmul(j, t, -q)
-                    if D[t][j]:
-                        col_swap(t, j)
-            if all(D[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # Enforce that the pivot divides every remaining entry (a unit always does).
-        d = D[t][t]
-        culprit = None
-        if abs(d) != 1:
-            culprit = next((i for i in range(t + 1, m) if any(x % d for x in D[i][t + 1:])), None)
-        if culprit is not None:
-            row_addmul(t, culprit, 1)
-            continue
-        if d < 0:
-            row_negate(t)
-        t += 1
-
-    diagonal = [D[i][i] for i in range(min(m, n))]
+        D = _transpose(D, widths[side])
+        side = 1 - side
+    U, Vt = transforms  # Vt holds the columns of V
+    # Hermite pivots are positive and lead the rows, so the nonzero diagonal
+    # entries come first.
+    diagonal = [D[i].get(i, 0) for i in range(min(m, n))]
+    rank = sum(1 for d in diagonal if d)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = diagonal[i], diagonal[j]
+            if b % a:
+                g = math.gcd(a, b)
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                _combine(U, i, j, s, t, -b // g, a // g)
+                _combine(Vt, i, j, 1, 1, -t * b // g, s * a // g)
+                diagonal[i], diagonal[j] = g, a // g * b
+    V = _transpose(Vt, n)
     return SmithNormalForm(
-        nrows=m, ncols=n, U=U, V=V, Uinv=Uinv, Vinv=Vinv, diagonal=diagonal
+        nrows=m,
+        ncols=n,
+        U=[_dense(row, 0, m) for row in U],
+        V=[_dense(row, 0, n) for row in V],
+        Uinv=_inverse(U),
+        Vinv=_inverse(V),
+        diagonal=diagonal,
     )
 
 

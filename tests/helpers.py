@@ -100,6 +100,73 @@ def reference_preimage(A, B, ncols: int) -> list[list[int]]:
     return la.lattice_basis([row[: len(A)] for row in kernel], len(A))
 
 
+def reference_smith_normal_form(A, ncols: int) -> la.SmithNormalForm:
+    """Smith form by dense row and column operations on A, U, V and their
+    inverses: move a least entry to the pivot, clear its row and column by
+    Euclid steps, and add back a row the pivot does not divide.  Entries
+    are never reduced, so this suits small inputs only."""
+    m, n = len(A), ncols
+    D = [list(row) for row in A]
+    U, Uinv = la.identity(m), la.identity(m)
+    V, Vinv = la.identity(n), la.identity(n)
+
+    def row_addmul(i, j, q):  # row_i += q * row_j
+        D[i] = [x + q * y for x, y in zip(D[i], D[j])]
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= q * row[i]
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
+
+    def col_addmul(j, i, q):  # col_j += q * col_i
+        for M in (D, V):
+            for row in M:
+                row[j] += q * row[i]
+        Vinv[i] = [x - q * y for x, y in zip(Vinv[i], Vinv[j])]
+
+    def col_swap(i, j):
+        for M in (D, V):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    t = 0
+    while t < min(m, n):
+        entries = [(abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        row_swap(t, i)
+        col_swap(t, j)
+        while any(D[i][t] for i in range(t + 1, m)) or any(D[t][j] for j in range(t + 1, n)):
+            for i in range(t + 1, m):
+                while D[i][t]:
+                    row_addmul(i, t, -(D[i][t] // D[t][t]))
+                    if D[i][t]:
+                        row_swap(t, i)
+            for j in range(t + 1, n):
+                while D[t][j]:
+                    col_addmul(j, t, -(D[t][j] // D[t][t]))
+                    if D[t][j]:
+                        col_swap(t, j)
+        d = D[t][t]
+        culprit = next((i for i in range(t + 1, m) if any(x % d for x in D[i][t + 1:])), None)
+        if culprit is not None:
+            row_addmul(t, culprit, 1)
+            continue
+        if d < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+            for row in Uinv:
+                row[t] = -row[t]
+        t += 1
+    return la.SmithNormalForm(m, n, U, V, Uinv, Vinv, [D[i][i] for i in range(min(m, n))])
+
+
 def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     """The nonzero normal forms of the degree-d kernel of multiplication by
     m, by a Smith form: the relation rows, in coordinates over the kernel

@@ -90,8 +90,8 @@ class TestProcessLevel:
         assert "kappa" in proc.stdout
 
     def test_twist_kernel_at_degree_14_finishes(self):
-        # The degree-13 twist-kernel quotient has 108 redundant rows; only a
-        # Smith form of their Hermite basis finishes in bounded time.
+        # The degree-13 twist-kernel quotient has 108 redundant rows; its
+        # kernel, a preimage lattice, must still come out in bounded time.
         import subprocess
         import sys
 

@@ -9,6 +9,8 @@ fault that nothing notices.
 """
 
 import json
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -21,7 +23,7 @@ from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
-from helpers import vector_of
+from helpers import child_env, vector_of
 
 GOLDEN_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-d10.json"
 
@@ -92,6 +94,13 @@ ROWS = (
         {},
         frozenset({"s6-table", "sij-expansions", "det-7x7", "cub-compat", "groth-factor",
                    "thm:45"})),
+    # With t declared last no basis element of the twist quotient is led by
+    # t; the other checks hold, and oracle-agreement takes its Smith forms
+    # in this order too.
+    Row("groth-ring-hyperplane-last", "groth_ring",
+        lambda p: Ring(("lambda1", 1), ("lambda2", 2), ("t", 1)),
+        {"thm:45": "no basis element of the twist quotient is led by the hyperplane class"},
+        frozenset({"groth-factor", "s6-table"})),
     # The boundary ring is built from the substituted relations.
     Row("bg-derivation-substituted", "bg_derivation",
         lambda p: replace(p.bg_derivation, substituted_relations=tuple(
@@ -261,3 +270,41 @@ def test_every_cached_intermediate_has_a_row(pipeline):
             changed = row.perturb(pipeline)
             perturbed |= {(row.key, key) for key in sound if changed[key] is not sound[key]}
     assert entries - perturbed == set()
+
+
+# Run in a child so that a Smith form whose entries grow without bound fails
+# the suite at the timeout instead of hanging it.
+_HYPERPLANE_LAST_ORACLE = """
+from genus2chow import intlinalg
+from genus2chow.pipeline import Pipeline
+from genus2chow.ring import Ring
+
+bits = [0]
+smith = intlinalg.smith_normal_form
+
+def measured(A, ncols=None):
+    snf = smith(A, ncols)
+    bits.append(max((abs(x).bit_length() for M in (snf.U, snf.V, snf.Uinv, snf.Vinv)
+                     for row in M for x in row), default=0))
+    return snf
+
+intlinalg.smith_normal_form = measured
+p = Pipeline()
+p.__dict__["groth_ring"] = Ring(("lambda1", 1), ("lambda2", 2), ("t", 1))
+(check,) = p.run(ids=["oracle-agreement"]).checks
+print(check.status, max(bits))
+"""
+
+
+def test_smith_forms_stay_bounded_with_the_hyperplane_class_last():
+    proc = subprocess.run(
+        [sys.executable, "-c", _HYPERPLANE_LAST_ORACLE],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, bits = proc.stdout.split()
+    assert status == "pass"
+    assert int(bits) < 1000

@@ -9,7 +9,7 @@ from genus2chow import graded, intlinalg as la
 from genus2chow.groebner import RingSpec
 from genus2chow.pipeline import Pipeline
 
-from helpers import reference_preimage
+from helpers import reference_preimage, reference_smith_normal_form
 
 
 def small_matrices(max_dim=6, bound=30):
@@ -142,6 +142,28 @@ class TestSharedElimination:
         assert (piece.free_rank, piece.torsion_invariants) == (2, (2,))
 
 
+def smith_inputs(max_dim=7, bound=20):
+    """(A, n): up to max_dim rows of width n in 1..max_dim, possibly none.
+    When the drawn flag is set, the last row is replaced by a combination of
+    the others, so rank-deficient matrices without a zero row occur."""
+    def build(n):
+        row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        return st.tuples(
+            st.lists(row, max_size=max_dim),
+            st.lists(st.integers(-3, 3), min_size=max_dim, max_size=max_dim),
+            st.booleans(),
+            st.just(n),
+        )
+
+    def combine(drawn):
+        rows, coeffs, dependent, n = drawn
+        if dependent and rows:
+            rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows[:-1])) for j in range(n)]
+        return rows, n
+
+    return st.integers(1, max_dim).flatmap(build).map(combine)
+
+
 class TestSmith:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
@@ -169,14 +191,11 @@ class TestSmith:
         assert snf.diagonal == [1, 6]
 
     def test_first_unit_is_the_pivot(self):
-        # Units at (0, 2), (1, 0) and (2, 1): the pivot search takes the
-        # first in row order, as a full scan for the least entry does.  The
-        # literals are that full scan's result.
+        # Units at (0, 2), (1, 0) and (2, 1); U and V depend on which one
+        # the eliminations reach first, the diagonal does not.
         A = [[2, 3, 1], [1, 4, 6], [5, 1, 7]]
         snf = la.smith_normal_form(A)
         snf.verify(A)
-        assert snf.U == [[1, 0, 0], [11, 4, -5], [23, 9, -11]]
-        assert snf.V == [[0, 1, -44], [0, 0, 1], [1, -2, 85]]
         assert snf.diagonal == [1, 1, 94]
 
     def test_rank_deficient(self):
@@ -184,6 +203,34 @@ class TestSmith:
         snf = la.smith_normal_form(A)
         snf.verify(A)
         assert snf.diagonal == [1, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(smith_inputs())
+    @example(([], 3))
+    @example(([[0, 0, 0]], 3))
+    @example(([[2, 4], [3, 6], [5, 10]], 2))
+    def test_diagonal_matches_the_reference(self, case):
+        A, n = case
+        snf = la.smith_normal_form(A, n)
+        snf.verify(A)
+        assert snf.diagonal == reference_smith_normal_form(A, n).diagonal
+
+    def test_pipeline_inputs_match_the_reference(self):
+        inputs = []
+        smith = la.smith_normal_form
+
+        def capture(A, ncols=None):
+            inputs.append((A, ncols))
+            return smith(A, ncols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(la, "smith_normal_form", capture)
+            assert Pipeline(max_degree=12).run().overall == "pass"
+        assert inputs
+        for A, n in inputs:
+            snf = smith(A, n)
+            snf.verify(A)
+            assert snf.diagonal == reference_smith_normal_form(A, n).diagonal
 
 
 class TestSolveAndKernel:

@@ -118,8 +118,7 @@ class TestFaultInjection:
 
     def test_hyperplane_class_declared_last_is_not_eliminated(self):
         # With t last in the monomial order no basis element of the twist
-        # quotient is led by t.  oracle-agreement is not run: its Smith forms
-        # do not finish in this order.
+        # quotient is led by t.
         fresh = Pipeline()
         fresh.__dict__["groth_ring"] = Ring(("lambda1", 1), ("lambda2", 2), ("t", 1))
         (check,) = fresh.run(ids=["thm:45"]).checks
