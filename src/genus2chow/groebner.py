@@ -17,7 +17,7 @@ certificate is run by the polynomial reducer, and the Smith-form oracle in
 ``graded`` takes its lattices from generator multiples, not from the
 lattices built here.
 
-A ``RingSpec`` (generators plus relation ideal) is the one holder of a
+A ``RingSpec`` (a ring and its generators) is the one holder of a
 completed basis: it completes its ideal once, on first use, and every
 membership test and normal form in the package goes through it.
 ``ideal_equal`` compares two presentations through their own bases.
@@ -74,9 +74,6 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.ring, self.generators))
-
-    def plus(self, *extra: IntPolynomial) -> "Ideal":
-        return Ideal(self.ring, self.generators + tuple(extra))
 
 
 def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
@@ -272,7 +269,8 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
 
 
 class RingSpec:
-    """A graded ring presentation: weighted variables plus a relation ideal.
+    """A graded ring presentation: a ring and its generators, which span
+    the relation ideal ``relations`` of the quotient.
 
     This is the universal container for every Chow ring in the pipeline,
     and the only place a strong basis is completed and kept.
@@ -280,11 +278,9 @@ class RingSpec:
 
     __slots__ = ("ring", "relations", "__dict__")
 
-    def __init__(self, ring: Ring, relations: Ideal):
-        if relations.ring != ring:
-            raise RingMismatchError("relations live over a different ring")
+    def __init__(self, ring: Ring, generators: Iterable[IntPolynomial]):
         self.ring = ring
-        self.relations = relations
+        self.relations = Ideal(ring, generators)
 
     @classmethod
     def build(
@@ -293,8 +289,7 @@ class RingSpec:
         relation_texts: Sequence[str] = (),
     ) -> "RingSpec":
         ring = Ring(*variables)
-        gens = [ring.parse(text) for text in relation_texts]
-        return cls(ring, Ideal(ring, gens))
+        return cls(ring, [ring.parse(text) for text in relation_texts])
 
     def __repr__(self):
         return f"RingSpec({self.ring!r}, {self.relations!r})"
@@ -310,7 +305,7 @@ class RingSpec:
         return self.groebner.contains(p)
 
     def with_relations(self, *extra: IntPolynomial) -> "RingSpec":
-        return RingSpec(self.ring, self.relations.plus(*extra))
+        return RingSpec(self.ring, self.relations.generators + extra)
 
     def parse(self, text: str) -> IntPolynomial:
         return self.ring.parse(text)

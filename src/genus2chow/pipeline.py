@@ -34,7 +34,7 @@ from .graded import (
     multiplication_kernel,
     relation_rows,
 )
-from .groebner import Ideal, RingSpec, ideal_equal
+from .groebner import RingSpec, ideal_equal
 from .intlinalg import determinant_expansion, lattice_basis
 from .ring import IntPolynomial, Ring, chern_series_quotient
 
@@ -324,7 +324,7 @@ class Pipeline:
         if max_degree < 5:
             raise ValueError("max_degree below 5 cannot exercise the stated results")
         if max_degree > 24:
-            raise ValueError("max_degree above 24 lets thm:45's kernel comparison run for minutes")
+            raise ValueError("max_degree above 24 is outside the supported range 5..24")
         if corruption not in (None, "delta1-excision"):
             raise ValueError(f"unknown corruption target {corruption!r}")
         self.max_degree = max_degree
@@ -433,7 +433,7 @@ class Pipeline:
             g.substitute(alias, target=ring)
             for g in (*self.bg_derivation.substituted_relations, push1, push2, euler46)
         )
-        derived = RingSpec(ring, Ideal(ring, derived_gens))
+        derived = RingSpec(ring, derived_gens)
         return {
             "euler46": euler46,
             "z0": z0,
@@ -452,7 +452,7 @@ class Pipeline:
         ring = self.groth_ring
         polys = self.s6["polys"]
         gens = (polys["s00"], polys["s10"], polys["s02'"])
-        gm_spec = RingSpec(ring, Ideal(ring, gens))
+        gm_spec = RingSpec(ring, gens)
         kernels = multiplication_kernel(
             gm_spec, ring.var("t") - 2 * ring.var("lambda1"), self.max_degree
         )
@@ -523,7 +523,7 @@ class Pipeline:
         ]
         # The self-node relation is the one the GRR assembly of delta0 derives.
         six = [ring.parse(_MAIN_RELATIONS[0]), self.grr_data["rel3"].into(ring)] + pushed
-        return RingSpec(ring, Ideal(ring, six))
+        return RingSpec(ring, six)
 
     @cached_property
     def m2bar_ring(self) -> RingSpec:
@@ -620,7 +620,7 @@ class Pipeline:
 
         all_alpha_gens = list(amb.relations.generators) + relzero + reltrip
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
-        derived = RingSpec(lr, Ideal(lr, derived_gens))
+        derived = RingSpec(lr, derived_gens)
         return {
             "euler_v31": euler_v31,
             "euler_pairs": euler_pairs,
@@ -648,7 +648,7 @@ class Pipeline:
         rel1, rel2 = deriv.excision_relations
         _expect((rel1, rel2), tuple(map(amb.parse, _BG_EXCISION)), "excision relations came out as")
         _require(
-            RingSpec(amb, Ideal(amb, (rel1, rel2))).contains(groth),
+            RingSpec(amb, (rel1, rel2)).contains(groth),
             "bundle relation is not implied by the excision relations",
         )
         # Equal generators, in order, present the same ideal as the pipeline's
@@ -735,7 +735,7 @@ class Pipeline:
     def check_groth_membership(self) -> str:
         ring = self.groth_ring
         polys = self.s6["polys"]
-        spec = RingSpec(ring, Ideal(ring, (polys["s00"], polys["s10"])))
+        spec = RingSpec(ring, (polys["s00"], polys["s10"]))
         _require(
             spec.contains(self.grothendieck_relation),
             "the degree-7 relation is not in the two-generator ideal",
@@ -787,32 +787,31 @@ class Pipeline:
     def check_thm45(self) -> str:
         data = self.gm_data
         ring = self.groth_ring
-        lam1 = ring.var("lambda1")
         t = ring.var("t")
-        open_ring = data["open_stated"].ring
-        open_derived = RingSpec(open_ring, Ideal(open_ring, data["quotient_gens"]))
+        twist = t - 2 * ring.var("lambda1")
+        open_derived = RingSpec(data["open_stated"].ring, data["quotient_gens"])
         _require(
             ideal_equal(open_derived, data["open_stated"]),
             "twist quotient does not match the stated two-relation presentation",
         )
-        # A basis element led by monic t leaves no normal form of the twist
-        # quotient with the hyperplane class, in any degree.
-        killed = self.gm_data["spec"].with_relations(t - 2 * lam1)
+        # A twist class led by monic t puts a basis element led by t into
+        # I + (t - 2*lambda1), so no normal form of the twist quotient keeps
+        # the hyperplane class, in any degree.
         _require(
-            any(g.leading_term() == t.leading_term() for g in killed.groebner.elements),
-            "no basis element of the twist quotient is led by the hyperplane class",
+            twist.leading_term() == t.leading_term(),
+            "the twist class is not led by the hyperplane class",
         )
         spec = data["spec"]
         k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
-        _require(spec.contains(k3 * (t - 2 * lam1)), "degree-3 class is not in the kernel")
-        _require(spec.contains(k4 * (t - 2 * lam1)), "degree-4 class is not in the kernel")
+        _require(spec.contains(k3 * twist), "degree-3 class is not in the kernel")
+        _require(spec.contains(k4 * twist), "degree-4 class is not in the kernel")
         # Both kernel generators are honest 2-torsion classes in the quotient.
         for k in (k3, k4):
             _require(not spec.contains(k), "kernel generator vanishes in the quotient")
             _require(spec.contains(2 * k), "kernel generator is not 2-torsion")
         c00, c10 = (ring.parse(text) for text in _TWIST_KERNEL_COFACTORS)
         polys = self.s6["polys"]
-        identity = (t - 2 * lam1) * k4 - (c00 * polys["s00"] - c10 * polys["s10"])
+        identity = twist * k4 - (c00 * polys["s00"] - c10 * polys["s10"])
         _require(identity == 0, "degree-4 kernel witness identity fails")
         # (I : m) = I + (k3, k4) in degree d exactly when the two lattices
         # have the same Hermite basis; below degree 3 the right side is I.
@@ -826,7 +825,7 @@ class Pipeline:
             )
         return (
             f"twist quotient ring = {_presentation(_OPEN_VARS, _OPEN_RELATIONS)}\n"
-            f"kernel of multiplication by {t - 2 * lam1}: trivial below degree 3,"
+            f"kernel of multiplication by {twist}: trivial below degree 3,"
             f" generated by\n  {k3}\n  {k4}\n"
             f"verified through degree {self.max_degree}"
         )
@@ -987,19 +986,18 @@ class Pipeline:
         lr = data["stated"].ring
         two = lr.const(2)
         mod2_gens = (two, *(lr.parse(text) for text in _MOD2_RELATIONS))
-        mod2_spec = RingSpec(lr, Ideal(lr, mod2_gens))
+        mod2_spec = RingSpec(lr, mod2_gens)
         _require(
             ideal_equal(data["stated"].with_relations(two), mod2_spec),
             "mod-2 reduction does not give the stated two-relation presentation",
         )
         main = self.m2bar_ring
-        main_ring = main.ring
         for g in main.relations.generators:
             _require(
                 mod2_spec.contains(g.into(lr)),
                 f"restriction is not defined mod 2: image of {g} does not vanish",
             )
-        main_mod2 = RingSpec(main_ring, main.relations.plus(main_ring.const(2)))
+        main_mod2 = main.with_relations(main.ring.const(2))
         lines = []
         pieces: dict[int, object] = {}
         for text in _BOUNDARY_CLASSES:
@@ -1013,7 +1011,7 @@ class Pipeline:
                 not pieces[d].is_zero(cls),
                 f"{text}: the Smith-form engine disagrees with the Groebner engine",
             )
-            upstairs = main_mod2.normal_form(main_ring.parse(text))
+            upstairs = main_mod2.normal_form(main.parse(text))
             _require(bool(upstairs), f"{text} vanishes mod 2 in the total ring")
             lines.append(f"  {text} != 0 (mod 2)")
         return (

@@ -108,30 +108,26 @@ class TestNormalForm:
             assert basis.normal_form(p - nf) == 0
 
 
-def _spec(ring, gens):
-    return RingSpec(ring, Ideal(ring, tuple(gens)))
-
-
 class TestMembership:
     def test_divisibility_failure(self):
         ring = Ring(("lambda1", 1), ("lambda2", 2))
-        assert not _spec(ring, (ring.var("lambda2"),)).contains(ring.var("lambda1"))
+        assert not RingSpec(ring, (ring.var("lambda2"),)).contains(ring.var("lambda1"))
 
     def test_membership_via_basis_object(self, bg_ideal, bg_ring):
-        spec = RingSpec(bg_ring, bg_ideal)
+        spec = RingSpec(bg_ring, bg_ideal.generators)
         assert spec.contains(bg_ring.parse("2*gamma*beta2"))
 
 
 class TestIdealEqual:
     def test_sign_flip(self, bg_ring):
-        I = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
-        J = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
+        I = RingSpec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
+        J = RingSpec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
         assert ideal_equal(I, J)
 
     def test_strict_inclusion(self):
         ring = Ring(("lambda1", 1),)
         l1 = ring.var("lambda1")
-        assert not ideal_equal(_spec(ring, (l1,)), _spec(ring, (l1 * l1,)))
+        assert not ideal_equal(RingSpec(ring, (l1,)), RingSpec(ring, (l1 * l1,)))
 
     def test_reflexive_symmetric_shuffle_invariant(self, bg_ring):
         rng = random.Random(5)
@@ -140,11 +136,11 @@ class TestIdealEqual:
             bg_ring.parse("gamma^2 + beta1*gamma"),
             bg_ring.parse("24*beta1^2 - 48*beta2"),
         ]
-        I = _spec(bg_ring, gens)
+        I = RingSpec(bg_ring, gens)
         assert ideal_equal(I, I)
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        J = _spec(bg_ring, shuffled)
+        J = RingSpec(bg_ring, shuffled)
         assert ideal_equal(I, J) and ideal_equal(J, I)
 
     def test_invariant_under_adding_combination(self, bg_ring):
@@ -152,13 +148,13 @@ class TestIdealEqual:
             bg_ring.parse("2*gamma"),
             bg_ring.parse("gamma^2 + beta1*gamma"),
         )
-        I = _spec(bg_ring, gens)
+        I = RingSpec(bg_ring, gens)
         combo = bg_ring.parse("beta1") * gens[0] + 3 * gens[1]
-        assert ideal_equal(I, _spec(bg_ring, gens + (combo,)))
+        assert ideal_equal(I, RingSpec(bg_ring, gens + (combo,)))
 
     def test_uses_both_cached_bases(self, bg_ring, monkeypatch):
-        I = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
-        J = _spec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
+        I = RingSpec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 + beta1*gamma")))
+        J = RingSpec(bg_ring, (bg_ring.parse("2*gamma"), bg_ring.parse("gamma^2 - beta1*gamma")))
         I.groebner, J.groebner
 
         def no_completion(ideal):
@@ -170,7 +166,7 @@ class TestIdealEqual:
     def test_ring_mismatch(self, bg_ring):
         other = Ring(("x", 1),)
         with pytest.raises(RingMismatchError):
-            ideal_equal(_spec(bg_ring, ()), _spec(other, ()))
+            ideal_equal(RingSpec(bg_ring, ()), RingSpec(other, ()))
 
 
 def _mixed_weight_ideal():
@@ -252,7 +248,7 @@ class TestRandomIdeals:
             "19*x*y^2 + 10*x*z - y*z",
             "7*x^3 + 11*x^2*y + 13*x*y^2 - 11*x*z",
         )
-        drawn = [Ideal(ring, tuple(ring.parse(text) for text in texts))]
+        drawn = [[ring.parse(text) for text in texts]]
         for seed in range(40):
             rng = random.Random(seed)
             for _ in range(20):
@@ -260,12 +256,12 @@ class TestRandomIdeals:
                     random_homogeneous(ring, rng.randint(1, 3), rng, coeff_bound=20)
                     for _ in range(rng.randint(2, 3))
                 ]
-                drawn.append(Ideal(ring, tuple(g for g in gens if g)))
-        for ideal in drawn:
-            spec = RingSpec(ring, ideal)
+                drawn.append([g for g in gens if g])
+        for gens in drawn:
+            spec = RingSpec(ring, gens)
             basis = spec.groebner
             basis.verify_complete()
-            assert all(basis.contains(g) for g in ideal.generators)
+            assert all(basis.contains(g) for g in gens)
             leads = [g.leading_term() for g in basis.elements]
             assert all(c > 0 for _, c in leads)
             for i, (e, c) in enumerate(leads):
@@ -286,7 +282,7 @@ class TestRandomIdeals:
                 random_homogeneous(ring, rng.randint(1, 3), rng, coeff_bound=12)
                 for _ in range(2)
             )
-            spec = RingSpec(ring, Ideal(ring, tuple(g for g in gens if g)))
+            spec = RingSpec(ring, [g for g in gens if g])
             for d in range(0, 6):
                 assert membership_matches_normal_form(spec, d)
 
@@ -350,6 +346,15 @@ class TestRingSpec:
         )
         assert spec.contains(spec.parse("24*beta1*gamma"))
         assert not spec.contains(spec.parse("gamma"))
+
+    def test_generator_over_another_ring_rejected(self, bg_ring):
+        other = Ring(("x", 1),)
+        with pytest.raises(RingMismatchError):
+            RingSpec(bg_ring, (bg_ring.var("gamma"), other.var("x")))
+
+    def test_inhomogeneous_generator_rejected(self, bg_ring):
+        with pytest.raises(InhomogeneousError):
+            RingSpec(bg_ring, (bg_ring.parse("beta1^2 + beta2 + gamma"),))
 
     def test_same_ideal(self):
         a = RingSpec.build((("x", 1),), ("2*x",))

@@ -117,15 +117,13 @@ class TestFaultInjection:
         assert check.witness == f"series quotient gives {2 * kappa}, expected {kappa}"
 
     def test_hyperplane_class_declared_last_is_not_eliminated(self):
-        # With t last in the monomial order no basis element of the twist
-        # quotient is led by t.
+        # With t last in the monomial order the twist class t - 2*lambda1 is
+        # led by lambda1.
         fresh = Pipeline()
         fresh.__dict__["groth_ring"] = Ring(("lambda1", 1), ("lambda2", 2), ("t", 1))
         (check,) = fresh.run(ids=["thm:45"]).checks
         assert check.status == "fail"
-        assert check.witness == (
-            "no basis element of the twist quotient is led by the hyperplane class"
-        )
+        assert check.witness == "the twist class is not led by the hyperplane class"
 
     def test_completion_at_the_column_cap_fails_as_data(self, monkeypatch):
         # The main ideal closes in degree 4; a cap of 13 columns, those of
@@ -246,7 +244,7 @@ class TestStrataRings:
         assert Pipeline(max_degree=10).run().overall == "pass"
         repeated = {ideal: n for ideal, n in completed.items() if n > 1}
         assert repeated == {}
-        assert sum(completed.values()) == 17
+        assert sum(completed.values()) == 16
 
     def test_grr_assembly_completes_no_basis(self, monkeypatch):
         # The quadric is solved for the square of the dualizing class, so
@@ -350,8 +348,8 @@ class TestConfigBounds:
             Pipeline(max_degree=4)
 
     def test_high_degree_rejected(self):
-        # On a 2-vCPU host thm:45 took about 3 s at degree 24, 10 s at 30 and
-        # 37 s at 36, and did not finish in 200 s at 60.
+        # On a 2-vCPU host thm:45 alone takes about 0.9 s at degree 24 and
+        # 2.4 s at 32 (Python 3.11); the cap keeps every accepted bound quick.
         assert Pipeline(max_degree=24).max_degree == 24
         with pytest.raises(ValueError, match="above 24"):
             Pipeline(max_degree=25)

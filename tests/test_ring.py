@@ -46,6 +46,16 @@ class TestConstruction:
         p = IntPolynomial(lring, {(1, 0, 0): 0, (0, 1, 0): 3})
         assert len(p) == 1
 
+    @pytest.mark.parametrize("coeff", [1.0, "3", None])
+    def test_non_integer_coefficient_rejected(self, lring, coeff):
+        with pytest.raises(TypeError):
+            lring.polynomial({(1, 0, 0): coeff})
+
+    @pytest.mark.parametrize("exps", [(1, 0), (1, -1, 0)])
+    def test_short_or_negative_exponent_tuple_rejected(self, lring, exps):
+        with pytest.raises(ValueError):
+            lring.polynomial({exps: 1})
+
     def test_canonical_equality(self, lring):
         a = lring.parse("lambda1 + lambda1")
         b = 2 * lring.var("lambda1")
