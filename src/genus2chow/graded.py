@@ -14,10 +14,11 @@ as a Hermite basis; two lattices are equal exactly when their Hermite bases
 are, so which classes generate a kernel is for the caller to compare.
 Enumeration reads a kernel's cosets off a Hermite basis; the Smith form
 serves ``graded_piece`` only.  The Groebner engine completes its bases by
-Hermite elimination too, but on its own degree-by-degree lattices, and its
-normal forms come from the polynomial reducer, so this route doubles as its
-oracle: a class is zero in the graded piece exactly when its normal form
-vanishes.
+the same elimination, ``intlinalg._hermite``, on its own degree-by-degree
+lattices, and takes its normal forms from the polynomial reducer; this route
+cross-checks it (a class is zero in the graded piece exactly when its normal
+form vanishes) but is not independent of it.  What ``groebner`` certifies,
+and what it does not, its module docstring says.
 """
 
 from __future__ import annotations

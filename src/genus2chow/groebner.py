@@ -12,10 +12,13 @@ homogeneous, so the basis in each degree is read off the Hermite basis of
 that degree's relation lattice, one degree at a time, until the critical
 pairs (s- and gcd-combinations) close.  One cap on the monomial columns
 processed, summed over degrees, bounds the run in size and so in time, and
-reaching it raises.  The two engines stay independent: the closure
-certificate is run by the polynomial reducer, and the Smith-form oracle in
-``graded`` takes its lattices from generator multiples, not from the
-lattices built here.
+reaching it raises.  Completion and the Smith-form oracle in ``graded`` both
+eliminate through ``intlinalg._hermite``, so the oracle is a cross-check, not
+an independent engine.  The polynomial reducer ``_reduce`` certifies each
+completed basis G of an ideal I twice: closure (every s- and gcd-combination
+reduces to zero) and I ⊆ (G) (every generator reduces to zero).  Nothing
+certifies (G) ⊆ I yet: that each kept element lies in I rests on the
+elimination alone.
 
 A ``RingSpec`` (a ring and its generators) is the one holder of a
 completed basis: it completes its ideal once, on first use, and every

@@ -205,17 +205,17 @@ _BOUNDARY_IMPLIED = "576*lambda2^2"
 # pushforwards to the classifying ring.
 _BOUNDARY_EULER = "576*beta2^2"
 _VANISHING_SUMMAND = "24*t2^2"
-_BOUNDARY_EXCISION = ("24*beta1^2 - 48*beta2", "24*beta1*beta2")
+_BOUNDARY_EXCISION = {"push1": "24*beta1^2 - 48*beta2", "push2": "24*beta1*beta2"}
 
 _OPEN_VARS = (("lambda1", 1), ("lambda2", 2))
 _OPEN_RELATIONS = ("24*lambda1^2 - 48*lambda2", "20*lambda1*lambda2")
-_TWIST_KERNEL = (
-    "60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)",
-    "5*lambda1*lambda2*(12*t - 48*lambda1)"
-    " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)",
-)
-# The cofactors c00, c10 in (t - 2*lambda1)*k4 = c00*s00 - c10*s10.
-_TWIST_KERNEL_COFACTORS = ("5*lambda1*lambda2", "6*lambda1^2 - 12*lambda2")
+_TWIST_KERNEL = {
+    "k3": "60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)",
+    "k4": "5*lambda1*lambda2*(12*t - 48*lambda1)"
+          " - (6*lambda1^2 - 12*lambda2)*(t^2 - lambda1*t - 44*lambda2)",
+}
+# The cofactors in (t - 2*lambda1)*k4 = c00*s00 - c10*s10.
+_TWIST_KERNEL_COFACTORS = {"c00": "5*lambda1*lambda2", "c10": "6*lambda1^2 - 12*lambda2"}
 
 _KAPPA_QUADRIC = "c1omega^2 - c1omega*lambda1 + lambda2 - S1"
 # The square of the dualizing class plus S, rewritten through the quadric
@@ -231,7 +231,9 @@ _BOUNDARY_CLASSES = (
     "delta1*(delta1 + lambda1)*(lambda1^2 + lambda2)",
 )
 
-_IM5_IDENTITY = ("(6*lambda1^2 - 12*lambda2)*4*lambda2", "lambda2*(24*lambda1^2 - 48*lambda2)")
+# The degree-4 class and its rewriting as a multiple of a boundary relation.
+_IM5_IDENTITY = {"class": "(6*lambda1^2 - 12*lambda2)*4*lambda2",
+                 "rewritten": "lambda2*(24*lambda1^2 - 48*lambda2)"}
 
 _MAIN_VARS = (("lambda1", 1), ("lambda2", 2), ("delta1", 1))
 _MAIN_RELATIONS = (
@@ -240,42 +242,38 @@ _MAIN_RELATIONS = (
     "delta1^3 + delta1^2*lambda1",
     "2*delta1^2 + 2*delta1*lambda1",
 )
-# Two classes of the stated ideal, each a multiple of one relation.
-_MAIN_SAMPLES = (
-    "((delta1 + lambda1)^2 + lambda1*(delta1 + lambda1))*delta1",
-    "24*lambda1*lambda2*delta1",
-)
 
-_RELZERO = (
-    "9*alpha2^2 - 2*alpha1^2*alpha2",
-    "4*alpha1^2 + 6*alpha1*beta1 + 4*beta1^2 + 2*alpha2 - 8*beta2",
-    "2*alpha1^2*beta1 + alpha2*beta1 + 12*alpha1*beta2 + 4*beta1*beta2 + alpha2*gamma",
-    "4*alpha1^4 + 12*alpha1^3*beta1 + 8*alpha1^2*beta1^2 + 4*alpha1^2*alpha2"
-    " + 6*alpha1*alpha2*beta1 + 4*alpha2*beta1^2 + 20*alpha1^2*beta2"
-    " + 24*alpha1*beta1*beta2 + alpha1*alpha2*gamma + alpha2*beta1*gamma"
-    " + alpha2^2 - 8*alpha2*beta2 + 16*beta2^2",
-)
+# The test family's relations, keyed by their names in `bielliptic_data`.
+_RELZERO = {
+    "euler_v31": "9*alpha2^2 - 2*alpha1^2*alpha2",
+    "relz2": "4*alpha1^2 + 6*alpha1*beta1 + 4*beta1^2 + 2*alpha2 - 8*beta2",
+    "relz3": "2*alpha1^2*beta1 + alpha2*beta1 + 12*alpha1*beta2 + 4*beta1*beta2 + alpha2*gamma",
+    "euler_pairs": "4*alpha1^4 + 12*alpha1^3*beta1 + 8*alpha1^2*beta1^2 + 4*alpha1^2*alpha2"
+                   " + 6*alpha1*alpha2*beta1 + 4*alpha2*beta1^2 + 20*alpha1^2*beta2"
+                   " + 24*alpha1*beta1*beta2 + alpha1*alpha2*gamma + alpha2*beta1*gamma"
+                   " + alpha2^2 - 8*alpha2*beta2 + 16*beta2^2",
+}
 
-_RELTRIP = (
-    "3*alpha2",
-    "alpha1*alpha2",
-    "4*alpha1*beta1 + 8*alpha1^2 - 6*alpha2",
-    "8*alpha1*beta2 + 4*alpha1^2*beta1 - 3*alpha2*beta1 + alpha2*gamma",
-    "9*alpha1^2 + 10*alpha1*beta1 + alpha1*gamma - 3*alpha2 + 12*beta2",
-    "alpha2*gamma - 10*alpha1^3 - 12*alpha1^2*beta1 - 5*alpha1*alpha2"
-    " - 6*alpha2*beta1 - 16*alpha1*beta2",
-)
+_RELTRIP = {
+    "rel_t1": "3*alpha2",
+    "rel_t2": "alpha1*alpha2",
+    "rel_t3": "4*alpha1*beta1 + 8*alpha1^2 - 6*alpha2",
+    "rel_t4": "8*alpha1*beta2 + 4*alpha1^2*beta1 - 3*alpha2*beta1 + alpha2*gamma",
+    "rel_t5": "9*alpha1^2 + 10*alpha1*beta1 + alpha1*gamma - 3*alpha2 + 12*beta2",
+    "rel_t6": "alpha2*gamma - 10*alpha1^3 - 12*alpha1^2*beta1 - 5*alpha1*alpha2"
+              " - 6*alpha2*beta1 - 16*alpha1*beta2",
+}
 
 # Class on the torus cover of the locus where the second linear form vanishes.
 _VANISHING_FORM = "4*t2^2 + 6*alpha1*t2 + 2*alpha1^2 + alpha2"
 
 # Pullbacks of lambda1, lambda2 and delta1 to the test family, and the
 # inverse change of variables.
-_TAUTOLOGICAL = (
-    "-beta1 - 2*alpha1",
-    "alpha1^2 + alpha1*beta1 + beta2",
-    "-3*alpha1 - 2*beta1 + gamma",
-)
+_TAUTOLOGICAL = {
+    "lambda1": "-beta1 - 2*alpha1",
+    "lambda2": "alpha1^2 + alpha1*beta1 + beta2",
+    "delta1": "-3*alpha1 - 2*beta1 + gamma",
+}
 _CHANGE_OF_VARIABLES = {
     "alpha1": "-2*lambda1 + delta1 - gamma",
     "beta1": "3*lambda1 - 2*delta1 + 2*gamma",
@@ -569,7 +567,7 @@ class Pipeline:
         z0 = root_product([cls_v1], [(shift, (1, 0)), (shift, (0, 1))])
         relz2 = bt_pushforward(z0, amb)
         relz3 = bt_pushforward(z0 * t1, amb)
-        relzero = [euler_v31, relz2, relz3, euler_pairs]
+        relzero = dict(euler_v31=euler_v31, relz2=relz2, relz3=relz3, euler_pairs=euler_pairs)
 
         # Triple-root locus of the cubic: the degree-3 table evaluated at the
         # hyperplane class set to alpha1, pushed along the cubing map.
@@ -604,10 +602,11 @@ class Pipeline:
         diag = diagonal_class(cls_v1, ("x1", "x2"))
         rel_t5, rel_t6 = ambient(push(diag)), ambient(push(diag * w))
 
-        reltrip = [rel_t1, rel_t2, rel_t3, rel_t4, rel_t5, rel_t6]
+        reltrip = dict(rel_t1=rel_t1, rel_t2=rel_t2, rel_t3=rel_t3,
+                       rel_t4=rel_t4, rel_t5=rel_t5, rel_t6=rel_t6)
 
         # Tautological classes and the inverse change of variables.
-        taut_lambda1, taut_lambda2 = (ar.parse(text) for text in _TAUTOLOGICAL[:2])
+        taut_lambda1, taut_lambda2 = (ar.parse(_TAUTOLOGICAL[k]) for k in ("lambda1", "lambda2"))
         taut_delta1 = ambient(segre_pushforward((0, 0), cls_v1, e2_wm2, -alpha1))
 
         stated = RingSpec.build(_TEST_FAMILY_VARS, _TEST_FAMILY_RELATIONS)
@@ -618,7 +617,7 @@ class Pipeline:
         phi["beta2"] = l2 - phi["alpha1"] ** 2 - phi["alpha1"] * phi["beta1"]
         phi["alpha2"] = 2 * l1 * dl - 2 * l1 * gl - 8 * l2
 
-        all_alpha_gens = list(amb.relations.generators) + relzero + reltrip
+        all_alpha_gens = (*amb.relations.generators, *relzero.values(), *reltrip.values())
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
         derived = RingSpec(lr, derived_gens)
         return {
@@ -758,8 +757,8 @@ class Pipeline:
             (data["euler46"], self.bg.parse(_BOUNDARY_EULER),
              "euler class of the doubled (4,6) weights is"),
             (z0, z0.ring.parse(_VANISHING_SUMMAND), "vanishing-summand class is"),
-            (data["push1"], self.bg.parse(_BOUNDARY_EXCISION[0]), "first excision pushforward is"),
-            (data["push2"], self.bg.parse(_BOUNDARY_EXCISION[1]), "second excision pushforward is"),
+            *((data[key], self.bg.parse(_BOUNDARY_EXCISION[key]), f"{nth} excision pushforward is")
+              for key, nth in (("push1", "first"), ("push2", "second"))),
         ):
             _expect(derived, stated, what)
         derived, stated = data["derived"], data["stated"]
@@ -802,14 +801,14 @@ class Pipeline:
             "the twist class is not led by the hyperplane class",
         )
         spec = data["spec"]
-        k3, k4 = (ring.parse(text) for text in _TWIST_KERNEL)
+        k3, k4 = (ring.parse(_TWIST_KERNEL[k]) for k in ("k3", "k4"))
         _require(spec.contains(k3 * twist), "degree-3 class is not in the kernel")
         _require(spec.contains(k4 * twist), "degree-4 class is not in the kernel")
         # Both kernel generators are honest 2-torsion classes in the quotient.
         for k in (k3, k4):
             _require(not spec.contains(k), "kernel generator vanishes in the quotient")
             _require(spec.contains(2 * k), "kernel generator is not 2-torsion")
-        c00, c10 = (ring.parse(text) for text in _TWIST_KERNEL_COFACTORS)
+        c00, c10 = (ring.parse(_TWIST_KERNEL_COFACTORS[k]) for k in ("c00", "c10"))
         polys = self.s6["polys"]
         identity = twist * k4 - (c00 * polys["s00"] - c10 * polys["s10"])
         _require(identity == 0, "degree-4 kernel witness identity fails")
@@ -883,12 +882,12 @@ class Pipeline:
     def check_im5(self) -> str:
         spec = self.delta1_ring
         ring = spec.ring
-        cls, identity = (ring.parse(text) for text in _IM5_IDENTITY)
+        cls, identity = (ring.parse(_IM5_IDENTITY[k]) for k in ("class", "rewritten"))
         _require(cls == identity, "rewriting into the doubled relation fails")
         _require(cls.weighted_degree() == 4, "the checked class must have degree 4")
         _require(spec.contains(cls), "the degree-5 image class does not vanish")
         return (
-            f"{_IM5_IDENTITY[0]} = {identity} = 0"
+            f"{_IM5_IDENTITY['class']} = {identity} = 0"
             " in the boundary ring (degree 4)"
         )
 
@@ -900,8 +899,6 @@ class Pipeline:
             ideal_equal(six, stated),
             "the six derived relations do not generate the stated ideal",
         )
-        for p in map(ring.parse, _MAIN_SAMPLES):
-            _require(stated.contains(p), f"{p} is not in the stated ideal")
         delta0 = ring.parse(_DELTA0)
         _require(
             stated.contains(2 * delta0 * ring.var("lambda2")),
@@ -917,24 +914,27 @@ class Pipeline:
     def check_bielliptic_euler(self) -> str:
         data = self.bielliptic_data
         amb = self.alpha_ambient
-        _expect(data["euler_v31"], amb.normal_form(amb.parse(_RELZERO[0])), "cubic euler class is")
-        _expect(data["euler_pairs"], amb.normal_form(amb.parse(_RELZERO[3])), "pair euler class is")
+        for key, what in (("euler_v31", "cubic"), ("euler_pairs", "pair")):
+            _expect(data[key], amb.normal_form(amb.parse(_RELZERO[key])), f"{what} euler class is")
         return (
             f"euler class of the twisted cubics: {data['euler_v31']}\n"
             f"euler class of the paired linear forms: {data['euler_pairs']}"
         )
 
-    def _test_family_relations(self, kind: str, derived: Sequence, texts: Sequence[str]) -> str:
-        """Require each derived relation to equal its stated text in the
-        ambient ring; ``kind`` names the family in the witness."""
+    def _test_family_relations(self, kind: str, derived: dict, texts: dict[str, str]) -> str:
+        """Require the derived relations and the stated texts to have the same
+        keys, and each derived relation to equal its text in the ambient ring;
+        ``kind`` names the family in the witness."""
         amb = self.alpha_ambient
-        for relation, text in zip(derived, texts, strict=True):
+        unmatched = sorted(derived.keys() ^ texts.keys())
+        _require(not unmatched, f"{kind} relations not both derived and stated: {unmatched}")
+        for key, text in texts.items():
             _expect(
-                amb.normal_form(relation), amb.normal_form(amb.parse(text)),
+                amb.normal_form(derived[key]), amb.normal_form(amb.parse(text)),
                 f"{kind} relation mismatch: derived",
             )
         return f"{kind} relations reproduced from primitives:\n" + "\n".join(
-            f"  {text} = 0" for text in texts
+            f"  {text} = 0" for text in texts.values()
         )
 
     def check_relzero(self) -> str:
@@ -950,7 +950,7 @@ class Pipeline:
     def check_bielliptic_ring(self) -> str:
         data = self.bielliptic_data
         t1, t2, t3 = data["taut"]
-        _expect(t3, t3.ring.parse(_TAUTOLOGICAL[2]), "boundary class pullback is")
+        _expect(t3, t3.ring.parse(_TAUTOLOGICAL["delta1"]), "boundary class pullback is")
         lr = data["stated"].ring
         phi = data["phi"]
         _require(
@@ -1082,7 +1082,7 @@ class Pipeline:
                  "Presentation of the open stratum and its twist kernel",
                  ("sij-rewrites",), check_thm45,
                  f"{_presentation(_OPEN_VARS, _OPEN_RELATIONS)};\n"
-                 f"kernel generated by {_TWIST_KERNEL[0]} and\n{_TWIST_KERNEL[1]}"),
+                 f"kernel generated by {_TWIST_KERNEL['k3']} and\n{_TWIST_KERNEL['k4']}"),
         CheckDef("kappa", "dualizing-class-quadric",
                  "Quadric satisfied by the relative dualizing class",
                  (), check_kappa, f"{_KAPPA_QUADRIC} = 0"),
@@ -1097,7 +1097,7 @@ class Pipeline:
                  f" pushforwards {', '.join(_BOUNDARY_CLASSES)}"),
         CheckDef("im5", "degree5-image-vanishing",
                  "Vanishing of the degree-5 image class in the boundary ring",
-                 ("adelta1",), check_im5, " = ".join(_IM5_IDENTITY) + " = 0"),
+                 ("adelta1",), check_im5, " = ".join(_IM5_IDENTITY.values()) + " = 0"),
         CheckDef("thm:main", "total-ring-presentation",
                  "The six localization relations present the total ring",
                  ("adelta1", "delta0"), check_main,
@@ -1105,15 +1105,15 @@ class Pipeline:
         CheckDef("bielliptic-euler", "test-family-euler-classes",
                  "Euler classes of the test-family zero sections",
                  ("thm:bg",), check_bielliptic_euler,
-                 f"{_RELZERO[0]} and\n{_RELZERO[3]}"),
+                 f"{_RELZERO['euler_v31']} and\n{_RELZERO['euler_pairs']}"),
         CheckDef("relzero", "zero-section-relations",
                  "Zero-section relations of the test family",
                  ("bielliptic-euler",), check_relzero,
-                 "\n".join(f"{text} = 0" for text in _RELZERO)),
+                 "\n".join(f"{text} = 0" for text in _RELZERO.values())),
         CheckDef("reltrip", "triple-root-relations",
                  "Triple-root relations of the test family",
                  ("thm:bg",), check_reltrip,
-                 "\n".join(f"{text} = 0" for text in _RELTRIP)),
+                 "\n".join(f"{text} = 0" for text in _RELTRIP.values())),
         CheckDef("bielliptic-ring", "test-family-ring",
                  "Presentation of the test-family ring",
                  ("relzero", "reltrip"), check_bielliptic_ring,
@@ -1167,11 +1167,12 @@ class Pipeline:
         self, ids: Sequence[str] | None = None, fail_fast: bool = False
     ) -> VerificationReport:
         selected = list(ids) if ids is not None else self.check_ids()
-        known = set(self.check_ids())
-        bad = [i for i in selected if i not in known]
+        if not selected:
+            raise ValueError("no check selected; give at least one check id")
+        bad = [i for i in selected if i not in self.check_ids()]
         if bad:
             raise UnknownCheckError(bad, self.check_ids())
-        ordered = [c.id for c in self.CHECKS if c.id in set(selected)]
+        ordered = [c.id for c in self.CHECKS if c.id in selected]
         checks = []
         for check_id in ordered:
             result = self.run_check(check_id)
@@ -1183,14 +1184,12 @@ class Pipeline:
     def explain(self, check_id: str) -> str:
         cdef = self.check_def(check_id)
         chain = []
-        seen = set()
 
         def walk(cid: str):
-            if cid in seen:
+            # Dependencies form a DAG, so a check is on the chain once walked.
+            if cid in chain:
                 return
-            seen.add(cid)
-            d = self.check_def(cid)
-            for dep in d.deps:
+            for dep in self.check_def(cid).deps:
                 walk(dep)
             chain.append(cid)
 

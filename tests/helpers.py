@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import re
@@ -14,10 +15,12 @@ from genus2chow.classifying import wn_chern
 from genus2chow.graded import _kernel_lattice, polynomial_of, relation_rows
 from genus2chow.groebner import RingSpec
 from genus2chow.parse import ParseError
+from genus2chow.pipeline import VerificationReport
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-d10.json"
 
 
 def child_env(**extra: str) -> dict[str, str]:
@@ -25,6 +28,17 @@ def child_env(**extra: str) -> dict[str, str]:
     from this checkout, whether or not PYTHONPATH names it."""
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
+
+
+def digest_changes(report: VerificationReport) -> frozenset[str]:
+    """The passing checks of a degree-10 report whose witness digest differs
+    from ``bench/golden/verify-d10.json``."""
+    assert report.max_degree == 10
+    golden = json.loads(GOLDEN_D10.read_text())["digests"]
+    return frozenset(
+        r["id"] for r in report.records()
+        if r["status"] == "pass" and r["witness_digest"] != golden[r["id"]]
+    )
 
 
 def random_homogeneous(

@@ -8,12 +8,10 @@ change what the checks read; a row whose two sets were both empty would be a
 fault that nothing notices.
 """
 
-import json
 import subprocess
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -23,9 +21,7 @@ from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
-from helpers import child_env, vector_of
-
-GOLDEN_D10 = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-d10.json"
+from helpers import child_env, digest_changes, vector_of
 
 
 @dataclass(frozen=True)
@@ -207,14 +203,19 @@ ROWS = (
         lambda p: _entry(p.bielliptic_data, "z0", _twice),
         {"relzero": "vanishing-form class evaluates to "}),
     Row("bielliptic-relzero", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "relzero", lambda r: _item(r, 1, _twice)),
+        lambda p: _entry(p.bielliptic_data, "relzero", lambda r: _entry(r, "relz2", _twice)),
         {"relzero": "zero-section relation mismatch: "}),
+    # A derived relation with no stated text would go unchecked.
+    Row("bielliptic-relzero-missing", "bielliptic_data",
+        lambda p: _entry(p.bielliptic_data, "relzero",
+                         lambda r: {k: v for k, v in r.items() if k != "relz3"}),
+        {"relzero": "zero-section relations not both derived and stated: ['relz3']"}),
     Row("bielliptic-reltrip", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _item(r, 2, _twice)),
+        lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _entry(r, "rel_t3", _twice)),
         {"reltrip": "triple-root relation mismatch: "}),
     # The relation from the common-factor (diagonal, multiplication, Segre) push.
     Row("bielliptic-reltrip-common-factor", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _item(r, 4, _twice)),
+        lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _entry(r, "rel_t5", _twice)),
         {"reltrip": "triple-root relation mismatch: "}),
     Row("bielliptic-taut", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "taut", lambda t: tuple(_item(t, 0, _twice))),
@@ -246,12 +247,7 @@ def test_fault_is_noticed(pipeline, row):
     assert set(failing) == set(row.fails)
     for check_id, start in row.fails.items():
         assert failing[check_id].startswith(start), failing[check_id]
-    golden = json.loads(GOLDEN_D10.read_text())["digests"]
-    changed = {
-        r["id"] for r in report.records()
-        if r["status"] == "pass" and r["witness_digest"] != golden[r["id"]]
-    }
-    assert changed == row.digest_only
+    assert digest_changes(report) == row.digest_only
 
 
 def test_every_cached_intermediate_has_a_row(pipeline):

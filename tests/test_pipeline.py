@@ -56,6 +56,11 @@ class TestFullRun:
         with pytest.raises(UnknownCheckError):
             pipeline.run(ids=["bogus"])
 
+    def test_empty_selection_rejected(self, pipeline):
+        # A report of no checks would pass while verifying nothing.
+        with pytest.raises(ValueError, match="no check selected"):
+            pipeline.run(ids=[])
+
     def test_selection_preserves_dependency_order(self, pipeline):
         report = pipeline.run(ids=["thm:main", "adelta1"])
         assert [c.id for c in report.checks] == ["adelta1", "thm:main"]
