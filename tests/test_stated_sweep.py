@@ -2,11 +2,11 @@
 
 A stated text is a module-level constant of ``genus2chow.pipeline`` that holds
 polynomial texts only: one text, or a tuple or dict of them (a dict's values
-may be dicts of texts).  Each mutation multiplies one text by 2 or by 3, or
-drops one item of a tuple or one entry of a dict; its id is the constant's
-name, the path to the text and ``x2``, ``x3`` or ``drop``, as in
-``_RELTRIP.rel_t5.x3``.  The ``_*_VARS`` rings and ``_ORACLE_DEGREE`` are not
-swept: they declare where the checks work, not a result of the paper.
+may be dicts of texts).  A mutation id is the constant's name and the path to a
+text with ``x2`` or ``x3`` (the text times 2 or 3), as in ``_RELTRIP.rel_t5.x3``,
+or a dropped tuple item ``<index>.drop`` or dict entry ``drop.<key>`` (so that
+``_S6_TABLE.0.*`` leaves out the drop).  Not swept are the ``_*_VARS`` rings and
+``_ORACLE_DEGREE``: they declare where the checks work, not a result of the paper.
 
 The readers of a constant are observed: with every text of it unparsable, all
 21 checks run in a fresh ``Pipeline()``, and those whose status or witness
@@ -59,7 +59,7 @@ def _mutations(value):
         for key, item in value.items():
             for path, new in _mutations(item):
                 yield f"{key}.{path}", {**value, key: new}
-            yield f"{key}.drop", {k: v for k, v in value.items() if k != key}
+            yield f"drop.{key}", {k: v for k, v in value.items() if k != key}
 
 
 MUTATIONS = {
@@ -186,22 +186,22 @@ ROWS = (
         {"thm:bg": _BG_SUBSTITUTED, "bielliptic-euler": "pair euler class is ",
          "relzero": _ZERO_SECTION, "bielliptic-ring": _SEVEN}),
     Row("_BG_RELATIONS.1.x3", {"thm:bg": _BG_SUBSTITUTED}),
-    *(Row(f"_S6_TABLE.{j}.x?", {"s6-table": f"s6^{j} = "}) for j in range(5)),
+    *(Row(f"_S6_TABLE.{j}.*", {"s6-table": f"s6^{j} = "}) for j in range(5)),
     # A dropped table entry is a result no longer stated.
-    Row("_S6_TABLE.?.drop", {}, _states_less, frozenset({"s6-table"})),
-    *(Row(f"_SIJ_EXPANSIONS.{name}.?.*", {"sij-expansions": f"{name} expands as "})
+    Row("_S6_TABLE.drop.?", {}, _states_less, frozenset({"s6-table"})),
+    *(Row(f"_SIJ_EXPANSIONS.{name}.*", {"sij-expansions": f"{name} expands as "})
       for name in ("s10", "s11", "s12", "s13", "s00", "s01", "s02'")),
-    Row("_SIJ_EXPANSIONS.s??.drop _SIJ_EXPANSIONS.s02'.drop", {}, _states_less,
+    Row("_SIJ_EXPANSIONS.drop.*", {}, _states_less,
         frozenset({"sij-expansions"})),
     Row("_DETERMINANT.*", {"det-7x7": "determinant is "}),
     Row("_GROTHENDIECK_FACTORS.*", {"groth-factor": "root expansion gives "}),
-    *(Row(f"_SIJ_POLYNOMIALS.{name}.x?", {"sij-rewrites": f"{name} = "})
+    *(Row(f"_SIJ_POLYNOMIALS.{name}.*", {"sij-rewrites": f"{name} = "})
       for name in ("s10", "s00", "s02'")),
     # No witness quotes these polynomials, so a dropped one changes no digest.
-    Row("_SIJ_POLYNOMIALS.*.drop", {}, _states_less),
-    *(Row(f"_SIJ_REWRITES.{name}.x?", {"sij-rewrites": f"{name} rewriting fails:"})
+    Row("_SIJ_POLYNOMIALS.drop.*", {}, _states_less),
+    *(Row(f"_SIJ_REWRITES.{name}.*", {"sij-rewrites": f"{name} rewriting fails:"})
       for name in ("s10", "s00", "s02'")),
-    Row("_SIJ_REWRITES.*.drop", {}, _states_less, frozenset({"sij-rewrites"})),
+    Row("_SIJ_REWRITES.drop.*", {}, _states_less, frozenset({"sij-rewrites"})),
     Row("_BOUNDARY_RELATIONS.[023].*", {"adelta1": _BOUNDARY_IDEAL}),
     Row("_BOUNDARY_RELATIONS.1.x2 _BOUNDARY_RELATIONS.1.drop", {"adelta1": _BOUNDARY_IDEAL}),
     # 3*(gamma^2 + lambda1*gamma) differs from the stated relation by a
@@ -224,7 +224,7 @@ ROWS = (
     Row("_TWIST_KERNEL.k4.x3", {"thm:45": "degree-4 kernel witness identity fails"}),
     Row("_TWIST_KERNEL_COFACTORS.c??.x?", {"thm:45": "degree-4 kernel witness identity fails"}),
     # A dropped keyed text fails its one reader with a witness naming the key.
-    *(Row(f"{name}.{key}.drop", {check: _missing(key)})
+    *(Row(f"{name}.drop.{key}", {check: _missing(key)})
       for name, check in (("_BOUNDARY_EXCISION", "adelta1"), ("_TWIST_KERNEL", "thm:45"),
                           ("_TWIST_KERNEL_COFACTORS", "thm:45"), ("_IM5_IDENTITY", "im5"))
       for key in getattr(pl, name)),
@@ -256,23 +256,23 @@ ROWS = (
     Row("_RELZERO.euler_pairs.x?",
         {"bielliptic-euler": "pair euler class is ", "relzero": _ZERO_SECTION}),
     Row("_RELZERO.relz?.x?", {"relzero": _ZERO_SECTION}),
-    *(Row(f"_RELZERO.{key}.drop",
+    *(Row(f"_RELZERO.drop.{key}",
           {"bielliptic-euler": _missing(key), "relzero": _unmatched("zero-section", key)})
       for key in ("euler_v31", "euler_pairs")),
-    *(Row(f"_RELZERO.{key}.drop", {"relzero": _unmatched("zero-section", key)})
+    *(Row(f"_RELZERO.drop.{key}", {"relzero": _unmatched("zero-section", key)})
       for key in ("relz2", "relz3")),
     Row("_RELTRIP.*.x?", {"reltrip": "triple-root relation mismatch: derived "}),
-    *(Row(f"_RELTRIP.{key}.drop", {"reltrip": _unmatched("triple-root", key)})
+    *(Row(f"_RELTRIP.drop.{key}", {"reltrip": _unmatched("triple-root", key)})
       for key in pl._RELTRIP),
     Row("_VANISHING_FORM.*", {"relzero": "vanishing-form class evaluates to "}),
     Row("_TAUTOLOGICAL.lambda?.x?", {"bielliptic-ring": _INVERSE}),
     Row("_TAUTOLOGICAL.delta1.x?", {"bielliptic-ring": "boundary class pullback is "}),
     # The test family's derivation reads the pullbacks of lambda1 and lambda2.
-    *(Row(f"_TAUTOLOGICAL.{key}.drop", dict.fromkeys(_FAMILY, _missing(key)))
+    *(Row(f"_TAUTOLOGICAL.drop.{key}", dict.fromkeys(_FAMILY, _missing(key)))
       for key in ("lambda1", "lambda2")),
-    Row("_TAUTOLOGICAL.delta1.drop", {"bielliptic-ring": _missing("delta1")}),
+    Row("_TAUTOLOGICAL.drop.delta1", {"bielliptic-ring": _missing("delta1")}),
     Row("_CHANGE_OF_VARIABLES.*.x?", {"bielliptic-ring": _INVERSE}),
-    *(Row(f"_CHANGE_OF_VARIABLES.{key}.drop", dict.fromkeys(_FAMILY, _missing(key)))
+    *(Row(f"_CHANGE_OF_VARIABLES.drop.{key}", dict.fromkeys(_FAMILY, _missing(key)))
       for key in ("alpha1", "beta1")),
     Row("_TEST_FAMILY_RELATIONS.[03-6].*", {"bielliptic-ring": _SEVEN}),
     Row("_TEST_FAMILY_RELATIONS.[12].x2 _TEST_FAMILY_RELATIONS.[12].drop",
