@@ -61,6 +61,15 @@ def _expect(derived, stated, what: str):
         raise CheckFailure(f"{what} {derived}, expected {stated}")
 
 
+def _expect_table(derived: dict, stated: dict, table: str, entry: str):
+    """Require a derived table to equal the stated one, key set first; ``table``
+    names it in the witness, and ``entry`` a mismatched entry, ``{}`` its key."""
+    unmatched = sorted(derived.keys() ^ stated.keys())
+    _require(not unmatched, f"{table} not both derived and stated: {unmatched}")
+    for key, value in stated.items():
+        _expect(derived[key], value, entry.format(key))
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -318,6 +327,8 @@ class Pipeline:
     intermediate from outside, by ``tests/test_fault_sweep.py``.
     """
 
+    QUOTIENT_GENERATORS = ("s00", "s10", "s02'")  # the twist quotient's, named in s6["polys"]
+
     def __init__(self, max_degree: int = 10, corruption: str | None = None):
         if max_degree < 5:
             raise ValueError("max_degree below 5 cannot exercise the stated results")
@@ -383,13 +394,10 @@ class Pipeline:
         s0j = [ver0.push_multiply(SClassCombo.unit(ring, 3, j)) for j in range(4)]
         combos = {f"s1{j}": combo for j, combo in enumerate(s1j)}
         combos.update({f"s0{j}": combo for j, combo in enumerate(s0j[:2])})
-        s02 = s0j[2]
-        evenness = _even(s02)
-        combos["s02'"] = SClassCombo(
-            6, [IntPolynomial(ring, {e: c // 2 for e, c in p.term_map().items()})
-                for p in s02.coeffs]
-        ) if evenness else None
-        polys = {name: combo.expand(table) for name, combo in combos.items() if combo}
+        halved = [ring.polynomial({e: c // 2 for e, c in p.term_map().items()})
+                  for p in s0j[2].coeffs]
+        combos["s02'"] = SClassCombo(6, halved)
+        polys = {name: combo.expand(table) for name, combo in combos.items()}
         return {
             "table": table,
             "ver0": ver0,
@@ -398,7 +406,7 @@ class Pipeline:
             "s0j": s0j,
             "combos": combos,
             "polys": polys,
-            "s02_evenness": evenness,
+            "s02_evenness": _even(s0j[2]),
         }
 
     @cached_property
@@ -448,8 +456,7 @@ class Pipeline:
     @cached_property
     def gm_data(self) -> dict:
         ring = self.groth_ring
-        polys = self.s6["polys"]
-        gens = (polys["s00"], polys["s10"], polys["s02'"])
+        gens = tuple(self.s6["polys"][name] for name in self.QUOTIENT_GENERATORS)
         gm_spec = RingSpec(ring, gens)
         kernels = multiplication_kernel(
             gm_spec, ring.var("t") - 2 * ring.var("lambda1"), self.max_degree
@@ -621,8 +628,6 @@ class Pipeline:
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
         derived = RingSpec(lr, derived_gens)
         return {
-            "euler_v31": euler_v31,
-            "euler_pairs": euler_pairs,
             "z0": z0,
             "relzero": relzero,
             "reltrip": reltrip,
@@ -665,19 +670,19 @@ class Pipeline:
         )
 
     def check_s6_table(self) -> str:
-        table = self.s6["table"]
-        for j, text in _S6_TABLE.items():
-            _expect(table[j], self.groth_ring.parse(text), f"s6^{j} =")
-        return "\n".join(f"s6^{j} = {table[j]}" for j in _S6_TABLE)
+        table = {j: self.s6["table"][j] for j in range(5)}  # as the paper tabulates
+        stated = {j: self.groth_ring.parse(text) for j, text in _S6_TABLE.items()}
+        _expect_table(table, stated, "s6 table entries", "s6^{} =")
+        return "\n".join(f"s6^{j} = {cls}" for j, cls in table.items())
 
     def check_sij_expansions(self) -> str:
         ring = self.groth_ring
         combos = self.s6["combos"]
         _require(self.s6["s02_evenness"], "halving failed: odd coefficient in the squared term")
-        for name, stated in _SIJ_EXPANSIONS.items():
-            expected = [ring.parse(stated.get(j, "0")) for j in range(7)]
-            _expect(combos[name], SClassCombo(6, expected), f"{name} expands as")
-        return "\n".join(f"{name} = {combos[name]}" for name in _SIJ_EXPANSIONS)
+        stated = {name: SClassCombo(6, [ring.parse(coeffs.get(j, "0")) for j in range(7)])
+                  for name, coeffs in _SIJ_EXPANSIONS.items()}
+        _expect_table(combos, stated, "composite expansions", "{} expands as")
+        return "\n".join(f"{name} = {combo}" for name, combo in combos.items())
 
     def check_det_7x7(self) -> str:
         order = ["s10", "s11", "s12", "s13", "s00", "s01", "s02'"]
@@ -721,14 +726,13 @@ class Pipeline:
     def check_sij_rewrites(self) -> str:
         ring = self.groth_ring
         polys = self.s6["polys"]
-        for name, text in _SIJ_POLYNOMIALS.items():
-            _expect(polys[name], ring.parse(text), f"{name} =")
+        gens = {name: polys[name] for name in self.QUOTIENT_GENERATORS}
+        stated = {name: ring.parse(text) for name, text in _SIJ_POLYNOMIALS.items()}
+        _expect_table(gens, stated, "quotient generators", "{} =")
         named = ring.extend(("s10", 3), ("s00", 2))
-        for name, text in _SIJ_REWRITES.items():
-            stated = named.parse(text).substitute(
-                {"s10": polys["s10"], "s00": polys["s00"]}, target=ring
-            )
-            _expect(polys[name], stated, f"{name} rewriting fails:")
+        rewritten = {name: named.parse(text).substitute(gens, target=ring)
+                     for name, text in _SIJ_REWRITES.items()}
+        _expect_table(gens, rewritten, "quotient generator rewritings", "{} rewriting fails:")
         return "\n".join(f"{name} = {text}" for name, text in _SIJ_REWRITES.items())
 
     def check_groth_membership(self) -> str:
@@ -912,27 +916,23 @@ class Pipeline:
         )
 
     def check_bielliptic_euler(self) -> str:
-        data = self.bielliptic_data
+        rel = self.bielliptic_data["relzero"]
         amb = self.alpha_ambient
         for key, what in (("euler_v31", "cubic"), ("euler_pairs", "pair")):
-            _expect(data[key], amb.normal_form(amb.parse(_RELZERO[key])), f"{what} euler class is")
+            _expect(rel[key], amb.normal_form(amb.parse(_RELZERO[key])), f"{what} euler class is")
         return (
-            f"euler class of the twisted cubics: {data['euler_v31']}\n"
-            f"euler class of the paired linear forms: {data['euler_pairs']}"
+            f"euler class of the twisted cubics: {rel['euler_v31']}\n"
+            f"euler class of the paired linear forms: {rel['euler_pairs']}"
         )
 
     def _test_family_relations(self, kind: str, derived: dict, texts: dict[str, str]) -> str:
-        """Require the derived relations and the stated texts to have the same
-        keys, and each derived relation to equal its text in the ambient ring;
-        ``kind`` names the family in the witness."""
+        """Compare the derived relations with the stated texts in the ambient ring."""
         amb = self.alpha_ambient
-        unmatched = sorted(derived.keys() ^ texts.keys())
-        _require(not unmatched, f"{kind} relations not both derived and stated: {unmatched}")
-        for key, text in texts.items():
-            _expect(
-                amb.normal_form(derived[key]), amb.normal_form(amb.parse(text)),
-                f"{kind} relation mismatch: derived",
-            )
+        _expect_table(
+            {key: amb.normal_form(rel) for key, rel in derived.items()},
+            {key: amb.normal_form(amb.parse(text)) for key, text in texts.items()},
+            f"{kind} relations", f"{kind} relation mismatch: derived",
+        )
         return f"{kind} relations reproduced from primitives:\n" + "\n".join(
             f"  {text} = 0" for text in texts.values()
         )
@@ -1072,7 +1072,7 @@ class Pipeline:
         CheckDef("groth-membership", "two-generator-membership",
                  "Membership of the bundle relation and all pushforward classes",
                  ("groth-factor", "sij-rewrites"), check_groth_membership,
-                 "p, s10, s11, s12, s13, s00, s01, s02' all lie in (s00, s10)"),
+                 "p, s10, s11, s12, s13, s00, s01, s02 all lie in (s00, s10)"),
         CheckDef("adelta1", "boundary-stratum-ring",
                  "Presentation of the disconnecting-node boundary ring",
                  ("thm:bg",), check_adelta1,

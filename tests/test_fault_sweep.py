@@ -43,6 +43,11 @@ def _item(seq, i: int, change) -> list:
     return [change(x) if j == i else x for j, x in enumerate(seq)]
 
 
+def _without(key: str):
+    """A change that drops one entry of a dict."""
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
 def _twice(x):
     return 2 * x
 
@@ -124,6 +129,10 @@ ROWS = (
     Row("s6-combos", "s6",
         lambda p: _entry(p.s6, "combos", lambda c: _entry(c, "s11", _scaled)),
         {"sij-expansions": "s11 expands as ", "det-7x7": "determinant is "}),
+    # sij-expansions compares every composite class it derives.
+    Row("s6-combos-missing", "s6", lambda p: _entry(p.s6, "combos", _without("s11")),
+        {"sij-expansions": "composite expansions not both derived and stated: ['s11']",
+         "det-7x7": "KeyError: 's11'"}),
     Row("s6-polys", "s6",
         lambda p: _entry(p.s6, "polys", lambda c: _entry(c, "s10", _twice)),
         {"sij-rewrites": "s10 = ",
@@ -193,12 +202,15 @@ ROWS = (
         {"thm:main": "the six derived relations do not generate the stated ideal"}),
     Row("m2bar-ring", "m2bar_ring", lambda p: _relations(p.m2bar_ring, lambda g: g[:3]),
         {"thm:main": "the six derived relations do not generate the stated ideal"}),
+    # The Euler classes are zero-section relations, kept once.
     Row("bielliptic-euler-v31", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "euler_v31", _twice),
-        {"bielliptic-euler": "cubic euler class is "}),
+        lambda p: _entry(p.bielliptic_data, "relzero", lambda r: _entry(r, "euler_v31", _twice)),
+        {"bielliptic-euler": "cubic euler class is ",
+         "relzero": "zero-section relation mismatch: "}),
     Row("bielliptic-euler-pairs", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "euler_pairs", _twice),
-        {"bielliptic-euler": "pair euler class is "}),
+        lambda p: _entry(p.bielliptic_data, "relzero", lambda r: _entry(r, "euler_pairs", _twice)),
+        {"bielliptic-euler": "pair euler class is ",
+         "relzero": "zero-section relation mismatch: "}),
     Row("bielliptic-z0", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "z0", _twice),
         {"relzero": "vanishing-form class evaluates to "}),
@@ -207,8 +219,7 @@ ROWS = (
         {"relzero": "zero-section relation mismatch: "}),
     # A derived relation with no stated text would go unchecked.
     Row("bielliptic-relzero-missing", "bielliptic_data",
-        lambda p: _entry(p.bielliptic_data, "relzero",
-                         lambda r: {k: v for k, v in r.items() if k != "relz3"}),
+        lambda p: _entry(p.bielliptic_data, "relzero", _without("relz3")),
         {"relzero": "zero-section relations not both derived and stated: ['relz3']"}),
     Row("bielliptic-reltrip", "bielliptic_data",
         lambda p: _entry(p.bielliptic_data, "reltrip", lambda r: _entry(r, "rel_t3", _twice)),

@@ -217,6 +217,17 @@ class TestExplain:
             text = pipeline.explain(cdef.id)
             assert cdef.id in text and cdef.anchor in text
 
+    def test_membership_statement_names_the_unhalved_class(self, pipeline):
+        # Only the pushforward s02 = 2*s02' lies in (s00, s10), not the halved
+        # generator, and the stated text says so.
+        polys = pipeline.s6["polys"]
+        spec = groebner.RingSpec(pipeline.groth_ring, (polys["s00"], polys["s10"]))
+        assert not spec.contains(polys["s02'"])
+        assert spec.contains(2 * polys["s02'"])
+        stated = Pipeline.check_def("groth-membership").stated
+        assert stated == "p, s10, s11, s12, s13, s00, s01, s02 all lie in (s00, s10)"
+        assert stated in pipeline.explain("groth-membership")
+
     def test_explain_derives_nothing(self):
         fresh = Pipeline()
         for check_id in Pipeline.check_ids():
