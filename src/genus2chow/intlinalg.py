@@ -14,11 +14,13 @@ and return dense rows.  Hermite bases (``lattice_basis``) and preimages
 unimodular U, in rows of its own that take the same row operations.
 Coordinates against a Hermite basis (``lattice_coordinates``) come from one
 pass over its pivots.  The one elimination, ``_hermite``, serves Hermite
-bases, preimages, Groebner completion and Smith forms: ``graded`` realizes
-graded pieces and multiplication kernels through it, ``groebner`` completes
-its strong bases on it, one degree at a time, on sparse rows it builds
-itself, and ``smith_normal_form`` alternates it on the rows and the columns,
-as Kannan and Bachem do, so every step reduces entries modulo a pivot.
+bases, preimages, Groebner completion and Smith forms: ``graded`` builds
+each degree's relation lattice through it from x_v times the Hermite basis
+of the degree below, and solves multiplication kernels on the columns
+without a unit pivot; ``groebner`` completes its strong bases on it, one
+degree at a time, on sparse rows it builds itself; and
+``smith_normal_form`` alternates it on the rows and the columns, as Kannan
+and Bachem do, so every step reduces entries modulo a pivot.
 """
 
 from __future__ import annotations

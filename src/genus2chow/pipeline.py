@@ -32,10 +32,10 @@ from .graded import (
     graded_piece,
     membership_matches_normal_form,
     multiplication_kernel,
-    relation_rows,
+    relation_lattice,
 )
 from .groebner import RingSpec, ideal_equal
-from .intlinalg import determinant_expansion, lattice_basis
+from .intlinalg import determinant_expansion
 from .ring import IntPolynomial, Ring, chern_series_quotient
 
 
@@ -685,8 +685,7 @@ class Pipeline:
         return "\n".join(f"{name} = {combo}" for name, combo in combos.items())
 
     def check_det_7x7(self) -> str:
-        order = ["s10", "s11", "s12", "s13", "s00", "s01", "s02'"]
-        rows = [list(self.s6["combos"][name].coeffs) for name in order]
+        rows = [list(combo.coeffs) for combo in self.s6["combos"].values()]
         det = determinant_expansion(rows)
         _expect(det, self.groth_ring.parse(_DETERMINANT), "determinant is")
         return f"7x7 independence matrix determinant = {det}"
@@ -711,7 +710,6 @@ class Pipeline:
         _require(
             _even(fundamental), "the doubled fundamental-class expansion has an odd coefficient"
         )
-        _require(self.s6["s02_evenness"], "coefficients of the squared term must be even")
         return (
             "both composite expansions of the cubed conic class agree:\n"
             f"  {lhs}\n"
@@ -820,9 +818,8 @@ class Pipeline:
         # have the same Hermite basis; below degree 3 the right side is I.
         generated = spec.with_relations(k3, k4)
         for d, kernel in enumerate(data["kernels"]):
-            monomials, rows = relation_rows(generated, d)
             _require(
-                kernel == lattice_basis(rows, len(monomials)),
+                kernel == relation_lattice(generated, d),
                 f"kernel piece in degree {d} should vanish" if d < 3
                 else f"kernel piece in degree {d} is not generated by the two classes",
             )
@@ -1061,7 +1058,7 @@ class Pipeline:
                  "Compatibility of the cubing and multiplication pushforwards",
                  ("sij-expansions",), check_cub_compat,
                  "the two factorizations of the squared-then-cubed pushforward agree"
-                 " and the squared-term coefficients are even"),
+                 " and the doubled fundamental-class expansion is even"),
         CheckDef("groth-factor", "bundle-relation-factorization",
                  "Factorization of the degree-7 bundle relation",
                  (), check_groth_factor, _GROTHENDIECK_FACTORS),

@@ -12,8 +12,8 @@ from pathlib import Path
 from genus2chow import intlinalg as la
 from genus2chow.bundles import BundleClasses, SClassCombo
 from genus2chow.classifying import wn_chern
-from genus2chow.graded import _kernel_lattice, polynomial_of, relation_rows
-from genus2chow.groebner import RingSpec
+from genus2chow.graded import polynomial_of
+from genus2chow.groebner import RingSpec, shifted_row
 from genus2chow.parse import ParseError
 from genus2chow.pipeline import VerificationReport
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
@@ -100,6 +100,37 @@ def vector_of(monomials, p: IntPolynomial) -> list[int]:
     for exps, coeff in p.term_map().items():
         vec[index[exps]] = coeff
     return vec
+
+
+def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, int]]]:
+    """Degree-d monomial basis and every degree-d multiple of each relation
+    generator, as a sparse {column: entry} row over it: the rows that define
+    the relation lattice I_d."""
+    ring = spec.ring
+    monomials = ring.monomials_of_degree(d)
+    index = {exps: i for i, exps in enumerate(monomials)}
+    rows = []
+    for g in spec.relations.generators:
+        if not g or g.weighted_degree() > d:
+            continue
+        terms = g.term_map()
+        rows.extend(
+            shifted_row(index, terms, mult)
+            for mult in ring.monomials_of_degree(d - g.weighted_degree())
+        )
+    return monomials, rows
+
+
+def reference_kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]:
+    """The Hermite basis of the degree-d kernel of multiplication by m: the
+    preimage, under the rows of multiplication by m on every degree-d
+    monomial, of all relation rows one degree up."""
+    monomials = spec.ring.monomials_of_degree(d)
+    target_monomials, target_rows = relation_rows(spec, d + (m.weighted_degree() or 0))
+    index = {exps: i for i, exps in enumerate(target_monomials)}
+    terms = m.term_map()
+    mult_rows = [shifted_row(index, terms, exps) for exps in monomials]
+    return la.preimage_basis(mult_rows, target_rows, len(target_monomials))
 
 
 def reference_preimage(A, B, ncols: int) -> list[list[int]]:
@@ -189,7 +220,7 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     the kernel piece has positive free rank."""
     ring = spec.ring
     monomials, rel_rows = relation_rows(spec, d)
-    basis = _kernel_lattice(spec, m, d)
+    basis = reference_kernel_lattice(spec, m, d)
     n = len(basis)
     coords = [
         la.lattice_coordinates(basis, [row.get(j, 0) for j in range(len(monomials))])

@@ -8,13 +8,13 @@ under ``pytest -s`` or on failure).
 import random
 
 from genus2chow.classifying import bt_pushforward
-from genus2chow.graded import membership_matches_normal_form, relation_rows
+from genus2chow.graded import membership_matches_normal_form
 from genus2chow.groebner import RingSpec, ideal_equal
 from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
-from helpers import bt_pullback, random_homogeneous, torus_ring
+from helpers import bt_pullback, random_homogeneous, relation_rows, torus_ring
 
 
 def _report(num: int, ok: bool, description: str):

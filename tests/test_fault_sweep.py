@@ -132,15 +132,14 @@ ROWS = (
     # sij-expansions compares every composite class it derives.
     Row("s6-combos-missing", "s6", lambda p: _entry(p.s6, "combos", _without("s11")),
         {"sij-expansions": "composite expansions not both derived and stated: ['s11']",
-         "det-7x7": "KeyError: 's11'"}),
+         "det-7x7": "ValueError: matrix must be square"}),
     Row("s6-polys", "s6",
         lambda p: _entry(p.s6, "polys", lambda c: _entry(c, "s10", _twice)),
         {"sij-rewrites": "s10 = ",
          "groth-membership": "the degree-7 relation is not in the two-generator ideal",
          "thm:45": "twist quotient does not match the stated two-relation presentation"}),
     Row("s6-evenness", "s6", lambda p: _entry(p.s6, "s02_evenness", lambda e: False),
-        {"sij-expansions": "halving failed: odd coefficient in the squared term",
-         "cub-compat": "coefficients of the squared term must be even"}),
+        {"sij-expansions": "halving failed: odd coefficient in the squared term"}),
     Row("grothendieck-relation", "grothendieck_relation",
         lambda p: _twice(p.grothendieck_relation),
         {"groth-factor": "root expansion gives "}),

@@ -1,6 +1,7 @@
 """Graded pieces as abelian groups, kernels of multiplication, enumeration."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,19 +9,25 @@ from hypothesis import example, given, settings, strategies as st
 from genus2chow import intlinalg as la
 from genus2chow.graded import (
     InfiniteKernelError,
+    _kernel_lattice,
     _smith_quotient,
     enumerate_kernel_elements,
     graded_piece,
     membership_matches_normal_form,
     multiplication_kernel,
     polynomial_of,
-    relation_rows,
+    relation_lattice,
 )
 from genus2chow.groebner import RingSpec
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring, RingMismatchError
 
-from helpers import reference_kernel_elements
+from helpers import (
+    random_homogeneous,
+    reference_kernel_elements,
+    reference_kernel_lattice,
+    relation_rows,
+)
 
 
 def row_sets(max_dim=5, bound=20):
@@ -91,6 +98,66 @@ def open_spec():
     )
 
 
+def _random_spec(rng: random.Random, constant: bool, zero: bool) -> RingSpec:
+    """One to three variables of weight 1 or 2 and one to three random
+    generators of degree 1 to 3; with the flags, an integer constant (as a
+    mod-p presentation has) and the zero polynomial join them."""
+    weights = [rng.choice((1, 2)) for _ in range(rng.randint(1, 3))]
+    ring = Ring(*((f"x{i}", w) for i, w in enumerate(weights)))
+    gens = [
+        random_homogeneous(ring, rng.randint(1, 3), rng, max_terms=3, coeff_bound=6)
+        for _ in range(rng.randint(1, 3))
+    ]
+    if constant:
+        gens.append(rng.choice((2, 3, 4)) * ring.one())
+    if zero:
+        gens.insert(rng.randint(0, len(gens)), ring.zero())
+    return RingSpec(ring, gens)
+
+
+_PRESENTATIONS = (
+    "classifying", "boundary", "twist-quotient", "open-stratum", "total", "bielliptic"
+)
+
+
+class TestRelationLattice:
+    """``relation_lattice`` builds I_d from the bases below it; the lattice
+    of every degree-d multiple of every generator is the reference."""
+
+    @pytest.mark.parametrize("name", _PRESENTATIONS)
+    def test_pipeline_presentations(self, pipeline, name):
+        spec = pipeline.presentations[name]
+        for d in range(13):
+            monomials, rows = relation_rows(spec, d)
+            assert relation_lattice(spec, d) == la.lattice_basis(rows, len(monomials)), d
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+    @example(random.Random(0), True, True)
+    def test_random_presentations(self, rng, constant, zero):
+        spec = _random_spec(rng, constant, zero)
+        for d in range(7):
+            monomials, rows = relation_rows(spec, d)
+            assert relation_lattice(spec, d) == la.lattice_basis(rows, len(monomials)), d
+
+    def test_negative_degree_is_empty(self, bg_spec):
+        assert relation_lattice(bg_spec, -1) == []
+
+    def test_each_degree_is_eliminated_once(self, bg_spec, monkeypatch):
+        calls = []
+        real = la.lattice_basis
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(la, "lattice_basis", counted)
+        relation_lattice(bg_spec, 6)
+        relation_lattice(bg_spec, 4)
+        graded_piece(bg_spec, 6)
+        assert calls == [len(bg_spec.ring.monomials_of_degree(d)) for d in range(7)]
+
+
 class TestSmithQuotient:
     @settings(max_examples=80, deadline=None)
     @given(row_sets())
@@ -99,7 +166,7 @@ class TestSmithQuotient:
         n, rows, dependent = case
         if dependent and len(rows) >= 2:
             rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[1])]]
-        diagonal, V = _smith_quotient(rows, n)
+        diagonal, V = _smith_quotient(la.lattice_basis(rows, n), n)
         raw = la.smith_normal_form(rows, ncols=n).diagonal
         raw = raw + [0] * (n - len(raw))
         assert len(diagonal) == n
@@ -128,7 +195,7 @@ class TestSmithQuotient:
         diagonal exactly when it lies in the lattice of the rows."""
         n, rows = case[0], case[1]
         probe = _probe(case)
-        diagonal, V = _smith_quotient(rows, n)
+        diagonal, V = _smith_quotient(la.lattice_basis(rows, n), n)
         coords = la.matvec_left(probe, V)
         vanishes = all((x % d == 0) if d else x == 0 for x, d in zip(coords, diagonal))
         member = la.lattice_coordinates(la.lattice_basis(rows, n), probe) is not None
@@ -271,6 +338,43 @@ class TestMultiplicationKernel:
         assert kernels[1]
 
 
+class TestKernelAgainstReference:
+    """``_kernel_lattice`` solves on the columns without a unit pivot; the
+    preimage of every relation multiple one degree up is the reference."""
+
+    def test_twist_quotient_through_degree_16(self, pipeline):
+        spec = pipeline.presentations["twist-quotient"]
+        m = spec.ring.parse("t - 2*lambda1")
+        expected = [reference_kernel_lattice(spec, m, d) for d in range(17)]
+        assert multiplication_kernel(spec, m, 16) == expected
+
+    def test_boundary_ring_through_degree_12(self, pipeline):
+        spec = pipeline.presentations["boundary"]
+        m = spec.ring.parse("gamma - lambda1")
+        expected = [reference_kernel_lattice(spec, m, d) for d in range(13)]
+        assert multiplication_kernel(spec, m, 12) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["zero", "unit", "degree 1", "degree 2"]),
+    )
+    @example(random.Random(0), True, True, "degree 2")
+    def test_random_presentations(self, rng, constant, zero, multiplier):
+        spec = _random_spec(rng, constant, zero)
+        ring = spec.ring
+        m = {
+            "zero": ring.zero,
+            "unit": ring.one,
+            "degree 1": lambda: random_homogeneous(ring, 1, rng, max_terms=3, coeff_bound=4),
+            "degree 2": lambda: random_homogeneous(ring, 2, rng, max_terms=3, coeff_bound=4),
+        }[multiplier]()
+        for d in range(6):
+            assert _kernel_lattice(spec, m, d) == reference_kernel_lattice(spec, m, d), d
+
+
 class TestEnumeration:
     def test_three_boundary_classes(self, delta1_spec):
         ring = delta1_spec.ring
@@ -346,3 +450,69 @@ class TestEnumerationAgainstSmithForm:
         with pytest.raises(InfiniteKernelError):
             enumerate_kernel_elements(delta1_spec, ring.zero(), 2)
         assert calls == []
+
+
+def _seeded_twist_quotient(sound: Pipeline, d: int, corrupt) -> Pipeline:
+    """A fresh pipeline whose twist quotient keeps ``corrupt`` of the sound
+    Hermite basis in degree d, so the degrees above are built from it, and
+    whose kernels are computed from those kept lattices."""
+    data = sound.gm_data
+    spec = RingSpec(data["spec"].ring, data["spec"].relations.generators)
+    relation_lattice(spec, d - 1)
+    vars(spec)["relation_lattices"].append(corrupt(relation_lattice(data["spec"], d)))
+    ring = spec.ring
+    m = ring.var("t") - 2 * ring.var("lambda1")
+    fresh = Pipeline(max_degree=sound.max_degree)
+    fresh.__dict__["gm_data"] = {
+        **data, "spec": spec, "kernels": multiplication_kernel(spec, m, sound.max_degree)
+    }
+    return fresh
+
+
+def _units(basis):
+    return [i for i, row in enumerate(basis) if next(x for x in row if x) == 1]
+
+
+def _drop_a_unit_row(basis):
+    first = _units(basis)[0]
+    return basis[:first] + basis[first + 1:]
+
+
+def _double_a_unit_pivot(basis):
+    first = _units(basis)[0]
+    return [[2 * x for x in row] if i == first else row for i, row in enumerate(basis)]
+
+
+class TestKeptLattices:
+    """A presentation keeps the Hermite basis of each degree it has
+    eliminated; a wrong kept basis must fail a check, and no basis may be
+    kept beyond its pipeline."""
+
+    @pytest.mark.parametrize("corrupt", [_drop_a_unit_row, _double_a_unit_pivot])
+    def test_corrupted_basis_fails_with_a_witness(self, pipeline, corrupt):
+        report = _seeded_twist_quotient(pipeline, 5, corrupt).run()
+        failing = {c.id: c.witness for c in report.checks if c.status == "fail"}
+        assert set(failing) <= {"thm:45", "oracle-agreement"}
+        assert failing["thm:45"].startswith(
+            "kernel piece in degree 5 is not generated by the two classes"
+        )
+
+    def test_pipelines_share_no_kept_lattice(self, monkeypatch):
+        real = la.lattice_basis
+        runs = []
+        for _ in range(2):
+            calls = []
+
+            def counted(rows, ncols, calls=calls):
+                calls.append(ncols)
+                return real(rows, ncols)
+
+            monkeypatch.setattr(la, "lattice_basis", counted)
+            fresh = Pipeline(max_degree=6)
+            report = fresh.run(ids=["thm:45", "oracle-agreement"])
+            assert report.overall == "pass"
+            kept = [vars(spec)["relation_lattices"] for spec in fresh.presentations.values()]
+            runs.append((calls, kept))
+        (first_calls, first_kept), (second_calls, second_kept) = runs
+        assert second_calls == first_calls
+        assert all(a is not b for a, b in zip(first_kept, second_kept))

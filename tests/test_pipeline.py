@@ -19,7 +19,7 @@ from genus2chow.pipeline import (
 from genus2chow.bundles import SClassCombo
 from genus2chow.ring import Ring
 
-from helpers import child_env, vector_of
+from helpers import child_env, relation_rows, vector_of
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 GOLDEN_D10 = GOLDEN / "verify-d10.json"
@@ -318,7 +318,6 @@ class TestLocalizationExactness:
 
     def test_short_exact_sequence_on_graded_pieces(self, pipeline):
         from genus2chow import intlinalg as la
-        from genus2chow.graded import relation_rows
         from genus2chow.ring import IntPolynomial
 
         boundary = pipeline.delta1_data["stated"]
