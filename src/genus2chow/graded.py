@@ -5,26 +5,28 @@ inside the free module on the degree-d monomials.  ``relation_lattice``
 gives its Hermite basis, built degree by degree as Lazard's Macaulay route
 does: the rows of degree d are the degree-d generators and x_v times the
 basis of I_{d - w_v}, and each degree is eliminated once per presentation,
-which keeps the bases.  The Smith normal form of that basis yields the free
-rank, the torsion invariants and explicit coordinates; each row with a unit
-pivot splits off as a trivial summand, so the Smith form is taken of the
-other rows on the other columns only, and certified.  The kernel of
+which keeps the bases.  Each row of that basis with pivot 1 clears its
+own column from any vector (``_clear``) and splits off as a trivial
+summand, so a graded piece is presented on the other columns: the certified
+Smith form of the other rows there gives the free rank, the torsion
+invariants and the coordinates of a cleared vector.  The kernel of
 multiplication by m in degree d is a lattice too: the preimage, under the
 rows of multiplication by m, of the relation lattice one degree up,
-returned as a Hermite basis.  The unit-pivot rows of both relation bases
-clear their own columns, so the preimage is solved on the other columns
-only and lifted.  Two lattices are equal exactly when their Hermite bases
-are, so which classes generate a kernel is for the caller to compare.
+returned as a Hermite basis.  The same clearing takes the multiplication
+rows to the other columns one degree up, where the preimage is solved and
+then lifted.  Two lattices are equal exactly when their Hermite bases are,
+so which classes generate a kernel is for the caller to compare.
 Enumeration reads a kernel's cosets off a Hermite basis; the Smith form
 serves ``graded_piece`` only.  The Groebner engine completes its bases by
 the same elimination, ``intlinalg._hermite``, on degree-by-degree lattices
 of its own: ``groebner.strong_groebner`` keeps its own loop and does not
-read these bases, so ``oracle-agreement`` still compares two separately
-written constructions of I_d.  The Groebner engine takes its normal forms
-from the polynomial reducer; this route cross-checks it (a class is zero in
-the graded piece exactly when its normal form vanishes) but is not
-independent of it.  What ``groebner`` certifies, and what it does not, its
-module docstring says.
+read these bases.  So ``oracle-agreement`` still compares two separately
+written constructions of I_d, monomial by monomial: vanishing in the graded
+piece against the normal form from the polynomial reducer, and the Hermite
+pivot against c_mu, the gcd of the lead coefficients of the Groebner basis
+elements whose leading monomial divides the monomial.  It cross-checks the
+Groebner engine but is not independent of it.  What ``groebner``
+certifies, and what it does not, its module docstring says.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import Sequence
 
 from . import intlinalg
@@ -87,30 +90,51 @@ def relation_lattice(spec: RingSpec, d: int) -> intlinalg.Matrix:
     return kept[d]
 
 
-def _split_at_unit_pivots(basis: intlinalg.Matrix) -> tuple[dict[int, list[int]], intlinalg.Matrix]:
-    """The rows of a Hermite basis with pivot 1, by pivot column, and its
-    other rows.  The basis is reduced, so the column of a unit pivot is 0 in
-    every other row."""
-    units, others = {}, []
+def _pivots(basis: intlinalg.Matrix):
+    """(pivot column, row) for each row of a Hermite basis."""
     c = 0
     for row in basis:
         while not row[c]:  # pivot columns strictly increase
             c += 1
-        if row[c] == 1:
-            units[c] = row
-        else:
-            others.append(row)
-    return units, others
+        yield c, row
+
+
+def _split_at_unit_pivots(
+    basis: intlinalg.Matrix, n: int
+) -> tuple[dict[int, list[int]], intlinalg.Matrix, list[int]]:
+    """The rows of a Hermite basis over n columns with pivot 1, by pivot
+    column; its other rows, on the other columns; and those columns.  The
+    basis is reduced, so the column of a unit pivot is 0 in every other
+    row."""
+    units = {c: row for c, row in _pivots(basis) if row[c] == 1}
+    rest = [j for j in range(n) if j not in units]
+    others = [[row[j] for j in rest] for c, row in _pivots(basis) if row[c] != 1]
+    return units, others, rest
+
+
+def _clear(vector: dict[int, int], units: dict[int, list[int]], rest: Sequence[int]) -> list[int]:
+    """A sparse vector {column: entry} minus each of its unit-pivot entries
+    times that pivot's row, on the columns ``rest``.  It is 0 on the unit
+    columns, so what is left lies in the span of the other rows there
+    exactly when the vector lies in the lattice."""
+    out = [vector.get(j, 0) for j in rest]
+    for c, x in vector.items():
+        if c in units:
+            out = [y - x * units[c][k] for y, k in zip(out, rest)]
+    return out
 
 
 @dataclass(frozen=True)
 class GradedPieceGroup:
     """One graded piece, as ZZ^free_rank plus cyclic torsion summands.
 
-    ``basis_change`` maps coefficient vectors in the monomial basis to
-    Smith-normal coordinates (vector times matrix); coordinate i is read
-    modulo ``diagonal[i]`` (0 meaning a free coordinate).  Only polynomials
-    of degree ``degree`` over ``ring`` are read.
+    ``units`` holds the Hermite rows of I_d with pivot 1, by pivot column,
+    and ``rest`` the other columns; ``V`` and ``diagonal`` come from the
+    certified Smith form U'·H'·V' = D' of the other rows on ``rest``: V' and
+    the diagonal of D', padded with zeros.  A vector's coordinates are its
+    ``_clear`` on ``rest`` times V', coordinate i read modulo
+    ``diagonal[i]`` (0 meaning a free coordinate).  Only polynomials of
+    degree ``degree`` over ``ring`` are read.
     """
 
     ring: Ring
@@ -118,7 +142,9 @@ class GradedPieceGroup:
     monomial_basis: tuple[tuple, ...]
     free_rank: int
     torsion_invariants: tuple[int, ...]
-    basis_change: tuple[tuple, ...]
+    units: dict[int, list[int]]
+    rest: tuple[int, ...]
+    V: intlinalg.Matrix
     diagonal: tuple[int, ...]
 
     def is_zero(self, p: IntPolynomial) -> bool:
@@ -130,42 +156,13 @@ class GradedPieceGroup:
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
         terms = p.term_map()
-        vec = [terms.get(m, 0) for m in self.monomial_basis]
-        return self._vanishes(intlinalg.matvec_left(vec, self.basis_change))
+        return self._vanishes(
+            {j: terms[m] for j, m in enumerate(self.monomial_basis) if m in terms}
+        )
 
-    def _vanishes(self, coords: Sequence[int]) -> bool:
+    def _vanishes(self, vector: dict[int, int]) -> bool:
+        coords = intlinalg.matvec_left(_clear(vector, self.units, self.rest), self.V)
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
-
-
-def _smith_quotient(basis: intlinalg.Matrix, n: int) -> tuple[list[int], intlinalg.Matrix]:
-    """The diagonal (padded to length n) and V of ZZ^n / <basis>, for a
-    Hermite basis as ``lattice_basis`` gives it.
-
-    x minus x_c times the basis row of the unit pivot in column c is 0 in
-    column c and lies in the lattice exactly when x does.  Each such row
-    thus splits off as a summand ZZ/1, and the Smith form U'·H'·V' = D' is
-    taken of the block H' of the other rows on the other columns only, which
-    has full row rank, and certified.  V carries, in the row of column c,
-    e_k for the k-th unit pivot and minus that basis row, restricted to the
-    other columns, times V'; in the row of any other column, the matching
-    row of V'.  It is block triangular with the identity and V' on its
-    diagonal, so it needs no check of its own, and the diagonal is 1 for
-    each unit pivot followed by D'.
-    """
-    units, others = _split_at_unit_pivots(basis)
-    columns = [j for j in range(n) if j not in units]
-    block = [[row[j] for j in columns] for row in others]
-    snf = intlinalg.smith_normal_form(block, ncols=len(columns))
-    snf.verify(block)
-    k = len(units)
-    V: intlinalg.Matrix = [[]] * n
-    for i, (c, row) in enumerate(units.items()):
-        V[c] = [0] * k + intlinalg.matvec_left([-row[j] for j in columns], snf.V)
-        V[c][i] = 1
-    for j, v_row in zip(columns, snf.V):
-        V[j] = [0] * k + v_row
-    diagonal = [1] * k + snf.diagonal
-    return diagonal + [0] * (n - len(diagonal)), V
 
 
 def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
@@ -173,26 +170,36 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     if d < 0:
         raise ValueError("degree must be >= 0")
     monomials = spec.ring.monomials_of_degree(d)
-    diagonal, basis_change = _smith_quotient(relation_lattice(spec, d), len(monomials))
+    units, block, rest = _split_at_unit_pivots(relation_lattice(spec, d), len(monomials))
+    snf = intlinalg.smith_normal_form(block, ncols=len(rest))
+    snf.verify(block)
+    diagonal = snf.diagonal + [0] * (len(rest) - len(snf.diagonal))
     return GradedPieceGroup(
         ring=spec.ring,
         degree=d,
         monomial_basis=tuple(monomials),
-        free_rank=sum(1 for x in diagonal if x == 0),
+        free_rank=diagonal.count(0),
         torsion_invariants=tuple(x for x in diagonal if x >= 2),
-        basis_change=tuple(tuple(r) for r in basis_change),
+        units=units,
+        rest=tuple(rest),
+        V=snf.V,
         diagonal=tuple(diagonal),
     )
 
 
 def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
-    """Oracle agreement in degree d: for every monomial, vanishing in the
-    graded piece coincides with vanishing of the Groebner normal form.  A
-    monomial's Smith coordinates are its row of ``basis_change``."""
+    """Oracle agreement in degree d, for every monomial mu: vanishing in the
+    graded piece coincides with vanishing of the Groebner normal form, and
+    the Hermite pivot of I_d in mu's column (0 if it has none) is c_mu, the
+    gcd of the lead coefficients of the basis elements whose leading
+    monomial divides mu (0 if no leading monomial does)."""
     piece = graded_piece(spec, d)
-    for exps, coords in zip(piece.monomial_basis, piece.basis_change):
+    pivots = {c: row[c] for c, row in _pivots(relation_lattice(spec, d))}
+    leads = [g.leading_term() for g in spec.groebner.elements if g.weighted_degree() <= d]
+    for j, exps in enumerate(piece.monomial_basis):
+        c_mu = math.gcd(*(k for e, k in leads if all(map(le, e, exps))))
         monomial = IntPolynomial(spec.ring, {exps: 1}, _trusted=True)
-        if piece._vanishes(coords) != spec.contains(monomial):
+        if pivots.get(j, 0) != c_mu or piece._vanishes({j: 1}) != spec.contains(monomial):
             return False
     return True
 
@@ -205,34 +212,20 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]
     ``ring.monomials_of_degree(d)``, whose product with m lies in the
     relation lattice one degree up: that lattice's preimage under m.
 
-    It is solved on the columns without a unit pivot.  The unit-pivot rows
-    of I_d lie in the kernel and clear their own columns from any vector,
-    so the kernel is spanned by them and by the kernel vectors on the other
-    columns R.  Likewise the unit-pivot rows of I_{d+e} clear their columns
-    from a product, which then lies in I_{d+e} exactly when its rest, on the
-    other columns R', lies in the span of the other basis rows there.  So
-    the multiplication rows of R, so cleared, meet those rows on R' alone,
-    and their preimage is lifted back to the columns R."""
+    The unit-pivot rows of I_d lie in the kernel and clear their own
+    columns, so the kernel is spanned by them and by its vectors on the
+    other columns.  Those columns' products with m, cleared by the
+    unit-pivot rows one degree up (``_clear``), meet the other rows there on
+    the other columns alone, and their preimage is lifted back."""
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
     target = d + (m.weighted_degree() or 0)
-    units, _ = _split_at_unit_pivots(relation_lattice(spec, d))
-    clearing, others = _split_at_unit_pivots(relation_lattice(spec, target))
     index = _monomial_index(ring.monomials_of_degree(target))
-    rest = [j for j in range(len(index)) if j not in clearing]
-    free = [j for j in range(len(monomials)) if j not in units]
+    units, _, free = _split_at_unit_pivots(relation_lattice(spec, d), len(monomials))
+    clearing, others, rest = _split_at_unit_pivots(relation_lattice(spec, target), len(index))
     terms = m.term_map()
-    mult_rows = []
-    for j in free:
-        product = shifted_row(index, terms, monomials[j])
-        row = [product.get(c, 0) for c in rest]
-        for c, x in product.items():
-            if c in clearing:
-                row = [y - x * clearing[c][k] for y, k in zip(row, rest)]
-        mult_rows.append(row)
-    small = intlinalg.preimage_basis(
-        mult_rows, [[row[k] for k in rest] for row in others], len(rest)
-    )
+    mult_rows = [_clear(shifted_row(index, terms, monomials[j]), clearing, rest) for j in free]
+    small = intlinalg.preimage_basis(mult_rows, others, len(rest))
     lifted = [{j: y for j, y in zip(free, x) if y} for x in small]
     return intlinalg.lattice_basis(list(units.values()) + lifted, len(monomials))
 

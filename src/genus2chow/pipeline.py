@@ -1124,8 +1124,9 @@ class Pipeline:
                  "Agreement of the Groebner and Smith-form engines",
                  ("adelta1", "thm:45", "thm:main", "bielliptic-ring"),
                  check_oracle_agreement,
-                 "normal form vanishing == Smith-form membership, all rings,"
-                 f" degrees <= {_ORACLE_DEGREE}"),
+                 "normal form vanishing == Smith-form membership, and each Hermite"
+                 " pivot of I_d == the gcd of the Groebner leads dividing its monomial,"
+                 f" all rings, degrees <= {_ORACLE_DEGREE}"),
     )
 
     @classmethod
