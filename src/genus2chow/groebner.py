@@ -16,9 +16,17 @@ reaching it raises.  Completion and the Smith-form oracle in ``graded`` both
 eliminate through ``intlinalg._hermite``, so the oracle is a cross-check, not
 an independent engine.  The polynomial reducer ``_reduce`` certifies each
 completed basis G of an ideal I twice: closure (every s- and gcd-combination
-reduces to zero) and I ⊆ (G) (every generator reduces to zero).  Nothing
-certifies (G) ⊆ I yet: that each kept element lies in I rests on the
+reduces to zero) and I ⊆ (G) (every generator reduces to zero).  Closure is
+certified once per pair against the final leads: the pairs whose lcm lies
+above the closing degree by completion's stopping test, the others after it.
+Nothing certifies (G) ⊆ I yet: that each kept element lies in I rests on the
 elimination alone.
+
+Each basis keeps a table of reduction rows: for every monomial it has
+reduced, the first lead dividing it, with that lead's tail shifted onto the
+monomial, or None when no lead divides it.  The table holds at most one entry
+per distinct monomial reduced, lives and dies with its basis, and never
+changes a normal form: a row depends on the monomial and the leads alone.
 
 A ``RingSpec`` (a ring and its generators) is the one holder of a
 completed basis: it completes its ideal once, on first use, and every
@@ -31,7 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -96,7 +104,7 @@ def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
 class StrongGroebnerBasis:
     """A completed, interreduced strong basis with unique normal forms."""
 
-    __slots__ = ("ring", "elements", "_leads")
+    __slots__ = ("ring", "elements", "_leads", "_rows")
 
     def __init__(self, ring: Ring, elements: Sequence[IntPolynomial]):
         self.ring = ring
@@ -104,6 +112,7 @@ class StrongGroebnerBasis:
         for g in self.elements:
             g.weighted_degree()  # raises InhomogeneousError; _reduce needs homogeneous leads
         self._leads = _lead_table(self.elements)
+        self._rows: dict = {}
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.elements)
@@ -113,33 +122,53 @@ class StrongGroebnerBasis:
         """The unique fully reduced remainder of p; zero iff p is in the ideal."""
         if p.ring != self.ring:
             raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
-        return _reduce(p, self._leads)
+        return _reduce(p, self._leads, self._rows)
 
     def contains(self, p: IntPolynomial) -> bool:
         return not self.normal_form(p)
 
     def verify_complete(self) -> None:
         """Check closure: every s- and gcd-combination reduces to zero."""
-        pair = _unclosed_pair(self.elements, self._leads)
+        pair = _unclosed_pair(self.elements, self._leads, self._rows)
         if pair:
             raise AssertionError(f"basis not closed: pair ({pair[0]}, {pair[1]})")
 
 
-def _unclosed_pair(elements: Sequence[IntPolynomial], leads, above: int = -1):
+def _unclosed_pair(
+    elements: Sequence[IntPolynomial], leads, rows: dict, above: int = -1, upto: float = inf
+):
     """The first pair of elements, with the lcm of their leading monomials
-    of degree above ``above``, that has a critical combination the leads do
-    not reduce to zero; None when every such pair closes."""
+    of degree above ``above`` and at most ``upto``, that has a critical
+    combination the leads do not reduce to zero; None when every such pair
+    closes.  ``rows`` is the reduction-row table of ``leads``."""
     for i, f in enumerate(elements):
         fe, degree = f.leading_term()[0], f.ring.monomial_degree
         for g in elements[i + 1:]:
-            if degree(tuple(map(max, fe, g.leading_term()[0]))) > above and any(
-                _reduce(comb, leads) for comb in _critical_combinations(f, g)
+            if above < degree(tuple(map(max, fe, g.leading_term()[0]))) <= upto and any(
+                _reduce(comb, leads, rows) for comb in _critical_combinations(f, g)
             ):
                 return f, g
     return None
 
 
-def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
+def _reduction_row(mono: tuple, neg_degree: int, leads):
+    """How ``_reduce`` reduces a term on mono: None when no lead divides
+    mono, else the coefficient of the first lead that does and that lead's
+    tail shifted onto mono, as (exps, heap key, coeff) triples."""
+    for lexps, lcoeff, tail in leads:
+        if all(map(le, lexps, mono)):
+            break
+    else:
+        return None
+    shift = tuple(map(sub, mono, lexps))
+    shifted = []
+    for gexps, gcoeff in tail:
+        tgt = tuple(map(add, shift, gexps))
+        shifted.append((tgt, (neg_degree, tgt[::-1]), gcoeff))
+    return lcoeff, shifted
+
+
+def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
     """Fully reduce p, from its greatest term down, by the leads.
 
     The leads must come from ``_lead_table``: each term is reduced by the
@@ -149,7 +178,13 @@ def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
     the term modulo the lead coefficient and subtracts the quotient times the
     shifted tail.  The leads are homogeneous, so every term a step adds has
     the degree of the term it reduces; the heap key (negated degree,
-    reversed exponents) is the negated grevlex key."""
+    reversed exponents) is the negated grevlex key.
+
+    ``rows`` is the table of reduction rows of ``leads``, filled as new
+    monomials are met: at most one entry per distinct monomial reduced.  A
+    row depends on the monomial and the leads alone, so the table never
+    changes a normal form; it must never be shared between two lead
+    tables."""
     ring = p.ring
     work = p.term_map()
     heap = [(-ring.monomial_degree(m), m[::-1]) for m in work]
@@ -161,23 +196,23 @@ def _reduce(p: IntPolynomial, leads) -> IntPolynomial:
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
-        for lexps, lcoeff, tail in leads:
-            if all(map(le, lexps, mono)):
-                break
+        if mono in rows:
+            row = rows[mono]
         else:
+            row = rows[mono] = _reduction_row(mono, neg_degree, leads)
+        if row is None:
             out[mono] = coeff
             continue
+        lcoeff, shifted = row
         q, r = divmod(coeff, lcoeff)
         if r:
             out[mono] = r
         if q:
-            shift = tuple(map(sub, mono, lexps))
-            for gexps, gcoeff in tail:
-                tgt = tuple(map(add, shift, gexps))
+            for tgt, key, gcoeff in shifted:
                 v = work.get(tgt, 0) - q * gcoeff
                 if v:
                     if tgt not in work:
-                        heapq.heappush(heap, (neg_degree, tgt[::-1]))
+                        heapq.heappush(heap, key)
                     work[tgt] = v
                 else:
                     del work[tgt]
@@ -223,9 +258,12 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     reduce every element of I of degree <= d to zero, so only pairs whose
     lcm lies above d can fail to close.  The loop stops at the first d, no
     lower than the largest generator degree, at which those pairs close.
-    The result is certified by the closure of every pair and by every
-    generator reducing to zero.  Passing ``_MAX_COLUMNS`` columns, summed
-    over the degrees processed, raises RuntimeError.
+    Those pairs have then reduced to zero against the very lead table the
+    result gets (no two kept leads tie in its order), so the certificate reduces the other pairs, whose lcm lies
+    at or below d, through the result's own table of reduction rows: every
+    pair closes once against the final leads, and every generator reduces
+    to zero.  Passing ``_MAX_COLUMNS`` columns, summed over the degrees
+    processed, raises RuntimeError.
     """
     ring = ideal.ring
     zero = (0,) * ring.nvars
@@ -260,11 +298,13 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
                 leads.append((mu, coeff))
                 kept.append(IntPolynomial(ring, terms, _trusted=True))
         hermite.append(basis)
-        if d >= top and not _unclosed_pair(kept, _lead_table(kept), above=d):
+        if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
             break
     kept.sort(key=lambda g: ring.monomial_key(g.leading_term()[0]))
     result = StrongGroebnerBasis(ring, kept)
-    result.verify_complete()
+    pair = _unclosed_pair(result.elements, result._leads, result._rows, upto=d)
+    if pair:
+        raise AssertionError(f"completed basis not closed: pair ({pair[0]}, {pair[1]})")
     for g in ideal.generators:
         if result.normal_form(g):
             raise AssertionError("completed basis does not contain a generator")

@@ -104,3 +104,29 @@ class TestProcessLevel:
             timeout=60,
         )
         assert proc.returncode == 0
+
+    def test_full_report_is_independent_of_hash_seed(self):
+        # A basis keeps its reduction rows in a dict keyed by exponent
+        # tuples; no verdict or witness may depend on how they hash.
+        import subprocess
+        import sys
+
+        reports = []
+        for seed in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "genus2chow", "verify", "--all",
+                 "--max-degree", "12", "--format", "json"],
+                capture_output=True,
+                text=True,
+                env=child_env(PYTHONHASHSEED=seed),
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            data = json.loads(proc.stdout)
+            assert data["overall"] == "pass"
+            reports.append((
+                data["overall"],
+                [(c["id"], c["status"], c["witness_digest"]) for c in data["checks"]],
+            ))
+        assert len(reports[0][1]) == 21
+        assert reports[1:] == reports[:1] * 2

@@ -338,6 +338,136 @@ class TestReferenceReducer:
             assert basis.normal_form(p) == reference_reduce(p, basis.elements)
 
 
+def _monomials(ring, degrees):
+    return [ring.polynomial({exps: 1}) for d in degrees for exps in ring.monomials_of_degree(d)]
+
+
+class TestReductionRows:
+    """The table of reduction rows a basis keeps changes no normal form."""
+
+    @staticmethod
+    def assert_rows_change_nothing(basis, probes):
+        warm_up = _monomials(basis.ring, range(9))
+        for mono in warm_up:
+            basis.normal_form(mono)
+        # One entry per distinct monomial reduced; reduction keeps degrees.
+        assert len(basis._rows) <= len(warm_up)
+        assert {basis.ring.monomial_degree(m) for m in basis._rows} <= set(range(9))
+        fresh = gb.StrongGroebnerBasis(basis.ring, basis.elements)
+        for p in warm_up + probes:
+            nf = basis.normal_form(p)
+            assert nf == fresh.normal_form(p)
+            assert nf == reference_reduce(p, basis.elements)
+            assert nf == gb._reduce(p, basis._leads, {})
+
+    def test_pipeline_presentations(self, pipeline):
+        rng = random.Random(41)
+        for spec in pipeline.presentations.values():
+            basis = gb.StrongGroebnerBasis(spec.ring, spec.groebner.elements)
+            probes = [
+                random_homogeneous(spec.ring, rng.randint(0, 10), rng, max_terms=8, coeff_bound=50)
+                for _ in range(25)
+            ]
+            self.assert_rows_change_nothing(basis, probes)
+
+    def test_uncompleted_random_generators(self):
+        # As in TestReferenceReducer.test_random_ideals, the generators serve
+        # as the basis uncompleted; some sets get a degree-0 constant.
+        ring = Ring(("x", 1), ("y", 1), ("z", 2))
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(30):
+            gens = [
+                random_homogeneous(ring, rng.randint(1, 3), rng, coeff_bound=20)
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.3:
+                gens.append(ring.const(rng.choice((-6, -4, 3, 10))))
+            basis = gb.StrongGroebnerBasis(ring, [g for g in gens if g])
+            for exps, coeff in (g.leading_term() for g in basis.elements):
+                if coeff < 0:
+                    seen.add("negative")
+                if abs(coeff) > 1:
+                    seen.add("non-unit")
+                if not any(exps):
+                    seen.add("constant")
+            probes = [
+                random_homogeneous(ring, rng.randint(0, 8), rng, max_terms=6, coeff_bound=500)
+                for _ in range(5)
+            ]
+            self.assert_rows_change_nothing(basis, probes)
+        assert seen == {"negative", "non-unit", "constant"}
+
+    def test_bases_share_no_table(self, bg_ring):
+        a = gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("2*gamma"),))
+        b = gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("gamma^2 + beta1*gamma"),))
+        p = bg_ring.parse("3*gamma^3 + 5*beta1*gamma^2 - beta2*gamma")
+        a.normal_form(p)
+        assert a._rows and not b._rows
+        b.normal_form(p)
+        assert a._rows is not b._rows and a._rows != b._rows
+
+    def test_reducing_twice_does_not_grow_the_table(self, pipeline):
+        basis = pipeline.presentations["total"].groebner
+        rng = random.Random(47)
+        p = random_homogeneous(basis.ring, 7, rng, max_terms=8, coeff_bound=50)
+        first = basis.normal_form(p)
+        size = len(basis._rows)
+        assert basis.normal_form(p) == first
+        assert len(basis._rows) == size
+
+
+class TestClosureCertificate:
+    """Completion stops at the first degree d above which every pair closes;
+    the certificate then reduces the pairs at or below d, so a fault in any
+    pair's combination is caught."""
+
+    @staticmethod
+    def closing_degree(ideal, monkeypatch):
+        closed = []
+        unclosed_pair = gb._unclosed_pair
+
+        def recording(*args, **kwargs):
+            pair = unclosed_pair(*args, **kwargs)
+            if pair is None and "above" in kwargs:
+                closed.append(kwargs["above"])
+            return pair
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gb, "_unclosed_pair", recording)
+            strong_groebner(ideal)
+        return closed[0]
+
+    @staticmethod
+    def inject(monkeypatch, ring, faulty_degree):
+        # A constant 1 is no member of a proper homogeneous ideal, and no
+        # reduction step of a higher degree touches it.
+        critical_combinations = gb._critical_combinations
+
+        def with_fault(f, g):
+            lcm_exps = tuple(map(max, f.leading_term()[0], g.leading_term()[0]))
+            for comb in critical_combinations(f, g):
+                yield comb + 1 if faulty_degree(ring.monomial_degree(lcm_exps)) else comb
+
+        monkeypatch.setattr(gb, "_critical_combinations", with_fault)
+
+    def test_fault_at_or_below_the_closing_degree_raises(self, pipeline, monkeypatch):
+        ideal = pipeline.presentations["total"].relations
+        d = self.closing_degree(ideal, monkeypatch)
+        self.inject(monkeypatch, ideal.ring, lambda degree: degree <= d)
+        with pytest.raises(AssertionError, match="completed basis not closed"):
+            strong_groebner(ideal)
+
+    def test_fault_above_the_closing_degree_raises(self, pipeline, monkeypatch):
+        ideal = pipeline.presentations["total"].relations
+        d = self.closing_degree(ideal, monkeypatch)
+        # The loop goes on past d until no pair lies above it, and the
+        # certificate then meets the faults.
+        self.inject(monkeypatch, ideal.ring, lambda degree: degree > d)
+        with pytest.raises(AssertionError, match="completed basis not closed"):
+            strong_groebner(ideal)
+
+
 class TestRingSpec:
     def test_build_and_normal_form(self):
         spec = RingSpec.build(
