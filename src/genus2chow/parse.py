@@ -2,9 +2,12 @@
 
 The grammar accepts integer coefficients, named variables, ``+ - * ^`` and
 parentheses, ignores ASCII whitespace and rejects every non-ASCII character
-(digits and spaces included).  Rendering produces the canonical
-form used throughout reports: terms in descending monomial order, explicit
-``*`` between factors, ``^`` for powers.
+(digits and spaces included).  A text is read in one pass over its token
+strings: one search for a character outside the grammar, which is reported
+first, then one ``findall`` for the tokens.  Positions are not kept; an error
+finds its token's position by scanning the text again.  Rendering produces
+the canonical form used throughout reports: terms in descending monomial
+order, explicit ``*`` between factors, ``^`` for powers.
 """
 
 from __future__ import annotations
@@ -22,90 +25,90 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<space>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()])|(?P<bad>.)",
-    re.ASCII | re.DOTALL,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "space":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+# Any character outside the grammar; it is reported before any syntax error.
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_+\-*^()]", re.ASCII)
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\S", re.ASCII)
 
 
 class _Parser:
-    """Recursive descent over the tokens; every rule returns a term map.  Only
-    operator tokens carry the values that the rules compare with."""
+    """Recursive descent over the token strings, which end in "".  A term keeps
+    one coefficient and one exponent vector while its factors are monomials;
+    only a parenthesized factor brings in term maps."""
 
     def __init__(self, ring: Ring, text: str):
-        self.ring = ring
-        self.unit = (0,) * ring.nvars
-        self.tokens = _tokenize(text)[::-1]  # the next token last
-        self.advance = self.tokens.pop
+        bad = _BAD_RE.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+        self.ring, self.text = ring, text
+        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.at = 0
 
-    def peek(self):
-        return self.tokens[-1]
+    def fail(self, message: str, at: int):
+        """Raise at the ``at``-th token, found by scanning the text again."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        raise ParseError(message, starts[at])
 
     def parse(self) -> IntPolynomial:
         terms = self.expression()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
+        if self.tokens[self.at]:
+            self.fail(f"unexpected {self.tokens[self.at]!r}", self.at)
         return IntPolynomial(self.ring, terms, _trusted=True)
 
     def expression(self) -> dict:
-        terms, op = {}, "+"
-        if self.peek()[1] in ("+", "-"):  # a leading sign
-            op = self.advance()[1]
+        tokens, terms = self.tokens, {}
+        op = tokens[self.at]
+        if op == "+" or op == "-":  # a leading sign
+            self.at += 1
         while True:
-            terms = add_terms(terms, self.term(), -1 if op == "-" else 1)
-            if self.peek()[1] not in ("+", "-"):
+            sign = -1 if op == "-" else 1
+            coeff, exps, factors = self.term()
+            if coeff:
+                term = {exps: coeff}
+                add_terms(terms, term if factors is None else mul_terms(factors, term), sign)
+            op = tokens[self.at]
+            if op != "+" and op != "-":
                 return terms
-            op = self.advance()[1]
+            self.at += 1
 
-    def term(self) -> dict:
-        terms = self.factor()
-        while self.peek()[1] == "*":
-            self.advance()
-            terms = mul_terms(terms, self.factor())
-        return terms
-
-    def factor(self) -> dict:
-        base = self.primary()
-        if self.peek()[1] != "^":
-            return base
-        self.advance()
-        kind, value, pos = self.advance()
-        if kind != "int":
-            raise ParseError("expected integer exponent", pos)
-        return pow_terms(base, int(value), self.ring.nvars)
-
-    def primary(self) -> dict:
-        kind, value, pos = self.advance()
-        if kind == "int":
-            n = int(value)
-            return {self.unit: n} if n else {}
-        if kind == "name":
-            if value not in self.ring:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            i = self.ring.index(value)
-            return {self.unit[:i] + (1,) + self.unit[i + 1 :]: 1}
-        if value == "(":
-            terms = self.expression()
-            _, value, pos = self.advance()
-            if value != ")":
-                raise ParseError("expected ')'", pos)
-            return terms
-        if value == "-":
-            return {e: -c for e, c in self.primary().items()}
-        raise ParseError(f"expected a coefficient, variable or '('", pos)
+    def term(self) -> tuple:
+        """(coefficient, exponents, term map of the parenthesized factors or None)."""
+        tokens, index, at = self.tokens, self.ring._index, self.at  # index: name -> position
+        coeff, exps, factors = 1, [0] * len(index), None
+        while True:  # at each factor, ``at`` moves to its last token
+            negated = False  # unary minus binds to the primary, before '^'
+            while tokens[at] == "-":
+                negated, at = not negated, at + 1
+            token = tokens[at]
+            if token == "(":
+                self.at = at + 1
+                inner = self.expression()
+                at = self.at
+                if tokens[at] != ")":
+                    self.fail("expected ')'", at)
+            elif not (token.isdigit() or token in index):
+                if token.isidentifier():
+                    self.fail(f"unknown variable {token!r}", at)
+                self.fail("expected a coefficient, variable or '('", at)
+            n = 1
+            if tokens[at + 1] == "^":
+                if not tokens[at + 2].isdigit():
+                    self.fail("expected integer exponent", at + 2)
+                n = int(tokens[at + 2])
+                at += 2
+            if negated and n & 1:
+                coeff = -coeff
+            if token in index:
+                exps[index[token]] += n
+            elif token != "(":
+                coeff *= int(token) ** n
+            elif factors is None:
+                factors = pow_terms(inner, n, len(index))
+            else:
+                factors = mul_terms(factors, pow_terms(inner, n, len(index)))
+            if tokens[at + 1] != "*":
+                self.at = at + 1
+                return coeff, tuple(exps), factors
+            at += 2
 
 
 def parse_polynomial(ring: Ring, text: str) -> IntPolynomial:

@@ -139,11 +139,11 @@ def expression_texts(draw):
     return "".join(draw(space) + token for token in tokens) + draw(space)
 
 
-def _outcome(parse, text):
+def _outcome(parse, text, ring=_RING):
     try:
-        return parse(_RING, text)
+        return parse(ring, text)
     except ParseError as err:
-        return ("ParseError", err.position)
+        return ("ParseError", str(err), err.position)
 
 
 class TestAgainstReference:
@@ -161,6 +161,7 @@ class TestAgainstReference:
         st.booleans(),
     )
     def test_same_error_position(self, text, data, char, replace):
+        """A corrupted text fails with the reference's message at its position."""
         at = data.draw(st.integers(0, len(text) - replace))
         corrupted = text[:at] + char + text[at + replace :]
         assert _outcome(parse_polynomial, corrupted) == _outcome(reference_parse, corrupted)
@@ -173,3 +174,44 @@ def test_round_trip_on_pipeline_rings(pipeline):
             for _ in range(3):
                 p = random_homogeneous(spec.ring, degree, rng, max_terms=6)
                 assert parse_polynomial(spec.ring, render_polynomial(p)) == p, (name, degree)
+
+
+def _membership_text(ring, rng) -> str:
+    """A sum of up to 30 signed monomials with coefficients up to 10**30, with
+    spaces around every + and -, like the texts of membership queries."""
+    pieces = []
+    for _ in range(rng.randint(1, 30)):
+        factors = [str(rng.randint(1, 10**30))]
+        for name in ring.names:
+            e = rng.choice((0, 0, 1, 2, 3))
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        pieces.append(f"{rng.choice('+-')} {'*'.join(factors)}")
+    return " ".join(pieces).lstrip("+ ")
+
+
+def _near_end_errors(ring, text: str, rng) -> dict:
+    """One text per error kind, each with the error placed in the last term."""
+    sign = max(text.rfind(" + "), text.rfind(" - "))
+    last = sign + 3 if sign >= 0 else 0  # where the last term's monomial starts
+    at = rng.randint(last, len(text))
+    return {
+        "unexpected character": text[:at] + "@" + text[at:],
+        "unknown variable": text + "*nosuch",
+        "expected ')'": text[:last] + "(" + text[last:],
+        "expected integer exponent": text[:last] + f"{ring.names[-1]}^ * " + text[last:],
+        "unexpected 'y0'": text + " y0",
+    }
+
+
+def test_membership_shaped_texts_on_pipeline_rings(pipeline):
+    rng = random.Random(7)
+    for name, spec in pipeline.presentations.items():
+        ring = spec.ring
+        for _ in range(12):
+            text = _membership_text(ring, rng)
+            assert parse_polynomial(ring, text) == reference_parse(ring, text), (name, text)
+            for kind, bad in _near_end_errors(ring, text, rng).items():
+                outcome = _outcome(parse_polynomial, bad, ring)
+                assert outcome == _outcome(reference_parse, bad, ring), (name, bad)
+                assert outcome[0] == "ParseError" and kind in outcome[1], (name, bad)
