@@ -1,31 +1,34 @@
 """Graded pieces of quotient rings as finitely generated abelian groups.
 
 A degree-d piece of ZZ[x1..xk]/I is presented by the relation lattice I_d
-inside the free module on the degree-d monomials.  ``relation_lattice``
-gives its Hermite basis, built degree by degree as Lazard's Macaulay route
-does: the rows of degree d are the degree-d generators and x_v times the
-basis of I_{d - w_v}, and each degree is eliminated once per presentation,
-which keeps the bases.  Each row of that basis with pivot 1 clears its
-own column from any vector (``_clear``) and splits off as a trivial
-summand, so a graded piece is presented on the other columns: the certified
-Smith form of the other rows there gives the free rank, the torsion
-invariants and the coordinates of a cleared vector.  The kernel of
-multiplication by m in degree d is a lattice too: the preimage, under the
-rows of multiplication by m, of the relation lattice one degree up,
-returned as a Hermite basis.  The same clearing takes the multiplication
-rows to the other columns one degree up, where the preimage is solved and
-then lifted.  Two lattices are equal exactly when their Hermite bases are,
-so which classes generate a kernel is for the caller to compare.
-Enumeration reads a kernel's cosets off a Hermite basis; the Smith form
-serves ``graded_piece`` only.  The Groebner engine completes its bases by
-the same elimination, ``intlinalg._hermite``, on degree-by-degree lattices
-of its own: ``groebner.strong_groebner`` keeps its own loop and does not
-read these bases.  So ``oracle-agreement`` still compares two separately
-written constructions of I_d, monomial by monomial: vanishing in the graded
-piece against the normal form from the polynomial reducer, and the Hermite
-pivot against c_mu, the gcd of the lead coefficients of the Groebner basis
-elements whose leading monomial divides the monomial.  It cross-checks the
-Groebner engine but is not independent of it.  What ``groebner``
+inside the free module on the degree-d monomials.  Its Hermite basis comes
+from ``Ideal.lattice`` in ``groebner``, which eliminates each degree once
+per ideal and keeps the bases; Groebner completion reads the same bases.
+Each row of that basis with pivot 1 clears its own column from any vector
+(``_clear``) and splits off as a trivial summand, so a graded piece is
+presented on the other columns: the certified Smith form of the other rows
+there gives the free rank, the torsion invariants and the coordinates of a
+cleared vector.  The kernel of multiplication by m in degree d is a lattice
+too: the preimage, under the rows of multiplication by m, of the relation
+lattice one degree up, returned as a Hermite basis.  The same clearing takes
+the multiplication rows to the other columns one degree up, where the
+preimage is solved and then lifted.  Two lattices are equal exactly when
+their Hermite bases are, so which classes generate a kernel is for the
+caller to compare.  Enumeration reads a kernel's cosets off a Hermite basis;
+the Smith form serves ``graded_piece`` only.
+
+``oracle-agreement`` compares the Groebner engine with the one lattice,
+monomial by monomial: vanishing in the graded piece against the normal form
+from the polynomial reducer, and the Hermite pivot against c_mu, the gcd of
+the lead coefficients of the Groebner basis elements whose leading monomial
+divides the monomial.  So it cross-checks the reducer and completion's keep
+rule against the lattice.  A kept lattice that has lost relations is still
+caught: completion's certificate (closure, and every generator reducing to
+zero through ``_reduce``) never reads the lattices, so either it fails or the
+basis generates I, and then the pivot comparison sees the lost relations in
+the oracle's degrees.  A kept lattice that has gained relations outside I
+at or below completion's closing degree is read by both sides alike, so the
+oracle cannot see it: nothing certifies (G) ⊆ I yet.  What ``groebner``
 certifies, and what it does not, its module docstring says.
 """
 
@@ -46,57 +49,8 @@ class InfiniteKernelError(ValueError):
     """Enumeration was requested for a kernel with positive free rank."""
 
 
-def _monomial_index(monomials: Sequence[tuple]) -> dict[tuple, int]:
-    return {m: i for i, m in enumerate(monomials)}
-
-
 def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) -> IntPolynomial:
     return IntPolynomial(ring, {m: c for m, c in zip(monomials, vec) if c})
-
-
-def relation_lattice(spec: RingSpec, d: int) -> intlinalg.Matrix:
-    """The Hermite basis, as ``lattice_basis`` gives it, of the degree-d
-    relation lattice I_d over ``ring.monomials_of_degree(d)``.
-
-    I_d is spanned by the degree-d generators and, for each variable x_v of
-    weight w_v, by x_v times the basis of I_{d - w_v}, so each degree is
-    eliminated from the bases below it.  The bases are kept on the
-    presentation, in its ``relation_lattices`` list indexed by degree, so
-    each degree of a presentation is eliminated once."""
-    if d < 0:
-        return []
-    ring = spec.ring
-    zero = (0,) * ring.nvars
-    kept = vars(spec).setdefault("relation_lattices", [])
-    while len(kept) <= d:
-        e = len(kept)
-        monomials = ring.monomials_of_degree(e)
-        index = _monomial_index(monomials)
-        rows = [
-            shifted_row(index, g.term_map(), zero)
-            for g in spec.relations.generators
-            if g and g.weighted_degree() == e
-        ]
-        for v, w in enumerate(ring.weights):
-            if w <= e:
-                columns = [
-                    index[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
-                    for exps in ring.monomials_of_degree(e - w)
-                ]
-                rows.extend(
-                    {columns[j]: x for j, x in enumerate(row) if x} for row in kept[e - w]
-                )
-        kept.append(intlinalg.lattice_basis(rows, len(monomials)))
-    return kept[d]
-
-
-def _pivots(basis: intlinalg.Matrix):
-    """(pivot column, row) for each row of a Hermite basis."""
-    c = 0
-    for row in basis:
-        while not row[c]:  # pivot columns strictly increase
-            c += 1
-        yield c, row
 
 
 def _split_at_unit_pivots(
@@ -106,9 +60,9 @@ def _split_at_unit_pivots(
     column; its other rows, on the other columns; and those columns.  The
     basis is reduced, so the column of a unit pivot is 0 in every other
     row."""
-    units = {c: row for c, row in _pivots(basis) if row[c] == 1}
+    units = {c: row for c, row in intlinalg.pivots(basis) if row[c] == 1}
     rest = [j for j in range(n) if j not in units]
-    others = [[row[j] for j in rest] for c, row in _pivots(basis) if row[c] != 1]
+    others = [[row[j] for j in rest] for c, row in intlinalg.pivots(basis) if row[c] != 1]
     return units, others, rest
 
 
@@ -170,7 +124,7 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     if d < 0:
         raise ValueError("degree must be >= 0")
     monomials = spec.ring.monomials_of_degree(d)
-    units, block, rest = _split_at_unit_pivots(relation_lattice(spec, d), len(monomials))
+    units, block, rest = _split_at_unit_pivots(spec.relations.lattice(d), len(monomials))
     snf = intlinalg.smith_normal_form(block, ncols=len(rest))
     snf.verify(block)
     diagonal = snf.diagonal + [0] * (len(rest) - len(snf.diagonal))
@@ -194,7 +148,7 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
     gcd of the lead coefficients of the basis elements whose leading
     monomial divides mu (0 if no leading monomial does)."""
     piece = graded_piece(spec, d)
-    pivots = {c: row[c] for c, row in _pivots(relation_lattice(spec, d))}
+    pivots = {c: row[c] for c, row in intlinalg.pivots(spec.relations.lattice(d))}
     leads = [g.leading_term() for g in spec.groebner.elements if g.weighted_degree() <= d]
     for j, exps in enumerate(piece.monomial_basis):
         c_mu = math.gcd(*(k for e, k in leads if all(map(le, e, exps))))
@@ -220,9 +174,9 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
     target = d + (m.weighted_degree() or 0)
-    index = _monomial_index(ring.monomials_of_degree(target))
-    units, _, free = _split_at_unit_pivots(relation_lattice(spec, d), len(monomials))
-    clearing, others, rest = _split_at_unit_pivots(relation_lattice(spec, target), len(index))
+    index = {exps: i for i, exps in enumerate(ring.monomials_of_degree(target))}
+    units, _, free = _split_at_unit_pivots(spec.relations.lattice(d), len(monomials))
+    clearing, others, rest = _split_at_unit_pivots(spec.relations.lattice(target), len(index))
     terms = m.term_map()
     mult_rows = [_clear(shifted_row(index, terms, monomials[j]), clearing, rest) for j in free]
     small = intlinalg.preimage_basis(mult_rows, others, len(rest))
@@ -255,7 +209,7 @@ def enumerate_kernel_elements(
     kernel_basis = _kernel_lattice(spec, m, d)
     rank = len(kernel_basis)
     coords = [
-        intlinalg.lattice_coordinates(kernel_basis, row) for row in relation_lattice(spec, d)
+        intlinalg.lattice_coordinates(kernel_basis, row) for row in spec.relations.lattice(d)
     ]
     if None in coords:
         raise AssertionError("relation lattice is not contained in the kernel")

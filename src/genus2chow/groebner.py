@@ -7,20 +7,22 @@ monomial and coefficient alike, by the leading term of some basis element.
 Normal forms reduce every coefficient to its smallest nonnegative residue,
 which makes them unique and path-independent.
 
-Completion takes Lazard's Macaulay-matrix route over ZZ: the ideals are
-homogeneous, so the basis in each degree is read off the Hermite basis of
-that degree's relation lattice, one degree at a time, until the critical
+The ideals are homogeneous, so an ideal's degree-d relation lattice I_d is
+spanned by its degree-d generators and x_v times I_{d - w_v}, as in Lazard's
+Macaulay-matrix route.  ``Ideal.lattice`` eliminates each degree once, from
+the Hermite bases of the degrees below, and keeps the bases on the ideal:
+the one construction of I_d in the package, read by completion here and by
+every graded piece, kernel and oracle comparison in ``graded``.  Completion
+walks the pivots of those bases, one degree at a time, until the critical
 pairs (s- and gcd-combinations) close.  One cap on the monomial columns
 processed, summed over degrees, bounds the run in size and so in time, and
-reaching it raises.  Completion and the Smith-form oracle in ``graded`` both
-eliminate through ``intlinalg._hermite``, so the oracle is a cross-check, not
-an independent engine.  The polynomial reducer ``_reduce`` certifies each
-completed basis G of an ideal I twice: closure (every s- and gcd-combination
-reduces to zero) and I ⊆ (G) (every generator reduces to zero).  Closure is
-certified once per pair against the final leads: the pairs whose lcm lies
-above the closing degree by completion's stopping test, the others after it.
-Nothing certifies (G) ⊆ I yet: that each kept element lies in I rests on the
-elimination alone.
+reaching it raises.  The polynomial reducer ``_reduce`` certifies each
+completed basis G of an ideal I twice, without reading the lattices: closure
+(every s- and gcd-combination reduces to zero) and I ⊆ (G) (every generator
+reduces to zero).  Closure is certified once per pair against the final
+leads: the pairs whose lcm lies above the closing degree by completion's
+stopping test, the others after it.  Nothing certifies (G) ⊆ I yet: that
+each kept element lies in I rests on the elimination alone.
 
 Each basis keeps a table of reduction rows: for every monomial it has
 reduced, the first lead dividing it, with that lead's tail shifted onto the
@@ -61,7 +63,7 @@ class Ideal:
     coefficient reduction, which is how mod-p quotients are encoded.
     """
 
-    __slots__ = ("ring", "generators")
+    __slots__ = ("ring", "generators", "_lattices")
 
     def __init__(self, ring: Ring, generators: Iterable[IntPolynomial]):
         gens = tuple(generators)
@@ -71,6 +73,7 @@ class Ideal:
             g.weighted_degree()  # raises InhomogeneousError on mixed degrees
         self.ring = ring
         self.generators = gens
+        self._lattices: list[intlinalg.Matrix] = []  # Hermite basis of I_d, by d
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators)
@@ -85,6 +88,40 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.ring, self.generators))
+
+    def lattice(self, d: int) -> intlinalg.Matrix:
+        """The Hermite basis, as ``lattice_basis`` gives it, of the degree-d
+        relation lattice I_d over ``ring.monomials_of_degree(d)``.
+
+        I_d is spanned by the degree-d generators and, for each variable x_v
+        of weight w_v, by x_v times the basis of I_{d - w_v}, so each degree
+        is eliminated from the bases below it.  The ideal keeps the bases,
+        so each of its degrees is eliminated once."""
+        if d < 0:
+            return []
+        ring = self.ring
+        zero = (0,) * ring.nvars
+        kept = self._lattices
+        while len(kept) <= d:
+            e = len(kept)
+            monomials = ring.monomials_of_degree(e)
+            index = {m: i for i, m in enumerate(monomials)}
+            rows = [
+                shifted_row(index, g.term_map(), zero)
+                for g in self.generators
+                if g and g.weighted_degree() == e
+            ]
+            for v, w in enumerate(ring.weights):
+                if w <= e:
+                    columns = [
+                        index[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
+                        for exps in ring.monomials_of_degree(e - w)
+                    ]
+                    rows.extend(
+                        {columns[j]: x for j, x in enumerate(row) if x} for row in kept[e - w]
+                    )
+            kept.append(intlinalg.lattice_basis(rows, len(monomials)))
+        return kept[d]
 
 
 def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
@@ -241,7 +278,9 @@ def _critical_combinations(f: IntPolynomial, g: IntPolynomial):
     yield combination(c // fc, -(c // gc))
 
 
-def shifted_row(index: dict[tuple, int], terms: dict[tuple, int], shift: Sequence[int]) -> dict[int, int]:
+def shifted_row(
+    index: dict[tuple, int], terms: dict[tuple, int], shift: Sequence[int]
+) -> dict[int, int]:
     """The sparse row {column: coefficient} of x^shift times a term map,
     with the column of each monomial taken from ``index``."""
     return {index[tuple(map(add, exps, shift))]: c for exps, c in terms.items()}
@@ -250,30 +289,24 @@ def shifted_row(index: dict[tuple, int], terms: dict[tuple, int], shift: Sequenc
 def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     """The reduced strong Groebner basis of a homogeneous ideal.
 
-    In degree d the rows are the degree-d generators and x_v times each row
-    of the Hermite basis of degree d - w_v; they span I_d.  With columns in
-    descending monomial order, a Hermite row led by c*mu is kept unless an
-    earlier kept lead divides mu with a coefficient that divides c; its tail
-    is already reduced modulo the pivots.  The kept rows of degrees <= d
-    reduce every element of I of degree <= d to zero, so only pairs whose
-    lcm lies above d can fail to close.  The loop stops at the first d, no
-    lower than the largest generator degree, at which those pairs close.
-    Those pairs have then reduced to zero against the very lead table the
-    result gets (no two kept leads tie in its order), so the certificate reduces the other pairs, whose lcm lies
-    at or below d, through the result's own table of reduction rows: every
-    pair closes once against the final leads, and every generator reduces
-    to zero.  Passing ``_MAX_COLUMNS`` columns, summed over the degrees
-    processed, raises RuntimeError.
+    Degree by degree, it walks the pivots of the Hermite basis of I_d
+    (``Ideal.lattice``), whose columns are in descending monomial order: a
+    row led by c*mu is kept unless an earlier kept lead divides mu with a
+    coefficient that divides c; its tail is already reduced modulo the
+    pivots.  The kept rows of degrees <= d reduce every element of I of
+    degree <= d to zero, so only pairs whose lcm lies above d can fail to
+    close.  The loop stops at the first d, no lower than the largest
+    generator degree, at which those pairs close.  Those pairs have then
+    reduced to zero against the very lead table the result gets (no two
+    kept leads tie in its order), so the certificate reduces the other
+    pairs, whose lcm lies at or below d, through the result's own table of
+    reduction rows: every pair closes once against the final leads, and
+    every generator reduces to zero.  Passing ``_MAX_COLUMNS`` columns,
+    summed over the degrees processed, raises RuntimeError before the
+    degree that would pass it is eliminated.
     """
     ring = ideal.ring
-    zero = (0,) * ring.nvars
-    units = [zero[:v] + (1,) + zero[v + 1:] for v in range(ring.nvars)]
-    generators: dict[int, list[dict]] = {}
-    for g in ideal.generators:
-        if g:
-            generators.setdefault(g.weighted_degree(), []).append(g.term_map())
-    top = max(generators, default=0)
-    hermite: list[list[dict]] = []  # term maps of the Hermite basis of I_d
+    top = max((g.weighted_degree() for g in ideal.generators if g), default=0)
     leads: list[tuple] = []
     kept: list[IntPolynomial] = []
     columns = 0
@@ -284,20 +317,12 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
             raise RuntimeError(
                 f"Groebner completion reached the column cap {_MAX_COLUMNS} without closing"
             )
-        index = {m: i for i, m in enumerate(monomials)}
-        rows = [shifted_row(index, t, zero) for t in generators.get(d, ())]
-        for v, w in enumerate(ring.weights):
-            if w <= d:
-                rows.extend(shifted_row(index, t, units[v]) for t in hermite[d - w])
-        basis = []
-        for r, c in intlinalg._hermite(rows, len(monomials)):
-            terms = {monomials[j]: x for j, x in rows[r].items()}
-            basis.append(terms)
-            mu, coeff = monomials[c], rows[r][c]
+        for c, row in intlinalg.pivots(ideal.lattice(d)):
+            mu, coeff = monomials[c], row[c]
             if not any(coeff % k == 0 and all(map(le, e, mu)) for e, k in leads):
                 leads.append((mu, coeff))
+                terms = {m: x for m, x in zip(monomials, row) if x}
                 kept.append(IntPolynomial(ring, terms, _trusted=True))
-        hermite.append(basis)
         if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
             break
     kept.sort(key=lambda g: ring.monomial_key(g.leading_term()[0]))

@@ -13,12 +13,12 @@ and return dense rows.  Hermite bases (``lattice_basis``) and preimages
 ``hermite_normal_form``, which nothing in the package calls, builds its
 unimodular U, in rows of its own that take the same row operations.
 Coordinates against a Hermite basis (``lattice_coordinates``) come from one
-pass over its pivots.  The one elimination, ``_hermite``, serves Hermite
-bases, preimages, Groebner completion and Smith forms: ``graded`` builds
-each degree's relation lattice through it from x_v times the Hermite basis
-of the degree below, and solves multiplication kernels on the columns
-without a unit pivot; ``groebner`` completes its strong bases on it, one
-degree at a time, on sparse rows it builds itself; and
+pass over its pivots, and ``pivots`` is the one walk over them.  The one
+elimination, ``_hermite``, serves Hermite bases, preimages and Smith forms:
+``groebner.Ideal.lattice`` builds each degree's relation lattice through
+``lattice_basis`` from x_v times the Hermite basis of the degree below, and
+Groebner completion and ``graded`` read those bases; ``graded`` solves
+multiplication kernels on the columns without a unit pivot; and
 ``smith_normal_form`` alternates it on the rows and the columns, as Kannan
 and Bachem do, so every step reduces entries modulo a pivot.
 """
@@ -202,16 +202,23 @@ def lattice_basis(rows: Sequence[Row], ncols: int) -> Matrix:
     return [_dense(H[r], 0, width) for r, _ in _hermite(H, ncols)]
 
 
+def pivots(basis: Sequence[Sequence[int]]):
+    """(pivot column, row) for each row of a Hermite basis without zero
+    rows, as ``lattice_basis`` gives it."""
+    c = 0
+    for row in basis:
+        while not row[c]:  # pivot columns strictly increase
+            c += 1
+        yield c, row
+
+
 def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
     """The integer row vector x with x @ basis = v, or None if v lies outside
     the lattice.  The basis must be in Hermite form without zero rows, as
     ``lattice_basis`` gives it, so one pass over its pivots solves for x."""
     residual = list(v)
     coeffs = []
-    c = 0
-    for row in basis:
-        while not row[c]:  # pivot columns strictly increase
-            c += 1
+    for c, row in pivots(basis):
         q, rem = divmod(residual[c], row[c])
         if rem:
             return None

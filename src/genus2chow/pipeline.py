@@ -32,7 +32,6 @@ from .graded import (
     graded_piece,
     membership_matches_normal_form,
     multiplication_kernel,
-    relation_lattice,
 )
 from .groebner import RingSpec, ideal_equal
 from .intlinalg import determinant_expansion
@@ -819,7 +818,7 @@ class Pipeline:
         generated = spec.with_relations(k3, k4)
         for d, kernel in enumerate(data["kernels"]):
             _require(
-                kernel == relation_lattice(generated, d),
+                kernel == generated.relations.lattice(d),
                 f"kernel piece in degree {d} should vanish" if d < 3
                 else f"kernel piece in degree {d} is not generated by the two classes",
             )

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genus2chow import intlinalg as la
+from genus2chow import groebner as gb, intlinalg as la
 from genus2chow.graded import (
     InfiniteKernelError,
     _kernel_lattice,
@@ -15,7 +15,6 @@ from genus2chow.graded import (
     membership_matches_normal_form,
     multiplication_kernel,
     polynomial_of,
-    relation_lattice,
 )
 from genus2chow.groebner import RingSpec
 from genus2chow.pipeline import Pipeline
@@ -121,15 +120,15 @@ _PRESENTATIONS = (
 
 
 class TestRelationLattice:
-    """``relation_lattice`` builds I_d from the bases below it; the lattice
-    of every degree-d multiple of every generator is the reference."""
+    """``Ideal.lattice`` builds I_d from the bases below it; the lattice of
+    every degree-d multiple of every generator is the reference."""
 
     @pytest.mark.parametrize("name", _PRESENTATIONS)
     def test_pipeline_presentations(self, pipeline, name):
         spec = pipeline.presentations[name]
         for d in range(13):
             monomials, rows = relation_rows(spec, d)
-            assert relation_lattice(spec, d) == la.lattice_basis(rows, len(monomials)), d
+            assert spec.relations.lattice(d) == la.lattice_basis(rows, len(monomials)), d
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
@@ -138,10 +137,10 @@ class TestRelationLattice:
         spec = _random_spec(rng, constant, zero)
         for d in range(7):
             monomials, rows = relation_rows(spec, d)
-            assert relation_lattice(spec, d) == la.lattice_basis(rows, len(monomials)), d
+            assert spec.relations.lattice(d) == la.lattice_basis(rows, len(monomials)), d
 
     def test_negative_degree_is_empty(self, bg_spec):
-        assert relation_lattice(bg_spec, -1) == []
+        assert bg_spec.relations.lattice(-1) == []
 
     def test_each_degree_is_eliminated_once(self, bg_spec, monkeypatch):
         calls = []
@@ -151,11 +150,32 @@ class TestRelationLattice:
             calls.append(ncols)
             return real(rows, ncols)
 
+        closed = []
+        unclosed_pair = gb._unclosed_pair
+
+        def recording(*args, **kwargs):
+            pair = unclosed_pair(*args, **kwargs)
+            if pair is None and "above" in kwargs:
+                closed.append(kwargs["above"])
+            return pair
+
         monkeypatch.setattr(la, "lattice_basis", counted)
-        relation_lattice(bg_spec, 6)
-        relation_lattice(bg_spec, 4)
+        monkeypatch.setattr(gb, "_unclosed_pair", recording)
+        sizes = [len(bg_spec.ring.monomials_of_degree(d)) for d in range(7)]
+        # Completion eliminates each degree up to its closing degree, and
+        # the graded pieces there read the bases it left on the ideal.
+        bg_spec.groebner
+        closing = closed[0]
+        assert closing < 6
+        assert calls == sizes[: closing + 1]
+        assert len(bg_spec.relations._lattices) == closing + 1
+        for d in range(closing + 1):
+            graded_piece(bg_spec, d)
+        assert calls == sizes[: closing + 1]
+        bg_spec.relations.lattice(6)
+        bg_spec.relations.lattice(4)
         graded_piece(bg_spec, 6)
-        assert calls == [len(bg_spec.ring.monomials_of_degree(d)) for d in range(7)]
+        assert calls == sizes
 
 
 def _linear_spec(n, rows):
@@ -179,7 +199,7 @@ class TestSmithQuotient:
         if dependent and len(rows) >= 2:
             rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[1])]]
         spec, monomials = _linear_spec(n, rows)
-        assert relation_lattice(spec, 1) == la.lattice_basis(rows, n)
+        assert spec.relations.lattice(1) == la.lattice_basis(rows, n)
         piece = graded_piece(spec, 1)
         raw = la.smith_normal_form(rows, ncols=n).diagonal
         raw = raw + [0] * (n - len(raw))
@@ -326,7 +346,7 @@ class TestMemberProbes:
         for d in range(9):
             piece = graded_piece(spec, d)
             monomials = ring.monomials_of_degree(d)
-            basis = relation_lattice(spec, d)
+            basis = spec.relations.lattice(d)
             fitting = [g for g in generators if g.weighted_degree() <= d]
             for offset in (0, 0, 1, -1):
                 probe = ring.zero()
@@ -500,8 +520,8 @@ def _seeded_twist_quotient(sound: Pipeline, d: int, corrupt) -> Pipeline:
     whose kernels are computed from those kept lattices."""
     data = sound.gm_data
     spec = RingSpec(data["spec"].ring, data["spec"].relations.generators)
-    relation_lattice(spec, d - 1)
-    vars(spec)["relation_lattices"].append(corrupt(relation_lattice(data["spec"], d)))
+    spec.relations.lattice(d - 1)
+    spec.relations._lattices.append(corrupt(data["spec"].relations.lattice(d)))
     ring = spec.ring
     m = ring.var("t") - 2 * ring.var("lambda1")
     fresh = Pipeline(max_degree=sound.max_degree)
@@ -525,24 +545,54 @@ def _double_a_unit_pivot(basis):
     return [[2 * x for x in row] if i == first else row for i, row in enumerate(basis)]
 
 
+def _add_a_relation(basis):
+    """The basis with one more relation, outside the ideal: the unit vector
+    of its first column without a pivot."""
+    n = len(basis[0])
+    pivots = {c for c, _ in la.pivots(basis)}
+    free = next(j for j in range(n) if j not in pivots)
+    return la.lattice_basis(basis + [[int(j == free) for j in range(n)]], n)
+
+
 class TestKeptLattices:
     """A presentation keeps the Hermite basis of each degree it has
     eliminated; a wrong kept basis must fail a check, and no basis may be
     kept beyond its pipeline."""
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("corrupt", [_drop_a_unit_row, _double_a_unit_pivot])
-    def test_corrupted_basis_fails_with_a_witness(self, pipeline, corrupt):
-        report = _seeded_twist_quotient(pipeline, 5, corrupt).run()
+    def test_corrupted_basis_fails_with_a_witness(self, pipeline, corrupt, d):
+        report = _seeded_twist_quotient(pipeline, d, corrupt).run()
         failing = {c.id: c.witness for c in report.checks if c.status == "fail"}
         assert set(failing) == {"thm:45", "oracle-agreement"}
+        if d == 3:
+            # Completion reads the lost relations, and its certificate,
+            # which reads no lattice, finds a generator left over.
+            lost = "AssertionError: completed basis does not contain a generator"
+            assert failing == {"thm:45": lost, "oracle-agreement": lost}
+            return
+        # Completion closes the twist quotient in degree 4 and never reads
+        # degree 5; in both its certificate passes.  Through degree 8 no
+        # monomial lies in a pipeline ideal, so only the oracle's pivot
+        # comparison sees the lost relations.
         assert failing["thm:45"].startswith(
-            "kernel piece in degree 5 is not generated by the two classes"
+            f"kernel piece in degree {d} is not generated by the two classes"
         )
-        # Through degree 8 no monomial lies in a pipeline ideal, so only the
-        # oracle's pivot comparison sees the lost relations.
         assert failing["oracle-agreement"] == (
-            "oracle disagreement in twist-quotient ring, degree 5"
+            f"oracle disagreement in twist-quotient ring, degree {d}"
         )
+
+    @pytest.mark.parametrize("d, witness", [
+        (3, "kernel piece in degree 2 should vanish"),
+        (5, "kernel piece in degree 4 is not generated by the two classes"),
+    ])
+    def test_gained_relation_fails_with_a_witness(self, pipeline, d, witness):
+        report = _seeded_twist_quotient(pipeline, d, _add_a_relation).run()
+        failing = {c.id: c.witness for c in report.checks if c.status == "fail"}
+        # In degree 3 completion keeps the gained relation, so both sides of
+        # the oracle read it alike; the twist kernel still sees it.
+        assert set(failing) <= {"thm:45", "oracle-agreement"}
+        assert failing["thm:45"].startswith(witness)
 
     def test_pipelines_share_no_kept_lattice(self, monkeypatch):
         real = la.lattice_basis
@@ -558,7 +608,7 @@ class TestKeptLattices:
             fresh = Pipeline(max_degree=6)
             report = fresh.run(ids=["thm:45", "oracle-agreement"])
             assert report.overall == "pass"
-            kept = [vars(spec)["relation_lattices"] for spec in fresh.presentations.values()]
+            kept = [spec.relations._lattices for spec in fresh.presentations.values()]
             runs.append((calls, kept))
         (first_calls, first_kept), (second_calls, second_kept) = runs
         assert second_calls == first_calls
