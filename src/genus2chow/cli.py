@@ -74,8 +74,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "explain":
         try:
-            pipeline = Pipeline()
-            print(pipeline.explain(args.id))
+            print(Pipeline.explain(args.id))
             return 0
         except UnknownCheckError as exc:
             print(str(exc), file=sys.stderr)

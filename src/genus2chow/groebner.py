@@ -61,18 +61,21 @@ class Ideal:
 
     Degree-0 generators (integer constants) are allowed; they present
     coefficient reduction, which is how mod-p quotients are encoded.
+    ``degrees`` holds each generator's weighted degree, None for zero.
     """
 
-    __slots__ = ("ring", "generators", "_lattices")
+    __slots__ = ("ring", "generators", "degrees", "_lattices")
 
     def __init__(self, ring: Ring, generators: Iterable[IntPolynomial]):
         gens = tuple(generators)
+        degrees = []
         for g in gens:
             if g.ring != ring:
                 raise RingMismatchError(f"generator {g!r} is not over {ring!r}")
-            g.weighted_degree()  # raises InhomogeneousError on mixed degrees
+            degrees.append(g.weighted_degree())  # raises InhomogeneousError on mixed degrees
         self.ring = ring
         self.generators = gens
+        self.degrees = tuple(degrees)
         self._lattices: list[intlinalg.Matrix] = []  # Hermite basis of I_d, by d
 
     def __repr__(self):
@@ -108,8 +111,8 @@ class Ideal:
             index = {m: i for i, m in enumerate(monomials)}
             rows = [
                 shifted_row(index, g.term_map(), zero)
-                for g in self.generators
-                if g and g.weighted_degree() == e
+                for g, degree in zip(self.generators, self.degrees)
+                if degree == e
             ]
             for v, w in enumerate(ring.weights):
                 if w <= e:
@@ -306,7 +309,7 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     degree that would pass it is eliminated.
     """
     ring = ideal.ring
-    top = max((g.weighted_degree() for g in ideal.generators if g), default=0)
+    top = max((d for d in ideal.degrees if d is not None), default=0)
     leads: list[tuple] = []
     kept: list[IntPolynomial] = []
     columns = 0

@@ -11,7 +11,8 @@ small; the Hermite basis it reaches is canonical whatever the choice.
 and return dense rows.  Hermite bases (``lattice_basis``) and preimages
 (``preimage_basis``) are computed without a transform; only
 ``hermite_normal_form``, which nothing in the package calls, builds its
-unimodular U, in rows of its own that take the same row operations.
+unimodular U, in rows of its own that take the same row operations.  Both
+normal forms take the column count, so an empty matrix is no special case.
 Coordinates against a Hermite basis (``lattice_coordinates``) come from one
 pass over its pivots, and ``pivots`` is the one walk over them.  The one
 elimination, ``_hermite``, serves Hermite bases, preimages and Smith forms:
@@ -170,15 +171,12 @@ def _hermite(
     return pivots
 
 
-def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> HermiteForm:
-    """Hermite form of A together with its unimodular transform U.
+def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int) -> HermiteForm:
+    """Hermite form of A, with pivots in its first ncols columns, together
+    with its unimodular transform U.
 
     U is kept in rows apart from A's, so the elimination, pivot choices
     included, is the one ``lattice_basis`` runs."""
-    if ncols is None:
-        if not A:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(A[0])
     width = len(A[0]) if A else 0
     m = len(A)
     H = [_sparse(row) for row in A]
@@ -259,15 +257,11 @@ class SmithNormalForm:
     Vinv: Matrix
     diagonal: list[int]
 
-    def full_diagonal_matrix(self) -> Matrix:
+    def verify(self, A: Sequence[Sequence[int]]) -> None:
+        """Raise AssertionError unless all structural guarantees hold."""
         D = [[0] * self.ncols for _ in range(self.nrows)]
         for i, d in enumerate(self.diagonal):
             D[i][i] = d
-        return D
-
-    def verify(self, A: Sequence[Sequence[int]]) -> None:
-        """Raise AssertionError unless all structural guarantees hold."""
-        D = self.full_diagonal_matrix()
         if matmul(matmul(self.U, [list(r) for r in A]), self.V) != D:
             raise AssertionError("U @ A @ V != D")
         if matmul(self.U, self.Uinv) != identity(self.nrows):
@@ -307,12 +301,12 @@ def _inverse(rows: list[dict[int, int]]) -> Matrix:
     return [_dense(row, 0, n) for row in T]
 
 
-def smith_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> SmithNormalForm:
-    """Smith form of A, after Kannan and Bachem ("Polynomial algorithms for
-    computing the Smith and Hermite normal forms of an integer matrix", SIAM
-    J. Comput. 8, 1979): Hermite eliminations of the rows and of the columns
-    in turn, on the one ``_hermite``, until every row holds at most its
-    diagonal entry.  Each elimination reduces the entries above its pivots
+def smith_normal_form(A: Sequence[Sequence[int]], ncols: int) -> SmithNormalForm:
+    """Smith form of the m × ncols matrix A, after Kannan and Bachem
+    ("Polynomial algorithms for computing the Smith and Hermite normal forms
+    of an integer matrix", SIAM J. Comput. 8, 1979): Hermite eliminations of
+    the rows and of the columns in turn, on the one ``_hermite``, until every
+    row holds at most its diagonal entry.  Each elimination reduces the entries above its pivots
     modulo them, which keeps entries from growing from phase to phase.  The
     row phase carries U in its transform rows; the column phase runs on the
     transpose and carries the columns of V.  Then one 2×2 Bezout step on U's
@@ -320,10 +314,6 @@ def smith_normal_form(A: Sequence[Sequence[int]], ncols: int | None = None) -> S
     (gcd, lcm), and Uinv and Vinv are the transforms that eliminate U and V
     to the identity."""
     m = len(A)
-    if ncols is None:
-        if not A:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(A[0])
     n = ncols
     D = [_sparse(row) for row in A]
     transforms = ([{i: 1} for i in range(m)], [{j: 1} for j in range(n)])

@@ -320,6 +320,9 @@ def _presentation(variables: Sequence[tuple], relations: Sequence[str], base: st
 class Pipeline:
     """Shared context for all verifications.
 
+    ``max_degree`` bounds one intermediate, ``twist_kernels``, which only
+    ``thm:45`` reads; every other derivation is the same at every bound.
+
     ``corruption`` deliberately flips one coefficient in a named intermediate
     (currently only "delta1-excision").  It stays only because the benchmark
     in ``bench/`` passes it; faults are injected into every cached
@@ -454,23 +457,26 @@ class Pipeline:
 
     @cached_property
     def gm_data(self) -> dict:
-        ring = self.groth_ring
         gens = tuple(self.s6["polys"][name] for name in self.QUOTIENT_GENERATORS)
-        gm_spec = RingSpec(ring, gens)
-        kernels = multiplication_kernel(
-            gm_spec, ring.var("t") - 2 * ring.var("lambda1"), self.max_degree
-        )
         open_stated = RingSpec.build(_OPEN_VARS, _OPEN_RELATIONS)
         open_ring = open_stated.ring
         quotient_gens = tuple(
             g.substitute({"t": 2 * open_ring.var("lambda1")}, target=open_ring) for g in gens
         )
         return {
-            "spec": gm_spec,
-            "kernels": kernels,
+            "spec": RingSpec(self.groth_ring, gens),
             "quotient_gens": quotient_gens,
             "open_stated": open_stated,
         }
+
+    @cached_property
+    def twist_kernels(self) -> list:
+        """Hermite bases of the kernel of multiplication by t - 2*lambda1 on
+        the twist quotient, by degree through ``max_degree``: the one
+        intermediate that reads the degree bound."""
+        spec = self.gm_data["spec"]
+        twist = spec.ring.var("t") - 2 * spec.ring.var("lambda1")
+        return multiplication_kernel(spec, twist, self.max_degree)
 
     @cached_property
     def grr_data(self) -> dict:
@@ -816,7 +822,7 @@ class Pipeline:
         # (I : m) = I + (k3, k4) in degree d exactly when the two lattices
         # have the same Hermite basis; below degree 3 the right side is I.
         generated = spec.with_relations(k3, k4)
-        for d, kernel in enumerate(data["kernels"]):
+        for d, kernel in enumerate(self.twist_kernels):
             _require(
                 kernel == generated.relations.lattice(d),
                 f"kernel piece in degree {d} should vanish" if d < 3
@@ -1178,15 +1184,16 @@ class Pipeline:
                 break
         return VerificationReport(max_degree=self.max_degree, checks=checks)
 
-    def explain(self, check_id: str) -> str:
-        cdef = self.check_def(check_id)
+    @classmethod
+    def explain(cls, check_id: str) -> str:
+        cdef = cls.check_def(check_id)
         chain = []
 
         def walk(cid: str):
             # Dependencies form a DAG, so a check is on the chain once walked.
             if cid in chain:
                 return
-            for dep in self.check_def(cid).deps:
+            for dep in cls.check_def(cid).deps:
                 walk(dep)
             chain.append(cid)
 

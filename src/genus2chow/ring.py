@@ -242,7 +242,7 @@ class IntPolynomial:
     their term maps agree.
     """
 
-    __slots__ = ("ring", "_terms", "_hash", "_lt")
+    __slots__ = ("ring", "_terms", "_lt")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, int], _trusted: bool = False):
         self.ring = ring
@@ -262,7 +262,6 @@ class IntPolynomial:
                     if not clean[exps]:
                         del clean[exps]
             self._terms = clean
-        self._hash = None
         self._lt = None
 
     # -- inspection -------------------------------------------------------
@@ -376,9 +375,7 @@ class IntPolynomial:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __str__(self):
         from .parse import render_polynomial
@@ -396,19 +393,15 @@ class IntPolynomial:
         target: Ring | None = None,
     ) -> "IntPolynomial":
         """Apply the graded ring homomorphism sending each named variable to
-        its image.
+        its image, in ``target`` (by default the polynomial's own ring).
 
+        Every image must lie in the target ring and be homogeneous of the
+        replaced variable's weight; zero counts as homogeneous of any weight.
         Unnamed variables map to the variable of the same name (and weight)
-        in the target ring.  Every image must be homogeneous of the replaced
-        variable's weight; zero counts as homogeneous of any weight.
+        in the target ring.
         """
         ring = self.ring
-        if target is None:
-            target = ring
-            for img in images.values():
-                if isinstance(img, IntPolynomial):
-                    target = img.ring
-                    break
+        target = ring if target is None else target
         used = set()
         for exps in self._terms:
             for i, e in enumerate(exps):

@@ -81,7 +81,7 @@ def test_criterion_06_open_stratum(pipeline):
     ok = _passes(pipeline, "thm:45")
     if ok:
         spec = pipeline.gm_data["spec"]
-        kernels = pipeline.gm_data["kernels"]
+        kernels = pipeline.twist_kernels
         m = spec.parse("t - 2*lambda1")
         k3 = spec.parse("60*(lambda1^2 - 4*lambda2)*(t - 3*lambda1)")
         k4 = spec.parse(

@@ -64,16 +64,15 @@ def _scaled(combo):
 def _with_kernel_vector(text: str):
     """The twist-kernel lattices, with the class ``text`` added in its degree."""
 
-    def perturb(p: Pipeline) -> dict:
-        data = p.gm_data
-        cls = data["spec"].parse(text)
+    def perturb(p: Pipeline) -> list:
+        cls = p.gm_data["spec"].parse(text)
         d = cls.weighted_degree()
         monomials = cls.ring.monomials_of_degree(d)
 
         def grow(basis):
             return lattice_basis(basis + [vector_of(monomials, cls)], len(monomials))
 
-        return _entry(data, "kernels", lambda kernels: _item(kernels, d, grow))
+        return _item(p.twist_kernels, d, grow)
 
     return perturb
 
@@ -169,9 +168,9 @@ ROWS = (
         {"thm:45": "degree-3 class is not in the kernel"}),
     # t^10 is no combination of the two stated kernel classes modulo the
     # relations, and below degree 3 the kernel is the relation lattice.
-    Row("gm-kernel-lift", "gm_data", _with_kernel_vector("t^10"),
+    Row("gm-kernel-lift", "twist_kernels", _with_kernel_vector("t^10"),
         {"thm:45": "kernel piece in degree 10 is not generated by the two classes"}),
-    Row("gm-kernel-below-degree-three", "gm_data", _with_kernel_vector("t^2"),
+    Row("gm-kernel-below-degree-three", "twist_kernels", _with_kernel_vector("t^2"),
         {"thm:45": "kernel piece in degree 2 should vanish"}),
     Row("gm-quotient-gens", "gm_data",
         lambda p: _entry(p.gm_data, "quotient_gens", lambda g: tuple(_item(g, 0, _twice))),

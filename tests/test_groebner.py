@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import genus2chow.groebner as gb
 from genus2chow.groebner import Ideal, RingSpec, ideal_equal, strong_groebner
-from genus2chow.ring import InhomogeneousError, Ring, RingMismatchError
+from genus2chow.ring import InhomogeneousError, IntPolynomial, Ring, RingMismatchError
 
 from helpers import random_homogeneous, reference_reduce
 
@@ -36,6 +36,31 @@ class TestIdealValidation:
         # Reduction keys each new term by the degree of the term it reduces.
         with pytest.raises(InhomogeneousError):
             gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("beta1 + beta2"),))
+
+    def test_each_generator_is_checked_for_its_ring_first(self, bg_ring):
+        other = Ring(("x", 1))
+        mixed = bg_ring.parse("beta1 + beta2")
+        with pytest.raises(RingMismatchError):
+            Ideal(bg_ring, (other.var("x"), mixed))
+        with pytest.raises(InhomogeneousError):
+            Ideal(bg_ring, (mixed, other.var("x")))
+
+
+class TestGeneratorDegrees:
+    def test_degrees_are_the_generators_weighted_degrees(self, bg_ring):
+        gens = tuple(map(bg_ring.parse, ("2*gamma", "0", "3", "beta2*gamma + beta1^3")))
+        ideal = Ideal(bg_ring, gens)
+        assert ideal.degrees == tuple(g.weighted_degree() for g in gens) == (1, None, 0, 3)
+
+    def test_lattices_read_the_kept_degrees(self, bg_ring, monkeypatch):
+        ideal = Ideal(bg_ring, map(bg_ring.parse, ("2*gamma", "gamma^2 + beta1*gamma", "0")))
+        expected = [Ideal(bg_ring, ideal.generators).lattice(d) for d in range(9)]
+
+        def refuse(self):
+            raise AssertionError("weighted_degree called")
+
+        monkeypatch.setattr(IntPolynomial, "weighted_degree", refuse)
+        assert [ideal.lattice(d) for d in range(9)] == expected
 
 
 class TestStrongGroebner:

@@ -74,12 +74,12 @@ class TestHermite:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
     def test_transform_and_shape(self, A):
-        assert_hermite_shape(la.hermite_normal_form(A), A)
+        assert_hermite_shape(la.hermite_normal_form(A, len(A[0])), A)
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrices())
     def test_row_lattice_membership(self, A):
-        hf = la.hermite_normal_form(A)
+        hf = la.hermite_normal_form(A, len(A[0]))
         rng = random.Random(1)
         combo = [rng.randint(-5, 5) for _ in A]
         vec = la.matvec_left(combo, A)
@@ -168,25 +168,25 @@ class TestSmith:
     @settings(max_examples=80, deadline=None)
     @given(small_matrices())
     def test_verify(self, A):
-        snf = la.smith_normal_form(A)
+        snf = la.smith_normal_form(A, len(A[0]))
         snf.verify(A)
 
     @settings(max_examples=20, deadline=None)
     @given(small_matrices(max_dim=5, bound=12))
     def test_unimodular_determinants(self, A):
-        snf = la.smith_normal_form(A)
+        snf = la.smith_normal_form(A, len(A[0]))
         assert abs(la.determinant_expansion(snf.U)) == 1
         assert abs(la.determinant_expansion(snf.V)) == 1
 
     def test_known_form(self):
-        snf = la.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        snf = la.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
         snf.verify([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert snf.diagonal == [2, 2, 156]
 
     def test_later_pivot_needs_divisibility_fix(self):
         # The first pivot 2 does not divide 3, so a row is added back to it.
         A = [[2, 0], [0, 3]]
-        snf = la.smith_normal_form(A)
+        snf = la.smith_normal_form(A, 2)
         snf.verify(A)
         assert snf.diagonal == [1, 6]
 
@@ -194,13 +194,13 @@ class TestSmith:
         # Units at (0, 2), (1, 0) and (2, 1); U and V depend on which one
         # the eliminations reach first, the diagonal does not.
         A = [[2, 3, 1], [1, 4, 6], [5, 1, 7]]
-        snf = la.smith_normal_form(A)
+        snf = la.smith_normal_form(A, 3)
         snf.verify(A)
         assert snf.diagonal == [1, 1, 94]
 
     def test_rank_deficient(self):
         A = [[1, 2], [2, 4]]
-        snf = la.smith_normal_form(A)
+        snf = la.smith_normal_form(A, 2)
         snf.verify(A)
         assert snf.diagonal == [1, 0]
 

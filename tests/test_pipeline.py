@@ -281,6 +281,29 @@ class TestStrataRings:
         monkeypatch.setattr(intlinalg, "smith_normal_form", no_smith_form)
         assert Pipeline(max_degree=10).run(ids=["thm:45"]).overall == "pass"
 
+    def test_only_thm45_derives_the_twist_kernel(self, monkeypatch):
+        # The degree bound reaches the twist kernel alone: reading the six
+        # presentations and running the oracle derive none, a full run one.
+        real = pipeline_module.multiplication_kernel
+
+        def refuse(*args):
+            raise AssertionError("twist kernel derived")
+
+        monkeypatch.setattr(pipeline_module, "multiplication_kernel", refuse)
+        fresh = Pipeline()
+        assert len(fresh.presentations) == 6
+        assert fresh.run(ids=["oracle-agreement"]).overall == "pass"
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(pipeline_module, "multiplication_kernel", counted)
+        assert Pipeline(max_degree=10).run().overall == "pass"
+        assert calls == [10]
+
     def test_total_ring_is_built_from_its_stated_text(self):
         fresh = Pipeline()
         fresh.m2bar_ring

@@ -148,6 +148,15 @@ class TestSubstitute:
         with pytest.raises(GradingError):
             p.substitute({"lambda2": lring.var("t")})
 
+    def test_image_over_another_ring_needs_a_target(self, lring):
+        # The target is the polynomial's own ring unless given; it is never
+        # read off the images.
+        other = lring.extend(("u", 1))
+        p = lring.parse("t^2 + lambda2")
+        with pytest.raises(RingMismatchError):
+            p.substitute({"t": other.var("u")})
+        assert p.substitute({"t": other.var("u")}, target=other) == other.parse("u^2 + lambda2")
+
     def test_zero_image_allowed(self, lring):
         p = lring.parse("lambda2 + t^2")
         assert p.substitute({"lambda2": 0}) == lring.parse("t^2")
