@@ -227,8 +227,10 @@ def enumerate_kernel_elements(
             elements.add(nf)
     if len(elements) != math.prod(diagonal) - 1:
         raise AssertionError("kernel classes did not reduce to distinct normal forms")
+    # Greatest first, term by term from the greatest term: the greater
+    # monomial, then the greater coefficient.  The end of a normal form sorts
+    # after any term, so a normal form whose terms begin another's follows it.
     return sorted(
         elements,
-        key=lambda p: [(ring.monomial_key(e), c) for e, c in p.terms()],
-        reverse=True,
+        key=lambda p: [(ring.descending_key(e), -c) for e, c in p.terms()] + [((math.inf,),)],
     )

@@ -24,11 +24,14 @@ leads: the pairs whose lcm lies above the closing degree by completion's
 stopping test, the others after it.  Nothing certifies (G) ⊆ I yet: that
 each kept element lies in I rests on the elimination alone.
 
-Each basis keeps a table of reduction rows: for every monomial it has
-reduced, the first lead dividing it, with that lead's tail shifted onto the
-monomial, or None when no lead divides it.  The table holds at most one entry
-per distinct monomial reduced, lives and dies with its basis, and never
-changes a normal form: a row depends on the monomial and the leads alone.
+``_reduce`` keeps its terms on a heap of (key, exps) entries, the key the
+ring's cached ``descending_key``, so it pops the greatest term first.  Each
+basis keeps a table of reduction rows: for every monomial it has reduced, the
+first lead dividing it, with that lead's tail shifted onto the monomial as
+ready heap entries, or None when no lead divides it.  The table holds at most
+one entry per distinct monomial reduced, lives and dies with its basis, and
+never changes a normal form: a row depends on the monomial and the leads
+alone.
 
 A ``RingSpec`` (a ring and its generators) is the one holder of a
 completed basis: it completes its ideal once, on first use, and every
@@ -134,7 +137,10 @@ def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
     keep the order of ``polys``; ``_reduce`` takes the first lead that
     divides a term as its reducer."""
     table = [(exps, coeff, g) for g in polys for exps, coeff in [g.leading_term()]]
-    table.sort(key=lambda lead: (lead[1], lead[2].ring.monomial_key(lead[0])))
+    # Least monomial first is greatest descending key first; the second
+    # sort, by coefficient, is stable, so it keeps that order within a tie.
+    table.sort(key=lambda lead: lead[2].ring.descending_key(lead[0]), reverse=True)
+    table.sort(key=lambda lead: lead[1])
     return [
         (exps, coeff, [term for term in g.term_map().items() if term[0] != exps])
         for exps, coeff, g in table
@@ -191,20 +197,22 @@ def _unclosed_pair(
     return None
 
 
-def _reduction_row(mono: tuple, neg_degree: int, leads):
+def _reduction_row(mono: tuple, ring: Ring, leads):
     """How ``_reduce`` reduces a term on mono: None when no lead divides
     mono, else the coefficient of the first lead that does and that lead's
-    tail shifted onto mono, as (exps, heap key, coeff) triples."""
+    tail shifted onto mono, as ((heap key, exps), coeff) pairs: the heap
+    entry ``_reduce`` pushes for a new term, and the coefficient."""
     for lexps, lcoeff, tail in leads:
         if all(map(le, lexps, mono)):
             break
     else:
         return None
     shift = tuple(map(sub, mono, lexps))
+    key = ring.descending_key
     shifted = []
     for gexps, gcoeff in tail:
         tgt = tuple(map(add, shift, gexps))
-        shifted.append((tgt, (neg_degree, tgt[::-1]), gcoeff))
+        shifted.append(((key(tgt), tgt), gcoeff))
     return lcoeff, shifted
 
 
@@ -216,9 +224,10 @@ def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
     least (lead coefficient, leading monomial).  That fixes the reducer
     whatever order the basis came in.  A reduction step keeps the residue of
     the term modulo the lead coefficient and subtracts the quotient times the
-    shifted tail.  The leads are homogeneous, so every term a step adds has
-    the degree of the term it reduces; the heap key (negated degree,
-    reversed exponents) is the negated grevlex key.
+    shifted tail.  The heap holds (key, exps) entries, the key the ring's
+    cached ``descending_key``, so it pops the greatest term; an entry for a
+    term a step adds comes ready-made from the reduction row, so no pop
+    reverses a tuple and no term has its degree summed again.
 
     ``rows`` is the table of reduction rows of ``leads``, filled as new
     monomials are met: at most one entry per distinct monomial reduced.  A
@@ -226,20 +235,21 @@ def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
     changes a normal form; it must never be shared between two lead
     tables."""
     ring = p.ring
+    key = ring.descending_key
     work = p.term_map()
-    heap = [(-ring.monomial_degree(m), m[::-1]) for m in work]
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     out: dict[tuple, int] = {}
     while heap:
-        neg_degree, reverse = heapq.heappop(heap)
-        mono = reverse[::-1]
+        mono = heappop(heap)[1]
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
         if mono in rows:
             row = rows[mono]
         else:
-            row = rows[mono] = _reduction_row(mono, neg_degree, leads)
+            row = rows[mono] = _reduction_row(mono, ring, leads)
         if row is None:
             out[mono] = coeff
             continue
@@ -248,11 +258,12 @@ def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
         if r:
             out[mono] = r
         if q:
-            for tgt, key, gcoeff in shifted:
+            for entry, gcoeff in shifted:
+                tgt = entry[1]
                 v = work.get(tgt, 0) - q * gcoeff
                 if v:
                     if tgt not in work:
-                        heapq.heappush(heap, key)
+                        heappush(heap, entry)
                     work[tgt] = v
                 else:
                     del work[tgt]
@@ -328,7 +339,7 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
                 kept.append(IntPolynomial(ring, terms, _trusted=True))
         if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
             break
-    kept.sort(key=lambda g: ring.monomial_key(g.leading_term()[0]))
+    kept.sort(key=lambda g: ring.descending_key(g.leading_term()[0]), reverse=True)
     result = StrongGroebnerBasis(ring, kept)
     pair = _unclosed_pair(result.elements, result._leads, result._rows, upto=d)
     if pair:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -366,8 +367,6 @@ def determinant_expansion(rows: Sequence[Sequence]):
         raise ValueError("empty matrix")
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    from functools import lru_cache
-
     @lru_cache(maxsize=None)
     def minor(cols: tuple) -> object:
         i = n - len(cols)

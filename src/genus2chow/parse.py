@@ -40,7 +40,8 @@ class _Parser:
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
         self.ring, self.text = ring, text
-        self.tokens = _TOKEN_RE.findall(text) + [""]
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.at = 0
 
     def fail(self, message: str, at: int):
@@ -62,9 +63,14 @@ class _Parser:
         while True:
             sign = -1 if op == "-" else 1
             coeff, exps, factors = self.term()
-            if coeff:
-                term = {exps: coeff}
-                add_terms(terms, term if factors is None else mul_terms(factors, term), sign)
+            if factors is not None:
+                add_terms(terms, mul_terms(factors, {exps: coeff}), sign)
+            elif coeff:  # a monomial term goes straight into the map
+                coeff = terms.get(exps, 0) + sign * coeff
+                if coeff:
+                    terms[exps] = coeff
+                else:
+                    del terms[exps]
             op = tokens[self.at]
             if op != "+" and op != "-":
                 return terms
@@ -116,33 +122,27 @@ def parse_polynomial(ring: Ring, text: str) -> IntPolynomial:
     return _Parser(ring, text).parse()
 
 
-def render_monomial(ring: Ring, exps) -> str:
-    parts = []
-    for spec, e in zip(ring.variables, exps):
-        if e == 1:
-            parts.append(spec.name)
-        elif e > 1:
-            parts.append(f"{spec.name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def render_polynomial(poly: IntPolynomial) -> str:
-    """Canonical ASCII form: descending monomial order, explicit * and ^."""
+    """Canonical ASCII form: descending monomial order, explicit * and ^.
+
+    Each term is written in one pass over its exponents, as its sign and
+    its body; the first term drops the sign's space, and a positive one
+    drops the sign too."""
     if not poly:
         return "0"
+    ring, terms = poly.ring, poly._terms
+    names = ring._index  # variable names, in order
     pieces = []
-    for exps, coeff in poly.terms():
-        mono = render_monomial(poly.ring, exps)
-        mag = abs(coeff)
-        if mono == "1":
+    for exps in sorted(terms, key=ring.descending_key):
+        coeff = terms[exps]
+        mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+        mag = -coeff if coeff < 0 else coeff
+        if not mono:
             body = str(mag)
         elif mag == 1:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -69,7 +69,8 @@ class Ring:
 
     The declaration order fixes the graded reverse lexicographic monomial
     order used by the ideal machinery, so normal forms (but no ideal-level
-    answer) depend on it.
+    answer) depend on it.  The ring keeps one order key per monomial it meets
+    (``descending_key``) and the monomials of each degree, in order.
     """
 
     __slots__ = ("variables", "_index", "_weights", "_mons_cache", "_key_cache")
@@ -88,7 +89,7 @@ class Ring:
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.variables == other.variables
+        return self is other or (isinstance(other, Ring) and self.variables == other.variables)
 
     def __hash__(self):
         return hash(self.variables)
@@ -128,39 +129,38 @@ class Ring:
     def monomial_degree(self, exps: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(self._weights, exps))
 
-    def monomial_key(self, exps: tuple):
-        """Sort key realizing graded reverse lexicographic order (memoized)."""
+    def descending_key(self, exps: tuple) -> tuple:
+        """The key (-degree, reversed exponents), memoized: one per monomial
+        the ring meets.  Ascending keys list monomials in descending graded
+        reverse lexicographic order, so the least key is the greatest
+        monomial, and ``groebner._reduce``'s min-heap pops the greatest term."""
         cached = self._key_cache.get(exps)
         if cached is None:
-            cached = (self.monomial_degree(exps), tuple(-e for e in reversed(exps)))
-            self._key_cache[exps] = cached
+            cached = self._key_cache[exps] = (-self.monomial_degree(exps), exps[::-1])
         return cached
 
     def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
-        """All exponent tuples of weighted degree exactly d, in a fixed order."""
+        """All exponent tuples of weighted degree exactly d, in descending
+        order (memoized).
+
+        A greater monomial has the smaller exponent of the last variable,
+        then of the one before it, and so on; so the exponents are chosen
+        from the last variable back, each ascending, and the first variable
+        takes the degree left, when its weight divides it."""
         if d < 0:
             return []
-        if d in self._mons_cache:
-            return self._mons_cache[d]
-        out: list[tuple[int, ...]] = []
-        n = self.nvars
-        current = [0] * n
-
-        def rec(i: int, remaining: int):
-            if i == n:
-                if remaining == 0:
-                    out.append(tuple(current))
-                return
-            w = self._weights[i]
-            for e in range(remaining // w + 1):
-                current[i] = e
-                rec(i + 1, remaining - e * w)
-            current[i] = 0
-
-        rec(0, d)
-        out.sort(key=self.monomial_key, reverse=True)
-        self._mons_cache[d] = out
-        return out
+        found = self._mons_cache.get(d)
+        if found is None:
+            weights = self._weights
+            tails = [((), d)]  # (exponents of the later variables, degree left)
+            for w in reversed(weights[1:]):
+                tails = [((e,) + t, left - e * w) for t, left in tails for e in range(left // w + 1)]
+            if weights:
+                found = [(left // weights[0],) + t for t, left in tails if not left % weights[0]]
+            else:  # no variables: only the empty monomial, of degree 0
+                found = [t for t, left in tails if not left]
+            self._mons_cache[d] = found
+        return found
 
     # -- element constructors ---------------------------------------------
 
@@ -184,9 +184,8 @@ class Ring:
         return IntPolynomial(self, terms)
 
     def parse(self, text: str) -> "IntPolynomial":
-        from .parse import parse_polynomial
-
-        return parse_polynomial(self, text)
+        """``parse.parse_polynomial`` over this ring."""
+        return parse.parse_polynomial(self, text)
 
 
 # -- term maps (exponent tuple -> nonzero int): the one arithmetic kernel --------
@@ -239,7 +238,9 @@ class IntPolynomial:
 
     Terms are stored as a map from exponent tuples (one entry per ring
     variable) to nonzero coefficients; two polynomials are equal exactly when
-    their term maps agree.
+    their term maps agree.  ``_trusted=True`` adopts ``terms`` as that map,
+    unchecked and uncopied: the caller passes a dict it has just built, of
+    well-formed exponent tuples and nonzero ints, and keeps no other use of it.
     """
 
     __slots__ = ("ring", "_terms", "_lt")
@@ -247,7 +248,7 @@ class IntPolynomial:
     def __init__(self, ring: Ring, terms: Mapping[tuple, int], _trusted: bool = False):
         self.ring = ring
         if _trusted:
-            self._terms = dict(terms)
+            self._terms = terms
         else:
             clean: dict[tuple, int] = {}
             n = ring.nvars
@@ -268,8 +269,7 @@ class IntPolynomial:
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in descending monomial order."""
-        key = self.ring.monomial_key
-        for exps in sorted(self._terms, key=key, reverse=True):
+        for exps in sorted(self._terms, key=self.ring.descending_key):
             yield exps, self._terms[exps]
 
     def term_map(self) -> dict[tuple, int]:
@@ -299,7 +299,7 @@ class IntPolynomial:
         if self._lt is None:
             if not self._terms:
                 raise ValueError("zero polynomial has no leading term")
-            exps = max(self._terms, key=self.ring.monomial_key)
+            exps = min(self._terms, key=self.ring.descending_key)
             self._lt = (exps, self._terms[exps])
         return self._lt
 
@@ -378,9 +378,8 @@ class IntPolynomial:
         return hash((self.ring, frozenset(self._terms.items())))
 
     def __str__(self):
-        from .parse import render_polynomial
-
-        return render_polynomial(self)
+        """``parse.render_polynomial`` of this polynomial."""
+        return parse.render_polynomial(self)
 
     def __repr__(self):
         return f"<{self}>"
@@ -574,3 +573,9 @@ def chern_series_quotient(
     for i in range(0, k + 1):
         acc = acc + component(numerator, i) * inverse[k - i]
     return acc
+
+
+# ``parse`` reads this module's classes, so it is bound last: either module
+# can then be imported first, and ``Ring.parse`` and ``IntPolynomial.__str__``
+# look its functions up as module attributes at each call.
+from . import parse  # noqa: E402

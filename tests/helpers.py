@@ -245,6 +245,12 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     return elements
 
 
+def grevlex_key(ring: Ring, exps: tuple) -> tuple:
+    """Graded reverse lexicographic order, written out: the greater
+    monomial has the greater key."""
+    return ring.monomial_degree(exps), tuple(-e for e in reversed(exps))
+
+
 def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:
     """Normal form of p by plain division: the greatest remaining term is
     reduced by the first basis element, in lead-table order (least lead
@@ -253,12 +259,12 @@ def reference_reduce(p: IntPolynomial, elements) -> IntPolynomial:
     ring = p.ring
     leads = sorted(
         ((g.leading_term(), g) for g in elements),
-        key=lambda lead: (lead[0][1], ring.monomial_key(lead[0][0])),
+        key=lambda lead: (lead[0][1], grevlex_key(ring, lead[0][0])),
     )
     work = p.term_map()
     out: dict[tuple, int] = {}
     while work:
-        mono = max(work, key=ring.monomial_key)
+        mono = max(work, key=lambda exps: grevlex_key(ring, exps))
         for (lexps, lcoeff), g in leads:
             if all(a <= b for a, b in zip(lexps, mono)):
                 break
