@@ -124,9 +124,6 @@ class SClassCombo:
     def __hash__(self):
         return hash((self.r, self.coeffs))
 
-    def scale(self, factor) -> "SClassCombo":
-        return SClassCombo(self.r, [factor * c for c in self.coeffs])
-
     def push_multiply(self, other: "SClassCombo") -> "SClassCombo":
         """Pushforward of the product along multiplication to r = self.r + other.r:
         s_a^i x s_b^j pushes to binom(a - i + b - j, a - i) s_(a+b)^(i+j)."""

@@ -4,18 +4,21 @@ A degree-d piece of ZZ[x1..xk]/I is presented by the relation lattice I_d
 inside the free module on the degree-d monomials.  Its Hermite basis comes
 from ``Ideal.lattice`` in ``groebner``, which eliminates each degree once
 per ideal and keeps the bases; Groebner completion reads the same bases.
-Each row of that basis with pivot 1 clears its own column from any vector
-(``_clear``) and splits off as a trivial summand, so a graded piece is
-presented on the other columns: the certified Smith form of the other rows
-there gives the free rank, the torsion invariants and the coordinates of a
-cleared vector.  The kernel of multiplication by m in degree d is a lattice
-too: the preimage, under the rows of multiplication by m, of the relation
-lattice one degree up, returned as a Hermite basis.  The same clearing takes
-the multiplication rows to the other columns one degree up, where the
-preimage is solved and then lifted.  Two lattices are equal exactly when
-their Hermite bases are, so which classes generate a kernel is for the
-caller to compare.  Enumeration reads a kernel's cosets off a Hermite basis;
-the Smith form serves ``graded_piece`` only.
+Vectors and basis rows alike are sparse {column: entry} rows
+(``intlinalg.Row``).  Each row of that basis with pivot 1 clears its own
+column from any vector (``_clear``) and splits off as a trivial summand, so
+a graded piece is presented on the other columns: the certified Smith form
+of the other rows there, the one dense block, gives the free rank, the
+torsion invariants and the coordinates of a cleared vector.  The kernel of
+multiplication by m in degree d is a lattice too: the preimage, under the
+rows of multiplication by m, of the relation lattice one degree up,
+returned as a Hermite basis.  The same clearing empties the unit columns
+one degree up from the multiplication rows, which then meet the other rows
+there on their own columns; the preimage is solved and then lifted.  Two
+lattices are equal exactly when their Hermite bases are, so which classes
+generate a kernel is for the caller to compare.  Enumeration reads a
+kernel's cosets off a Hermite basis; the Smith form serves ``graded_piece``
+only.
 
 ``oracle-agreement`` compares the Groebner engine with the one lattice,
 monomial by monomial: vanishing in the graded piece against the normal form
@@ -49,32 +52,28 @@ class InfiniteKernelError(ValueError):
     """Enumeration was requested for a kernel with positive free rank."""
 
 
-def polynomial_of(ring: Ring, monomials: Sequence[tuple], vec: Sequence[int]) -> IntPolynomial:
-    return IntPolynomial(ring, {m: c for m, c in zip(monomials, vec) if c})
+def polynomial_of(ring: Ring, monomials: Sequence[tuple], row: intlinalg.Row) -> IntPolynomial:
+    return IntPolynomial(ring, {monomials[j]: c for j, c in row.items()})
 
 
 def _split_at_unit_pivots(
-    basis: intlinalg.Matrix, n: int
-) -> tuple[dict[int, list[int]], intlinalg.Matrix, list[int]]:
-    """The rows of a Hermite basis over n columns with pivot 1, by pivot
-    column; its other rows, on the other columns; and those columns.  The
-    basis is reduced, so the column of a unit pivot is 0 in every other
-    row."""
+    basis: Sequence[intlinalg.Row],
+) -> tuple[dict[int, intlinalg.Row], list[intlinalg.Row]]:
+    """The rows of a Hermite basis with pivot 1, by pivot column, and its
+    other rows.  The basis is reduced, so the column of a unit pivot is 0 in
+    every other row."""
     units = {c: row for c, row in intlinalg.pivots(basis) if row[c] == 1}
-    rest = [j for j in range(n) if j not in units]
-    others = [[row[j] for j in rest] for c, row in intlinalg.pivots(basis) if row[c] != 1]
-    return units, others, rest
+    return units, [row for c, row in intlinalg.pivots(basis) if c not in units]
 
 
-def _clear(vector: dict[int, int], units: dict[int, list[int]], rest: Sequence[int]) -> list[int]:
-    """A sparse vector {column: entry} minus each of its unit-pivot entries
-    times that pivot's row, on the columns ``rest``.  It is 0 on the unit
-    columns, so what is left lies in the span of the other rows there
-    exactly when the vector lies in the lattice."""
-    out = [vector.get(j, 0) for j in rest]
+def _clear(vector: intlinalg.Row, units: dict[int, intlinalg.Row]) -> intlinalg.Row:
+    """A vector minus each of its unit-pivot entries times that pivot's
+    row.  It is 0 on the unit columns, so what is left lies in the span of
+    the other rows exactly when the vector lies in the lattice."""
+    out = dict(vector)
     for c, x in vector.items():
         if c in units:
-            out = [y - x * units[c][k] for y, k in zip(out, rest)]
+            intlinalg._subtract(out, x, units[c])
     return out
 
 
@@ -96,7 +95,7 @@ class GradedPieceGroup:
     monomial_basis: tuple[tuple, ...]
     free_rank: int
     torsion_invariants: tuple[int, ...]
-    units: dict[int, list[int]]
+    units: dict[int, intlinalg.Row]
     rest: tuple[int, ...]
     V: intlinalg.Matrix
     diagonal: tuple[int, ...]
@@ -114,8 +113,9 @@ class GradedPieceGroup:
             {j: terms[m] for j, m in enumerate(self.monomial_basis) if m in terms}
         )
 
-    def _vanishes(self, vector: dict[int, int]) -> bool:
-        coords = intlinalg.matvec_left(_clear(vector, self.units, self.rest), self.V)
+    def _vanishes(self, vector: intlinalg.Row) -> bool:
+        cleared = _clear(vector, self.units)
+        coords = intlinalg.matvec_left([cleared.get(j, 0) for j in self.rest], self.V)
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
 
@@ -124,7 +124,9 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     if d < 0:
         raise ValueError("degree must be >= 0")
     monomials = spec.ring.monomials_of_degree(d)
-    units, block, rest = _split_at_unit_pivots(spec.relations.lattice(d), len(monomials))
+    units, others = _split_at_unit_pivots(spec.relations.lattice(d))
+    rest = [j for j in range(len(monomials)) if j not in units]
+    block = [[row.get(j, 0) for j in rest] for row in others]
     snf = intlinalg.smith_normal_form(block, ncols=len(rest))
     snf.verify(block)
     diagonal = snf.diagonal + [0] * (len(rest) - len(snf.diagonal))
@@ -161,7 +163,7 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
 # -- kernels of multiplication maps -----------------------------------------------
 
 
-def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]:
+def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[intlinalg.Row]:
     """The Hermite basis (as ``lattice_basis`` gives it) of the vectors, over
     ``ring.monomials_of_degree(d)``, whose product with m lies in the
     relation lattice one degree up: that lattice's preimage under m.
@@ -169,22 +171,25 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]
     The unit-pivot rows of I_d lie in the kernel and clear their own
     columns, so the kernel is spanned by them and by its vectors on the
     other columns.  Those columns' products with m, cleared by the
-    unit-pivot rows one degree up (``_clear``), meet the other rows there on
-    the other columns alone, and their preimage is lifted back."""
+    unit-pivot rows one degree up (``_clear``), meet the other rows there,
+    which vanish on the cleared columns, and their preimage is lifted back."""
     ring = spec.ring
     monomials = ring.monomials_of_degree(d)
     target = d + (m.weighted_degree() or 0)
     index = {exps: i for i, exps in enumerate(ring.monomials_of_degree(target))}
-    units, _, free = _split_at_unit_pivots(spec.relations.lattice(d), len(monomials))
-    clearing, others, rest = _split_at_unit_pivots(spec.relations.lattice(target), len(index))
+    units, _ = _split_at_unit_pivots(spec.relations.lattice(d))
+    clearing, others = _split_at_unit_pivots(spec.relations.lattice(target))
+    free = [j for j in range(len(monomials)) if j not in units]
     terms = m.term_map()
-    mult_rows = [_clear(shifted_row(index, terms, monomials[j]), clearing, rest) for j in free]
-    small = intlinalg.preimage_basis(mult_rows, others, len(rest))
-    lifted = [{j: y for j, y in zip(free, x) if y} for x in small]
+    mult_rows = [_clear(shifted_row(index, terms, monomials[j]), clearing) for j in free]
+    small = intlinalg.preimage_basis(mult_rows, others, len(index))
+    lifted = [{free[i]: y for i, y in x.items()} for x in small]
     return intlinalg.lattice_basis(list(units.values()) + lifted, len(monomials))
 
 
-def multiplication_kernel(spec: RingSpec, m: IntPolynomial, d_max: int) -> list[intlinalg.Matrix]:
+def multiplication_kernel(
+    spec: RingSpec, m: IntPolynomial, d_max: int
+) -> list[list[intlinalg.Row]]:
     """Kernel of multiplication by m on each graded piece of degree <= d_max:
     in degree d, the Hermite basis of the lattice of vectors, over
     ``ring.monomials_of_degree(d)``, whose product with m lies in the
@@ -218,10 +223,13 @@ def enumerate_kernel_elements(
         raise InfiniteKernelError(
             f"kernel in degree {d} has free rank {rank - len(H)}; not enumerable"
         )
-    diagonal = [row[i] for i, row in enumerate(H)]
+    diagonal = [row[c] for c, row in intlinalg.pivots(H)]
     elements: set[IntPolynomial] = set()
     for x in itertools.product(*map(range, diagonal)):
-        vec = intlinalg.matvec_left(x, kernel_basis)
+        vec: intlinalg.Row = {}
+        for q, row in zip(x, kernel_basis):
+            if q:
+                intlinalg._subtract(vec, -q, row)
         nf = spec.normal_form(polynomial_of(ring, monomials, vec))
         if nf:
             elements.add(nf)

@@ -10,10 +10,11 @@ which makes them unique and path-independent.
 The ideals are homogeneous, so an ideal's degree-d relation lattice I_d is
 spanned by its degree-d generators and x_v times I_{d - w_v}, as in Lazard's
 Macaulay-matrix route.  ``Ideal.lattice`` eliminates each degree once, from
-the Hermite bases of the degrees below, and keeps the bases on the ideal:
-the one construction of I_d in the package, read by completion here and by
-every graded piece, kernel and oracle comparison in ``graded``.  Completion
-walks the pivots of those bases, one degree at a time, until the critical
+the Hermite bases of the degrees below, and keeps the bases on the ideal as
+sparse rows (``intlinalg.Row``): the one construction of I_d in the package,
+read by completion here and by every graded piece, kernel and oracle
+comparison in ``graded``.  Completion walks the pivots of those bases (each
+row's least column), one degree at a time, until the critical
 pairs (s- and gcd-combinations) close.  One cap on the monomial columns
 processed, summed over degrees, bounds the run in size and so in time, and
 reaching it raises.  The polynomial reducer ``_reduce`` certifies each
@@ -79,7 +80,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self.degrees = tuple(degrees)
-        self._lattices: list[intlinalg.Matrix] = []  # Hermite basis of I_d, by d
+        self._lattices: list[list[intlinalg.Row]] = []  # Hermite basis of I_d, by d
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators)
@@ -95,7 +96,7 @@ class Ideal:
     def __hash__(self):
         return hash((self.ring, self.generators))
 
-    def lattice(self, d: int) -> intlinalg.Matrix:
+    def lattice(self, d: int) -> list[intlinalg.Row]:
         """The Hermite basis, as ``lattice_basis`` gives it, of the degree-d
         relation lattice I_d over ``ring.monomials_of_degree(d)``.
 
@@ -123,9 +124,7 @@ class Ideal:
                         index[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
                         for exps in ring.monomials_of_degree(e - w)
                     ]
-                    rows.extend(
-                        {columns[j]: x for j, x in enumerate(row) if x} for row in kept[e - w]
-                    )
+                    rows.extend({columns[j]: x for j, x in row.items()} for row in kept[e - w])
             kept.append(intlinalg.lattice_basis(rows, len(monomials)))
         return kept[d]
 
@@ -335,7 +334,7 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
             mu, coeff = monomials[c], row[c]
             if not any(coeff % k == 0 and all(map(le, e, mu)) for e, k in leads):
                 leads.append((mu, coeff))
-                terms = {m: x for m, x in zip(monomials, row) if x}
+                terms = {monomials[j]: x for j, x in row.items()}
                 kept.append(IntPolynomial(ring, terms, _trusted=True))
         if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
             break

@@ -1,29 +1,28 @@
 """Exact linear algebra over the integers.
 
-Everything here works on plain lists of Python ints, so there is no overflow
-anywhere: Hermite and Smith normal forms, preimage lattices and lattice
-coordinates.  Hermite elimination holds its rows sparse, as
-{column: entry} dicts, so a row update skips the zero entries.  Among the
-rows whose entry in the pivot column is least in absolute value it takes the
-one with the fewest stored entries, which keeps the fill of later updates
-small; the Hermite basis it reaches is canonical whatever the choice.
-``lattice_basis`` and ``preimage_basis`` take rows dense or as such dicts,
-and return dense rows.  Hermite bases (``lattice_basis``) and preimages
-(``preimage_basis``) are computed without a transform; only
-``hermite_normal_form``, which nothing in the package calls, builds its
-unimodular U, in rows of its own that take the same row operations.  Both
-normal forms take the column count, so an empty matrix is no special case.
-Coordinates against a Hermite basis (``lattice_coordinates``) come from one
-pass over its pivots, and ``pivots`` is the one walk over them.  The one
+Everything here works on Python ints, so there is no overflow anywhere:
+Hermite and Smith normal forms, preimage lattices and lattice coordinates.
+A lattice row is sparse, a {column: entry} dict with no zero entries
+(``Row``), so a row update skips the zero entries.  Hermite bases
+(``lattice_basis``), preimages (``preimage_basis``), their pivots
+(``pivots``: a row's pivot is its least key) and coordinates
+(``lattice_coordinates``) take and return such rows, and ``_subtract`` is
+the one row update.  Hermite elimination, among the rows whose entry in the
+pivot column is least in absolute value, takes the one with the fewest
+stored entries, which keeps the fill of later updates small; the Hermite
+basis it reaches is canonical whatever the choice.  Only the Smith form and
+``hermite_normal_form``, which nothing in the package calls, take and
+return dense matrices; only ``hermite_normal_form`` builds its unimodular U,
+in rows of its own that take the same row operations.  Both normal forms
+take the column count, so an empty matrix is no special case.  The one
 elimination, ``_hermite``, serves Hermite bases, preimages and Smith forms:
 ``groebner.Ideal.lattice`` builds each degree's relation lattice through
 ``lattice_basis`` from x_v times the Hermite basis of the degree below, and
 Groebner completion and ``graded`` read those bases; ``graded`` solves
-multiplication kernels on the columns without a unit pivot; and
+multiplication kernels after clearing the unit-pivot columns; and
 ``smith_normal_form`` alternates it on the rows and the columns, as Kannan
 and Bachem do, so every step reduces entries modulo a pivot.
 """
-
 from __future__ import annotations
 
 import math
@@ -32,8 +31,8 @@ from functools import lru_cache
 from typing import Sequence
 
 Matrix = list[list[int]]
-# A row given dense, or sparse as {column: entry} with no zero entries.
-Row = Sequence[int] | dict[int, int]
+# A lattice row: {column: entry}, with no zero entries.
+Row = dict[int, int]
 
 
 def identity(n: int) -> Matrix:
@@ -89,24 +88,30 @@ class HermiteForm:
     pivots: list[tuple[int, int]]
 
 
-def _sparse(row: Row) -> dict[int, int]:
-    """A fresh {column: entry} copy of a dense or sparse row."""
-    if isinstance(row, dict):
-        return dict(row)
+def _sparse(row: Sequence[int]) -> Row:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _dense(row: dict[int, int], start: int, stop: int) -> list[int]:
-    out = [0] * (stop - start)
+def _dense(row: Row, width: int) -> list[int]:
+    out = [0] * width
     for j, x in row.items():
-        if start <= j < stop:
-            out[j - start] = x
+        out[j] = x
     return out
 
 
-def _hermite(
-    H: list[dict[int, int]], ncols: int, T: list[dict[int, int]] | None = None
-) -> list[tuple[int, int]]:
+def _subtract(row: Row, q: int, prow: Row) -> None:
+    """row -= q * prow, in place, for nonzero q, deleting the entries that
+    cancel."""
+    get = row.get
+    for j, y in prow.items():
+        v = get(j, 0) - q * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _hermite(H: list[Row], ncols: int, T: list[Row] | None = None) -> list[tuple[int, int]]:
     """Hermite elimination of H in place with pivots in its first ncols
     columns; returns the (row, column) pivots.
 
@@ -118,16 +123,6 @@ def _hermite(
     entries track U; rows T, one per row of H, take the same operations
     without entering the pivot choice."""
     m = len(H)
-
-    def subtract(row: dict[int, int], q: int, prow: dict[int, int]) -> None:
-        get = row.get
-        for j, y in prow.items():
-            v = get(j, 0) - q * y
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
     pivots: list[tuple[int, int]] = []
     pivot_row = 0
     for col in range(ncols):
@@ -144,9 +139,9 @@ def _hermite(
             for i in nz:
                 if i != p:
                     q = H[i][col] // pivot  # nonzero: |H[i][col]| >= |pivot|
-                    subtract(H[i], q, prow)
+                    _subtract(H[i], q, prow)
                     if T is not None:
-                        subtract(T[i], q, T[p])
+                        _subtract(T[i], q, T[p])
             nz = [i for i in nz if col in H[i]]
         if not nz:
             continue
@@ -164,9 +159,9 @@ def _hermite(
         for i in range(pivot_row):
             q = H[i].get(col, 0) // pivot
             if q:
-                subtract(H[i], q, prow)
+                _subtract(H[i], q, prow)
                 if T is not None:
-                    subtract(T[i], q, T[pivot_row])
+                    _subtract(T[i], q, T[pivot_row])
         pivots.append((pivot_row, col))
         pivot_row += 1
     return pivots
@@ -183,59 +178,53 @@ def hermite_normal_form(A: Sequence[Sequence[int]], ncols: int) -> HermiteForm:
     H = [_sparse(row) for row in A]
     T = [{i: 1} for i in range(m)]
     pivots = _hermite(H, ncols, T)
-    return HermiteForm(
-        [_dense(row, 0, width) for row in H], [_dense(row, 0, m) for row in T], pivots
-    )
+    return HermiteForm([_dense(row, width) for row in H], [_dense(row, m) for row in T], pivots)
 
 
-def lattice_basis(rows: Sequence[Row], ncols: int) -> Matrix:
-    """Canonical basis (HNF, zero rows dropped) of the lattice the rows span.
+def lattice_basis(rows: Sequence[Row], ncols: int) -> list[Row]:
+    """Canonical basis (HNF) of the lattice the rows span, with pivots in
+    the first ncols columns; the rows left without one are dropped.
 
     Two row sets span the same lattice exactly when these bases are equal.
-    The elimination runs on the rows alone; no transform is built.  The
-    basis rows are as wide as the first dense input row, or ncols wide when
-    every row is sparse.
+    The elimination runs on copies of the rows alone; no transform is built.
     """
-    H = [_sparse(row) for row in rows]
-    width = next((len(row) for row in rows if not isinstance(row, dict)), ncols)
-    return [_dense(H[r], 0, width) for r, _ in _hermite(H, ncols)]
+    H = [dict(row) for row in rows]
+    return [H[r] for r, _ in _hermite(H, ncols)]
 
 
-def pivots(basis: Sequence[Sequence[int]]):
-    """(pivot column, row) for each row of a Hermite basis without zero
-    rows, as ``lattice_basis`` gives it."""
-    c = 0
+def pivots(basis: Sequence[Row]):
+    """(pivot column, row) for each row of a Hermite basis, as
+    ``lattice_basis`` gives it: a row's pivot is its least column."""
     for row in basis:
-        while not row[c]:  # pivot columns strictly increase
-            c += 1
-        yield c, row
+        yield min(row), row
 
 
-def lattice_coordinates(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int] | None:
-    """The integer row vector x with x @ basis = v, or None if v lies outside
-    the lattice.  The basis must be in Hermite form without zero rows, as
-    ``lattice_basis`` gives it, so one pass over its pivots solves for x."""
-    residual = list(v)
-    coeffs = []
-    for c, row in pivots(basis):
-        q, rem = divmod(residual[c], row[c])
+def lattice_coordinates(basis: Sequence[Row], v: Row) -> Row | None:
+    """The integer row vector x with x @ basis = v, as {row index: entry},
+    or None if v lies outside the lattice.  The basis must be in Hermite
+    form, as ``lattice_basis`` gives it, so one pass over its pivots solves
+    for x."""
+    residual = dict(v)
+    coeffs: Row = {}
+    for i, (c, row) in enumerate(pivots(basis)):
+        q, rem = divmod(residual.get(c, 0), row[c])
         if rem:
             return None
         if q:
-            residual = [x - q * y for x, y in zip(residual, row)]
-        coeffs.append(q)
-    return None if any(residual) else coeffs
+            _subtract(residual, q, row)
+            coeffs[i] = q
+    return None if residual else coeffs
 
 
-def preimage_basis(A: Sequence[Row], B: Sequence[Row], ncols: int) -> Matrix:
+def preimage_basis(A: Sequence[Row], B: Sequence[Row], ncols: int) -> list[Row]:
     """Hermite basis, as ``lattice_basis`` gives it, of the lattice of row
-    vectors x with x @ A in the row lattice of B: eliminating [A | I; B | 0]
-    over the ncols columns of A and B leaves rows below the pivots that
-    vanish there, and their identity parts span it."""
+    vectors x, indexed by A's rows, with x @ A in the row lattice of B:
+    eliminating [A | I; B | 0] over the ncols columns of A and B leaves rows
+    below the pivots that vanish there, and their identity parts span it."""
     n = len(A)
-    H = [_sparse(row) | {ncols + i: 1} for i, row in enumerate(A)] + [_sparse(row) for row in B]
-    pivots = _hermite(H, ncols)
-    return lattice_basis([_dense(row, ncols, ncols + n) for row in H[len(pivots):]], n)
+    H = [row | {ncols + i: 1} for i, row in enumerate(A)] + [dict(row) for row in B]
+    rank = len(_hermite(H, ncols))
+    return lattice_basis([{j - ncols: x for j, x in row.items()} for row in H[rank:]], n)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -277,15 +266,15 @@ class SmithNormalForm:
             raise AssertionError("diagonal entries must be nonnegative")
 
 
-def _transpose(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+def _transpose(rows: list[Row], ncols: int) -> list[Row]:
+    out: list[Row] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
             out[j][i] = x
     return out
 
 
-def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+def _combine(rows: list[Row], i: int, j: int, x: int, y: int, z: int, w: int) -> None:
     """Rows i and j become x·row_i + y·row_j and z·row_i + w·row_j."""
     ri, rj = rows[i], rows[j]
     keys = ri.keys() | rj.keys()
@@ -293,13 +282,13 @@ def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int,
     rows[j] = {k: v for k in keys if (v := z * ri.get(k, 0) + w * rj.get(k, 0))}
 
 
-def _inverse(rows: list[dict[int, int]]) -> Matrix:
+def _inverse(rows: list[Row]) -> Matrix:
     """The inverse of a unimodular matrix, dense: its Hermite form is the
     identity, so the transform rows that reach it are the inverse."""
     n = len(rows)
     T = [{i: 1} for i in range(n)]
     _hermite([dict(row) for row in rows], n, T)
-    return [_dense(row, 0, n) for row in T]
+    return [_dense(row, n) for row in T]
 
 
 def smith_normal_form(A: Sequence[Sequence[int]], ncols: int) -> SmithNormalForm:
@@ -345,8 +334,8 @@ def smith_normal_form(A: Sequence[Sequence[int]], ncols: int) -> SmithNormalForm
     return SmithNormalForm(
         nrows=m,
         ncols=n,
-        U=[_dense(row, 0, m) for row in U],
-        V=[_dense(row, 0, n) for row in V],
+        U=[_dense(row, m) for row in U],
+        V=[_dense(row, n) for row in V],
         Uinv=_inverse(U),
         Vinv=_inverse(V),
         diagonal=diagonal,

@@ -93,13 +93,21 @@ def reference_substitute(p: IntPolynomial, images: dict, target: Ring) -> IntPol
     return IntPolynomial(target, acc)
 
 
-def vector_of(monomials, p: IntPolynomial) -> list[int]:
-    """Coefficient vector of a homogeneous polynomial in a monomial basis."""
+def sparse(row) -> dict[int, int]:
+    """A dense row as a lattice row: {column: entry}, zero entries left out."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: dict[int, int], width: int) -> list[int]:
+    """A lattice row written out over its first ``width`` columns."""
+    return [row.get(j, 0) for j in range(width)]
+
+
+def vector_of(monomials, p: IntPolynomial) -> dict[int, int]:
+    """Coefficient vector of a homogeneous polynomial in a monomial basis,
+    as a lattice row {column: coefficient}."""
     index = {m: i for i, m in enumerate(monomials)}
-    vec = [0] * len(monomials)
-    for exps, coeff in p.term_map().items():
-        vec[index[exps]] = coeff
-    return vec
+    return {index[exps]: coeff for exps, coeff in p.term_map().items()}
 
 
 def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, int]]]:
@@ -121,7 +129,7 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, i
     return monomials, rows
 
 
-def reference_kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[list[int]]:
+def reference_kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[dict[int, int]]:
     """The Hermite basis of the degree-d kernel of multiplication by m: the
     preimage, under the rows of multiplication by m on every degree-d
     monomial, of all relation rows one degree up."""
@@ -133,16 +141,16 @@ def reference_kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[l
     return la.preimage_basis(mult_rows, target_rows, len(target_monomials))
 
 
-def reference_preimage(A, B, ncols: int) -> list[list[int]]:
-    """The lattice of row vectors x with x @ A in the row lattice of B, by
-    the Hermite transform: the transform rows under the zero rows of the
-    Hermite form of A stacked on B span the left kernel of the stack, and
-    their first len(A) entries, re-based, span the preimage."""
+def reference_preimage(A, B, ncols: int) -> list[dict[int, int]]:
+    """The lattice of row vectors x with x @ A in the row lattice of B, for
+    dense A and B, by the Hermite transform: the transform rows under the
+    zero rows of the Hermite form of A stacked on B span the left kernel of
+    the stack, and their first len(A) entries, re-based, span the preimage."""
     stacked = [list(row) for row in A] + [list(row) for row in B]
     hf = la.hermite_normal_form(stacked, ncols)
     pivot_rows = {r for r, _ in hf.pivots}
     kernel = [hf.transform[i] for i in range(len(stacked)) if i not in pivot_rows]
-    return la.lattice_basis([row[: len(A)] for row in kernel], len(A))
+    return la.lattice_basis([sparse(row[: len(A)]) for row in kernel], len(A))
 
 
 def reference_smith_normal_form(A, ncols: int) -> la.SmithNormalForm:
@@ -222,16 +230,14 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
     monomials, rel_rows = relation_rows(spec, d)
     basis = reference_kernel_lattice(spec, m, d)
     n = len(basis)
-    coords = [
-        la.lattice_coordinates(basis, [row.get(j, 0) for j in range(len(monomials))])
-        for row in rel_rows
-    ]
-    snf = la.smith_normal_form(la.lattice_basis(coords, n), ncols=n)
+    coords = [la.lattice_coordinates(basis, row) for row in rel_rows]
+    snf = la.smith_normal_form([dense(row, n) for row in la.lattice_basis(coords, n)], ncols=n)
     diagonal = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
     if 0 in diagonal:
         return None
+    dense_basis = [dense(row, len(monomials)) for row in basis]
     gens = [
-        (polynomial_of(ring, monomials, la.matvec_left(snf.Vinv[i], basis)), order)
+        (polynomial_of(ring, monomials, sparse(la.matvec_left(snf.Vinv[i], dense_basis))), order)
         for i, order in enumerate(diagonal) if order != 1
     ]
     elements = set()

@@ -135,14 +135,16 @@ class TestMultPushforward:
     def test_binomials(self, lam_ring):
         assert self._push(lam_ring, 1, 1, 3, 0) == SClassCombo.unit(lam_ring, 4, 1)
         assert self._push(lam_ring, 3, 3, 3, 3) == SClassCombo.unit(lam_ring, 6, 6)
-        assert self._push(lam_ring, 3, 0, 3, 0) == SClassCombo.unit(lam_ring, 6, 0).scale(20)
+        unit = SClassCombo.unit(lam_ring, 6, 0)
+        assert self._push(lam_ring, 3, 0, 3, 0) == SClassCombo(6, [20 * c for c in unit.coeffs])
 
     def test_out_of_range(self, lam_ring):
         with pytest.raises(ValueError):
             SClassCombo.unit(lam_ring, 2, 3)
 
     def test_combo_bilinearity(self, lam_ring):
-        a = SClassCombo.unit(lam_ring, 3, 1).scale(lam_ring.parse("lambda1"))
+        lam1 = lam_ring.parse("lambda1")
+        a = SClassCombo(3, [lam1 * c for c in SClassCombo.unit(lam_ring, 3, 1).coeffs])
         b = SClassCombo.unit(lam_ring, 3, 2)
         pushed = a.push_multiply(b)
         # s_3^1 x s_3^2 -> binom(2+1, 2) s_6^3 = 3 s_6^3

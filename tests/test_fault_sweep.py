@@ -16,6 +16,7 @@ from typing import Callable
 
 import pytest
 
+from genus2chow.bundles import SClassCombo
 from genus2chow.groebner import RingSpec
 from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
@@ -58,7 +59,7 @@ def _relations(spec: RingSpec, change) -> RingSpec:
 
 
 def _scaled(combo):
-    return combo.scale(2)
+    return SClassCombo(combo.r, [2 * c for c in combo.coeffs])
 
 
 def _with_kernel_vector(text: str):

@@ -25,6 +25,7 @@ from helpers import (
     reference_kernel_elements,
     reference_kernel_lattice,
     relation_rows,
+    sparse,
     vector_of,
 )
 
@@ -178,12 +179,47 @@ class TestRelationLattice:
         assert calls == sizes
 
 
+class TestOneRowFormat:
+    """A lattice row is one thing from ``Ideal.lattice`` through completion,
+    kernels and enumeration: a {column: entry} dict with no zero entries,
+    whose least column holds its pivot.  Nothing on the way writes a row out
+    dense."""
+
+    def test_rows_stay_sparse(self, monkeypatch):
+        calls = []
+        real = la._dense
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(la, "_dense", counted)
+        fresh = Pipeline(max_degree=12)
+        for name in _PRESENTATIONS:
+            spec = fresh.presentations[name]
+            for d in range(13):
+                basis = spec.relations.lattice(d)
+                pivots = []
+                for row in basis:
+                    assert type(row) is dict and row and 0 not in row.values(), (name, d)
+                    c = min(row)
+                    assert row[c] > 0
+                    assert all(0 <= above.get(c, 0) < row[c] for above in basis[: len(pivots)])
+                    pivots.append(c)
+                assert all(a < b for a, b in zip(pivots, pivots[1:])), (name, d)
+            spec.groebner
+        fresh.twist_kernels
+        spec = fresh.delta1_ring
+        assert len(enumerate_kernel_elements(spec, spec.parse("gamma - lambda1"), 3)) == 3
+        assert calls == []
+
+
 def _linear_spec(n, rows):
     """Over n variables of weight 1, the presentation whose degree-1
     relation lattice is spanned by the rows, and its degree-1 monomials."""
     ring = Ring(*((f"x{i}", 1) for i in range(n)))
     monomials = ring.monomials_of_degree(1)
-    return RingSpec(ring, [polynomial_of(ring, monomials, row) for row in rows]), monomials
+    return RingSpec(ring, [polynomial_of(ring, monomials, sparse(row)) for row in rows]), monomials
 
 
 class TestSmithQuotient:
@@ -199,7 +235,7 @@ class TestSmithQuotient:
         if dependent and len(rows) >= 2:
             rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[1])]]
         spec, monomials = _linear_spec(n, rows)
-        assert spec.relations.lattice(1) == la.lattice_basis(rows, n)
+        assert spec.relations.lattice(1) == la.lattice_basis(list(map(sparse, rows)), n)
         piece = graded_piece(spec, 1)
         raw = la.smith_normal_form(rows, ncols=n).diagonal
         raw = raw + [0] * (n - len(raw))
@@ -211,7 +247,7 @@ class TestSmithQuotient:
         # V' is a basis change of the cleared columns in which the rows lie
         # in the lattice spanned by the diagonal.
         for row in rows:
-            assert piece.is_zero(polynomial_of(spec.ring, monomials, row))
+            assert piece.is_zero(polynomial_of(spec.ring, monomials, sparse(row)))
 
     @settings(max_examples=120, deadline=None)
     @given(quotient_cases())
@@ -230,8 +266,9 @@ class TestSmithQuotient:
         n, rows = case[0], case[1]
         probe = _probe(case)
         spec, monomials = _linear_spec(n, rows)
-        vanishes = graded_piece(spec, 1).is_zero(polynomial_of(spec.ring, monomials, probe))
-        member = la.lattice_coordinates(la.lattice_basis(rows, n), probe) is not None
+        vanishes = graded_piece(spec, 1).is_zero(polynomial_of(spec.ring, monomials, sparse(probe)))
+        basis = la.lattice_basis(list(map(sparse, rows)), n)
+        member = la.lattice_coordinates(basis, sparse(probe)) is not None
         assert vanishes == member
 
 
@@ -243,7 +280,7 @@ class TestBlockSmithForm:
         spec = pipeline.presentations["bielliptic"]
         monomials, rows = relation_rows(spec, 8)
         basis = la.lattice_basis(rows, len(monomials))
-        non_unit = sum(1 for row in basis if next(x for x in row if x) != 1)
+        non_unit = sum(1 for row in basis if row[min(row)] != 1)
         blocks = []
         real = la.smith_normal_form
 
@@ -364,7 +401,7 @@ class TestMultiplicationKernel:
     def test_zero_multiplier_keeps_everything(self, open_spec):
         kernels = multiplication_kernel(open_spec, open_spec.ring.zero(), 3)
         n = len(open_spec.ring.monomials_of_degree(1))
-        assert kernels[1] == la.identity(n)
+        assert kernels[1] == list(map(sparse, la.identity(n)))
 
     def test_free_ring_has_no_kernel(self):
         spec = RingSpec.build((("lambda1", 1),), ())
@@ -528,7 +565,7 @@ def _seeded_twist_quotient(sound: Pipeline, d: int, corrupt) -> Pipeline:
 
 
 def _units(basis):
-    return [i for i, row in enumerate(basis) if next(x for x in row if x) == 1]
+    return [i for i, row in enumerate(basis) if row[min(row)] == 1]
 
 
 def _drop_a_unit_row(basis):
@@ -538,16 +575,18 @@ def _drop_a_unit_row(basis):
 
 def _double_a_unit_pivot(basis):
     first = _units(basis)[0]
-    return [[2 * x for x in row] if i == first else row for i, row in enumerate(basis)]
+    doubled = {j: 2 * x for j, x in basis[first].items()}
+    return basis[:first] + [doubled] + basis[first + 1:]
 
 
 def _add_a_relation(basis):
     """The basis with one more relation, outside the ideal: the unit vector
-    of its first column without a pivot."""
-    n = len(basis[0])
+    of its first column without a pivot.  Columns past the last entry of
+    the basis hold no pivot, so the first one is the last candidate."""
+    n = 1 + max(j for row in basis for j in row)
     pivots = {c for c, _ in la.pivots(basis)}
-    free = next(j for j in range(n) if j not in pivots)
-    return la.lattice_basis(basis + [[int(j == free) for j in range(n)]], n)
+    free = next(j for j in range(n + 1) if j not in pivots)
+    return la.lattice_basis(basis + [{free: 1}], n + 1)
 
 
 class TestKeptLattices:

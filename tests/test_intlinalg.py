@@ -9,7 +9,7 @@ from genus2chow import graded, intlinalg as la
 from genus2chow.groebner import RingSpec
 from genus2chow.pipeline import Pipeline
 
-from helpers import reference_preimage, reference_smith_normal_form
+from helpers import dense, reference_preimage, reference_smith_normal_form, sparse
 
 
 def small_matrices(max_dim=6, bound=30):
@@ -83,12 +83,15 @@ class TestHermite:
         rng = random.Random(1)
         combo = [rng.randint(-5, 5) for _ in A]
         vec = la.matvec_left(combo, A)
-        assert la.lattice_coordinates([hf.rows[r] for r, _ in hf.pivots], vec) is not None
+        basis = [sparse(hf.rows[r]) for r, _ in hf.pivots]
+        assert la.lattice_coordinates(basis, sparse(vec)) is not None
 
     def test_canonical_basis_equality(self):
         rows_a = [[2, 0], [0, 3]]
         rows_b = [[2, 3], [2, -3], [4, 3]]
-        assert la.lattice_basis(rows_a, 2) == la.lattice_basis(rows_b, 2)
+        assert la.lattice_basis(list(map(sparse, rows_a)), 2) == la.lattice_basis(
+            list(map(sparse, rows_b)), 2
+        )
 
 
 class TestSharedElimination:
@@ -102,7 +105,8 @@ class TestSharedElimination:
     def test_basis_and_transform(self, case):
         A, n = case
         hf = la.hermite_normal_form(A, n)
-        assert la.lattice_basis(A, n) == [hf.rows[r] for r, _ in hf.pivots]
+        basis = [sparse(hf.rows[r]) for r, _ in hf.pivots]
+        assert la.lattice_basis(list(map(sparse, A)), n) == basis
         assert la.matmul(hf.transform, A) == hf.rows
         assert all(c < n for _, c in hf.pivots)
         if A:
@@ -123,15 +127,17 @@ class TestSharedElimination:
         hf = la.hermite_normal_form(A, n)
         assert_hermite_shape(hf, A)
         assert all(c < n for _, c in hf.pivots)
-        assert la.lattice_basis(A, n) == [hf.rows[r] for r, _ in hf.pivots]
+        basis = [sparse(hf.rows[r]) for r, _ in hf.pivots]
+        assert la.lattice_basis(list(map(sparse, A)), n) == basis
 
     def test_lattice_basis_builds_no_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("hermite_normal_form called")
 
         monkeypatch.setattr(la, "hermite_normal_form", refuse)
-        assert la.lattice_basis([[2, 3], [2, -3], [4, 3]], 2) == [[2, 0], [0, 3]]
-        assert la.lattice_basis([[0, 2, 1], [0, 4, 5]], 1) == []
+        rows = list(map(sparse, [[2, 3], [2, -3], [4, 3]]))
+        assert la.lattice_basis(rows, 2) == list(map(sparse, [[2, 0], [0, 3]]))
+        assert la.lattice_basis(list(map(sparse, [[0, 2, 1], [0, 4, 5]])), 1) == []
         spec = RingSpec.build(
             (("beta1", 1), ("beta2", 2), ("gamma", 1)),
             ("2*gamma", "gamma^2 + beta1*gamma"),
@@ -233,46 +239,54 @@ class TestSmith:
             assert snf.diagonal == reference_smith_normal_form(A, n).diagonal
 
 
+def _combination(x, basis, width):
+    """The dense vector x @ basis, for coordinates and a basis as
+    ``lattice_coordinates`` and ``lattice_basis`` give them."""
+    if not basis:
+        return [0] * width
+    return la.matvec_left(dense(x, len(basis)), [dense(row, width) for row in basis])
+
+
 class TestSolveAndKernel:
     def test_solve_left_exact(self):
-        B = la.lattice_basis([[2, 0, 1], [0, 3, 1]], 3)
+        B = la.lattice_basis(list(map(sparse, [[2, 0, 1], [0, 3, 1]])), 3)
         v = [4, 3, 3]
-        x = la.lattice_coordinates(B, v)
-        assert x is not None and la.matvec_left(x, B) == v
+        x = la.lattice_coordinates(B, sparse(v))
+        assert x is not None and _combination(x, B, 3) == v
 
     def test_solve_left_no_solution(self):
-        assert la.lattice_coordinates(la.lattice_basis([[2, 0]], 2), [1, 0]) is None
+        assert la.lattice_coordinates(la.lattice_basis([sparse([2, 0])], 2), sparse([1, 0])) is None
 
     def test_solve_left_many(self):
-        B = la.lattice_basis([[1, 1], [0, 2]], 2)
-        assert la.lattice_coordinates(B, [1, 3]) == [1, 1]
-        x = la.lattice_coordinates(B, [2, 4])
-        assert x is not None and la.matvec_left(x, B) == [2, 4]
-        assert la.lattice_coordinates(B, [0, 1]) is None
+        B = la.lattice_basis(list(map(sparse, [[1, 1], [0, 2]])), 2)
+        assert la.lattice_coordinates(B, sparse([1, 3])) == sparse([1, 1])
+        x = la.lattice_coordinates(B, sparse([2, 4]))
+        assert x is not None and _combination(x, B, 2) == [2, 4]
+        assert la.lattice_coordinates(B, sparse([0, 1])) is None
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_cases())
     def test_lattice_coordinates_round_trip(self, case):
         rows, coeffs, probe = case
         n = len(probe)
-        B = la.lattice_basis(rows, n)
+        B = la.lattice_basis(list(map(sparse, rows)), n)
 
         def combination(x):
-            return la.matvec_left(x, B) if B else [0] * n
+            return _combination(x, B, n)
 
-        x = coeffs[: len(B)]
-        assert la.lattice_coordinates(B, combination(x)) == x
+        x = sparse(coeffs[: len(B)])
+        assert la.lattice_coordinates(B, sparse(combination(x))) == x
         # A probe has coordinates exactly when adding it to the raw rows
         # leaves their lattice unchanged, and then they reproduce it.
-        coords = la.lattice_coordinates(B, probe)
-        if la.lattice_basis(rows + [probe], n) != B:
+        coords = la.lattice_coordinates(B, sparse(probe))
+        if la.lattice_basis(list(map(sparse, rows + [probe])), n) != B:
             assert coords is None
         else:
             assert coords is not None and combination(coords) == probe
 
     def test_lattice_coordinates_empty_basis(self):
-        assert la.lattice_coordinates([], [0, 0, 0]) == []
-        assert la.lattice_coordinates([], [0, 1, 0]) is None
+        assert la.lattice_coordinates([], sparse([0, 0, 0])) == sparse([])
+        assert la.lattice_coordinates([], sparse([0, 1, 0])) is None
 
 
 def preimage_cases(max_dim=4, bound=6):
@@ -294,29 +308,35 @@ class TestPreimage:
     @example(([], [], 3))
     @example(([[0, 0], [0, 0]], [[2, 0]], 2))
     def test_equals_the_transform_route(self, case):
-        assert la.preimage_basis(*case) == reference_preimage(*case)
+        A, B, n = case
+        assert la.preimage_basis(list(map(sparse, A)), list(map(sparse, B)), n) == (
+            reference_preimage(*case)
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(preimage_cases())
     def test_rows_map_into_the_target_lattice(self, case):
         A, B, n = case
-        target = la.lattice_basis(B, n)
-        for x in la.preimage_basis(A, B, n):
-            assert la.lattice_coordinates(target, la.matvec_left(x, A)) is not None
+        target = la.lattice_basis(list(map(sparse, B)), n)
+        for x in la.preimage_basis(list(map(sparse, A)), list(map(sparse, B)), n):
+            image = la.matvec_left(dense(x, len(A)), A)
+            assert la.lattice_coordinates(target, sparse(image)) is not None
 
     @settings(max_examples=80, deadline=None)
     @given(preimage_cases())
     def test_empty_target_gives_the_left_kernel(self, case):
         A, _, n = case
-        kernel = la.preimage_basis(A, [], n)
+        kernel = la.preimage_basis(list(map(sparse, A)), [], n)
         for x in kernel:
-            assert la.matvec_left(x, A) == [0] * n
-        assert len(kernel) == len(A) - len(la.lattice_basis(A, n))
+            assert la.matvec_left(dense(x, len(A)), A) == [0] * n
+        assert len(kernel) == len(A) - len(la.lattice_basis(list(map(sparse, A)), n))
 
     def test_kernel_example(self):
-        assert la.preimage_basis([[1, 2], [2, 4]], [], 2) == [[2, -1]]
+        A = list(map(sparse, [[1, 2], [2, 4]]))
+        assert la.preimage_basis(A, [], 2) == [sparse([2, -1])]
         # 2*x0 + 4*x1 lies in 4Z exactly when x0 is even.
-        assert la.preimage_basis([[2], [4]], [[4]], 1) == [[2, 0], [0, 1]]
+        A, B = list(map(sparse, [[2], [4]])), [sparse([4])]
+        assert la.preimage_basis(A, B, 1) == list(map(sparse, [[2, 0], [0, 1]]))
 
     def test_full_run_builds_no_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -328,8 +348,9 @@ class TestPreimage:
         assert len(report.checks) == 21
 
 
-def _sparse(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+def _reversed(row):
+    """The same lattice row with its entries stored in the opposite order."""
+    return dict(reversed(row.items()))
 
 
 def rearranged_rows(max_dim=5, bound=6):
@@ -365,32 +386,35 @@ def rearranged_preimages(max_dim=4, bound=6):
 class TestCanonicalBases:
     """The pivot choice depends on how many entries each row stores, yet the
     bases reached are canonical: the same for every order of the rows, with
-    or without redundant rows, dense or sparse."""
+    or without redundant rows, whatever the order of each row's entries."""
 
     @settings(max_examples=100, deadline=None)
     @given(rearranged_rows())
     @example(([[2, 0, 1], [2, 3, 0], [4, 0, 0]], [2, 0, 1], [1, -1, 2], 3))
     def test_lattice_basis(self, case):
         rows, order, coeffs, w = case
-        basis = la.lattice_basis(rows, w)
-        shuffled = [rows[i] for i in order]
+        basis = la.lattice_basis(list(map(sparse, rows)), w)
+        shuffled = [sparse(rows[i]) for i in order]
         assert la.lattice_basis(shuffled, w) == basis
-        assert la.lattice_basis(_sparse(shuffled), w) == basis
+        assert la.lattice_basis(list(map(_reversed, shuffled)), w) == basis
         if rows:
-            assert la.lattice_basis(rows + [la.matvec_left(coeffs, rows)], w) == basis
+            combined = rows + [la.matvec_left(coeffs, rows)]
+            assert la.lattice_basis(list(map(sparse, combined)), w) == basis
 
     @settings(max_examples=100, deadline=None)
     @given(rearranged_preimages())
     @example((([[1, 2], [2, 1], [0, 3]], [[3, 0], [0, 6]], 2), [2, 0, 1], [1, 0], [2, -1]))
     def test_preimage_basis(self, case):
         (A, B, w), order_a, order_b, coeffs = case
+        A, B, rows_b = list(map(sparse, A)), list(map(sparse, B)), B
         expected = la.preimage_basis(A, B, w)
         assert la.preimage_basis(A, [B[i] for i in order_b], w) == expected
-        assert la.preimage_basis(_sparse(A), _sparse(B), w) == expected
+        assert la.preimage_basis(list(map(_reversed, A)), list(map(_reversed, B)), w) == expected
         if B:
-            assert la.preimage_basis(A, B + [la.matvec_left(coeffs, B)], w) == expected
+            combined = B + [sparse(la.matvec_left(coeffs, rows_b))]
+            assert la.preimage_basis(A, combined, w) == expected
         # Permuting A's rows permutes the preimage's coordinates alike.
-        permuted = [[x[i] for i in order_a] for x in expected]
+        permuted = [{j: x[i] for j, i in enumerate(order_a) if i in x} for x in expected]
         assert la.preimage_basis([A[i] for i in order_a], B, w) == la.lattice_basis(
             permuted, len(A)
         )
