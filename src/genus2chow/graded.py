@@ -5,7 +5,9 @@ inside the free module on the degree-d monomials.  Its Hermite basis comes
 from ``Ideal.lattice`` in ``groebner``, which eliminates each degree once
 per ideal and keeps the bases; Groebner completion reads the same bases.
 Vectors and basis rows alike are sparse {column: entry} rows
-(``intlinalg.Row``).  Each row of that basis with pivot 1 clears its own
+(``intlinalg.Row``) over columns that ``Ring`` owns: a polynomial becomes a
+row through ``IntPolynomial.row``, and a row a polynomial through
+``Ring.from_row``.  Each row of that basis with pivot 1 clears its own
 column from any vector (``_clear``) and splits off as a trivial summand, so
 a graded piece is presented on the other columns: the certified Smith form
 of the other rows there, the one dense block, gives the free rank, the
@@ -44,16 +46,12 @@ from operator import le
 from typing import Sequence
 
 from . import intlinalg
-from .groebner import RingSpec, shifted_row
+from .groebner import RingSpec
 from .ring import IntPolynomial, Ring, RingMismatchError
 
 
 class InfiniteKernelError(ValueError):
     """Enumeration was requested for a kernel with positive free rank."""
-
-
-def polynomial_of(ring: Ring, monomials: Sequence[tuple], row: intlinalg.Row) -> IntPolynomial:
-    return IntPolynomial(ring, {monomials[j]: c for j, c in row.items()})
 
 
 def _split_at_unit_pivots(
@@ -84,15 +82,15 @@ class GradedPieceGroup:
     ``units`` holds the Hermite rows of I_d with pivot 1, by pivot column,
     and ``rest`` the other columns; ``V`` and ``diagonal`` come from the
     certified Smith form U'·H'·V' = D' of the other rows on ``rest``: V' and
-    the diagonal of D', padded with zeros.  A vector's coordinates are its
-    ``_clear`` on ``rest`` times V', coordinate i read modulo
-    ``diagonal[i]`` (0 meaning a free coordinate).  Only polynomials of
-    degree ``degree`` over ``ring`` are read.
+    the diagonal of D', padded with zeros.  A polynomial's coordinates are
+    its row (``IntPolynomial.row``), cleared (``_clear``), on ``rest`` times
+    V', coordinate i read modulo ``diagonal[i]`` (0 meaning a free
+    coordinate).  Only polynomials of degree ``degree`` over ``ring`` are
+    read.
     """
 
     ring: Ring
     degree: int
-    monomial_basis: tuple[tuple, ...]
     free_rank: int
     torsion_invariants: tuple[int, ...]
     units: dict[int, intlinalg.Row]
@@ -108,13 +106,7 @@ class GradedPieceGroup:
         deg = p.weighted_degree()
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
-        terms = p.term_map()
-        return self._vanishes(
-            {j: terms[m] for j, m in enumerate(self.monomial_basis) if m in terms}
-        )
-
-    def _vanishes(self, vector: intlinalg.Row) -> bool:
-        cleared = _clear(vector, self.units)
+        cleared = _clear(p.row(), self.units)
         coords = intlinalg.matvec_left([cleared.get(j, 0) for j in self.rest], self.V)
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
@@ -123,9 +115,8 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     """The degree-d piece of the quotient ring, by Smith normal form."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    monomials = spec.ring.monomials_of_degree(d)
     units, others = _split_at_unit_pivots(spec.relations.lattice(d))
-    rest = [j for j in range(len(monomials)) if j not in units]
+    rest = [j for j in range(len(spec.ring.monomials_of_degree(d))) if j not in units]
     block = [[row.get(j, 0) for j in rest] for row in others]
     snf = intlinalg.smith_normal_form(block, ncols=len(rest))
     snf.verify(block)
@@ -133,7 +124,6 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     return GradedPieceGroup(
         ring=spec.ring,
         degree=d,
-        monomial_basis=tuple(monomials),
         free_rank=diagonal.count(0),
         torsion_invariants=tuple(x for x in diagonal if x >= 2),
         units=units,
@@ -152,10 +142,10 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
     piece = graded_piece(spec, d)
     pivots = {c: row[c] for c, row in intlinalg.pivots(spec.relations.lattice(d))}
     leads = [g.leading_term() for g in spec.groebner.elements if g.weighted_degree() <= d]
-    for j, exps in enumerate(piece.monomial_basis):
+    for j, exps in enumerate(spec.ring.monomials_of_degree(d)):
         c_mu = math.gcd(*(k for e, k in leads if all(map(le, e, exps))))
         monomial = IntPolynomial(spec.ring, {exps: 1}, _trusted=True)
-        if pivots.get(j, 0) != c_mu or piece._vanishes({j: 1}) != spec.contains(monomial):
+        if pivots.get(j, 0) != c_mu or piece.is_zero(monomial) != spec.contains(monomial):
             return False
     return True
 
@@ -173,16 +163,13 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[intlinalg.
     other columns.  Those columns' products with m, cleared by the
     unit-pivot rows one degree up (``_clear``), meet the other rows there,
     which vanish on the cleared columns, and their preimage is lifted back."""
-    ring = spec.ring
-    monomials = ring.monomials_of_degree(d)
+    monomials = spec.ring.monomials_of_degree(d)
     target = d + (m.weighted_degree() or 0)
-    index = {exps: i for i, exps in enumerate(ring.monomials_of_degree(target))}
     units, _ = _split_at_unit_pivots(spec.relations.lattice(d))
     clearing, others = _split_at_unit_pivots(spec.relations.lattice(target))
     free = [j for j in range(len(monomials)) if j not in units]
-    terms = m.term_map()
-    mult_rows = [_clear(shifted_row(index, terms, monomials[j]), clearing) for j in free]
-    small = intlinalg.preimage_basis(mult_rows, others, len(index))
+    mult_rows = [_clear(m.row(monomials[j]), clearing) for j in free]
+    small = intlinalg.preimage_basis(mult_rows, others, len(spec.ring.columns(target)))
     lifted = [{free[i]: y for i, y in x.items()} for x in small]
     return intlinalg.lattice_basis(list(units.values()) + lifted, len(monomials))
 
@@ -201,7 +188,7 @@ def enumerate_kernel_elements(
     spec: RingSpec, m: IntPolynomial, d: int
 ) -> list[IntPolynomial]:
     """All nonzero elements of the degree-d kernel of multiplication by m,
-    as canonical normal forms.
+    as normal forms sorted by their text.
 
     The rows of the relation lattice's Hermite basis, in coordinates over the
     kernel lattice's Hermite basis K, span a sublattice with Hermite basis H.
@@ -209,8 +196,6 @@ def enumerate_kernel_elements(
     coset each, so the classes x @ K are the kernel piece, each once.
     Raises InfiniteKernelError when the kernel piece has positive free rank.
     """
-    ring = spec.ring
-    monomials = ring.monomials_of_degree(d)
     kernel_basis = _kernel_lattice(spec, m, d)
     rank = len(kernel_basis)
     coords = [
@@ -230,15 +215,9 @@ def enumerate_kernel_elements(
         for q, row in zip(x, kernel_basis):
             if q:
                 intlinalg._subtract(vec, -q, row)
-        nf = spec.normal_form(polynomial_of(ring, monomials, vec))
+        nf = spec.normal_form(spec.ring.from_row(d, vec))
         if nf:
             elements.add(nf)
     if len(elements) != math.prod(diagonal) - 1:
         raise AssertionError("kernel classes did not reduce to distinct normal forms")
-    # Greatest first, term by term from the greatest term: the greater
-    # monomial, then the greater coefficient.  The end of a normal form sorts
-    # after any term, so a normal form whose terms begin another's follows it.
-    return sorted(
-        elements,
-        key=lambda p: [(ring.descending_key(e), -c) for e, c in p.terms()] + [((math.inf,),)],
-    )
+    return sorted(elements, key=str)

@@ -11,19 +11,20 @@ The ideals are homogeneous, so an ideal's degree-d relation lattice I_d is
 spanned by its degree-d generators and x_v times I_{d - w_v}, as in Lazard's
 Macaulay-matrix route.  ``Ideal.lattice`` eliminates each degree once, from
 the Hermite bases of the degrees below, and keeps the bases on the ideal as
-sparse rows (``intlinalg.Row``): the one construction of I_d in the package,
-read by completion here and by every graded piece, kernel and oracle
-comparison in ``graded``.  Completion walks the pivots of those bases (each
-row's least column), one degree at a time, until the critical
-pairs (s- and gcd-combinations) close.  One cap on the monomial columns
-processed, summed over degrees, bounds the run in size and so in time, and
-reaching it raises.  The polynomial reducer ``_reduce`` certifies each
-completed basis G of an ideal I twice, without reading the lattices: closure
-(every s- and gcd-combination reduces to zero) and I ⊆ (G) (every generator
-reduces to zero).  Closure is certified once per pair against the final
-leads: the pairs whose lcm lies above the closing degree by completion's
-stopping test, the others after it.  Nothing certifies (G) ⊆ I yet: that
-each kept element lies in I rests on the elimination alone.
+sparse rows (``intlinalg.Row``) over the columns ``Ring`` owns
+(``Ring.columns``; ``IntPolynomial.row`` and ``Ring.from_row`` convert): the
+one construction of I_d in the package, read by completion here and by every
+graded piece, kernel and oracle comparison in ``graded``.  Completion walks
+the pivots of those bases (each row's least column), one degree at a time,
+until the critical pairs (s- and gcd-combinations) close.  One cap on the
+monomial columns processed, summed over degrees, bounds the run in size and
+so in time, and reaching it raises.  The polynomial reducer ``_reduce``
+certifies each completed basis G of an ideal I twice, without reading the
+lattices: closure (every s- and gcd-combination reduces to zero) and I ⊆ (G)
+(every generator reduces to zero).  Closure is certified once per pair
+against the final leads: the pairs whose lcm lies above the closing degree by
+completion's stopping test, the others after it.  Nothing certifies (G) ⊆ I
+yet: that each kept element lies in I rests on the elimination alone.
 
 ``_reduce`` keeps its terms on a heap of (key, exps) entries, the key the
 ring's cached ``descending_key``, so it pops the greatest term first.  Each
@@ -107,25 +108,19 @@ class Ideal:
         if d < 0:
             return []
         ring = self.ring
-        zero = (0,) * ring.nvars
         kept = self._lattices
         while len(kept) <= d:
             e = len(kept)
-            monomials = ring.monomials_of_degree(e)
-            index = {m: i for i, m in enumerate(monomials)}
-            rows = [
-                shifted_row(index, g.term_map(), zero)
-                for g, degree in zip(self.generators, self.degrees)
-                if degree == e
-            ]
+            columns = ring.columns(e)
+            rows = [g.row() for g, degree in zip(self.generators, self.degrees) if degree == e]
             for v, w in enumerate(ring.weights):
                 if w <= e:
-                    columns = [
-                        index[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
+                    shifted = [
+                        columns[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
                         for exps in ring.monomials_of_degree(e - w)
                     ]
-                    rows.extend({columns[j]: x for j, x in row.items()} for row in kept[e - w])
-            kept.append(intlinalg.lattice_basis(rows, len(monomials)))
+                    rows.extend({shifted[j]: x for j, x in row.items()} for row in kept[e - w])
+            kept.append(intlinalg.lattice_basis(rows, len(columns)))
         return kept[d]
 
 
@@ -291,14 +286,6 @@ def _critical_combinations(f: IntPolynomial, g: IntPolynomial):
     yield combination(c // fc, -(c // gc))
 
 
-def shifted_row(
-    index: dict[tuple, int], terms: dict[tuple, int], shift: Sequence[int]
-) -> dict[int, int]:
-    """The sparse row {column: coefficient} of x^shift times a term map,
-    with the column of each monomial taken from ``index``."""
-    return {index[tuple(map(add, exps, shift))]: c for exps, c in terms.items()}
-
-
 def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     """The reduced strong Groebner basis of a homogeneous ideal.
 
@@ -334,8 +321,7 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
             mu, coeff = monomials[c], row[c]
             if not any(coeff % k == 0 and all(map(le, e, mu)) for e, k in leads):
                 leads.append((mu, coeff))
-                terms = {monomials[j]: x for j, x in row.items()}
-                kept.append(IntPolynomial(ring, terms, _trusted=True))
+                kept.append(ring.from_row(d, row))
         if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
             break
     kept.sort(key=lambda g: ring.descending_key(g.leading_term()[0]), reverse=True)
@@ -364,11 +350,7 @@ class RingSpec:
         self.relations = Ideal(ring, generators)
 
     @classmethod
-    def build(
-        cls,
-        variables: Sequence[tuple],
-        relation_texts: Sequence[str] = (),
-    ) -> "RingSpec":
+    def build(cls, variables: Sequence[tuple], relation_texts: Sequence[str]) -> "RingSpec":
         ring = Ring(*variables)
         return cls(ring, [ring.parse(text) for text in relation_texts])
 

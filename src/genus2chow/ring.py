@@ -7,6 +7,11 @@ in each pair of roots straight onto the given Chern classes of their bundles,
 and serves the torus transfer and hyperplane powers), and truncated quotients
 of total Chern series.  Polynomials are immutable values; all operations are
 pure functions, so results can be shared freely.
+
+A ``Ring`` owns the columns of the relation lattices of ``groebner`` and
+``graded``: ``Ring.columns`` gives each degree-d monomial its column,
+``IntPolynomial.row`` turns a homogeneous polynomial into a sparse row over
+them and ``Ring.from_row`` turns a row back.
 """
 
 from __future__ import annotations
@@ -70,10 +75,11 @@ class Ring:
     The declaration order fixes the graded reverse lexicographic monomial
     order used by the ideal machinery, so normal forms (but no ideal-level
     answer) depend on it.  The ring keeps one order key per monomial it meets
-    (``descending_key``) and the monomials of each degree, in order.
+    (``descending_key``), and the monomials of each degree in order and their
+    columns (``columns``), which ``IntPolynomial.row`` and ``from_row`` read.
     """
 
-    __slots__ = ("variables", "_index", "_weights", "_mons_cache", "_key_cache")
+    __slots__ = ("variables", "_index", "_weights", "_mons_cache", "_key_cache", "_cols_cache")
 
     def __init__(self, *variables: Union[VariableSpec, tuple]):
         specs = tuple(v if isinstance(v, VariableSpec) else VariableSpec(*v) for v in variables)
@@ -85,6 +91,7 @@ class Ring:
         self._weights = tuple(s.degree for s in specs)
         self._mons_cache: dict[int, list] = {}
         self._key_cache: dict[tuple, tuple] = {}
+        self._cols_cache: dict[int, dict] = {}
 
     # -- identity ------------------------------------------------------
 
@@ -127,7 +134,7 @@ class Ring:
     # -- monomials -------------------------------------------------------
 
     def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(self._weights, exps))
+        return sum(map(operator.mul, self._weights, exps))
 
     def descending_key(self, exps: tuple) -> tuple:
         """The key (-degree, reversed exponents), memoized: one per monomial
@@ -161,6 +168,20 @@ class Ring:
                 found = [t for t, left in tails if not left]
             self._mons_cache[d] = found
         return found
+
+    def columns(self, d: int) -> dict[tuple, int]:
+        """Each degree-d monomial's column in a lattice row: its place in
+        ``monomials_of_degree(d)`` (memoized)."""
+        found = self._cols_cache.get(d)
+        if found is None:
+            found = self._cols_cache[d] = {m: j for j, m in enumerate(self.monomials_of_degree(d))}
+        return found
+
+    def from_row(self, d: int, row: Mapping[int, int]) -> "IntPolynomial":
+        """The degree-d polynomial whose lattice row is ``row``, a sparse
+        {column: entry} row with no zero entries."""
+        monomials = self.monomials_of_degree(d)
+        return IntPolynomial(self, {monomials[j]: c for j, c in row.items()}, _trusted=True)
 
     # -- element constructors ---------------------------------------------
 
@@ -309,17 +330,35 @@ class IntPolynomial:
         Returns None for the zero polynomial (its degree is unconstrained);
         raises InhomogeneousError carrying two offending monomials otherwise.
         """
-        seen: dict[int, tuple] = {}
-        for exps in self._terms:
-            seen.setdefault(self.ring.monomial_degree(exps), exps)
-            if len(seen) > 1:
-                (d1, m1), (d2, m2) = sorted(seen.items())[:2]
+        terms = iter(self._terms)
+        first = next(terms, None)
+        if first is None:
+            return None
+        degree = self.ring.monomial_degree
+        d = degree(first)
+        for exps in terms:
+            if degree(exps) != d:
+                (d1, m1), (d2, m2) = sorted([(d, first), (degree(exps), exps)])
                 raise InhomogeneousError(
                     f"mixed weighted degrees {d1} and {d2}", witness=(m1, m2)
                 )
-        if not seen:
-            return None
-        return next(iter(seen))
+        return d
+
+    def row(self, shift: Sequence[int] | None = None) -> dict[int, int]:
+        """The sparse lattice row {column: coefficient} of x^shift times this
+        polynomial, over the monomials of its degree (``Ring.columns``).
+        Raises InhomogeneousError when the terms mix degrees."""
+        terms = self._terms
+        if shift is not None:
+            terms = {tuple(map(operator.add, exps, shift)): c for exps, c in terms.items()}
+        if not terms:
+            return {}
+        columns = self.ring.columns(self.ring.monomial_degree(next(iter(terms))))
+        try:
+            return {columns[exps]: c for exps, c in terms.items()}
+        except KeyError:
+            self.weighted_degree()  # a term of another degree: raises InhomogeneousError
+            raise
 
     # -- arithmetic ---------------------------------------------------------
 

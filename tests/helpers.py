@@ -12,8 +12,7 @@ from pathlib import Path
 from genus2chow import intlinalg as la
 from genus2chow.bundles import BundleClasses, SClassCombo
 from genus2chow.classifying import wn_chern
-from genus2chow.graded import polynomial_of
-from genus2chow.groebner import RingSpec, shifted_row
+from genus2chow.groebner import RingSpec
 from genus2chow.parse import ParseError
 from genus2chow.pipeline import VerificationReport
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
@@ -103,41 +102,29 @@ def dense(row: dict[int, int], width: int) -> list[int]:
     return [row.get(j, 0) for j in range(width)]
 
 
-def vector_of(monomials, p: IntPolynomial) -> dict[int, int]:
-    """Coefficient vector of a homogeneous polynomial in a monomial basis,
-    as a lattice row {column: coefficient}."""
-    index = {m: i for i, m in enumerate(monomials)}
-    return {index[exps]: coeff for exps, coeff in p.term_map().items()}
-
-
 def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, int]]]:
     """Degree-d monomial basis and every degree-d multiple of each relation
     generator, as a sparse {column: entry} row over it: the rows that define
     the relation lattice I_d."""
     ring = spec.ring
-    monomials = ring.monomials_of_degree(d)
-    index = {exps: i for i, exps in enumerate(monomials)}
     rows = []
     for g in spec.relations.generators:
         if not g or g.weighted_degree() > d:
             continue
-        terms = g.term_map()
         rows.extend(
-            shifted_row(index, terms, mult)
+            (g * ring.polynomial({mult: 1})).row()
             for mult in ring.monomials_of_degree(d - g.weighted_degree())
         )
-    return monomials, rows
+    return ring.monomials_of_degree(d), rows
 
 
 def reference_kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[dict[int, int]]:
     """The Hermite basis of the degree-d kernel of multiplication by m: the
     preimage, under the rows of multiplication by m on every degree-d
     monomial, of all relation rows one degree up."""
-    monomials = spec.ring.monomials_of_degree(d)
+    ring = spec.ring
     target_monomials, target_rows = relation_rows(spec, d + (m.weighted_degree() or 0))
-    index = {exps: i for i, exps in enumerate(target_monomials)}
-    terms = m.term_map()
-    mult_rows = [shifted_row(index, terms, exps) for exps in monomials]
+    mult_rows = [(m * ring.polynomial({exps: 1})).row() for exps in ring.monomials_of_degree(d)]
     return la.preimage_basis(mult_rows, target_rows, len(target_monomials))
 
 
@@ -237,7 +224,7 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
         return None
     dense_basis = [dense(row, len(monomials)) for row in basis]
     gens = [
-        (polynomial_of(ring, monomials, sparse(la.matvec_left(snf.Vinv[i], dense_basis))), order)
+        (ring.from_row(d, sparse(la.matvec_left(snf.Vinv[i], dense_basis))), order)
         for i, order in enumerate(diagonal) if order != 1
     ]
     elements = set()

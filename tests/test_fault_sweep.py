@@ -22,7 +22,7 @@ from genus2chow.intlinalg import lattice_basis
 from genus2chow.pipeline import Pipeline
 from genus2chow.ring import Ring
 
-from helpers import child_env, digest_changes, vector_of
+from helpers import child_env, digest_changes
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ def _with_kernel_vector(text: str):
     def perturb(p: Pipeline) -> list:
         cls = p.gm_data["spec"].parse(text)
         d = cls.weighted_degree()
-        monomials = cls.ring.monomials_of_degree(d)
+        ncols = len(cls.ring.monomials_of_degree(d))
 
         def grow(basis):
-            return lattice_basis(basis + [vector_of(monomials, cls)], len(monomials))
+            return lattice_basis(basis + [cls.row()], ncols)
 
         return _item(p.twist_kernels, d, grow)
 

@@ -19,7 +19,7 @@ from genus2chow.pipeline import (
 from genus2chow.bundles import SClassCombo
 from genus2chow.ring import Ring
 
-from helpers import child_env, relation_rows, sparse, vector_of
+from helpers import child_env, relation_rows, sparse
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 GOLDEN_D10 = GOLDEN / "verify-d10.json"
@@ -356,12 +356,12 @@ class TestLocalizationExactness:
             for exps in bmons:
                 mono = IntPolynomial(boundary.ring, {exps: 1})
                 image = pushforward_boundary_to_total(mono, total.ring)
-                push_rows.append(vector_of(tmons, image))
+                push_rows.append(image.row())
             restrict_rows = []
             for exps in tmons:
                 mono = IntPolynomial(total.ring, {exps: 1})
                 image = mono.substitute({"delta1": 0}, target=open_stratum.ring)
-                restrict_rows.append(vector_of(omons, image))
+                restrict_rows.append(image.row())
 
             # Injectivity: the lattice of boundary vectors pushing into the
             # total relation lattice is no bigger than the boundary relations.
