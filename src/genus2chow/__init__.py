@@ -11,13 +11,11 @@ from .ring import (
     NotSymmetricError,
     Ring,
     RingMismatchError,
-    VariableSpec,
     chern_series_quotient,
     symmetrize_to_elementary,
 )
 from .parse import ParseError, parse_polynomial, render_polynomial
 from .groebner import (
-    Ideal,
     RingSpec,
     StrongGroebnerBasis,
     ideal_equal,

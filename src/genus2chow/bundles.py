@@ -45,7 +45,7 @@ class BundleClasses:
 
 def _fresh(ring: Ring) -> str:
     """A prefix of fresh names: more underscores than any name has characters."""
-    return "_" * (1 + max(len(v.name) for v in ring.variables))
+    return "_" * (1 + max(map(len, ring.names)))
 
 
 def root_product(

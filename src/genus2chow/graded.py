@@ -2,9 +2,9 @@
 
 A degree-d piece of ZZ[x1..xk]/I is presented by the relation lattice I_d
 inside the free module on the degree-d monomials.  Its Hermite basis comes
-from ``Ideal.lattice`` in ``groebner``, which eliminates each degree once
-per ideal and keeps the bases; Groebner completion reads the same bases.
-Vectors and basis rows alike are sparse {column: entry} rows
+from ``RingSpec.lattice`` in ``groebner``, which eliminates each degree
+once per presentation and keeps the bases; Groebner completion reads the
+same bases.  Vectors and basis rows alike are sparse {column: entry} rows
 (``intlinalg.Row``) over columns that ``Ring`` owns: a polynomial becomes a
 row through ``IntPolynomial.row``, and a row a polynomial through
 ``Ring.from_row``.  Each row of that basis with pivot 1 clears its own
@@ -115,7 +115,7 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     """The degree-d piece of the quotient ring, by Smith normal form."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    units, others = _split_at_unit_pivots(spec.relations.lattice(d))
+    units, others = _split_at_unit_pivots(spec.lattice(d))
     rest = [j for j in range(len(spec.ring.monomials_of_degree(d))) if j not in units]
     block = [[row.get(j, 0) for j in rest] for row in others]
     snf = intlinalg.smith_normal_form(block, ncols=len(rest))
@@ -140,7 +140,7 @@ def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
     gcd of the lead coefficients of the basis elements whose leading
     monomial divides mu (0 if no leading monomial does)."""
     piece = graded_piece(spec, d)
-    pivots = {c: row[c] for c, row in intlinalg.pivots(spec.relations.lattice(d))}
+    pivots = {c: row[c] for c, row in intlinalg.pivots(spec.lattice(d))}
     leads = [g.leading_term() for g in spec.groebner.elements if g.weighted_degree() <= d]
     for j, exps in enumerate(spec.ring.monomials_of_degree(d)):
         c_mu = math.gcd(*(k for e, k in leads if all(map(le, e, exps))))
@@ -165,8 +165,8 @@ def _kernel_lattice(spec: RingSpec, m: IntPolynomial, d: int) -> list[intlinalg.
     which vanish on the cleared columns, and their preimage is lifted back."""
     monomials = spec.ring.monomials_of_degree(d)
     target = d + (m.weighted_degree() or 0)
-    units, _ = _split_at_unit_pivots(spec.relations.lattice(d))
-    clearing, others = _split_at_unit_pivots(spec.relations.lattice(target))
+    units, _ = _split_at_unit_pivots(spec.lattice(d))
+    clearing, others = _split_at_unit_pivots(spec.lattice(target))
     free = [j for j in range(len(monomials)) if j not in units]
     mult_rows = [_clear(m.row(monomials[j]), clearing) for j in free]
     small = intlinalg.preimage_basis(mult_rows, others, len(spec.ring.columns(target)))
@@ -199,7 +199,7 @@ def enumerate_kernel_elements(
     kernel_basis = _kernel_lattice(spec, m, d)
     rank = len(kernel_basis)
     coords = [
-        intlinalg.lattice_coordinates(kernel_basis, row) for row in spec.relations.lattice(d)
+        intlinalg.lattice_coordinates(kernel_basis, row) for row in spec.lattice(d)
     ]
     if None in coords:
         raise AssertionError("relation lattice is not contained in the kernel")

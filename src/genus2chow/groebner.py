@@ -9,8 +9,8 @@ which makes them unique and path-independent.
 
 The ideals are homogeneous, so an ideal's degree-d relation lattice I_d is
 spanned by its degree-d generators and x_v times I_{d - w_v}, as in Lazard's
-Macaulay-matrix route.  ``Ideal.lattice`` eliminates each degree once, from
-the Hermite bases of the degrees below, and keeps the bases on the ideal as
+Macaulay-matrix route.  ``RingSpec.lattice`` eliminates each degree once, from
+the Hermite bases of the degrees below, and keeps the bases on the spec as
 sparse rows (``intlinalg.Row``) over the columns ``Ring`` owns
 (``Ring.columns``; ``IntPolynomial.row`` and ``Ring.from_row`` convert): the
 one construction of I_d in the package, read by completion here and by every
@@ -35,9 +35,9 @@ one entry per distinct monomial reduced, lives and dies with its basis, and
 never changes a normal form: a row depends on the monomial and the leads
 alone.
 
-A ``RingSpec`` (a ring and its generators) is the one holder of a
-completed basis: it completes its ideal once, on first use, and every
-membership test and normal form in the package goes through it.
+A ``RingSpec`` (a ring and its generators) is the one presentation object:
+it keeps the Hermite bases of I_d, completes its basis once, on first use,
+and every membership test and normal form in the package goes through it.
 ``ideal_equal`` compares two presentations through their own bases.
 """
 
@@ -59,69 +59,6 @@ from .ring import IntPolynomial, Ring, RingMismatchError, add_terms
 # over three variables within about 300.  Forcing non-closure, the cap is
 # reached in 0.1 to 0.3 s over two to five variables (one core, Python 3.11).
 _MAX_COLUMNS = 2000
-
-
-class Ideal:
-    """A homogeneous ideal, given by generators over a common ring.
-
-    Degree-0 generators (integer constants) are allowed; they present
-    coefficient reduction, which is how mod-p quotients are encoded.
-    ``degrees`` holds each generator's weighted degree, None for zero.
-    """
-
-    __slots__ = ("ring", "generators", "degrees", "_lattices")
-
-    def __init__(self, ring: Ring, generators: Iterable[IntPolynomial]):
-        gens = tuple(generators)
-        degrees = []
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError(f"generator {g!r} is not over {ring!r}")
-            degrees.append(g.weighted_degree())  # raises InhomogeneousError on mixed degrees
-        self.ring = ring
-        self.generators = gens
-        self.degrees = tuple(degrees)
-        self._lattices: list[list[intlinalg.Row]] = []  # Hermite basis of I_d, by d
-
-    def __repr__(self):
-        inner = ", ".join(str(g) for g in self.generators)
-        return f"Ideal({inner})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.ring == other.ring
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.generators))
-
-    def lattice(self, d: int) -> list[intlinalg.Row]:
-        """The Hermite basis, as ``lattice_basis`` gives it, of the degree-d
-        relation lattice I_d over ``ring.monomials_of_degree(d)``.
-
-        I_d is spanned by the degree-d generators and, for each variable x_v
-        of weight w_v, by x_v times the basis of I_{d - w_v}, so each degree
-        is eliminated from the bases below it.  The ideal keeps the bases,
-        so each of its degrees is eliminated once."""
-        if d < 0:
-            return []
-        ring = self.ring
-        kept = self._lattices
-        while len(kept) <= d:
-            e = len(kept)
-            columns = ring.columns(e)
-            rows = [g.row() for g, degree in zip(self.generators, self.degrees) if degree == e]
-            for v, w in enumerate(ring.weights):
-                if w <= e:
-                    shifted = [
-                        columns[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
-                        for exps in ring.monomials_of_degree(e - w)
-                    ]
-                    rows.extend({shifted[j]: x for j, x in row.items()} for row in kept[e - w])
-            kept.append(intlinalg.lattice_basis(rows, len(columns)))
-        return kept[d]
 
 
 def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
@@ -286,11 +223,11 @@ def _critical_combinations(f: IntPolynomial, g: IntPolynomial):
     yield combination(c // fc, -(c // gc))
 
 
-def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
-    """The reduced strong Groebner basis of a homogeneous ideal.
+def strong_groebner(spec: RingSpec) -> StrongGroebnerBasis:
+    """The reduced strong Groebner basis of a presentation's ideal.
 
     Degree by degree, it walks the pivots of the Hermite basis of I_d
-    (``Ideal.lattice``), whose columns are in descending monomial order: a
+    (``RingSpec.lattice``), whose columns are in descending monomial order: a
     row led by c*mu is kept unless an earlier kept lead divides mu with a
     coefficient that divides c; its tail is already reduced modulo the
     pivots.  The kept rows of degrees <= d reduce every element of I of
@@ -305,8 +242,8 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     summed over the degrees processed, raises RuntimeError before the
     degree that would pass it is eliminated.
     """
-    ring = ideal.ring
-    top = max((d for d in ideal.degrees if d is not None), default=0)
+    ring = spec.ring
+    top = max((d for d in spec.degrees if d is not None), default=0)
     leads: list[tuple] = []
     kept: list[IntPolynomial] = []
     columns = 0
@@ -317,7 +254,7 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
             raise RuntimeError(
                 f"Groebner completion reached the column cap {_MAX_COLUMNS} without closing"
             )
-        for c, row in intlinalg.pivots(ideal.lattice(d)):
+        for c, row in intlinalg.pivots(spec.lattice(d)):
             mu, coeff = monomials[c], row[c]
             if not any(coeff % k == 0 and all(map(le, e, mu)) for e, k in leads):
                 leads.append((mu, coeff))
@@ -329,25 +266,38 @@ def strong_groebner(ideal: Ideal) -> StrongGroebnerBasis:
     pair = _unclosed_pair(result.elements, result._leads, result._rows, upto=d)
     if pair:
         raise AssertionError(f"completed basis not closed: pair ({pair[0]}, {pair[1]})")
-    for g in ideal.generators:
+    for g in spec.generators:
         if result.normal_form(g):
             raise AssertionError("completed basis does not contain a generator")
     return result
 
 
 class RingSpec:
-    """A graded ring presentation: a ring and its generators, which span
-    the relation ideal ``relations`` of the quotient.
+    """A graded ring presentation ZZ[vars]/I: a ring and the generators of
+    its relation ideal I, homogeneous and over that ring.
 
-    This is the universal container for every Chow ring in the pipeline,
-    and the only place a strong basis is completed and kept.
+    Degree-0 generators (integer constants) are allowed; they present
+    coefficient reduction, which is how mod-p quotients are encoded.
+    ``degrees`` holds each generator's weighted degree, None for zero.  This
+    is the universal container for every Chow ring in the pipeline: it keeps
+    the Hermite bases of I_d (``lattice``) and is the only place a strong
+    basis is completed and kept.  Two presentations are equal when their
+    rings and generators, in order, are.
     """
 
-    __slots__ = ("ring", "relations", "__dict__")
+    __slots__ = ("ring", "generators", "degrees", "_lattices", "__dict__")
 
     def __init__(self, ring: Ring, generators: Iterable[IntPolynomial]):
+        gens = tuple(generators)
+        degrees = []
+        for g in gens:
+            if g.ring != ring:
+                raise RingMismatchError(f"generator {g!r} is not over {ring!r}")
+            degrees.append(g.weighted_degree())  # raises InhomogeneousError on mixed degrees
         self.ring = ring
-        self.relations = Ideal(ring, generators)
+        self.generators = gens
+        self.degrees = tuple(degrees)
+        self._lattices: list[list[intlinalg.Row]] = []  # Hermite basis of I_d, by d
 
     @classmethod
     def build(cls, variables: Sequence[tuple], relation_texts: Sequence[str]) -> "RingSpec":
@@ -355,11 +305,54 @@ class RingSpec:
         return cls(ring, [ring.parse(text) for text in relation_texts])
 
     def __repr__(self):
-        return f"RingSpec({self.ring!r}, {self.relations!r})"
+        inner = ", ".join(str(g) for g in self.generators)
+        return f"RingSpec({self.ring!r}, ({inner}))"
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RingSpec)
+            and self.ring == other.ring
+            and self.generators == other.generators
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.generators))
+
+    @property
+    def relations(self) -> "RingSpec":
+        """The presentation itself, kept for ``bench/workloads.py``, which
+        reads the generators through it."""
+        return self
+
+    def lattice(self, d: int) -> list[intlinalg.Row]:
+        """The Hermite basis, as ``lattice_basis`` gives it, of the degree-d
+        relation lattice I_d over ``ring.monomials_of_degree(d)``.
+
+        I_d is spanned by the degree-d generators and, for each variable x_v
+        of weight w_v, by x_v times the basis of I_{d - w_v}, so each degree
+        is eliminated from the bases below it.  The presentation keeps the
+        bases, so each of its degrees is eliminated once."""
+        if d < 0:
+            return []
+        ring = self.ring
+        kept = self._lattices
+        while len(kept) <= d:
+            e = len(kept)
+            columns = ring.columns(e)
+            rows = [g.row() for g, degree in zip(self.generators, self.degrees) if degree == e]
+            for v, w in enumerate(ring.weights):
+                if w <= e:
+                    shifted = [
+                        columns[exps[:v] + (exps[v] + 1,) + exps[v + 1:]]
+                        for exps in ring.monomials_of_degree(e - w)
+                    ]
+                    rows.extend({shifted[j]: x for j, x in row.items()} for row in kept[e - w])
+            kept.append(intlinalg.lattice_basis(rows, len(columns)))
+        return kept[d]
 
     @cached_property
     def groebner(self) -> StrongGroebnerBasis:
-        return strong_groebner(self.relations)
+        return strong_groebner(self)
 
     def normal_form(self, p: IntPolynomial) -> IntPolynomial:
         return self.groebner.normal_form(p)
@@ -368,7 +361,7 @@ class RingSpec:
         return self.groebner.contains(p)
 
     def with_relations(self, *extra: IntPolynomial) -> "RingSpec":
-        return RingSpec(self.ring, self.relations.generators + extra)
+        return RingSpec(self.ring, self.generators + extra)
 
     def parse(self, text: str) -> IntPolynomial:
         return self.ring.parse(text)
@@ -379,6 +372,6 @@ def ideal_equal(a: RingSpec, b: RingSpec) -> bool:
     presentations' ideals; each side's membership uses its own basis."""
     if a.ring != b.ring:
         raise RingMismatchError("ideals live over different rings")
-    return all(b.contains(g) for g in a.relations.generators) and all(
-        a.contains(g) for g in b.relations.generators
+    return all(b.contains(g) for g in a.generators) and all(
+        a.contains(g) for g in b.generators
     )

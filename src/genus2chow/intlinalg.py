@@ -16,7 +16,7 @@ return dense matrices; only ``hermite_normal_form`` builds its unimodular U,
 in rows of its own that take the same row operations.  Both normal forms
 take the column count, so an empty matrix is no special case.  The one
 elimination, ``_hermite``, serves Hermite bases, preimages and Smith forms:
-``groebner.Ideal.lattice`` builds each degree's relation lattice through
+``groebner.RingSpec.lattice`` builds each degree's relation lattice through
 ``lattice_basis`` from x_v times the Hermite basis of the degree below, and
 Groebner completion and ``graded`` read those bases; ``graded`` solves
 multiplication kernels after clearing the unit-pivot columns; and

@@ -529,7 +529,7 @@ class Pipeline:
         # fifth (the Euler class they imply) adds nothing to the pushforward.
         pushed = [
             pushforward_boundary_to_total(g, ring)
-            for g in self.delta1_ring.relations.generators[:4]
+            for g in self.delta1_ring.generators[:4]
         ]
         # The self-node relation is the one the GRR assembly of delta0 derives.
         six = [ring.parse(_MAIN_RELATIONS[0]), self.grr_data["rel3"].into(ring)] + pushed
@@ -629,7 +629,7 @@ class Pipeline:
         phi["beta2"] = l2 - phi["alpha1"] ** 2 - phi["alpha1"] * phi["beta1"]
         phi["alpha2"] = 2 * l1 * dl - 2 * l1 * gl - 8 * l2
 
-        all_alpha_gens = (*amb.relations.generators, *relzero.values(), *reltrip.values())
+        all_alpha_gens = (*amb.generators, *relzero.values(), *reltrip.values())
         derived_gens = tuple(g.substitute(phi, target=lr) for g in all_alpha_gens)
         derived = RingSpec(lr, derived_gens)
         return {
@@ -663,7 +663,7 @@ class Pipeline:
         # Equal generators, in order, present the same ideal as the pipeline's
         # classifying ring without completing a second basis.
         _expect(
-            deriv.substituted_relations, self.bg.relations.generators,
+            deriv.substituted_relations, self.bg.generators,
             "derived presentation differs from the stated one:",
         )
         return (
@@ -824,7 +824,7 @@ class Pipeline:
         generated = spec.with_relations(k3, k4)
         for d, kernel in enumerate(self.twist_kernels):
             _require(
-                kernel == generated.relations.lattice(d),
+                kernel == generated.lattice(d),
                 f"kernel piece in degree {d} should vanish" if d < 3
                 else f"kernel piece in degree {d} is not generated by the two classes",
             )
@@ -909,7 +909,7 @@ class Pipeline:
             stated.contains(2 * delta0 * ring.var("lambda2")),
             "the self-node relation does not hold in the quotient",
         )
-        lines = [f"  {g}" for g in six.relations.generators]
+        lines = [f"  {g}" for g in six.generators]
         return (
             "the six localization relations\n"
             + "\n".join(lines)
@@ -993,7 +993,7 @@ class Pipeline:
             "mod-2 reduction does not give the stated two-relation presentation",
         )
         main = self.m2bar_ring
-        for g in main.relations.generators:
+        for g in main.generators:
             _require(
                 mod2_spec.contains(g.into(lr)),
                 f"restriction is not defined mod 2: image of {g} does not vanish",

@@ -8,8 +8,9 @@ and serves the torus transfer and hyperplane powers), and truncated quotients
 of total Chern series.  Polynomials are immutable values; all operations are
 pure functions, so results can be shared freely.
 
-A ``Ring`` owns the columns of the relation lattices of ``groebner`` and
-``graded``: ``Ring.columns`` gives each degree-d monomial its column,
+A ``Ring`` is its variables' ``names`` and ``weights``, and owns the columns
+of the relation lattices that ``groebner.RingSpec.lattice`` builds and
+``graded`` reads: ``Ring.columns`` gives each degree-d monomial its column,
 ``IntPolynomial.row`` turns a homogeneous polynomial into a sparse row over
 them and ``Ring.from_row`` turns a row back.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -55,22 +55,10 @@ class NotSymmetricError(ValueError):
         self.orbit = orbit
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """A graded variable: an identifier plus its weight in the grading."""
-
-    name: str
-    degree: int
-
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
-        if self.degree < 1:
-            raise ValueError(f"variable {self.name!r}: degree must be >= 1, got {self.degree}")
-
-
 class Ring:
-    """An ordered list of weighted variables over the integers.
+    """An ordered list of weighted variables over the integers, declared as
+    (name, weight) pairs and kept as the tuples ``names`` and ``weights``.
+    A name is an identifier and a weight an int of at least 1.
 
     The declaration order fixes the graded reverse lexicographic monomial
     order used by the ideal machinery, so normal forms (but no ideal-level
@@ -79,16 +67,23 @@ class Ring:
     columns (``columns``), which ``IntPolynomial.row`` and ``from_row`` read.
     """
 
-    __slots__ = ("variables", "_index", "_weights", "_mons_cache", "_key_cache", "_cols_cache")
+    __slots__ = ("names", "weights", "_index", "_mons_cache", "_key_cache", "_cols_cache")
 
-    def __init__(self, *variables: Union[VariableSpec, tuple]):
-        specs = tuple(v if isinstance(v, VariableSpec) else VariableSpec(*v) for v in variables)
-        names = [s.name for s in specs]
+    def __init__(self, *variables: tuple[str, int]):
+        names = tuple(name for name, _ in variables)
+        weights = tuple(weight for _, weight in variables)
+        for name, weight in zip(names, weights):
+            if not _NAME_RE.match(name):
+                raise ValueError(f"invalid variable name {name!r}")
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                raise ValueError(f"variable {name!r}: degree must be an int, got {weight!r}")
+            if weight < 1:
+                raise ValueError(f"variable {name!r}: degree must be >= 1, got {weight}")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        self.variables = specs
-        self._index = {s.name: i for i, s in enumerate(specs)}
-        self._weights = tuple(s.degree for s in specs)
+            raise ValueError(f"duplicate variable names in {list(names)}")
+        self.names = names
+        self.weights = weights
+        self._index = {name: i for i, name in enumerate(names)}
         self._mons_cache: dict[int, list] = {}
         self._key_cache: dict[tuple, tuple] = {}
         self._cols_cache: dict[int, dict] = {}
@@ -96,28 +91,22 @@ class Ring:
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Ring) and self.variables == other.variables)
+        return self is other or (
+            isinstance(other, Ring) and self.names == other.names and self.weights == other.weights
+        )
 
     def __hash__(self):
-        return hash(self.variables)
+        return hash((self.names, self.weights))
 
     def __repr__(self):
-        inner = ", ".join(f"{v.name}:{v.degree}" for v in self.variables)
+        inner = ", ".join(f"{name}:{weight}" for name, weight in zip(self.names, self.weights))
         return f"Ring({inner})"
 
     # -- variable bookkeeping -------------------------------------------
 
     @property
     def nvars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return self._weights
+        return len(self.names)
 
     def index(self, name: str) -> int:
         try:
@@ -129,12 +118,12 @@ class Ring:
         return name in self._index
 
     def extend(self, *variables) -> "Ring":
-        return Ring(*self.variables, *variables)
+        return Ring(*zip(self.names, self.weights), *variables)
 
     # -- monomials -------------------------------------------------------
 
     def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(map(operator.mul, self._weights, exps))
+        return sum(map(operator.mul, self.weights, exps))
 
     def descending_key(self, exps: tuple) -> tuple:
         """The key (-degree, reversed exponents), memoized: one per monomial
@@ -158,7 +147,7 @@ class Ring:
             return []
         found = self._mons_cache.get(d)
         if found is None:
-            weights = self._weights
+            weights = self.weights
             tails = [((), d)]  # (exponents of the later variables, degree left)
             for w in reversed(weights[1:]):
                 tails = [((e,) + t, left - e * w) for t, left in tails for e in range(left // w + 1)]
@@ -450,27 +439,23 @@ class IntPolynomial:
         named: list[tuple[int, IntPolynomial]] = []
         kept: list[tuple[int, int]] = []
         for i in sorted(used):
-            spec = ring.variables[i]
-            if spec.name in images:
-                img = images[spec.name]
+            name, weight = ring.names[i], ring.weights[i]
+            if name in images:
+                img = images[name]
                 if isinstance(img, int):
                     img = target.const(img)
                 elif img.ring != target:
                     raise RingMismatchError(
-                        f"image of {spec.name} lives in {img.ring!r}, not {target!r}"
+                        f"image of {name} lives in {img.ring!r}, not {target!r}"
                     )
                 d = img.weighted_degree()
-                if d is not None and d != spec.degree:
-                    raise GradingError(
-                        f"image of {spec.name} has degree {d}, expected {spec.degree}"
-                    )
+                if d is not None and d != weight:
+                    raise GradingError(f"image of {name} has degree {d}, expected {weight}")
                 named.append((i, img))
             else:
-                if spec.name not in target or target.variables[target.index(spec.name)] != spec:
-                    raise GradingError(
-                        f"variable {spec.name} has no graded counterpart in {target!r}"
-                    )
-                kept.append((i, target.index(spec.name)))
+                if name not in target or target.weights[target.index(name)] != weight:
+                    raise GradingError(f"variable {name} has no graded counterpart in {target!r}")
+                kept.append((i, target.index(name)))
 
         by_pattern: dict[tuple, dict[tuple, int]] = {}
         for exps, c in self._terms.items():

@@ -79,10 +79,10 @@ def reference_substitute(p: IntPolynomial, images: dict, target: Ring) -> IntPol
     acc: dict[tuple, int] = {}
     for exps, c in p.term_map().items():
         term = [(c, (0,) * target.nvars)]
-        for spec, e in zip(p.ring.variables, exps):
+        for name, e in zip(p.ring.names, exps):
             if not e:
                 continue
-            img = images[spec.name] if spec.name in images else target.var(spec.name)
+            img = images[name] if name in images else target.var(name)
             if isinstance(img, int):
                 img = target.const(img)
             for _ in range(e):
@@ -108,7 +108,7 @@ def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, i
     the relation lattice I_d."""
     ring = spec.ring
     rows = []
-    for g in spec.relations.generators:
+    for g in spec.generators:
         if not g or g.weighted_degree() > d:
             continue
         rows.extend(

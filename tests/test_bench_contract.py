@@ -76,6 +76,25 @@ def test_tracer_reads_the_linear_algebra_it_measures():
         assert metrics[name] > 0, name
 
 
+def test_tracer_counts_distinct_presentations():
+    # A fresh pipeline builds fresh RingSpec objects, so the count of
+    # distinct completions stays put over a second run only if equal
+    # presentations compare equal.
+    ids = ["thm:45", "bielliptic-mod2"]
+    counts = []
+    for runs in (1, 2):
+        tracer = tracing.Tracer()
+        tracer.reset()
+        try:
+            tracer.install()
+            for _ in range(runs):
+                assert Pipeline(max_degree=5).run(ids=ids).overall == "pass"
+        finally:
+            tracer.uninstall()
+        counts.append(tracing.layer_metrics(tracer, ids)["groebner.complete_distinct"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_pipeline_takes_the_benchmark_keywords():
     # workloads.py passes max_degree and corruption to every verify Pipeline.
     for corruption in (None, "delta1-excision"):

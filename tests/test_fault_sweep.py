@@ -55,7 +55,7 @@ def _twice(x):
 
 def _relations(spec: RingSpec, change) -> RingSpec:
     """The presentation whose generator list is ``change`` of the original's."""
-    return RingSpec(spec.ring, change(spec.relations.generators))
+    return RingSpec(spec.ring, change(spec.generators))
 
 
 def _scaled(combo):

@@ -119,7 +119,7 @@ _PRESENTATIONS = (
 
 
 class TestRelationLattice:
-    """``Ideal.lattice`` builds I_d from the bases below it; the lattice of
+    """``RingSpec.lattice`` builds I_d from the bases below it; the lattice of
     every degree-d multiple of every generator is the reference."""
 
     @pytest.mark.parametrize("name", _PRESENTATIONS)
@@ -127,7 +127,7 @@ class TestRelationLattice:
         spec = pipeline.presentations[name]
         for d in range(13):
             monomials, rows = relation_rows(spec, d)
-            assert spec.relations.lattice(d) == la.lattice_basis(rows, len(monomials)), d
+            assert spec.lattice(d) == la.lattice_basis(rows, len(monomials)), d
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
@@ -136,10 +136,10 @@ class TestRelationLattice:
         spec = _random_spec(rng, constant, zero)
         for d in range(7):
             monomials, rows = relation_rows(spec, d)
-            assert spec.relations.lattice(d) == la.lattice_basis(rows, len(monomials)), d
+            assert spec.lattice(d) == la.lattice_basis(rows, len(monomials)), d
 
     def test_negative_degree_is_empty(self, bg_spec):
-        assert bg_spec.relations.lattice(-1) == []
+        assert bg_spec.lattice(-1) == []
 
     def test_each_degree_is_eliminated_once(self, bg_spec, monkeypatch):
         calls = []
@@ -162,23 +162,23 @@ class TestRelationLattice:
         monkeypatch.setattr(gb, "_unclosed_pair", recording)
         sizes = [len(bg_spec.ring.monomials_of_degree(d)) for d in range(7)]
         # Completion eliminates each degree up to its closing degree, and
-        # the graded pieces there read the bases it left on the ideal.
+        # the graded pieces there read the bases it left on the spec.
         bg_spec.groebner
         closing = closed[0]
         assert closing < 6
         assert calls == sizes[: closing + 1]
-        assert len(bg_spec.relations._lattices) == closing + 1
+        assert len(bg_spec._lattices) == closing + 1
         for d in range(closing + 1):
             graded_piece(bg_spec, d)
         assert calls == sizes[: closing + 1]
-        bg_spec.relations.lattice(6)
-        bg_spec.relations.lattice(4)
+        bg_spec.lattice(6)
+        bg_spec.lattice(4)
         graded_piece(bg_spec, 6)
         assert calls == sizes
 
 
 class TestOneRowFormat:
-    """A lattice row is one thing from ``Ideal.lattice`` through completion,
+    """A lattice row is one thing from ``RingSpec.lattice`` through completion,
     kernels and enumeration: a {column: entry} dict with no zero entries,
     whose least column holds its pivot.  Nothing on the way writes a row out
     dense."""
@@ -196,7 +196,7 @@ class TestOneRowFormat:
         for name in _PRESENTATIONS:
             spec = fresh.presentations[name]
             for d in range(13):
-                basis = spec.relations.lattice(d)
+                basis = spec.lattice(d)
                 pivots = []
                 for row in basis:
                     assert type(row) is dict and row and 0 not in row.values(), (name, d)
@@ -232,7 +232,7 @@ class TestSmithQuotient:
         if dependent and len(rows) >= 2:
             rows = rows + [[2 * x - y for x, y in zip(rows[0], rows[1])]]
         spec = _linear_spec(n, rows)
-        assert spec.relations.lattice(1) == la.lattice_basis(list(map(sparse, rows)), n)
+        assert spec.lattice(1) == la.lattice_basis(list(map(sparse, rows)), n)
         piece = graded_piece(spec, 1)
         raw = la.smith_normal_form(rows, ncols=n).diagonal
         raw = raw + [0] * (n - len(raw))
@@ -376,11 +376,11 @@ class TestMemberProbes:
         spec = pipeline.presentations[name]
         ring = spec.ring
         rng = random.Random(_PRESENTATIONS.index(name))
-        generators = [g for g in spec.relations.generators if g]
+        generators = [g for g in spec.generators if g]
         for d in range(9):
             piece = graded_piece(spec, d)
             monomials = ring.monomials_of_degree(d)
-            basis = spec.relations.lattice(d)
+            basis = spec.lattice(d)
             fitting = [g for g in generators if g.weighted_degree() <= d]
             for offset in (0, 0, 1, -1):
                 probe = ring.zero()
@@ -553,9 +553,9 @@ def _seeded_twist_quotient(sound: Pipeline, d: int, corrupt) -> Pipeline:
     Hermite basis in degree d, so the degrees above are built from it; its
     twist kernels are derived from those kept lattices."""
     data = sound.gm_data
-    spec = RingSpec(data["spec"].ring, data["spec"].relations.generators)
-    spec.relations.lattice(d - 1)
-    spec.relations._lattices.append(corrupt(data["spec"].relations.lattice(d)))
+    spec = RingSpec(data["spec"].ring, data["spec"].generators)
+    spec.lattice(d - 1)
+    spec._lattices.append(corrupt(data["spec"].lattice(d)))
     fresh = Pipeline(max_degree=sound.max_degree)
     fresh.__dict__["gm_data"] = {**data, "spec": spec}
     return fresh
@@ -640,7 +640,7 @@ class TestKeptLattices:
             fresh = Pipeline(max_degree=6)
             report = fresh.run(ids=["thm:45", "oracle-agreement"])
             assert report.overall == "pass"
-            kept = [spec.relations._lattices for spec in fresh.presentations.values()]
+            kept = [spec._lattices for spec in fresh.presentations.values()]
             runs.append((calls, kept))
         (first_calls, first_kept), (second_calls, second_kept) = runs
         assert second_calls == first_calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genus2chow.groebner as gb
-from genus2chow.groebner import Ideal, RingSpec, ideal_equal, strong_groebner
+from genus2chow.groebner import RingSpec, ideal_equal, strong_groebner
 from genus2chow.ring import InhomogeneousError, IntPolynomial, Ring, RingMismatchError
 
 from helpers import random_homogeneous, reference_reduce
@@ -21,16 +21,16 @@ def bg_ring():
 @pytest.fixture
 def bg_ideal(bg_ring):
     g, b1 = bg_ring.var("gamma"), bg_ring.var("beta1")
-    return Ideal(bg_ring, (2 * g, g * g + b1 * g))
+    return RingSpec(bg_ring, (2 * g, g * g + b1 * g))
 
 
 class TestIdealValidation:
     def test_inhomogeneous_generator_rejected(self, bg_ring):
         with pytest.raises(InhomogeneousError):
-            Ideal(bg_ring, (bg_ring.parse("beta1 + beta2"),))
+            RingSpec(bg_ring, (bg_ring.parse("beta1 + beta2"),))
 
     def test_constant_generator_allowed(self, bg_ring):
-        Ideal(bg_ring, (bg_ring.const(2),))
+        RingSpec(bg_ring, (bg_ring.const(2),))
 
     def test_inhomogeneous_basis_element_rejected(self, bg_ring):
         # Reduction keys each new term by the degree of the term it reduces.
@@ -41,20 +41,20 @@ class TestIdealValidation:
         other = Ring(("x", 1))
         mixed = bg_ring.parse("beta1 + beta2")
         with pytest.raises(RingMismatchError):
-            Ideal(bg_ring, (other.var("x"), mixed))
+            RingSpec(bg_ring, (other.var("x"), mixed))
         with pytest.raises(InhomogeneousError):
-            Ideal(bg_ring, (mixed, other.var("x")))
+            RingSpec(bg_ring, (mixed, other.var("x")))
 
 
 class TestGeneratorDegrees:
     def test_degrees_are_the_generators_weighted_degrees(self, bg_ring):
         gens = tuple(map(bg_ring.parse, ("2*gamma", "0", "3", "beta2*gamma + beta1^3")))
-        ideal = Ideal(bg_ring, gens)
+        ideal = RingSpec(bg_ring, gens)
         assert ideal.degrees == tuple(g.weighted_degree() for g in gens) == (1, None, 0, 3)
 
     def test_lattices_read_the_kept_degrees(self, bg_ring, monkeypatch):
-        ideal = Ideal(bg_ring, map(bg_ring.parse, ("2*gamma", "gamma^2 + beta1*gamma", "0")))
-        expected = [Ideal(bg_ring, ideal.generators).lattice(d) for d in range(9)]
+        ideal = RingSpec(bg_ring, map(bg_ring.parse, ("2*gamma", "gamma^2 + beta1*gamma", "0")))
+        expected = [RingSpec(bg_ring, ideal.generators).lattice(d) for d in range(9)]
 
         def refuse(self):
             raise AssertionError("weighted_degree called")
@@ -69,7 +69,7 @@ class TestStrongGroebner:
         assert basis.normal_form(bg_ring.parse("24*beta1*gamma")) == 0
 
     def test_zero_ideal(self, bg_ring):
-        basis = strong_groebner(Ideal(bg_ring, ()))
+        basis = strong_groebner(RingSpec(bg_ring, ()))
         assert basis.elements == ()
         p = bg_ring.parse("beta1^2 - 7*beta2")
         assert basis.normal_form(p) == p
@@ -77,14 +77,14 @@ class TestStrongGroebner:
     def test_excision_implies_bundle_relation(self):
         ring = Ring(("alpha1", 1), ("alpha2", 2), ("t", 1))
         t, a1 = ring.var("t"), ring.var("alpha1")
-        basis = strong_groebner(Ideal(ring, (2 * t - 2 * a1, t * t - a1 * t)))
+        basis = strong_groebner(RingSpec(ring, (2 * t - 2 * a1, t * t - a1 * t)))
         relation = ring.parse("(t^2 - 2*alpha1*t + 4*alpha2)*(t - alpha1)")
         assert basis.normal_form(relation) == 0
 
     def test_gcd_combination_found(self):
         ring = Ring(("x", 1),)
         x = ring.var("x")
-        basis = strong_groebner(Ideal(ring, (4 * x, 6 * x)))
+        basis = strong_groebner(RingSpec(ring, (4 * x, 6 * x)))
         assert basis.normal_form(2 * x) == 0
         assert [str(g) for g in basis.elements] == ["2*x"]
 
@@ -101,7 +101,7 @@ class TestNormalForm:
         assert basis.normal_form(g2) == basis.normal_form(b1g)
 
     def test_zero_ideal_identity(self, bg_ring):
-        basis = strong_groebner(Ideal(bg_ring, ()))
+        basis = strong_groebner(RingSpec(bg_ring, ()))
         p = bg_ring.parse("5*beta2 + beta1^2")
         assert basis.normal_form(p) == p
 
@@ -117,7 +117,7 @@ class TestNormalForm:
         reference = None
         for _ in range(6):
             rng.shuffle(gens)
-            basis = strong_groebner(Ideal(bg_ring, tuple(gens)))
+            basis = strong_groebner(RingSpec(bg_ring, tuple(gens)))
             forms = [basis.normal_form(p) for p in probes]
             if reference is None:
                 reference = forms
@@ -201,7 +201,7 @@ def _mixed_weight_ideal():
         ring.parse("57*v0^4 - 30*v0^2*v2^2 - 16*v1*v2^2 - 33*v2^4"),
         ring.parse("4*v0^3 + 33*v0*v2^2 + 19*v2^3"),
     )
-    return Ideal(ring, gens)
+    return RingSpec(ring, gens)
 
 
 class TestColumnCap:
@@ -226,13 +226,13 @@ class TestColumnCap:
         ring = Ring(("x", 1),)
         monkeypatch.setattr(gb, "_MAX_COLUMNS", 3)
         with pytest.raises(RuntimeError, match="column cap 3"):
-            strong_groebner(Ideal(ring, (ring.parse("2*x^4"),)))
+            strong_groebner(RingSpec(ring, (ring.parse("2*x^4"),)))
 
     def test_forced_non_closure_raises_at_the_cap(self, pipeline, monkeypatch):
         # Over five variables the columns grow like d^4, so a cap on the
         # degree alone (24) lets such a run take about a minute; the column
         # cap is reached in a fraction of a second.
-        ideal = pipeline.alpha_ambient.relations
+        ideal = pipeline.alpha_ambient
         assert ideal.ring.nvars == 5
         monkeypatch.setattr(gb, "_unclosed_pair", lambda *args, **kwargs: ("f", "g"))
         with pytest.raises(RuntimeError, match=f"column cap {gb._MAX_COLUMNS} "):
@@ -251,7 +251,7 @@ class TestRandomIdeals:
             gens = [g for g in gens if g]
             if not gens:
                 continue
-            basis = strong_groebner(Ideal(ring, tuple(gens)))
+            basis = strong_groebner(RingSpec(ring, tuple(gens)))
             basis.verify_complete()
             for _ in range(8):
                 member = ring.zero()
@@ -477,14 +477,14 @@ class TestClosureCertificate:
         monkeypatch.setattr(gb, "_critical_combinations", with_fault)
 
     def test_fault_at_or_below_the_closing_degree_raises(self, pipeline, monkeypatch):
-        ideal = pipeline.presentations["total"].relations
+        ideal = pipeline.presentations["total"]
         d = self.closing_degree(ideal, monkeypatch)
         self.inject(monkeypatch, ideal.ring, lambda degree: degree <= d)
         with pytest.raises(AssertionError, match="completed basis not closed"):
             strong_groebner(ideal)
 
     def test_fault_above_the_closing_degree_raises(self, pipeline, monkeypatch):
-        ideal = pipeline.presentations["total"].relations
+        ideal = pipeline.presentations["total"]
         d = self.closing_degree(ideal, monkeypatch)
         # The loop goes on past d until no pair lies above it, and the
         # certificate then meets the faults.
@@ -510,6 +510,14 @@ class TestRingSpec:
     def test_inhomogeneous_generator_rejected(self, bg_ring):
         with pytest.raises(InhomogeneousError):
             RingSpec(bg_ring, (bg_ring.parse("beta1^2 + beta2 + gamma"),))
+
+    def test_equal_by_ring_and_generators_in_order(self, bg_ring):
+        gens = tuple(map(bg_ring.parse, ("2*gamma", "gamma^2 + beta1*gamma")))
+        a, b = RingSpec(bg_ring, gens), RingSpec(Ring(*zip(bg_ring.names, bg_ring.weights)), gens)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RingSpec(bg_ring, gens[::-1])
+        assert a != RingSpec(bg_ring, (gens[0], 3 * gens[1]))
+        assert a != RingSpec(bg_ring, gens[:1]) and a != gens
 
     def test_same_ideal(self):
         a = RingSpec.build((("x", 1),), ("2*x",))

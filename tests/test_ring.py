@@ -44,6 +44,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Ring(("2x", 1))
 
+    @pytest.mark.parametrize("weight", [1.5, 2.0, True, "1", None])
+    def test_non_integer_weight_rejected(self, weight):
+        # A float weight would give float exponents, and True would equal 1.
+        with pytest.raises(ValueError, match="'x'"):
+            Ring(("y", 1), ("x", weight))
+
+    def test_names_and_weights_are_the_declaration(self):
+        ring = Ring(("x", 1), ("y", 2))
+        assert ring.names == ("x", "y") and ring.weights == (1, 2)
+        assert ring.extend(("z", 3)) == Ring(("x", 1), ("y", 2), ("z", 3))
+        assert ring != Ring(("x", 1), ("y", 1)) and ring != Ring(("y", 2), ("x", 1))
+        assert repr(ring) == "Ring(x:1, y:2)"
+
     def test_zero_coefficients_dropped(self, lring):
         p = IntPolynomial(lring, {(1, 0, 0): 0, (0, 1, 0): 3})
         assert len(p) == 1
@@ -186,15 +199,15 @@ class TestSubstitute:
         target = Ring(*data.draw(st.permutations(declared)))
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
         images = {}
-        for spec in source.variables:
+        for var, weight in zip(source.names, source.weights):
             kind = data.draw(st.sampled_from(("keep", "rename", "class", "zero")))
             if kind == "rename":
-                names = [name for name, degree in declared if degree == spec.degree]
-                images[spec.name] = target.var(data.draw(st.sampled_from(names)))
+                names = [name for name, degree in declared if degree == weight]
+                images[var] = target.var(data.draw(st.sampled_from(names)))
             elif kind == "class":
-                images[spec.name] = random_homogeneous(target, spec.degree, rng)
+                images[var] = random_homogeneous(target, weight, rng)
             elif kind == "zero":
-                images[spec.name] = 0
+                images[var] = 0
         p = source.zero()
         for d in data.draw(st.lists(st.integers(0, 4), max_size=3)):
             p = p + random_homogeneous(source, d, rng, max_terms=6)
@@ -355,6 +368,8 @@ class TestChernSeriesQuotient:
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "genus2chow"
+# A second holder of a presentation or of a variable, or a read through one.
+_FOLDED = re.compile(r"\bclass Ideal\b|\bVariableSpec\b|\.(?:variables|relations)\b")
 # The two deleted converters (spelled so that a grep for them finds no test),
 # and a dict comprehension over an enumeration of monomials: a column map.
 _CONVERTERS = re.compile(r"\bshifted_(?:row)\b|\bpolynomial_(?:of)\b")
@@ -401,3 +416,11 @@ class TestLatticeRows:
             assert not _CONVERTERS.search(text), path.name
             if path.name != "ring.py":
                 assert not _COLUMN_MAP.search(text), path.name
+
+    def test_one_object_per_ring_and_per_presentation(self):
+        # A ring keeps its names and weights itself, and a RingSpec its
+        # generators and lattices: nothing in the package reaches through
+        # a second object for them.
+        for path in sorted(_SRC.glob("*.py")):
+            found = _FOLDED.search(path.read_text())
+            assert not found, (path.name, found and found.group())

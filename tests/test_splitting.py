@@ -144,7 +144,7 @@ class TestSymmetrizeAgainstReference:
         # scalars: the reduction equals the reference rewriting in
         # elementary variables e1, e2, read at e1 = s and e2 = q.
         scalars = self.SCALARS
-        ring = Ring(("e1", 1), ("e2", 2), *scalars.variables)
+        ring = Ring(("e1", 1), ("e2", 2), *zip(scalars.names, scalars.weights))
         terms = dict(zip(scalars.monomials_of_degree(degree), coeffs))
         raw = IntPolynomial(scalars, terms).into(ring)
         p = _symmetrized(raw, [("a1", "a2")])
