@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="report as text lines or as one JSON document (default text)",
     )
-    verify.add_argument("--fail-fast", action="store_true", help="stop after the first failing check")
 
     explain = sub.add_parser("explain", help="describe one check and its witness")
     explain.add_argument("id")
@@ -83,9 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Pipeline() rejects a degree bound outside 5..24 and run() an
         # unknown check id, both with a ValueError.
-        report = Pipeline(max_degree=args.max_degree).run(
-            ids=args.check, fail_fast=args.fail_fast
-        )
+        report = Pipeline(max_degree=args.max_degree).run(ids=args.check)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

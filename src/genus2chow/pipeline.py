@@ -43,10 +43,7 @@ class CheckFailure(AssertionError):
 
 
 class UnknownCheckError(ValueError):
-    def __init__(self, bad: Sequence[str], known: Sequence[str]):
-        super().__init__(f"unknown check id(s) {list(bad)}; valid ids: {list(known)}")
-        self.bad = list(bad)
-        self.known = list(known)
+    """A check id that is not registered; the message names it and the valid ids."""
 
 
 def _require(condition: bool, witness: str):
@@ -116,17 +113,6 @@ class VerificationReport:
             indent=2,
             sort_keys=True,
         )
-
-    def __eq__(self, other):
-        """Reports are equal when their deterministic parts are: timings are
-        not compared."""
-
-        def key(report: VerificationReport) -> tuple:
-            return report.max_degree, [
-                (c.id, c.anchor, c.status, _digest(c.witness)) for c in report.checks
-            ]
-
-        return isinstance(other, VerificationReport) and key(self) == key(other)
 
 
 @dataclass(frozen=True)
@@ -332,6 +318,8 @@ class Pipeline:
     QUOTIENT_GENERATORS = ("s00", "s10", "s02'")  # the twist quotient's, named in s6["polys"]
 
     def __init__(self, max_degree: int = 10, corruption: str | None = None):
+        if isinstance(max_degree, bool) or not isinstance(max_degree, int):
+            raise ValueError(f"max_degree must be an int, got {max_degree!r}")
         if max_degree < 5:
             raise ValueError("max_degree below 5 cannot exercise the stated results")
         if max_degree > 24:
@@ -1133,16 +1121,19 @@ class Pipeline:
                  f" all rings, degrees <= {_ORACLE_DEGREE}"),
     )
 
+    _BY_ID: dict[str, CheckDef] = {c.id: c for c in CHECKS}
+
     @classmethod
     def check_ids(cls) -> list[str]:
-        return [c.id for c in cls.CHECKS]
+        return list(cls._BY_ID)
 
     @classmethod
     def check_def(cls, check_id: str) -> CheckDef:
-        for c in cls.CHECKS:
-            if c.id == check_id:
-                return c
-        raise UnknownCheckError([check_id], cls.check_ids())
+        if check_id not in cls._BY_ID:
+            raise UnknownCheckError(
+                f"unknown check id {check_id!r}; valid ids: {cls.check_ids()}"
+            )
+        return cls._BY_ID[check_id]
 
     def run_check(self, check_id: str) -> LemmaCheck:
         cdef = self.check_def(check_id)
@@ -1165,22 +1156,13 @@ class Pipeline:
             elapsed_ms=elapsed,
         )
 
-    def run(
-        self, ids: Sequence[str] | None = None, fail_fast: bool = False
-    ) -> VerificationReport:
-        selected = list(ids) if ids is not None else self.check_ids()
+    def run(self, ids: Sequence[str] | None = None) -> VerificationReport:
+        """Run the selected checks (all by default) in registry order, which is
+        a dependency order."""
+        selected = self._BY_ID if ids is None else {self.check_def(i).id for i in ids}
         if not selected:
             raise ValueError("no check selected; give at least one check id")
-        bad = [i for i in selected if i not in self.check_ids()]
-        if bad:
-            raise UnknownCheckError(bad, self.check_ids())
-        ordered = [c.id for c in self.CHECKS if c.id in selected]
-        checks = []
-        for check_id in ordered:
-            result = self.run_check(check_id)
-            checks.append(result)
-            if fail_fast and result.status == "fail":
-                break
+        checks = [self.run_check(i) for i in self._BY_ID if i in selected]
         return VerificationReport(max_degree=self.max_degree, checks=checks)
 
     @classmethod

@@ -263,10 +263,12 @@ class IntPolynomial:
             clean: dict[tuple, int] = {}
             n = ring.nvars
             for exps, coeff in terms.items():
-                if not isinstance(coeff, int):
+                if isinstance(coeff, bool) or not isinstance(coeff, int):
                     raise TypeError(f"coefficient {coeff!r} is not an integer")
                 exps = tuple(exps)
-                if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
+                if len(exps) != n or any(
+                    isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps
+                ):
                     raise ValueError(f"bad exponent tuple {exps} for {ring!r}")
                 if coeff:
                     clean[exps] = clean.get(exps, 0) + coeff

@@ -71,6 +71,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             lring.polynomial({exps: 1})
 
+    def test_bool_exponent_or_coefficient_rejected(self):
+        # isinstance(True, int) holds, so bools need their own rejection: a
+        # bool exponent equals 1 but would be stored as True.
+        ring = Ring(("x", 1), ("y", 2))
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            ring.polynomial({(True, False): 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            ring.polynomial({("1", 0): 1})
+        with pytest.raises(TypeError):
+            ring.polynomial({(1, 0): True})
+        assert ring.polynomial({(1, 0): 1}).term_map() == {(1, 0): 1}
+
     def test_canonical_equality(self, lring):
         a = lring.parse("lambda1 + lambda1")
         b = 2 * lring.var("lambda1")
