@@ -21,10 +21,11 @@ monomial columns processed, summed over degrees, bounds the run in size and
 so in time, and reaching it raises.  The polynomial reducer ``_reduce``
 certifies each completed basis G of an ideal I twice, without reading the
 lattices: closure (every s- and gcd-combination reduces to zero) and I ⊆ (G)
-(every generator reduces to zero).  Closure is certified once per pair
-against the final leads: the pairs whose lcm lies above the closing degree by
-completion's stopping test, the others after it.  Nothing certifies (G) ⊆ I
-yet: that each kept element lies in I rests on the elimination alone.
+(every generator reduces to zero).  Both run on the basis completion
+returns, against its own leads and reduction rows, so each pair is reduced
+once: the pairs whose lcm lies above the closing degree by the stopping test,
+the others after it.  Nothing certifies (G) ⊆ I yet: that each kept element
+lies in I rests on the elimination alone.
 
 ``_reduce`` keeps its terms on a heap of (key, exps) entries, the key the
 ring's cached ``descending_key``, so it pops the greatest term first.  Each
@@ -51,7 +52,7 @@ from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from . import intlinalg
-from .ring import IntPolynomial, Ring, RingMismatchError, add_terms
+from .ring import IntPolynomial, Ring, RingMismatchError
 
 # Completion raises once the monomial columns of its degrees, summed, pass
 # this cap, which bounds its size, and so its time, in any number of
@@ -61,34 +62,33 @@ from .ring import IntPolynomial, Ring, RingMismatchError, add_terms
 _MAX_COLUMNS = 2000
 
 
-def _lead_table(polys: Iterable[IntPolynomial]) -> list[tuple]:
-    """(lead exps, lead coeff, tail) of each nonzero poly, least lead
-    coefficient first and then least leading monomial; the tail lists the
-    poly's other terms as (exps, coeff) pairs.  The sort is stable, so ties
-    keep the order of ``polys``; ``_reduce`` takes the first lead that
-    divides a term as its reducer."""
-    table = [(exps, coeff, g) for g in polys for exps, coeff in [g.leading_term()]]
-    # Least monomial first is greatest descending key first; the second
-    # sort, by coefficient, is stable, so it keeps that order within a tie.
-    table.sort(key=lambda lead: lead[2].ring.descending_key(lead[0]), reverse=True)
-    table.sort(key=lambda lead: lead[1])
-    return [
-        (exps, coeff, [term for term in g.term_map().items() if term[0] != exps])
-        for exps, coeff, g in table
-    ]
-
-
 class StrongGroebnerBasis:
-    """A completed, interreduced strong basis with unique normal forms."""
+    """A completed, interreduced strong basis with unique normal forms.
+
+    Its lead table lists (lead exps, lead coeff, tail) of each element,
+    least lead coefficient first and then least leading monomial; the tail
+    lists the element's other terms as (exps, coeff) pairs.  The sort is
+    stable, so ties keep the order of the elements; ``_reduce`` takes the
+    first lead that divides a term as its reducer.  The basis also owns
+    ``_reduce``'s table of reduction rows for those leads."""
 
     __slots__ = ("ring", "elements", "_leads", "_rows")
 
     def __init__(self, ring: Ring, elements: Sequence[IntPolynomial]):
         self.ring = ring
         self.elements = tuple(elements)
+        table = []
         for g in self.elements:
             g.weighted_degree()  # raises InhomogeneousError; _reduce needs homogeneous leads
-        self._leads = _lead_table(self.elements)
+            table.append((*g.leading_term(), g))
+        # Least monomial first is greatest descending key first; the second
+        # sort, by coefficient, is stable, so it keeps that order within a tie.
+        table.sort(key=lambda lead: ring.descending_key(lead[0]), reverse=True)
+        table.sort(key=lambda lead: lead[1])
+        self._leads = [
+            (exps, coeff, [term for term in g.term_map().items() if term[0] != exps])
+            for exps, coeff, g in table
+        ]
         self._rows: dict = {}
 
     def __repr__(self):
@@ -99,30 +99,29 @@ class StrongGroebnerBasis:
         """The unique fully reduced remainder of p; zero iff p is in the ideal."""
         if p.ring != self.ring:
             raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
-        return _reduce(p, self._leads, self._rows)
+        return _reduce(p, self)
 
     def contains(self, p: IntPolynomial) -> bool:
         return not self.normal_form(p)
 
     def verify_complete(self) -> None:
         """Check closure: every s- and gcd-combination reduces to zero."""
-        pair = _unclosed_pair(self.elements, self._leads, self._rows)
+        pair = _unclosed_pair(self)
         if pair:
             raise AssertionError(f"basis not closed: pair ({pair[0]}, {pair[1]})")
 
 
-def _unclosed_pair(
-    elements: Sequence[IntPolynomial], leads, rows: dict, above: int = -1, upto: float = inf
-):
-    """The first pair of elements, with the lcm of their leading monomials
-    of degree above ``above`` and at most ``upto``, that has a critical
-    combination the leads do not reduce to zero; None when every such pair
-    closes.  ``rows`` is the reduction-row table of ``leads``."""
+def _unclosed_pair(basis: StrongGroebnerBasis, above: int = -1, upto: float = inf):
+    """The first pair of the basis's elements, with the lcm of their leading
+    monomials of degree above ``above`` and at most ``upto``, that has a
+    critical combination the basis does not reduce to zero; None when every
+    such pair closes."""
+    elements, degree = basis.elements, basis.ring.monomial_degree
     for i, f in enumerate(elements):
-        fe, degree = f.leading_term()[0], f.ring.monomial_degree
+        fe = f.leading_term()[0]
         for g in elements[i + 1:]:
             if above < degree(tuple(map(max, fe, g.leading_term()[0]))) <= upto and any(
-                _reduce(comb, leads, rows) for comb in _critical_combinations(f, g)
+                _reduce(comb, basis) for comb in _critical_combinations(f, g)
             ):
                 return f, g
     return None
@@ -147,25 +146,24 @@ def _reduction_row(mono: tuple, ring: Ring, leads):
     return lcoeff, shifted
 
 
-def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
-    """Fully reduce p, from its greatest term down, by the leads.
+def _reduce(p: IntPolynomial, basis: StrongGroebnerBasis) -> IntPolynomial:
+    """Fully reduce p, from its greatest term down, by the basis's leads.
 
-    The leads must come from ``_lead_table``: each term is reduced by the
-    first lead whose monomial divides it, which is then the one with the
-    least (lead coefficient, leading monomial).  That fixes the reducer
-    whatever order the basis came in.  A reduction step keeps the residue of
-    the term modulo the lead coefficient and subtracts the quotient times the
-    shifted tail.  The heap holds (key, exps) entries, the key the ring's
-    cached ``descending_key``, so it pops the greatest term; an entry for a
-    term a step adds comes ready-made from the reduction row, so no pop
-    reverses a tuple and no term has its degree summed again.
+    Each term is reduced by the first lead in the basis's lead table whose
+    monomial divides it, which is the one with the least (lead coefficient,
+    leading monomial).  That fixes the reducer whatever order the basis came
+    in.  A reduction step keeps the residue of the term modulo the lead
+    coefficient and subtracts the quotient times the shifted tail.  The heap
+    holds (key, exps) entries, the key the ring's cached ``descending_key``,
+    so it pops the greatest term; an entry for a term a step adds comes
+    ready-made from the reduction row, so no pop reverses a tuple and no term
+    has its degree summed again.
 
-    ``rows`` is the table of reduction rows of ``leads``, filled as new
-    monomials are met: at most one entry per distinct monomial reduced.  A
-    row depends on the monomial and the leads alone, so the table never
-    changes a normal form; it must never be shared between two lead
-    tables."""
-    ring = p.ring
+    The basis's table of reduction rows is filled as new monomials are met:
+    at most one entry per distinct monomial reduced.  A row depends on the
+    monomial and the leads alone, so the table never changes a normal
+    form."""
+    ring, leads, rows = p.ring, basis._leads, basis._rows
     key = ring.descending_key
     work = p.term_map()
     heap = [(key(m), m) for m in work]
@@ -203,24 +201,20 @@ def _reduce(p: IntPolynomial, leads, rows: dict) -> IntPolynomial:
 
 def _critical_combinations(f: IntPolynomial, g: IntPolynomial):
     """The gcd-polynomial of f and g (when neither leading coefficient
-    divides the other) followed by their s-polynomial."""
+    divides the other) followed by their s-polynomial, as integer
+    combinations of f and g shifted onto the lcm of their leading monomials."""
     (fe, fc), (ge, gc) = f.leading_term(), g.leading_term()
     lcm_exps = tuple(map(max, fe, ge))
-    shifted = [
-        {tuple(map(add, exps, shift)): c for exps, c in p.term_map().items()}
-        for p, shift in ((f, tuple(map(sub, lcm_exps, fe))), (g, tuple(map(sub, lcm_exps, ge))))
-    ]
-
-    def combination(a: int, b: int) -> IntPolynomial:
-        terms = {exps: a * c for exps, c in shifted[0].items()}
-        return IntPolynomial(f.ring, add_terms(terms, shifted[1], b), _trusted=True)
-
+    f, g = (
+        p * IntPolynomial(p.ring, {tuple(map(sub, lcm_exps, exps)): 1}, _trusted=True)
+        for p, exps in ((f, fe), (g, ge))
+    )
     if fc % gc and gc % fc:
-        g = gcd(fc, gc)
-        s = pow(fc // g, -1, abs(gc // g))  # s*fc + t*gc = g
-        yield combination(s, (g - s * fc) // gc)
+        d = gcd(fc, gc)
+        s = pow(fc // d, -1, abs(gc // d))  # s*fc + t*gc = d
+        yield s * f + (d - s * fc) // gc * g
     c = lcm(fc, gc)
-    yield combination(c // fc, -(c // gc))
+    yield c // fc * f - c // gc * g
 
 
 def strong_groebner(spec: RingSpec) -> StrongGroebnerBasis:
@@ -232,12 +226,10 @@ def strong_groebner(spec: RingSpec) -> StrongGroebnerBasis:
     coefficient that divides c; its tail is already reduced modulo the
     pivots.  The kept rows of degrees <= d reduce every element of I of
     degree <= d to zero, so only pairs whose lcm lies above d can fail to
-    close.  The loop stops at the first d, no lower than the largest
-    generator degree, at which those pairs close.  Those pairs have then
-    reduced to zero against the very lead table the result gets (no two
-    kept leads tie in its order), so the certificate reduces the other
-    pairs, whose lcm lies at or below d, through the result's own table of
-    reduction rows: every pair closes once against the final leads, and
+    close.  From the largest generator degree on, each degree's kept rows
+    make a basis, and the loop stops at the first d at which the pairs above
+    it close on that basis.  The certificate then runs on the same basis,
+    the one returned: the pairs whose lcm lies at or below d close, and
     every generator reduces to zero.  Passing ``_MAX_COLUMNS`` columns,
     summed over the degrees processed, raises RuntimeError before the
     degree that would pass it is eliminated.
@@ -259,17 +251,17 @@ def strong_groebner(spec: RingSpec) -> StrongGroebnerBasis:
             if not any(coeff % k == 0 and all(map(le, e, mu)) for e, k in leads):
                 leads.append((mu, coeff))
                 kept.append(ring.from_row(d, row))
-        if d >= top and not _unclosed_pair(kept, _lead_table(kept), {}, above=d):
-            break
-    kept.sort(key=lambda g: ring.descending_key(g.leading_term()[0]), reverse=True)
-    result = StrongGroebnerBasis(ring, kept)
-    pair = _unclosed_pair(result.elements, result._leads, result._rows, upto=d)
+        if d >= top:
+            basis = StrongGroebnerBasis(ring, kept)
+            if not _unclosed_pair(basis, above=d):
+                break
+    pair = _unclosed_pair(basis, upto=d)
     if pair:
         raise AssertionError(f"completed basis not closed: pair ({pair[0]}, {pair[1]})")
     for g in spec.generators:
-        if result.normal_form(g):
+        if basis.normal_form(g):
             raise AssertionError("completed basis does not contain a generator")
-    return result
+    return basis
 
 
 class RingSpec:

@@ -721,7 +721,8 @@ class Pipeline:
         stated = {name: ring.parse(text) for name, text in _SIJ_POLYNOMIALS.items()}
         _expect_table(gens, stated, "quotient generators", "{} =")
         named = ring.extend(("s10", 3), ("s00", 2))
-        rewritten = {name: named.parse(text).substitute(gens, target=ring)
+        images = {name: p for name, p in gens.items() if name in named}
+        rewritten = {name: named.parse(text).substitute(images, target=ring)
                      for name, text in _SIJ_REWRITES.items()}
         _expect_table(gens, rewritten, "quotient generator rewritings", "{} rewriting fails:")
         return "\n".join(f"{name} = {text}" for name, text in _SIJ_REWRITES.items())

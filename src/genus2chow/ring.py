@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -279,11 +279,6 @@ class IntPolynomial:
 
     # -- inspection -------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Terms in descending monomial order."""
-        for exps in sorted(self._terms, key=self.ring.descending_key):
-            yield exps, self._terms[exps]
-
     def term_map(self) -> dict[tuple, int]:
         return dict(self._terms)
 
@@ -424,13 +419,26 @@ class IntPolynomial:
         """Apply the graded ring homomorphism sending each named variable to
         its image, in ``target`` (by default the polynomial's own ring).
 
-        Every image must lie in the target ring and be homogeneous of the
-        replaced variable's weight; zero counts as homogeneous of any weight.
-        Unnamed variables map to the variable of the same name (and weight)
-        in the target ring.
+        Every name must be a variable of this polynomial's ring (else
+        KeyError), and every image must lie in the target ring and be
+        homogeneous of the replaced variable's weight; zero counts as
+        homogeneous of any weight.  The whole map is checked, whether or not
+        the polynomial uses a variable.  Each unnamed variable it uses maps
+        to the variable of the same name (and weight) in the target ring.
         """
         ring = self.ring
         target = ring if target is None else target
+        checked: dict[int, IntPolynomial] = {}
+        for name, img in images.items():
+            i = ring.index(name)
+            if isinstance(img, int):
+                img = target.const(img)
+            elif img.ring != target:
+                raise RingMismatchError(f"image of {name} lives in {img.ring!r}, not {target!r}")
+            d = img.weighted_degree()
+            if d is not None and d != ring.weights[i]:
+                raise GradingError(f"image of {name} has degree {d}, expected {ring.weights[i]}")
+            checked[i] = img
         used = set()
         for exps in self._terms:
             for i, e in enumerate(exps):
@@ -441,23 +449,13 @@ class IntPolynomial:
         named: list[tuple[int, IntPolynomial]] = []
         kept: list[tuple[int, int]] = []
         for i in sorted(used):
+            if i in checked:
+                named.append((i, checked[i]))
+                continue
             name, weight = ring.names[i], ring.weights[i]
-            if name in images:
-                img = images[name]
-                if isinstance(img, int):
-                    img = target.const(img)
-                elif img.ring != target:
-                    raise RingMismatchError(
-                        f"image of {name} lives in {img.ring!r}, not {target!r}"
-                    )
-                d = img.weighted_degree()
-                if d is not None and d != weight:
-                    raise GradingError(f"image of {name} has degree {d}, expected {weight}")
-                named.append((i, img))
-            else:
-                if name not in target or target.weights[target.index(name)] != weight:
-                    raise GradingError(f"variable {name} has no graded counterpart in {target!r}")
-                kept.append((i, target.index(name)))
+            if name not in target or target.weights[target.index(name)] != weight:
+                raise GradingError(f"variable {name} has no graded counterpart in {target!r}")
+            kept.append((i, target.index(name)))
 
         by_pattern: dict[tuple, dict[tuple, int]] = {}
         for exps, c in self._terms.items():

@@ -1,6 +1,7 @@
 """Strong Groebner bases over ZZ: normal forms, membership, ideal equality."""
 
 import random
+from math import gcd, lcm
 from operator import le
 
 import pytest
@@ -10,7 +11,7 @@ import genus2chow.groebner as gb
 from genus2chow.groebner import RingSpec, ideal_equal, strong_groebner
 from genus2chow.ring import InhomogeneousError, IntPolynomial, Ring, RingMismatchError
 
-from helpers import random_homogeneous, reference_reduce
+from helpers import as_term_list, naive_product, random_homogeneous, reference_reduce
 
 
 @pytest.fixture
@@ -383,7 +384,7 @@ class TestReductionRows:
             nf = basis.normal_form(p)
             assert nf == fresh.normal_form(p)
             assert nf == reference_reduce(p, basis.elements)
-            assert nf == gb._reduce(p, basis._leads, {})
+            assert nf == gb._reduce(p, gb.StrongGroebnerBasis(basis.ring, basis.elements))
 
     def test_pipeline_presentations(self, pipeline):
         rng = random.Random(41)
@@ -442,6 +443,58 @@ class TestReductionRows:
         assert len(basis._rows) == size
 
 
+def _shifted_terms(p, lcm_exps):
+    """The term map of p times the monomial that takes its lead to lcm_exps."""
+    shift = tuple(a - b for a, b in zip(lcm_exps, p.leading_term()[0]))
+    return naive_product([(1, shift)], as_term_list(p))
+
+
+class TestCriticalCombinations:
+    """``_critical_combinations`` against term maps built by schoolbook
+    multiplication, on every pair of pipeline basis elements and on random
+    homogeneous pairs."""
+
+    @staticmethod
+    def check_pair(f, g):
+        (fe, fc), (ge, gc) = f.leading_term(), g.leading_term()
+        lcm_exps = tuple(map(max, fe, ge))
+        fs, gs = _shifted_terms(f, lcm_exps), _shifted_terms(g, lcm_exps)
+        combinations = list(gb._critical_combinations(f, g))
+        has_gcd = bool(fc % gc and gc % fc)
+        assert len(combinations) == 1 + has_gcd
+        c = lcm(fc, gc)
+        s_poly = combinations[-1].term_map()
+        expected = {e: c // fc * fs.get(e, 0) - c // gc * gs.get(e, 0) for e in fs | gs.keys()}
+        assert s_poly == {e: v for e, v in expected.items() if v}
+        assert lcm_exps not in s_poly
+        if has_gcd:
+            gcd_poly = combinations[0].term_map()
+            assert gcd_poly[lcm_exps] == gcd(fc, gc)
+            assert gcd_poly.keys() <= fs.keys() | gs.keys()
+        return has_gcd
+
+    def test_pipeline_basis_pairs(self, pipeline):
+        for spec in pipeline.presentations.values():
+            elements = spec.groebner.elements
+            for f in elements:
+                for g in elements:
+                    if f is not g:
+                        self.check_pair(f, g)
+
+    def test_random_homogeneous_pairs(self):
+        ring = Ring(("x", 1), ("y", 1), ("z", 2))
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(300):
+            f, g = (
+                random_homogeneous(ring, rng.randint(0, 4), rng, max_terms=5, coeff_bound=30)
+                for _ in range(2)
+            )
+            if f and g:
+                seen.add(self.check_pair(f, g))
+        assert seen == {False, True}
+
+
 class TestClosureCertificate:
     """Completion stops at the first degree d above which every pair closes;
     the certificate then reduces the pairs at or below d, so a fault in any
@@ -475,6 +528,24 @@ class TestClosureCertificate:
                 yield comb + 1 if faulty_degree(ring.monomial_degree(lcm_exps)) else comb
 
         monkeypatch.setattr(gb, "_critical_combinations", with_fault)
+
+    def test_completion_returns_the_basis_it_tested(self, pipeline, monkeypatch):
+        unclosed_pair = gb._unclosed_pair
+        for spec in pipeline.presentations.values():
+            calls = []
+
+            def recording(*args, **kwargs):
+                pair = unclosed_pair(*args, **kwargs)
+                calls.append((args[0], kwargs, pair))
+                return pair
+
+            with monkeypatch.context() as patch:
+                patch.setattr(gb, "_unclosed_pair", recording)
+                basis = strong_groebner(spec)
+            closing = [b for b, kwargs, pair in calls if "above" in kwargs and pair is None]
+            certified = [b for b, kwargs, _ in calls if "upto" in kwargs]
+            assert len(closing) == len(certified) == 1
+            assert closing[0] is basis and certified[0] is basis
 
     def test_fault_at_or_below_the_closing_degree_raises(self, pipeline, monkeypatch):
         ideal = pipeline.presentations["total"]

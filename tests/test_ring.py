@@ -184,6 +184,24 @@ class TestSubstitute:
             p.substitute({"t": other.var("u")})
         assert p.substitute({"t": other.var("u")}, target=other) == other.parse("u^2 + lambda2")
 
+    def test_unused_entries_are_checked(self):
+        # The whole map is checked, not only the variables the polynomial uses.
+        r = Ring(("x", 1), ("y", 1))
+        x = r.var("x")
+        with pytest.raises(KeyError, match="nope"):
+            x.substitute({"nope": 3})
+        with pytest.raises(GradingError):
+            x.substitute({"y": x**2})
+        with pytest.raises(RingMismatchError):
+            x.substitute({"y": Ring(("z", 1)).var("z")})
+
+    def test_unnamed_variables_are_checked_only_when_used(self):
+        # ``into`` drops a working ring's unused extra variables.
+        big = Ring(("x", 1), ("u", 2))
+        assert big.var("x").into(Ring(("x", 1))) == Ring(("x", 1)).var("x")
+        with pytest.raises(GradingError):
+            big.var("u").into(Ring(("x", 1)))
+
     def test_zero_image_allowed(self, lring):
         p = lring.parse("lambda2 + t^2")
         assert p.substitute({"lambda2": 0}) == lring.parse("t^2")
@@ -266,7 +284,7 @@ class TestCoefficients:
         ring = p.ring
         idx = [ring.index(name) for name in names]
         split = p.coefficients(names)
-        assert set(split) == {tuple(exps[i] for i in idx) for exps, _ in p.terms()}
+        assert set(split) == {tuple(exps[i] for i in idx) for exps in p.term_map()}
         total = ring.zero()
         for key, coeff in split.items():
             assert all(exps[i] == 0 for exps in coeff.term_map() for i in idx)
