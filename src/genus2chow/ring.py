@@ -129,7 +129,9 @@ class Ring:
         """The key (-degree, reversed exponents), memoized: one per monomial
         the ring meets.  Ascending keys list monomials in descending graded
         reverse lexicographic order, so the least key is the greatest
-        monomial, and ``groebner._reduce``'s min-heap pops the greatest term."""
+        monomial: ``leading_term``, a Groebner basis's lead table and
+        rendering sort by it, and ``groebner._reduce`` reads a term's degree
+        off it."""
         cached = self._key_cache.get(exps)
         if cached is None:
             cached = self._key_cache[exps] = (-self.monomial_degree(exps), exps[::-1])
@@ -333,9 +335,14 @@ class IntPolynomial:
     def row(self, shift: Sequence[int] | None = None) -> dict[int, int]:
         """The sparse lattice row {column: coefficient} of x^shift times this
         polynomial, over the monomials of its degree (``Ring.columns``).
-        Raises InhomogeneousError when the terms mix degrees."""
+        The shift is one nonnegative int per variable, else ValueError;
+        raises InhomogeneousError when the terms mix degrees."""
         terms = self._terms
         if shift is not None:
+            if len(shift) != self.ring.nvars or any(
+                isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in shift
+            ):
+                raise ValueError(f"bad shift {shift!r} for {self.ring!r}")
             terms = {tuple(map(operator.add, exps, shift)): c for exps, c in terms.items()}
         if not terms:
             return {}

@@ -34,7 +34,8 @@ class TestIdealValidation:
         RingSpec(bg_ring, (bg_ring.const(2),))
 
     def test_inhomogeneous_basis_element_rejected(self, bg_ring):
-        # Reduction keys each new term by the degree of the term it reduces.
+        # A reduction row puts a lead's shifted tail in the columns of the
+        # degree of the term it reduces.
         with pytest.raises(InhomogeneousError):
             gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("beta1 + beta2"),))
 
@@ -364,6 +365,42 @@ class TestReferenceReducer:
             assert basis.normal_form(p) == reference_reduce(p, basis.elements)
 
 
+def _mixed_degree(ring, degrees, rng, **kwargs):
+    """A sum of random homogeneous polynomials, one of each given degree."""
+    p = ring.zero()
+    for d in degrees:
+        p = p + random_homogeneous(ring, d, rng, **kwargs)
+    return p
+
+
+class TestReducerInputs:
+    """Inputs the pipeline never sends, against plain division: the reducer
+    splits its input by degree and scans every column of each degree.
+    ``TestReductionRows`` sends mixed degrees to uncompleted bases."""
+
+    def test_mixed_degree_polynomials(self, pipeline):
+        rng = random.Random(61)
+        for spec in pipeline.presentations.values():
+            basis = spec.groebner
+            for _ in range(15):
+                degrees = rng.sample(range(11), rng.randint(2, 4))
+                p = _mixed_degree(spec.ring, degrees, rng, max_terms=5, coeff_bound=50)
+                assert len({spec.ring.monomial_degree(m) for m in p.term_map()}) > 1
+                assert basis.normal_form(p) == reference_reduce(p, basis.elements)
+
+    def test_sparse_inputs_at_degree_40(self, pipeline):
+        # The test-family ring has 6,391 monomials of degree 40.
+        spec = pipeline.presentations["bielliptic"]
+        ring = spec.ring
+        assert len(ring.columns(40)) == 6391
+        rng = random.Random(67)
+        basis = gb.StrongGroebnerBasis(ring, spec.groebner.elements)
+        probes = [random_homogeneous(ring, 40, rng, max_terms=3, coeff_bound=50) for _ in range(4)]
+        probes.append(_mixed_degree(ring, (40, 39, 7), rng, max_terms=2, coeff_bound=50))
+        for p in probes:
+            assert basis.normal_form(p) == reference_reduce(p, basis.elements)
+
+
 def _monomials(ring, degrees):
     return [ring.polynomial({exps: 1}) for d in degrees for exps in ring.monomials_of_degree(d)]
 
@@ -376,9 +413,12 @@ class TestReductionRows:
         warm_up = _monomials(basis.ring, range(9))
         for mono in warm_up:
             basis.normal_form(mono)
-        # One entry per distinct monomial reduced; reduction keeps degrees.
-        assert len(basis._rows) <= len(warm_up)
-        assert {basis.ring.monomial_degree(m) for m in basis._rows} <= set(range(9))
+        # One entry per distinct monomial reduced, counted across the
+        # degrees' tables; reduction keeps degrees, and a key is a column.
+        assert sum(map(len, basis._rows.values())) <= len(warm_up)
+        assert set(basis._rows) <= set(range(9))
+        for d, table in basis._rows.items():
+            assert set(table) <= set(range(len(basis.ring.columns(d))))
         fresh = gb.StrongGroebnerBasis(basis.ring, basis.elements)
         for p in warm_up + probes:
             nf = basis.normal_form(p)
@@ -398,7 +438,8 @@ class TestReductionRows:
 
     def test_uncompleted_random_generators(self):
         # As in TestReferenceReducer.test_random_ideals, the generators serve
-        # as the basis uncompleted; some sets get a degree-0 constant.
+        # as the basis uncompleted; some sets get a degree-0 constant.  The
+        # probes mix up to three degrees.
         ring = Ring(("x", 1), ("y", 1), ("z", 2))
         rng = random.Random(43)
         seen = set()
@@ -418,7 +459,9 @@ class TestReductionRows:
                 if not any(exps):
                     seen.add("constant")
             probes = [
-                random_homogeneous(ring, rng.randint(0, 8), rng, max_terms=6, coeff_bound=500)
+                _mixed_degree(
+                    ring, rng.sample(range(9), rng.randint(1, 3)), rng, max_terms=6, coeff_bound=500
+                )
                 for _ in range(5)
             ]
             self.assert_rows_change_nothing(basis, probes)
@@ -429,18 +472,20 @@ class TestReductionRows:
         b = gb.StrongGroebnerBasis(bg_ring, (bg_ring.parse("gamma^2 + beta1*gamma"),))
         p = bg_ring.parse("3*gamma^3 + 5*beta1*gamma^2 - beta2*gamma")
         a.normal_form(p)
-        assert a._rows and not b._rows
+        assert set(a._rows) == {3} and not b._rows
         b.normal_form(p)
-        assert a._rows is not b._rows and a._rows != b._rows
+        assert set(b._rows) == {3}
+        assert a._rows is not b._rows and a._rows[3] is not b._rows[3]
+        assert a._rows[3] != b._rows[3]
 
     def test_reducing_twice_does_not_grow_the_table(self, pipeline):
         basis = pipeline.presentations["total"].groebner
         rng = random.Random(47)
         p = random_homogeneous(basis.ring, 7, rng, max_terms=8, coeff_bound=50)
         first = basis.normal_form(p)
-        size = len(basis._rows)
+        size = sum(map(len, basis._rows.values()))
         assert basis.normal_form(p) == first
-        assert len(basis._rows) == size
+        assert sum(map(len, basis._rows.values())) == size
 
 
 def _shifted_terms(p, lcm_exps):
@@ -452,23 +497,29 @@ def _shifted_terms(p, lcm_exps):
 class TestCriticalCombinations:
     """``_critical_combinations`` against term maps built by schoolbook
     multiplication, on every pair of pipeline basis elements and on random
-    homogeneous pairs."""
+    homogeneous pairs.  The combinations are lattice rows over the columns
+    of the lcm's degree."""
 
     @staticmethod
     def check_pair(f, g):
         (fe, fc), (ge, gc) = f.leading_term(), g.leading_term()
         lcm_exps = tuple(map(max, fe, ge))
+        ring, d = f.ring, f.ring.monomial_degree(lcm_exps)
         fs, gs = _shifted_terms(f, lcm_exps), _shifted_terms(g, lcm_exps)
-        combinations = list(gb._critical_combinations(f, g))
+        rows = list(gb._critical_combinations(f, g))
+        for row in rows:
+            assert type(row) is dict and 0 not in row.values()
+            assert set(row) <= set(range(len(ring.columns(d))))
+        combinations = [ring.from_row(d, row).term_map() for row in rows]
         has_gcd = bool(fc % gc and gc % fc)
         assert len(combinations) == 1 + has_gcd
         c = lcm(fc, gc)
-        s_poly = combinations[-1].term_map()
+        s_poly = combinations[-1]
         expected = {e: c // fc * fs.get(e, 0) - c // gc * gs.get(e, 0) for e in fs | gs.keys()}
         assert s_poly == {e: v for e, v in expected.items() if v}
         assert lcm_exps not in s_poly
         if has_gcd:
-            gcd_poly = combinations[0].term_map()
+            gcd_poly = combinations[0]
             assert gcd_poly[lcm_exps] == gcd(fc, gc)
             assert gcd_poly.keys() <= fs.keys() | gs.keys()
         return has_gcd
@@ -494,6 +545,15 @@ class TestCriticalCombinations:
                 seen.add(self.check_pair(f, g))
         assert seen == {False, True}
 
+    def test_no_polynomial_is_multiplied(self, pipeline, monkeypatch):
+        elements = pipeline.presentations["total"].groebner.elements
+
+        def refuse(*args):
+            raise AssertionError("IntPolynomial.__mul__ called")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+        gb.StrongGroebnerBasis(elements[0].ring, elements).verify_complete()
+
 
 class TestClosureCertificate:
     """Completion stops at the first degree d above which every pair closes;
@@ -517,15 +577,32 @@ class TestClosureCertificate:
         return closed[0]
 
     @staticmethod
-    def inject(monkeypatch, ring, faulty_degree):
-        # A constant 1 is no member of a proper homogeneous ideal, and no
-        # reduction step of a higher degree touches it.
+    def inject(monkeypatch, ideal, faulty_degree):
+        # The fault adds 1 to a combination's row, on the last column of its
+        # degree that no unit lead of the completed basis divides.  The
+        # columns before it reduce as without the fault, so the entry the
+        # scan meets there is one more than a multiple of that column's lead
+        # coefficient (at least 2), or 1 where no lead divides it: the
+        # residue keeps a nonzero entry.
+        ring = ideal.ring
+        basis = strong_groebner(RingSpec(ring, ideal.generators))
+        leads = [g.leading_term() for g in basis.elements]
+        assert all(c > 0 for _, c in leads)
         critical_combinations = gb._critical_combinations
 
         def with_fault(f, g):
-            lcm_exps = tuple(map(max, f.leading_term()[0], g.leading_term()[0]))
-            for comb in critical_combinations(f, g):
-                yield comb + 1 if faulty_degree(ring.monomial_degree(lcm_exps)) else comb
+            d = ring.monomial_degree(tuple(map(max, f.leading_term()[0], g.leading_term()[0])))
+            for row in critical_combinations(f, g):
+                if faulty_degree(d):
+                    column = max(
+                        j
+                        for j, mono in enumerate(ring.monomials_of_degree(d))
+                        if not any(c == 1 and all(map(le, e, mono)) for e, c in leads)
+                    )
+                    row[column] = row.get(column, 0) + 1
+                    if not row[column]:
+                        del row[column]
+                yield row
 
         monkeypatch.setattr(gb, "_critical_combinations", with_fault)
 
@@ -550,7 +627,7 @@ class TestClosureCertificate:
     def test_fault_at_or_below_the_closing_degree_raises(self, pipeline, monkeypatch):
         ideal = pipeline.presentations["total"]
         d = self.closing_degree(ideal, monkeypatch)
-        self.inject(monkeypatch, ideal.ring, lambda degree: degree <= d)
+        self.inject(monkeypatch, ideal, lambda degree: degree <= d)
         with pytest.raises(AssertionError, match="completed basis not closed"):
             strong_groebner(ideal)
 
@@ -559,7 +636,7 @@ class TestClosureCertificate:
         d = self.closing_degree(ideal, monkeypatch)
         # The loop goes on past d until no pair lies above it, and the
         # certificate then meets the faults.
-        self.inject(monkeypatch, ideal.ring, lambda degree: degree > d)
+        self.inject(monkeypatch, ideal, lambda degree: degree > d)
         with pytest.raises(AssertionError, match="completed basis not closed"):
             strong_groebner(ideal)
 

@@ -433,6 +433,16 @@ class TestLatticeRows:
         with pytest.raises(InhomogeneousError):
             p.row((1, 0, 0))
 
+    def test_a_shift_is_one_nonnegative_int_per_variable(self):
+        ring = Ring(("x", 1), ("y", 1))
+        x = ring.var("x")
+        assert x.row((1, 2)) == (ring.parse("x*y^2") * x).row()
+        for shift in ((0, 0, 5), (-1, 0), (1,), (True, 0), (1.0, 0)):
+            with pytest.raises(ValueError, match="bad shift"):
+                x.row(shift)
+        with pytest.raises(ValueError, match="bad shift"):
+            ring.zero().row((0, -1))
+
     def test_columns_are_memoized_in_monomial_order(self, lring):
         for d in range(6):
             columns = lring.columns(d)
