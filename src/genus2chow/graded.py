@@ -22,19 +22,16 @@ generate a kernel is for the caller to compare.  Enumeration reads a
 kernel's cosets off a Hermite basis; the Smith form serves ``graded_piece``
 only.
 
-``oracle-agreement`` compares the Groebner engine with the one lattice,
-monomial by monomial: vanishing in the graded piece against the normal form
-from the polynomial reducer, and the Hermite pivot against c_mu, the gcd of
-the lead coefficients of the Groebner basis elements whose leading monomial
-divides the monomial.  So it cross-checks the reducer and completion's keep
-rule against the lattice.  A kept lattice that has lost relations is still
-caught: completion's certificate (closure, and every generator reducing to
-zero through ``_reduce``) never reads the lattices, so either it fails or the
-basis generates I, and then the pivot comparison sees the lost relations in
-the oracle's degrees.  A kept lattice that has gained relations outside I
-at or below completion's closing degree is read by both sides alike, so the
-oracle cannot see it: nothing certifies (G) ⊆ I yet.  What ``groebner``
-certifies, and what it does not, its module docstring says.
+``oracle-agreement`` compares the Groebner engine with the one lattice in
+one pass per degree: the Hermite pivots against c_mu, each lead coefficient
+of the Groebner basis spread by gcd over the columns its leading monomial
+divides, and vanishing in the graded piece (``_vanishes``) against a zero
+residue from the reducer (``groebner._reduce_row``) on every monomial and
+every Hermite row with a pivot other than 1.  A kept lattice that has lost
+relations is caught: completion's certificate never reads the lattices, so
+either it fails or the basis generates I and the pivots show the loss.  A kept lattice that has gained relations outside I at or below
+completion's closing degree is read by both sides alike, so the oracle
+cannot see it: nothing certifies (G) ⊆ I yet (see ``groebner``).
 """
 
 from __future__ import annotations
@@ -42,11 +39,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import add
 from typing import Sequence
 
 from . import intlinalg
-from .groebner import RingSpec
+from .groebner import RingSpec, _reduce_row
 from .ring import IntPolynomial, Ring, RingMismatchError
 
 
@@ -82,11 +79,10 @@ class GradedPieceGroup:
     ``units`` holds the Hermite rows of I_d with pivot 1, by pivot column,
     and ``rest`` the other columns; ``V`` and ``diagonal`` come from the
     certified Smith form U'·H'·V' = D' of the other rows on ``rest``: V' and
-    the diagonal of D', padded with zeros.  A polynomial's coordinates are
-    its row (``IntPolynomial.row``), cleared (``_clear``), on ``rest`` times
-    V', coordinate i read modulo ``diagonal[i]`` (0 meaning a free
-    coordinate).  Only polynomials of degree ``degree`` over ``ring`` are
-    read.
+    the diagonal of D', padded with zeros.  ``_vanishes``, the one read of
+    a row, for ``is_zero`` and the oracle alike, clears it (``_clear``) and
+    reads its entries on ``rest`` times V', coordinate i modulo
+    ``diagonal[i]`` (0 meaning a free coordinate).
     """
 
     ring: Ring
@@ -99,15 +95,19 @@ class GradedPieceGroup:
     diagonal: tuple[int, ...]
 
     def is_zero(self, p: IntPolynomial) -> bool:
-        """Whether every Smith-normal coordinate of p vanishes modulo its
-        diagonal entry."""
+        """Whether p vanishes in the piece, read by ``_vanishes``."""
         if p.ring != self.ring:
             raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
         deg = p.weighted_degree()
         if deg is not None and deg != self.degree:
             raise ValueError(f"expected degree {self.degree}, got {deg}")
-        cleared = _clear(p.row(), self.units)
-        coords = intlinalg.matvec_left([cleared.get(j, 0) for j in self.rest], self.V)
+        return self._vanishes(p.row())
+
+    def _vanishes(self, row: intlinalg.Row) -> bool:
+        """Whether a row over ``Ring.columns(degree)`` lies in I_d."""
+        coords = [0] * len(self.diagonal)
+        for j, x in _clear(row, self.units).items():
+            coords = [c + x * b for c, b in zip(coords, self.V[self.rest.index(j)])]
         return not any(c % d if d else c for c, d in zip(coords, self.diagonal))
 
 
@@ -133,21 +133,32 @@ def graded_piece(spec: RingSpec, d: int) -> GradedPieceGroup:
     )
 
 
+def _lead_gcds(spec: RingSpec, d: int) -> intlinalg.Row:
+    """c_mu by column mu of degree d: each Groebner basis element's lead
+    coefficient spread by gcd over its leading monomial's multiples."""
+    ring, columns = spec.ring, spec.ring.columns(d)
+    out: intlinalg.Row = {}
+    for g in spec.groebner.elements:
+        exps, k = g.leading_term()
+        for m in ring.monomials_of_degree(d - ring.monomial_degree(exps)):
+            j = columns[tuple(map(add, exps, m))]
+            out[j] = math.gcd(out.get(j, 0), k)
+    return out
+
+
 def membership_matches_normal_form(spec: RingSpec, d: int) -> bool:
-    """Oracle agreement in degree d, for every monomial mu: vanishing in the
-    graded piece coincides with vanishing of the Groebner normal form, and
-    the Hermite pivot of I_d in mu's column (0 if it has none) is c_mu, the
-    gcd of the lead coefficients of the basis elements whose leading
-    monomial divides mu (0 if no leading monomial does)."""
-    piece = graded_piece(spec, d)
-    pivots = {c: row[c] for c, row in intlinalg.pivots(spec.lattice(d))}
-    leads = [g.leading_term() for g in spec.groebner.elements if g.weighted_degree() <= d]
-    for j, exps in enumerate(spec.ring.monomials_of_degree(d)):
-        c_mu = math.gcd(*(k for e, k in leads if all(map(le, e, exps))))
-        monomial = IntPolynomial(spec.ring, {exps: 1}, _trusted=True)
-        if pivots.get(j, 0) != c_mu or piece.is_zero(monomial) != spec.contains(monomial):
-            return False
-    return True
+    """Oracle agreement in degree d, in one pass: the Hermite pivots of I_d,
+    by column, are c_mu (``_lead_gcds``), and the graded piece and the
+    Groebner reducer agree on which rows vanish, for every monomial and every
+    Hermite row with a pivot other than 1.  No monomial of degree 8 or less
+    lies in a pipeline ideal, so only those rows show a Smith diagonal entry
+    read too large, or a lost basis element whose lead coefficient is the gcd
+    of the other leads dividing its monomial."""
+    piece, basis, lattice = graded_piece(spec, d), spec.groebner, spec.lattice(d)
+    rows = _split_at_unit_pivots(lattice)[1] + [{j: 1} for j in range(len(spec.ring.columns(d)))]
+    return {c: row[c] for c, row in intlinalg.pivots(lattice)} == _lead_gcds(spec, d) and all(
+        piece._vanishes(row) == (not any(_reduce_row(d, row, basis))) for row in rows
+    )
 
 
 # -- kernels of multiplication maps -----------------------------------------------

@@ -57,20 +57,6 @@ def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     return out
 
 
-def matvec_left(v: Sequence[int], A: Sequence[Sequence[int]]) -> list[int]:
-    """Row vector times matrix."""
-    if len(v) != len(A):
-        raise ValueError("dimension mismatch")
-    ncols = len(A[0]) if A else 0
-    acc = [0] * ncols
-    for a, row in zip(v, A):
-        if a:
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] += a * b
-    return acc
-
-
 # -- Hermite normal form -------------------------------------------------------
 
 

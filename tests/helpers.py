@@ -102,6 +102,13 @@ def dense(row: dict[int, int], width: int) -> list[int]:
     return [row.get(j, 0) for j in range(width)]
 
 
+def matvec_left(v, A) -> list[int]:
+    """The row vector v times the dense matrix A, by the definition."""
+    if len(v) != len(A):
+        raise ValueError("dimension mismatch")
+    return [sum(a * row[j] for a, row in zip(v, A)) for j in range(len(A[0]) if A else 0)]
+
+
 def relation_rows(spec: RingSpec, d: int) -> tuple[list[tuple], list[dict[int, int]]]:
     """Degree-d monomial basis and every degree-d multiple of each relation
     generator, as a sparse {column: entry} row over it: the rows that define
@@ -224,7 +231,7 @@ def reference_kernel_elements(spec: RingSpec, m: IntPolynomial, d: int):
         return None
     dense_basis = [dense(row, len(monomials)) for row in basis]
     gens = [
-        (ring.from_row(d, sparse(la.matvec_left(snf.Vinv[i], dense_basis))), order)
+        (ring.from_row(d, sparse(matvec_left(snf.Vinv[i], dense_basis))), order)
         for i, order in enumerate(diagonal) if order != 1
     ]
     elements = set()

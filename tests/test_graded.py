@@ -1,25 +1,29 @@
 """Graded pieces as abelian groups, kernels of multiplication, enumeration."""
 
 import dataclasses
+import math
 import random
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genus2chow import groebner as gb, intlinalg as la
+from genus2chow import graded, groebner as gb, intlinalg as la
 from genus2chow.graded import (
     InfiniteKernelError,
     _kernel_lattice,
+    _lead_gcds,
     enumerate_kernel_elements,
     graded_piece,
     membership_matches_normal_form,
     multiplication_kernel,
 )
-from genus2chow.groebner import RingSpec
-from genus2chow.pipeline import Pipeline
+from genus2chow.groebner import RingSpec, StrongGroebnerBasis, _reduce_row
+from genus2chow.pipeline import _ORACLE_DEGREE, Pipeline
 from genus2chow.ring import Ring, RingMismatchError
 
 from helpers import (
+    matvec_left,
     random_homogeneous,
     reference_kernel_elements,
     reference_kernel_lattice,
@@ -63,7 +67,7 @@ def quotient_cases(max_dim=5, bound=12):
 
 def _probe(case):
     n, rows, coeffs, offset, offset_on = case
-    probe = la.matvec_left(coeffs, rows) if rows else [0] * n
+    probe = matvec_left(coeffs, rows) if rows else [0] * n
     return [x + y for x, y in zip(probe, offset)] if offset_on else probe
 
 
@@ -392,6 +396,96 @@ class TestMemberProbes:
                 member = la.lattice_coordinates(basis, probe.row()) is not None
                 assert member == (offset == 0), (d, str(probe))
                 assert piece.is_zero(probe) == member == spec.contains(probe), (d, str(probe))
+
+
+def _pivots(spec, d):
+    """The Hermite pivots of I_d, by column."""
+    return {c: row[c] for c, row in la.pivots(spec.lattice(d))}
+
+
+class TestOraclePass:
+    """``membership_matches_normal_form`` answers a degree in one pass over
+    its columns.  Each answer must be the one the public paths give, and a
+    fault in either engine must fail ``oracle-agreement`` as data."""
+
+    def test_column_answers_match_the_public_paths(self, pipeline):
+        read = 0
+        for spec in pipeline.presentations.values():
+            ring, basis = spec.ring, spec.groebner
+            for d in range(_ORACLE_DEGREE + 1):
+                piece = graded_piece(spec, d)
+                monomials = ring.monomials_of_degree(d)
+                leads = [g.leading_term() for g in basis.elements if g.weighted_degree() <= d]
+                c_mu = [
+                    math.gcd(*(k for e, k in leads if all(map(le, e, mu)))) for mu in monomials
+                ]
+                assert _lead_gcds(spec, d) == {j: k for j, k in enumerate(c_mu) if k}, d
+                assert _pivots(spec, d) == _lead_gcds(spec, d), d
+                for j, mu in enumerate(monomials):
+                    monomial = ring.polynomial({mu: 1})
+                    assert piece._vanishes({j: 1}) == piece.is_zero(monomial), (d, mu)
+                    assert (not any(_reduce_row(d, {j: 1}, basis))) == spec.contains(monomial)
+                read += len(monomials)
+        assert read == 700
+
+    def test_a_doubled_torsion_entry_fails_oracle_agreement_as_data(self, pipeline, monkeypatch):
+        real = graded.graded_piece
+
+        def doubled(spec, d):
+            piece = real(spec, d)
+            diagonal = list(piece.diagonal)
+            first = next((i for i, x in enumerate(diagonal) if x >= 2), None)
+            if first is not None:
+                diagonal[first] *= 2
+            return dataclasses.replace(piece, diagonal=tuple(diagonal))
+
+        monkeypatch.setattr(graded, "graded_piece", doubled)
+        result = pipeline.run_check("oracle-agreement")
+        assert (result.status, result.witness) == (
+            "fail", "oracle disagreement in classifying ring, degree 1"
+        )
+
+    @pytest.mark.parametrize("name", _PRESENTATIONS)
+    def test_every_doubled_torsion_entry_is_seen_by_the_member_rows(
+        self, pipeline, name, monkeypatch
+    ):
+        # A larger diagonal entry only makes more vectors nonzero, and no
+        # monomial of degree <= 8 lies in a pipeline ideal, so the monomials
+        # read alike; the Hermite rows, members of I_d, do not.
+        spec = pipeline.presentations[name]
+        for d in range(_ORACLE_DEGREE + 1):
+            piece = graded_piece(spec, d)
+            columns = range(len(spec.ring.columns(d)))
+            for i, x in enumerate(piece.diagonal):
+                if x < 2:
+                    continue
+                diagonal = piece.diagonal[:i] + (2 * x,) + piece.diagonal[i + 1:]
+                faulty = dataclasses.replace(piece, diagonal=diagonal)
+                assert all(faulty._vanishes({j: 1}) == piece._vanishes({j: 1}) for j in columns)
+                monkeypatch.setattr(graded, "graded_piece", lambda spec, d: faulty)
+                assert not membership_matches_normal_form(spec, d), (d, i)
+
+    @pytest.mark.parametrize("name", _PRESENTATIONS)
+    def test_a_lost_basis_element_fails_oracle_agreement_as_data(
+        self, pipeline, name, monkeypatch
+    ):
+        spec = pipeline.presentations[name]
+        ring, elements = spec.ring, spec.groebner.elements
+        for k, g in enumerate(elements):
+            kept = elements[:k] + elements[k + 1:]
+            monkeypatch.setitem(spec.__dict__, "groebner", StrongGroebnerBasis(ring, kept))
+            exps, coeff = g.leading_term()
+            d = ring.monomial_degree(exps)
+            result = pipeline.run_check("oracle-agreement")
+            assert (result.status, result.witness) == (
+                "fail", f"oracle disagreement in {name} ring, degree {d}"
+            ), str(g)
+            # The c_mu list sees the loss, unless the gcd of the other leads
+            # dividing g's leading monomial is g's lead coefficient; then
+            # only the member rows do, which no longer reduce to zero.
+            leads = [h.leading_term() for h in kept]
+            cover = math.gcd(*(c for e, c in leads if all(map(le, e, exps))))
+            assert (_lead_gcds(spec, d) != _pivots(spec, d)) == (cover != coeff), str(g)
 
 
 class TestMultiplicationKernel:

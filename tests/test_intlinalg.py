@@ -9,7 +9,7 @@ from genus2chow import graded, intlinalg as la
 from genus2chow.groebner import RingSpec
 from genus2chow.pipeline import Pipeline
 
-from helpers import dense, reference_preimage, reference_smith_normal_form, sparse
+from helpers import dense, matvec_left, reference_preimage, reference_smith_normal_form, sparse
 
 
 def small_matrices(max_dim=6, bound=30):
@@ -82,7 +82,7 @@ class TestHermite:
         hf = la.hermite_normal_form(A, len(A[0]))
         rng = random.Random(1)
         combo = [rng.randint(-5, 5) for _ in A]
-        vec = la.matvec_left(combo, A)
+        vec = matvec_left(combo, A)
         basis = [sparse(hf.rows[r]) for r, _ in hf.pivots]
         assert la.lattice_coordinates(basis, sparse(vec)) is not None
 
@@ -244,7 +244,7 @@ def _combination(x, basis, width):
     ``lattice_coordinates`` and ``lattice_basis`` give them."""
     if not basis:
         return [0] * width
-    return la.matvec_left(dense(x, len(basis)), [dense(row, width) for row in basis])
+    return matvec_left(dense(x, len(basis)), [dense(row, width) for row in basis])
 
 
 class TestSolveAndKernel:
@@ -319,7 +319,7 @@ class TestPreimage:
         A, B, n = case
         target = la.lattice_basis(list(map(sparse, B)), n)
         for x in la.preimage_basis(list(map(sparse, A)), list(map(sparse, B)), n):
-            image = la.matvec_left(dense(x, len(A)), A)
+            image = matvec_left(dense(x, len(A)), A)
             assert la.lattice_coordinates(target, sparse(image)) is not None
 
     @settings(max_examples=80, deadline=None)
@@ -328,7 +328,7 @@ class TestPreimage:
         A, _, n = case
         kernel = la.preimage_basis(list(map(sparse, A)), [], n)
         for x in kernel:
-            assert la.matvec_left(dense(x, len(A)), A) == [0] * n
+            assert matvec_left(dense(x, len(A)), A) == [0] * n
         assert len(kernel) == len(A) - len(la.lattice_basis(list(map(sparse, A)), n))
 
     def test_kernel_example(self):
@@ -398,7 +398,7 @@ class TestCanonicalBases:
         assert la.lattice_basis(shuffled, w) == basis
         assert la.lattice_basis(list(map(_reversed, shuffled)), w) == basis
         if rows:
-            combined = rows + [la.matvec_left(coeffs, rows)]
+            combined = rows + [matvec_left(coeffs, rows)]
             assert la.lattice_basis(list(map(sparse, combined)), w) == basis
 
     @settings(max_examples=100, deadline=None)
@@ -411,7 +411,7 @@ class TestCanonicalBases:
         assert la.preimage_basis(A, [B[i] for i in order_b], w) == expected
         assert la.preimage_basis(list(map(_reversed, A)), list(map(_reversed, B)), w) == expected
         if B:
-            combined = B + [sparse(la.matvec_left(coeffs, rows_b))]
+            combined = B + [sparse(matvec_left(coeffs, rows_b))]
             assert la.preimage_basis(A, combined, w) == expected
         # Permuting A's rows permutes the preimage's coordinates alike.
         permuted = [{j: x[i] for j, i in enumerate(order_a) if i in x} for x in expected]
