@@ -12,40 +12,28 @@ spanned by its degree-d generators and x_v times I_{d - w_v}, as in Lazard's
 Macaulay-matrix route.  ``RingSpec.lattice`` eliminates each degree once, from
 the Hermite bases of the degrees below, and keeps the bases on the spec as
 sparse rows (``intlinalg.Row``) over the columns ``Ring`` owns
-(``Ring.columns``; ``IntPolynomial.row`` and ``Ring.from_row`` convert): the
-one construction of I_d in the package, read by completion here and by every
-graded piece, kernel and oracle comparison in ``graded``.  Completion walks
-the pivots of those bases (each row's least column), one degree at a time,
-until the critical pairs (s- and gcd-combinations) close.  One cap on the
-monomial columns processed, summed over degrees, bounds the run in size and
-so in time, and reaching it raises.  The reducer (below) certifies each
-completed basis G of an ideal I twice, without reading the
-lattices: closure (every s- and gcd-combination reduces to zero) and I ⊆ (G)
-(every generator reduces to zero).  Both run on the basis completion
-returns, against its own leads and reduction rows, so each pair is reduced
-once: the pairs whose lcm lies above the closing degree by the stopping test,
-the others after it.  Nothing certifies (G) ⊆ I yet: that each kept element
-lies in I rests on the elimination alone.
+(``Ring.columns``; ``IntPolynomial.row``, ``IntPolynomial.rows`` and
+``Ring.from_row`` convert): the one construction of I_d in the package, read
+by membership and completion here and by every graded piece, kernel and
+oracle comparison in ``graded``.  Membership needs no basis: p lies in I
+exactly when each degree-d part of p lies in I_d (``RingSpec.contains``), and
+``ideal_equal`` compares two presentations by mutual generator membership.
+
+A basis is completed only where a normal form is read (``strong_groebner``):
+it walks the pivots of the kept Hermite bases, one degree at a time, until
+the critical pairs (s- and gcd-combinations) close, within a cap on the
+monomial columns processed.  The reducer (below) certifies each completed
+basis G of an ideal I twice, without reading the lattices: closure (every
+s- and gcd-combination reduces to zero) and I ⊆ (G) (every generator
+reduces to zero).  Nothing certifies (G) ⊆ I yet: that each kept element
+lies in I rests on the elimination alone, so a completion fault could
+enlarge the ideal that normal forms reduce by, though not the one
+membership reads.
 
 Reduction is row reduction over the columns ``Ring`` owns, as in Faugère's
-F4: ``_reduce`` splits a polynomial by degree and ``_reduce_row`` loads each
-degree's lattice row into one list of integers and scans its columns upward,
-greatest monomial first.  A critical pair's combinations are such rows too:
-the rows of its two elements shifted onto their lcm (``IntPolynomial.row``)
-and combined by ``intlinalg._subtract``.  Each basis keeps a table of reduction rows by degree
-and column: for every monomial it has reduced, the first lead dividing it,
-with that lead's tail shifted onto the monomial as (column, coefficient)
-pairs, or None when no lead divides it.  The table holds at most one entry
-per distinct monomial reduced, lives and dies with its basis, and never
-changes a normal form: a row depends on the monomial and the leads alone.
-Every reduction in ``verify --all`` and in the membership queries is at
-degree 8 or less, over at most 95 columns; a list per degree costs more than
-a heap of terms only far above that (see ``_reduce``).
-
-A ``RingSpec`` (a ring and its generators) is the one presentation object:
-it keeps the Hermite bases of I_d, completes its basis once, on first use,
-and every membership test and normal form in the package goes through it.
-``ideal_equal`` compares two presentations through their own bases.
+F4 (``_reduce``, ``_reduce_row``), and a critical pair's combinations are
+such rows too: the rows of its two elements shifted onto their lcm
+(``IntPolynomial.row``) and combined by ``intlinalg._subtract``.
 """
 
 from __future__ import annotations
@@ -74,8 +62,8 @@ class StrongGroebnerBasis:
     least lead coefficient first and then least leading monomial; the tail
     lists the element's other terms as (exps, coeff) pairs.  The sort is
     stable, so ties keep the order of the elements; ``_reduce_row`` takes
-    the first lead that divides a term as its reducer.  The basis also owns
-    the table of reduction rows for those leads, by degree and column."""
+    the first lead that divides a term as its reducer.  The basis owns the
+    table of reduction rows for those leads (see ``_reduce_row``)."""
 
     __slots__ = ("ring", "elements", "_leads", "_rows")
 
@@ -187,31 +175,22 @@ def _reduce_row(d: int, row: intlinalg.Row, basis: StrongGroebnerBasis) -> list[
 
 
 def _reduce(p: IntPolynomial, basis: StrongGroebnerBasis) -> IntPolynomial:
-    """Fully reduce p by the basis's leads, one degree at a time.
-
-    Each term's degree is read from the ring's cached ``descending_key``, so
-    no degree is summed again; each degree's terms make one lattice row,
-    which ``_reduce_row`` reduces, and the residue is read back through
-    ``Ring.monomials_of_degree``.  Each degree costs a list as long as its
-    columns, and its first reduction enumerates them, however few terms p
-    has.  Every reduction the package makes is at degree 8 or less, over at
-    most 95 columns, where this beats a heap of terms; but in the
-    four-variable test-family ring the first normal form of lambda2^20
-    (degree 40, 6,391 columns) takes about 6 ms and a repeat 0.4 ms, where a
-    heap took 0.02 ms (one core, Python 3.11)."""
-    ring = p.ring
-    key = ring.descending_key
-    rows: dict[int, intlinalg.Row] = {}
-    for mono, coeff in p._terms.items():
-        d = -key(mono)[0]
-        rows.setdefault(d, {})[ring.columns(d)[mono]] = coeff
-    out: dict[tuple, int] = {}
+    """Fully reduce p by the basis's leads, one degree at a time: each
+    degree's row (``IntPolynomial.rows``) is reduced by ``_reduce_row`` and
+    read back through ``Ring.monomials_of_degree``.  Each degree costs a
+    list as long as its columns, and its first reduction enumerates them,
+    however few terms p has.  Every reduction the package makes is at degree
+    8 or less, over at most 95 columns, where this beats a heap of terms; but
+    in the four-variable test-family ring the first normal form of
+    lambda2^20 (degree 40, 6,391 columns) takes about 6 ms and a repeat
+    0.4 ms, where a heap took 0.02 ms (one core, Python 3.11)."""
+    rows, out = p.rows(), {}
     for d in sorted(rows, reverse=True):
         residue = _reduce_row(d, rows[d], basis)
-        monomials = ring.monomials_of_degree(d)
+        monomials = p.ring.monomials_of_degree(d)
         for j in compress(range(len(residue)), residue):
             out[monomials[j]] = residue[j]
-    return IntPolynomial(ring, out, _trusted=True)
+    return IntPolynomial(p.ring, out, _trusted=True)
 
 
 def _critical_combinations(f: IntPolynomial, g: IntPolynomial):
@@ -289,9 +268,10 @@ class RingSpec:
     coefficient reduction, which is how mod-p quotients are encoded.
     ``degrees`` holds each generator's weighted degree, None for zero.  This
     is the universal container for every Chow ring in the pipeline: it keeps
-    the Hermite bases of I_d (``lattice``) and is the only place a strong
-    basis is completed and kept.  Two presentations are equal when their
-    rings and generators, in order, are.
+    the Hermite bases of I_d (``lattice``), which answer membership, and is
+    the only place a strong basis is completed, for normal forms, and kept.
+    Two presentations are equal when their rings and generators, in order,
+    are.
     """
 
     __slots__ = ("ring", "generators", "degrees", "_lattices", "__dict__")
@@ -367,7 +347,19 @@ class RingSpec:
         return self.groebner.normal_form(p)
 
     def contains(self, p: IntPolynomial) -> bool:
-        return self.groebner.contains(p)
+        """Whether p lies in I: each degree-d part of p (``IntPolynomial.rows``)
+        lies in the kept lattice I_d (``intlinalg.lattice_coordinates``), so
+        no basis is read or completed.  The cost grows with the degree, as
+        I_d is eliminated from every degree below it: the 80 tests of
+        ``verify --all`` are at degree 7 or less at every bound, but a first
+        test at degree 16 takes 0.2 s in the test-family ring and 0.9 s in
+        its ambient, against 6 and 0.4 ms through a completed basis."""
+        if p.ring != self.ring:
+            raise RingMismatchError(f"{p!r} is not over {self.ring!r}")
+        return all(
+            intlinalg.lattice_coordinates(self.lattice(d), row) is not None
+            for d, row in p.rows().items()
+        )
 
     def with_relations(self, *extra: IntPolynomial) -> "RingSpec":
         return RingSpec(self.ring, self.generators + extra)
@@ -378,9 +370,8 @@ class RingSpec:
 
 def ideal_equal(a: RingSpec, b: RingSpec) -> bool:
     """Mutual containment of generators, hence equality of the two
-    presentations' ideals; each side's membership uses its own basis."""
+    presentations' ideals, read off each side's kept lattices up to the
+    other side's largest generator degree; no basis is completed."""
     if a.ring != b.ring:
         raise RingMismatchError("ideals live over different rings")
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+    return all(map(b.contains, a.generators)) and all(map(a.contains, b.generators))

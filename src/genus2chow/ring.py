@@ -353,6 +353,15 @@ class IntPolynomial:
             self.weighted_degree()  # a term of another degree: raises InhomogeneousError
             raise
 
+    def rows(self) -> dict[int, dict[int, int]]:
+        """This polynomial split by weighted degree, {d: the lattice row of
+        its degree-d terms}; each degree is read off ``Ring.descending_key``."""
+        ring, rows = self.ring, {}
+        for exps, c in self._terms.items():
+            d = -ring.descending_key(exps)[0]
+            rows.setdefault(d, {})[ring.columns(d)[exps]] = c
+        return rows
+
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ring(self, other: "IntPolynomial"):

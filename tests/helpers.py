@@ -14,7 +14,7 @@ from genus2chow.bundles import BundleClasses, SClassCombo
 from genus2chow.classifying import wn_chern
 from genus2chow.groebner import RingSpec
 from genus2chow.parse import ParseError
-from genus2chow.pipeline import VerificationReport
+from genus2chow.pipeline import _MOD2_RELATIONS, Pipeline, VerificationReport
 from genus2chow.ring import IntPolynomial, Ring, symmetrize_to_elementary
 
 
@@ -38,6 +38,24 @@ def digest_changes(report: VerificationReport) -> frozenset[str]:
         r["id"] for r in report.records()
         if r["status"] == "pass" and r["witness_digest"] != golden[r["id"]]
     )
+
+
+def normal_form_rings(pipeline: Pipeline) -> dict[str, RingSpec]:
+    """The presentations a run completes a basis of, by name: the six
+    ``Pipeline.presentations``, which the oracle compares, and the three
+    rings whose normal forms the witnesses print (the test-family ambient,
+    the test family mod 2 and the total ring mod 2), built as the checks
+    build them."""
+    family = pipeline.bielliptic_data["stated"].ring
+    main = pipeline.m2bar_ring
+    return {
+        **pipeline.presentations,
+        "test-family ambient": pipeline.alpha_ambient,
+        "test family mod 2": RingSpec(
+            family, (family.const(2), *map(family.parse, _MOD2_RELATIONS))
+        ),
+        "total mod 2": main.with_relations(main.ring.const(2)),
+    }
 
 
 def random_homogeneous(

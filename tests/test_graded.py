@@ -692,10 +692,14 @@ class TestKeptLattices:
         failing = {c.id: c.witness for c in report.checks if c.status == "fail"}
         assert set(failing) == {"thm:45", "oracle-agreement"}
         if d == 3:
-            # Completion reads the lost relations, and its certificate,
-            # which reads no lattice, finds a generator left over.
-            lost = "AssertionError: completed basis does not contain a generator"
-            assert failing == {"thm:45": lost, "oracle-agreement": lost}
+            # Membership reads the lost relations, so thm:45's first kernel
+            # class falls outside the ideal.  Completion, for the oracle,
+            # reads them too, and its certificate, which reads no lattice,
+            # finds a generator left over.
+            assert failing == {
+                "thm:45": "degree-3 class is not in the kernel",
+                "oracle-agreement": "AssertionError: completed basis does not contain a generator",
+            }
             return
         # Completion closes the twist quotient in degree 4 and never reads
         # degree 5; in both its certificate passes.  Through degree 8 no

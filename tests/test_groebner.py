@@ -8,10 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genus2chow.groebner as gb
+from genus2chow import pipeline as pipeline_module
 from genus2chow.groebner import RingSpec, ideal_equal, strong_groebner
+from genus2chow.pipeline import Pipeline
 from genus2chow.ring import InhomogeneousError, IntPolynomial, Ring, RingMismatchError
 
-from helpers import as_term_list, naive_product, random_homogeneous, reference_reduce
+from helpers import (
+    as_term_list,
+    naive_product,
+    normal_form_rings,
+    random_homogeneous,
+    reference_reduce,
+)
 
 
 @pytest.fixture
@@ -671,3 +679,107 @@ class TestRingSpec:
         a = RingSpec.build((("x", 1),), ("2*x",))
         b = RingSpec.build((("x", 1),), ("2*x", "4*x"))
         assert ideal_equal(a, b)
+
+
+def _member(spec, d, rng):
+    """A seeded degree-d element of the ideal: a combination of the
+    generators of degree at most d with random homogeneous cofactors."""
+    p = spec.ring.zero()
+    for g, e in zip(spec.generators, spec.degrees):
+        if e is not None and e <= d:
+            p = p + random_homogeneous(spec.ring, d - e, rng, max_terms=3, coeff_bound=20) * g
+    return p
+
+
+def _membership_probes(spec, rng, degrees=range(8)):
+    """Seeded polynomials of both answers: in each degree a member, a member
+    plus one term, a random polynomial and a multiple of a monomial by 2 or
+    24; then mixed-degree sums, zero and constants."""
+    ring, probes = spec.ring, []
+    for d in degrees:
+        member = _member(spec, d, rng)
+        monomial = ring.polynomial({rng.choice(ring.monomials_of_degree(d)): 1})
+        probes += [
+            member,
+            member + rng.choice((1, 2, 3)) * monomial,
+            random_homogeneous(ring, d, rng, max_terms=4, coeff_bound=50),
+            rng.choice((2, 24)) * monomial,
+        ]
+    for _ in range(6):
+        d, e = rng.sample(list(degrees), 2)
+        probes.append(_member(spec, d, rng) + _member(spec, e, rng))
+        probes.append(_member(spec, d, rng) + random_homogeneous(ring, e, rng, coeff_bound=50))
+    return probes + [ring.zero(), ring.const(1), ring.const(2), ring.const(-4)]
+
+
+class TestLatticeMembership:
+    """``RingSpec.contains`` reads the kept lattices I_d, not a basis: it
+    answers as the completed basis does, needs no completion, and a fault in
+    a stored basis leaves it unchanged."""
+
+    def test_lattices_answer_as_the_basis(self, pipeline):
+        for name, spec in normal_form_rings(pipeline).items():
+            rng = random.Random(name)
+            answers = []
+            for p in _membership_probes(spec, rng):
+                answer = spec.contains(p)
+                assert answer == spec.groebner.contains(p), (name, str(p))
+                answers.append(answer)
+            assert 0 < sum(answers) < len(answers), name
+
+    def test_another_rings_polynomial_is_rejected(self, pipeline):
+        other = Ring(("x", 1),)
+        for spec in normal_form_rings(pipeline).values():
+            for p in (other.var("x"), other.zero()):
+                with pytest.raises(RingMismatchError):
+                    spec.contains(p)
+
+    def test_pipeline_answers_need_no_completion(self, monkeypatch):
+        # Every ideal comparison and membership test of a run, replayed on
+        # fresh presentations that cannot complete a basis, answers alike.
+        comparisons, memberships = [], []
+        real_equal, real_contains = gb.ideal_equal, RingSpec.contains
+
+        def recording_equal(a, b):
+            comparisons.append((a, b))
+            return real_equal(a, b)
+
+        def recording_contains(spec, p):
+            memberships.append((spec, p, real_contains(spec, p)))
+            return memberships[-1][2]
+
+        monkeypatch.setattr(pipeline_module, "ideal_equal", recording_equal)
+        monkeypatch.setattr(RingSpec, "contains", recording_contains)
+        assert Pipeline(max_degree=10).run().overall == "pass"
+        monkeypatch.undo()
+
+        def refuse(spec):
+            raise AssertionError("Groebner basis completed")
+
+        monkeypatch.setattr(gb, "strong_groebner", refuse)
+        fresh = {}
+        for spec in {spec for pair in comparisons for spec in pair} | {m[0] for m in memberships}:
+            fresh[spec] = RingSpec(spec.ring, spec.generators)
+        assert len(comparisons) == 5
+        for a, b in comparisons:
+            assert ideal_equal(fresh[a], fresh[b])
+        assert len(memberships) == 80
+        for spec, p, answer in memberships:
+            assert fresh[spec].contains(p) == answer, str(p)
+        assert max(d for _, p, _ in memberships for d in p.rows()) <= 7
+
+    def test_an_enlarged_basis_changes_normal_forms_not_membership(self, pipeline):
+        # No monomial of degree 8 or less lies in a pipeline ideal, so the
+        # first variable is outside each; a basis that holds it reduces it
+        # to zero, but membership never reads that basis.
+        for name, spec in pipeline.presentations.items():
+            ring = spec.ring
+            outside = ring.var(ring.names[0])
+            enlarged = RingSpec(ring, spec.generators)
+            enlarged.__dict__["groebner"] = gb.StrongGroebnerBasis(
+                ring, (*spec.groebner.elements, outside)
+            )
+            assert spec.normal_form(outside) == outside and enlarged.normal_form(outside) == 0
+            assert not enlarged.contains(outside), name
+            for p in _membership_probes(spec, random.Random(name), degrees=range(6)):
+                assert enlarged.contains(p) == spec.contains(p), (name, str(p))

@@ -19,7 +19,7 @@ from genus2chow.pipeline import (
 from genus2chow.bundles import SClassCombo
 from genus2chow.ring import Ring
 
-from helpers import child_env, relation_rows, sparse
+from helpers import child_env, normal_form_rings, relation_rows, sparse
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 GOLDEN_D10 = GOLDEN / "verify-d10.json"
@@ -145,9 +145,15 @@ class TestFaultInjection:
 
     def test_completion_at_the_column_cap_fails_as_data(self, monkeypatch):
         # The main ideal closes in degree 4; a cap of 13 columns, those of
-        # degrees 0..3, stops its completion.
+        # degrees 0..3, stops its completion.  The oracle completes it (the
+        # "total" presentation); the other five are completed before the cap
+        # is set, so the main ideal's completion is the one that fails.
+        fresh = Pipeline()
+        for name, spec in fresh.presentations.items():
+            if name != "total":
+                spec.groebner
         monkeypatch.setattr(groebner, "_MAX_COLUMNS", 13)
-        (check,) = Pipeline().run(ids=["thm:main"]).checks
+        (check,) = fresh.run(ids=["oracle-agreement"]).checks
         assert check.status == "fail"
         assert check.witness.startswith("RuntimeError: Groebner completion reached the column cap 13")
 
@@ -254,9 +260,11 @@ class TestStrataRings:
         assert pipeline.gm_data["spec"].ring.names == ("t", "lambda1", "lambda2")
 
     def test_each_ideal_completed_once(self, monkeypatch):
-        # Every basis lives on the RingSpec that presents its ideal, and the
-        # classifying derivation is compared with the pipeline's own
-        # presentation generator by generator, not through a second basis.
+        # Every basis lives on the RingSpec that presents its ideal, and a
+        # basis is completed only where a normal form is read: the six
+        # presentations, which the oracle compares, and the three rings whose
+        # normal forms the witnesses print.  Membership and ideal equality
+        # read the kept lattices.
         completed = Counter()
         complete = groebner.strong_groebner
 
@@ -265,10 +273,12 @@ class TestStrataRings:
             return complete(ideal)
 
         monkeypatch.setattr(groebner, "strong_groebner", counting)
-        assert Pipeline(max_degree=10).run().overall == "pass"
+        fresh = Pipeline(max_degree=10)
+        assert fresh.run().overall == "pass"
         repeated = {ideal: n for ideal, n in completed.items() if n > 1}
         assert repeated == {}
-        assert sum(completed.values()) == 16
+        assert sum(completed.values()) == 9
+        assert set(completed) == set(normal_form_rings(fresh).values())
 
     def test_grr_assembly_completes_no_basis(self, monkeypatch):
         # The quadric is solved for the square of the dualizing class, so
