@@ -16,27 +16,29 @@ classes by the splitting principle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 from typing import Sequence
 
 from .ring import IntPolynomial, Ring, RingMismatchError, reduce_roots, symmetrize_to_elementary
 
 
-@dataclass(frozen=True)
-class BundleClasses:
+class BundleClasses(namedtuple("BundleClasses", "c1 c2")):
     """First and second Chern classes of a rank-2 bundle."""
 
-    c1: IntPolynomial
-    c2: IntPolynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c1.ring != self.c2.ring:
+    def __new__(cls, c1: IntPolynomial, c2: IntPolynomial):
+        if c1.ring != c2.ring:
             raise RingMismatchError("c1 and c2 must live in one ring")
-        d1 = self.c1.weighted_degree()
-        d2 = self.c2.weighted_degree()
-        if d1 not in (None, 1) or d2 not in (None, 2):
+        if c1.weighted_degree() not in (None, 1) or c2.weighted_degree() not in (None, 2):
             raise ValueError("c1 must have degree 1 and c2 degree 2")
+        return super().__new__(cls, c1, c2)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` checks its classes too."""
+        return cls(*iterable)
 
     @property
     def ring(self) -> Ring:

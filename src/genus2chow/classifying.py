@@ -10,7 +10,7 @@ projection formula over the splitting reduction of the torus roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import BundleClasses, root_product, srj_table, veronese_pushforward
 from .groebner import RingSpec
@@ -58,8 +58,7 @@ def wn_chern(n: int, spec: RingSpec) -> tuple[IntPolynomial, IntPolynomial]:
 # -- derivation of the classifying-space presentation ------------------------------
 
 
-@dataclass
-class BgDerivation:
+class BgDerivation(NamedTuple):
     """Result of the classifying-space derivation, with its witnesses."""
 
     grothendieck_relation: IntPolynomial

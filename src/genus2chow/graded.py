@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .groebner import RingSpec, _reduce_row
@@ -72,8 +71,7 @@ def _clear(vector: intlinalg.Row, units: dict[int, intlinalg.Row]) -> intlinalg.
     return out
 
 
-@dataclass(frozen=True)
-class GradedPieceGroup:
+class GradedPieceGroup(NamedTuple):
     """One graded piece, as ZZ^free_rank plus cyclic torsion summands.
 
     ``units`` holds the Hermite rows of I_d with pivot 1, by pivot column,

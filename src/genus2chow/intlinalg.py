@@ -26,9 +26,8 @@ and Bachem do, so every step reduces entries modulo a pivot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Matrix = list[list[int]]
 # A lattice row: {column: entry}, with no zero entries.
@@ -60,8 +59,7 @@ def matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
 # -- Hermite normal form -------------------------------------------------------
 
 
-@dataclass
-class HermiteForm:
+class HermiteForm(NamedTuple):
     """Row-style Hermite normal form H = U @ A.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), pivot
@@ -216,8 +214,7 @@ def preimage_basis(A: Sequence[Row], B: Sequence[Row], ncols: int) -> list[Row]:
 # -- Smith normal form ---------------------------------------------------------
 
 
-@dataclass
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Diagonalization U @ A @ V = D by unimodular U and V.
 
     ``diagonal`` lists the diagonal of D (nonnegative, each dividing the

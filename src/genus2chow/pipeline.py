@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bundles import (
     BundleClasses,
@@ -70,8 +69,7 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     """Outcome of one machine check of a stated result."""
 
     id: str
@@ -90,8 +88,7 @@ class LemmaCheck:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_degree: int
     checks: list[LemmaCheck]
 
@@ -115,8 +112,7 @@ class VerificationReport:
         )
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     id: str
     anchor: str
     title: str

@@ -13,7 +13,7 @@ from genus2chow.bundles import (
     srj_table,
     veronese_pushforward,
 )
-from genus2chow.ring import IntPolynomial, NotSymmetricError, Ring
+from genus2chow.ring import IntPolynomial, NotSymmetricError, Ring, RingMismatchError
 
 from helpers import elementary, reference_diagonal, reference_squarefree, reference_veronese
 
@@ -35,6 +35,41 @@ def _swapped(multiplicities: tuple, k: int) -> tuple:
     m = list(multiplicities)
     m[2 * k], m[2 * k + 1] = m[2 * k + 1], m[2 * k]
     return tuple(m)
+
+
+class TestBundleClasses:
+    def test_classes_over_two_rings_are_rejected(self, generic, lam_ring):
+        with pytest.raises(RingMismatchError, match="c1 and c2 must live in one ring"):
+            BundleClasses(c1=generic.c1, c2=lam_ring.var("lambda2"))
+
+    @pytest.mark.parametrize("c1, c2", [
+        ("c1^2", "c2"),     # a degree-2 c1
+        ("t*c1", "c2"),
+        ("c1", "c1"),       # a degree-1 c2
+        ("c1", "t"),
+    ])
+    def test_classes_of_the_wrong_degree_are_rejected(self, generic, c1, c2):
+        ring = generic.ring
+        with pytest.raises(ValueError, match="c1 must have degree 1 and c2 degree 2"):
+            BundleClasses(c1=ring.parse(c1), c2=ring.parse(c2))
+
+    def test_zero_classes_are_accepted(self, lam_ring):
+        zero = lam_ring.zero()
+        classes = BundleClasses(c1=zero, c2=zero)
+        assert (classes.c1, classes.c2, classes.ring) == (zero, zero, lam_ring)
+        assert BundleClasses(zero, lam_ring.var("lambda2")).c2 == lam_ring.var("lambda2")
+
+    def test_replacing_a_class_is_checked_too(self, generic):
+        ring = generic.ring
+        assert generic._replace(c1=-ring.var("t")) == BundleClasses(-ring.var("t"), generic.c2)
+        with pytest.raises(ValueError, match="c1 must have degree 1 and c2 degree 2"):
+            generic._replace(c2=ring.var("t"))
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "ring", "other"])
+    def test_classes_are_immutable(self, generic, field):
+        with pytest.raises(AttributeError):
+            setattr(generic, field, generic.c1)
+        assert generic == BundleClasses(generic.ring.var("c1"), generic.ring.var("c2"))
 
 
 class TestRootProduct:

@@ -91,6 +91,29 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "kappa" in proc.stdout
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # A cold `verify` pays for each module the package loads; its records
+        # are named tuples, so `dataclasses` and the modules it pulls in
+        # (`inspect`, `ast`, `dis`, `tokenize`, ...) stay unloaded.  Only the
+        # modules the import adds are read, whatever `site` loaded before it.
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys; before = set(sys.modules); import genus2chow.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "genus2chow.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect"}), sorted(added)
+
     def test_twist_kernel_at_degree_14_finishes(self):
         # The degree-13 twist-kernel quotient has 108 redundant rows; its
         # kernel, a preimage lattice, must still come out in bounded time.

@@ -10,7 +10,7 @@ fault that nothing notices.
 
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -104,7 +104,7 @@ ROWS = (
         frozenset({"groth-factor", "s6-table"})),
     # The boundary ring is built from the substituted relations.
     Row("bg-derivation-substituted", "bg_derivation",
-        lambda p: replace(p.bg_derivation, substituted_relations=tuple(
+        lambda p: p.bg_derivation._replace(substituted_relations=tuple(
             _item(p.bg_derivation.substituted_relations, 1,
                   lambda r: r + r.ring.parse("beta2")))),
         {"thm:bg": "derived presentation differs from the stated one",
@@ -112,7 +112,7 @@ ROWS = (
          "degree3-kernel": "kernel enumeration gives ",
          "thm:main": "the six derived relations do not generate the stated ideal"}),
     Row("bg-derivation-excision", "bg_derivation",
-        lambda p: replace(p.bg_derivation, excision_relations=tuple(
+        lambda p: p.bg_derivation._replace(excision_relations=tuple(
             _item(p.bg_derivation.excision_relations, 1, _twice))),
         {"thm:bg": "excision relations came out as "}),
     Row("s6-table", "s6",

@@ -1,6 +1,5 @@
 """Graded pieces as abelian groups, kernels of multiplication, enumeration."""
 
-import dataclasses
 import math
 import random
 from operator import le
@@ -303,7 +302,7 @@ class TestBlockSmithForm:
             if snf.ncols < 2:
                 return snf
             V = [[row[1], row[0]] + row[2:] for row in snf.V]
-            return dataclasses.replace(snf, V=V)
+            return snf._replace(V=V)
 
         monkeypatch.setattr(la, "smith_normal_form", faulty)
 
@@ -437,7 +436,7 @@ class TestOraclePass:
             first = next((i for i, x in enumerate(diagonal) if x >= 2), None)
             if first is not None:
                 diagonal[first] *= 2
-            return dataclasses.replace(piece, diagonal=tuple(diagonal))
+            return piece._replace(diagonal=tuple(diagonal))
 
         monkeypatch.setattr(graded, "graded_piece", doubled)
         result = pipeline.run_check("oracle-agreement")
@@ -460,7 +459,7 @@ class TestOraclePass:
                 if x < 2:
                     continue
                 diagonal = piece.diagonal[:i] + (2 * x,) + piece.diagonal[i + 1:]
-                faulty = dataclasses.replace(piece, diagonal=diagonal)
+                faulty = piece._replace(diagonal=diagonal)
                 assert all(faulty._vanishes({j: 1}) == piece._vanishes({j: 1}) for j in columns)
                 monkeypatch.setattr(graded, "graded_piece", lambda spec, d: faulty)
                 assert not membership_matches_normal_form(spec, d), (d, i)

@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -193,7 +192,7 @@ class TestReport:
 
         report = Pipeline(10).run()
         assert deterministic(report) == deterministic(Pipeline(10).run())
-        failed = replace(report, checks=[replace(report.checks[0], status="fail")])
+        failed = report._replace(checks=[report.checks[0]._replace(status="fail")])
         assert deterministic(failed) != deterministic(report)
         data = json.loads(report.to_json())
         assert set(data) == {"schema", "max_degree", "overall", "checks"}
